@@ -201,6 +201,30 @@ void BM_KnowledgeMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_KnowledgeMerge);
 
+void BM_MeetingExchange(benchmark::State& state) {
+  // One co-located meeting of k agents: pool every map, then each member
+  // adopts the pool. Each iteration first restores the members' distinct
+  // pre-meeting maps (k store copies), so the pool does real merging.
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const Graph& g = net300().graph;
+  std::vector<MapKnowledge> before(k, MapKnowledge(300));
+  for (std::size_t m = 0; m < k; ++m)
+    for (NodeId u = static_cast<NodeId>(m); u < 300;
+         u += static_cast<NodeId>(k))
+      before[m].observe_node(u, g.out_neighbors(u), u);
+  std::vector<MapKnowledge> members = before;
+  KnowledgePool pool;
+  for (auto _ : state) {
+    members = before;
+    pool.clear();
+    for (const MapKnowledge& member : members) pool.add(member);
+    for (MapKnowledge& member : members) member.adopt(pool);
+    benchmark::DoNotOptimize(members.back().known_edge_count());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(k));
+}
+BENCHMARK(BM_MeetingExchange)->Arg(2)->Arg(8);
+
 void BM_MappingStep(benchmark::State& state) {
   // Cost of one full team-step, measured as a short task run.
   const auto pop = static_cast<int>(state.range(0));

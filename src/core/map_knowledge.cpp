@@ -4,10 +4,26 @@
 
 namespace agentnet {
 
+void KnowledgePool::add(const MapKnowledge& member) {
+  if (visits_.empty()) {
+    // The first talker's map is the whole pool so far: copy it (the copy
+    // reuses the storage of earlier meetings) instead of a counted merge.
+    edges_ = member.combined_;
+    visits_ = member.any_visit_;
+    visited_ = member.visited_;
+    return;
+  }
+  edges_.merge(member.combined_);  // throws on a node-count mismatch
+  const std::vector<std::int64_t>& visits = member.any_visit_;
+  for (std::size_t i = 0; i < visits_.size(); ++i) {
+    visited_ += visits_[i] == kNeverVisited && visits[i] != kNeverVisited;
+    visits_[i] = std::max(visits_[i], visits[i]);
+  }
+}
+
 MapKnowledge::MapKnowledge(std::size_t node_count)
     : node_count_(node_count),
       first_hand_(node_count * node_count),
-      second_hand_(node_count * node_count),
       combined_(node_count * node_count),
       first_hand_visit_(node_count, kNeverVisited),
       any_visit_(node_count, kNeverVisited) {
@@ -19,6 +35,7 @@ void MapKnowledge::observe_node(NodeId node,
                                 std::size_t now) {
   AGENTNET_ASSERT(node < node_count_);
   const auto t = static_cast<std::int64_t>(now);
+  if (any_visit_[node] == kNeverVisited) ++visited_;
   first_hand_visit_[node] = std::max(first_hand_visit_[node], t);
   any_visit_[node] = std::max(any_visit_[node], t);
   for (NodeId v : out_neighbors) {
@@ -31,10 +48,10 @@ void MapKnowledge::observe_node(NodeId node,
 void MapKnowledge::learn_from(const MapKnowledge& peer) {
   AGENTNET_REQUIRE(peer.node_count_ == node_count_,
                    "knowledge node-count mismatch");
-  second_hand_.merge(peer.combined_);
   combined_.merge(peer.combined_);
   for (std::size_t i = 0; i < node_count_; ++i)
     any_visit_[i] = std::max(any_visit_[i], peer.any_visit_[i]);
+  recount_visited();
   if (expiry_enabled_) {
     second_recent_.merge(peer.combined_);
     for (std::size_t i = 0; i < node_count_; ++i)
@@ -43,22 +60,19 @@ void MapKnowledge::learn_from(const MapKnowledge& peer) {
   }
 }
 
-void MapKnowledge::learn_union(const DenseBitset& edges,
-                               std::span<const std::int64_t> visits) {
-  AGENTNET_REQUIRE(edges.size() == node_count_ * node_count_,
-                   "pooled edge bitset size mismatch");
-  AGENTNET_REQUIRE(visits.size() == node_count_,
-                   "pooled visit vector size mismatch");
-  second_hand_.merge(edges);
-  combined_.merge(edges);
-  for (std::size_t i = 0; i < node_count_; ++i)
-    any_visit_[i] = std::max(any_visit_[i], visits[i]);
+void MapKnowledge::adopt(const KnowledgePool& pool) {
+  AGENTNET_ASSERT(pool.visits_.size() == node_count_ &&
+                  pool.edges_.count() >= combined_.count() &&
+                  pool.visited_ >= visited_);
   if (expiry_enabled_) {
-    second_recent_.merge(edges);
+    second_recent_.merge(pool.edges_);
     for (std::size_t i = 0; i < node_count_; ++i)
       learned_visit_recent_[i] =
-          std::max(learned_visit_recent_[i], visits[i]);
+          std::max(learned_visit_recent_[i], pool.visits_[i]);
   }
+  combined_ = pool.edges_;
+  any_visit_ = pool.visits_;
+  visited_ = pool.visited_;
 }
 
 void MapKnowledge::expire_second_hand(std::size_t now, std::size_t ttl) {
@@ -74,17 +88,17 @@ void MapKnowledge::expire_second_hand(std::size_t now, std::size_t ttl) {
     return;
   }
   if (now < last_rotation_ + ttl) return;
-  // Epoch rotation: the closing epoch's hearsay becomes the surviving
-  // second-hand store; everything older is forgotten.
-  second_hand_ = second_recent_;
-  second_recent_.clear();
+  // Epoch rotation: the closing epoch's hearsay is all that survives of
+  // the second hand; everything older is forgotten.
   combined_ = first_hand_;
-  combined_.merge(second_hand_);
+  combined_.merge(second_recent_);
+  second_recent_.clear();
   learned_visit_prev_ = learned_visit_recent_;
   std::fill(learned_visit_recent_.begin(), learned_visit_recent_.end(),
             kNeverVisited);
   for (std::size_t i = 0; i < node_count_; ++i)
     any_visit_[i] = std::max(first_hand_visit_[i], learned_visit_prev_[i]);
+  recount_visited();
   last_rotation_ = now;
 }
 
@@ -129,11 +143,10 @@ std::int64_t MapKnowledge::last_visit_any(NodeId node) const {
   return any_visit_[node];
 }
 
-std::size_t MapKnowledge::serialized_size_bytes() const {
-  std::size_t visited = 0;
-  for (std::int64_t t : any_visit_)
-    if (t != kNeverVisited) ++visited;
-  return 8 * combined_.count() + 12 * visited;
+void MapKnowledge::recount_visited() {
+  visited_ = static_cast<std::size_t>(
+      std::count_if(any_visit_.begin(), any_visit_.end(),
+                    [](std::int64_t t) { return t != kNeverVisited; }));
 }
 
 double MapKnowledge::completeness(std::size_t truth_edge_count) const {

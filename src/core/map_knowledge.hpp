@@ -1,9 +1,8 @@
-// An agent's model of the network topology, split into first-hand knowledge
-// (edges the agent observed itself, nodes it visited) and second-hand
-// knowledge (learned from peers during direct communication) — the paper
-// keeps the two stores separate because movement policies differ in which
-// they may consult: conscientious agents use first-hand only,
-// super-conscientious agents use both.
+// An agent's model of the network topology: first-hand knowledge (edges
+// the agent observed itself, nodes it visited) and the full map over both
+// hands, which adds what peers passed on in direct communication. Movement
+// policies differ in which they consult: conscientious agents use
+// first-hand only, super-conscientious agents use both.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +16,25 @@
 
 namespace agentnet {
 
+class MapKnowledge;
+
+/// A meeting's pooled knowledge: the union of the talkers' full maps and,
+/// per node, the latest visit time any of them knows. Reused across
+/// meetings, so its storage is allocated once.
+class KnowledgePool {
+ public:
+  /// Starts a new meeting; the next add() overwrites the old contents.
+  void clear() { visits_.clear(); }
+  /// Pools one talker's full map (both hands) and visit times.
+  void add(const MapKnowledge& member);
+
+ private:
+  friend class MapKnowledge;
+  DenseBitset edges_;
+  std::vector<std::int64_t> visits_;  // empty until the first add()
+  std::size_t visited_ = 0;           // nodes with a pooled visit time
+};
+
 class MapKnowledge {
  public:
   explicit MapKnowledge(std::size_t node_count);
@@ -28,15 +46,15 @@ class MapKnowledge {
   void observe_node(NodeId node, std::span<const NodeId> out_neighbors,
                     std::size_t now);
 
-  /// Direct communication: absorbs everything `peer` knows (both hands)
-  /// into this agent's *second-hand* store.
+  /// Direct communication with one peer: absorbs everything `peer` knows
+  /// (both hands) as hearsay. The pairwise form of adopt().
   void learn_from(const MapKnowledge& peer);
 
-  /// Bulk variant of learn_from used for co-located groups: absorbs a
-  /// pooled edge set and pooled visit times (see MappingTask). `edges` must
-  /// be node_count² bits; `visits` node_count entries.
-  void learn_union(const DenseBitset& edges,
-                   std::span<const std::int64_t> visits);
+  /// Direct communication in a co-located group (see MappingTask): takes
+  /// the meeting's pool as the full map. Precondition: the pool holds this
+  /// agent's knowledge (add() was called with it), so merging it would
+  /// yield the pool itself; only the O(1) count consequence is asserted.
+  void adopt(const KnowledgePool& pool);
 
   /// Resilience policy (fault subsystem): forgets second-hand knowledge
   /// older than `ttl` steps. Implemented as epoch rotation — hearsay
@@ -72,9 +90,6 @@ class MapKnowledge {
   /// Includes visit times learned from peers (what super-conscientious
   /// movement consults).
   std::int64_t last_visit_any(NodeId node) const;
-  bool visited_first_hand(NodeId node) const {
-    return last_visit_first_hand(node) != kNeverVisited;
-  }
 
   /// Fraction of `truth_edge_count` edges known; truth must be the count of
   /// the graph the observations came from.
@@ -84,15 +99,16 @@ class MapKnowledge {
   /// 8 bytes per known edge plus 12 per node with a known visit time. The
   /// paper cares about agent overhead ("due to cost of trans[portation an]
   /// agent should be small in size"); tasks meter migration traffic with
-  /// this.
-  std::size_t serialized_size_bytes() const;
+  /// this. O(1): the visited-node count is kept with the visit times.
+  std::size_t serialized_size_bytes() const {
+    return 8 * combined_.count() + 12 * visited_;
+  }
 
-  /// Checkpoint support: both hands, the combined set, visit times and the
+  /// Checkpoint support: first-hand and combined sets, visit times and the
   /// expiry-epoch bookkeeping.
   void save_state(snapshot::ByteWriter& w) const {
     w.size(node_count_);
     first_hand_.save_state(w);
-    second_hand_.save_state(w);
     combined_.save_state(w);
     w.pod_vec(first_hand_visit_);
     w.pod_vec(any_visit_);
@@ -107,10 +123,10 @@ class MapKnowledge {
     AGENTNET_REQUIRE(n == node_count_,
                      "snapshot: map knowledge node count mismatch");
     first_hand_.load_state(r);
-    second_hand_.load_state(r);
     combined_.load_state(r);
     r.pod_vec(first_hand_visit_);
     r.pod_vec(any_visit_);
+    recount_visited();
     expiry_enabled_ = r.boolean();
     last_rotation_ = r.size();
     second_recent_.load_state(r);
@@ -119,17 +135,19 @@ class MapKnowledge {
   }
 
  private:
+  friend class KnowledgePool;
   std::size_t bit_index(NodeId u, NodeId v) const {
     AGENTNET_ASSERT(u < node_count_ && v < node_count_);
     return static_cast<std::size_t>(u) * node_count_ + v;
   }
+  void recount_visited();
 
   std::size_t node_count_;
   DenseBitset first_hand_;
-  DenseBitset second_hand_;
-  DenseBitset combined_;  // first ∪ second, maintained incrementally
+  DenseBitset combined_;  // first ∪ second hand, maintained incrementally
   std::vector<std::int64_t> first_hand_visit_;
   std::vector<std::int64_t> any_visit_;
+  std::size_t visited_ = 0;  // entries of any_visit_ != kNeverVisited
   // Expiry epoch bookkeeping, allocated on the first expire_second_hand
   // call: hearsay learned in the current epoch, and learned-visit times
   // split by epoch so any_visit_ can be rebuilt at rotation.

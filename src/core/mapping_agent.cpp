@@ -30,11 +30,6 @@ void MappingAgent::sense(const Graph& graph, std::size_t now) {
   knowledge_.observe_node(location_, graph.out_neighbors(location_), now);
 }
 
-void MappingAgent::learn_union(const DenseBitset& edges,
-                               std::span<const std::int64_t> visits) {
-  knowledge_.learn_union(edges, visits);
-}
-
 NodeId MappingAgent::decide(const Graph& graph, const StigmergyBoard& board,
                             std::size_t now) {
   const auto neighbors = graph.out_neighbors(location_);

@@ -45,10 +45,9 @@ class MappingAgent {
   /// Phase 1: learn all out-edges of the current node (first-hand).
   void sense(const Graph& graph, std::size_t now);
 
-  /// Phase 2: direct communication — absorb a co-located group's pooled
-  /// knowledge into the second-hand store.
-  void learn_union(const DenseBitset& edges,
-                   std::span<const std::int64_t> visits);
+  /// Phase 2: direct communication — take a co-located group's pooled
+  /// knowledge as the full map (see MapKnowledge::adopt).
+  void adopt(const KnowledgePool& pool) { knowledge_.adopt(pool); }
 
   /// Resilience policy: forget hearsay older than `ttl` steps (epoch
   /// rotation; see MapKnowledge::expire_second_hand).

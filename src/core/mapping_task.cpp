@@ -46,13 +46,6 @@ struct MeetingScratch {
   std::vector<std::size_t> nearby;   ///< Grid query output, ascending.
 };
 
-/// Per-worker pooling scratch for group-parallel exchanges (one per chunk
-/// when the agent engine is active; the serial path reuses one instance).
-struct ExchangeScratch {
-  DenseBitset edges;
-  std::vector<std::int64_t> visits;
-};
-
 /// One planned meeting: the serial plan pass fixes membership, venue and
 /// the corruption draw (group-order RNG); pooling then runs group-parallel
 /// and the commit pass replays counters/events in group order.
@@ -166,8 +159,6 @@ MappingTaskResult run_mapping_task(World& world,
                   [](const MappingAgentConfig& member) {
                     return member.stigmergy != StigmergyMode::kOff;
                   });
-  ExchangeScratch pooled{DenseBitset(n * n),
-                         std::vector<std::int64_t>(n)};
   std::vector<MeetingPlan> meetings;
   std::vector<double> fractions;
   // The monitoring entity's collected map (completeness is tracked against
@@ -394,37 +385,19 @@ MappingTaskResult run_mapping_task(World& world,
         }
       }
       // Pooling (group-parallel): meetings are disjoint, so each can pool
-      // and distribute into its own members concurrently — per-worker
-      // scratch, no events, no RNG.
-      const auto pool_meeting = [&](const MeetingPlan& meeting,
-                                    ExchangeScratch& scratch) {
-        scratch.edges.clear();
-        std::fill(scratch.visits.begin(), scratch.visits.end(),
-                  kNeverVisited);
-        for (std::size_t idx : meeting.talkers) {
-          const MapKnowledge& k = agents[idx].knowledge();
-          scratch.edges.merge(k.combined_edges());
-          const auto visits = k.any_visits();
-          for (std::size_t i = 0; i < n; ++i)
-            scratch.visits[i] = std::max(scratch.visits[i], visits[i]);
-        }
-        for (std::size_t idx : meeting.talkers)
-          agents[idx].learn_union(scratch.edges, scratch.visits);
-      };
-      if (par.active() && meetings.size() > 1) {
-        par.for_each_scratch(
-            meetings.size(),
-            [n] {
-              return ExchangeScratch{DenseBitset(n * n),
-                                     std::vector<std::int64_t>(n)};
-            },
-            [&](std::size_t m, ExchangeScratch& scratch) {
-              if (!meetings[m].corrupted) pool_meeting(meetings[m], scratch);
-            });
-      } else {
-        for (const MeetingPlan& meeting : meetings)
-          if (!meeting.corrupted) pool_meeting(meeting, pooled);
-      }
+      // and hand the pool to its own members concurrently — per-worker
+      // pool, no events, no RNG. Every talker is in the pool, so adopting
+      // it equals merging it (MapKnowledge::adopt).
+      par.for_each_scratch(
+          meetings.size(), [] { return KnowledgePool(); },
+          [&](std::size_t m, KnowledgePool& pool) {
+            const MeetingPlan& meeting = meetings[m];
+            if (meeting.corrupted) return;
+            pool.clear();
+            for (std::size_t idx : meeting.talkers)
+              pool.add(agents[idx].knowledge());
+            for (std::size_t idx : meeting.talkers) agents[idx].adopt(pool);
+          });
       // Commit pass (serial): counters and trace events replayed in group
       // order — the same per-meeting sequence the single-pass loop
       // emitted, so traces stay byte-identical at any thread count.

@@ -40,7 +40,7 @@ namespace agentnet::snapshot {
 
 inline constexpr char kSnapshotMagic[8] = {'A', 'G', 'N', 'T',
                                            'S', 'N', 'A', 'P'};
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// What experiment a checkpoint belongs to. Resume validates every field
 /// and throws ConfigError on mismatch — restoring a routing checkpoint

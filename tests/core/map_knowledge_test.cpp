@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace agentnet {
 namespace {
@@ -76,14 +79,149 @@ TEST(MapKnowledgeTest, TransitiveSecondHandSpreads) {
   EXPECT_TRUE(a.knows_edge(3, 0));
 }
 
-TEST(MapKnowledgeTest, LearnUnionMatchesLearnFrom) {
+TEST(MapKnowledgeTest, AdoptMatchesLearnFrom) {
   MapKnowledge a1(4), a2(4), b(4);
   const std::vector<NodeId> out{1, 2};
   b.observe_node(0, out, 6);
+  const std::vector<NodeId> own{3};
+  a1.observe_node(2, own, 1);
+  a2.observe_node(2, own, 1);
   a1.learn_from(b);
-  a2.learn_union(b.combined_edges(), b.any_visits());
-  EXPECT_EQ(a1.known_edge_count(), a2.known_edge_count());
+  KnowledgePool pool;
+  pool.add(a2);
+  pool.add(b);
+  a2.adopt(pool);
+  EXPECT_EQ(a1.combined_edges(), a2.combined_edges());
   EXPECT_EQ(a1.last_visit_any(0), a2.last_visit_any(0));
+  EXPECT_EQ(a1.last_visit_any(2), a2.last_visit_any(2));
+  EXPECT_FALSE(a2.knows_edge_first_hand(0, 1));
+  EXPECT_EQ(a1.serialized_size_bytes(), a2.serialized_size_bytes());
+}
+
+// The adoption precondition: the pool must already hold the adopter's
+// knowledge. A pool with fewer edges than the adopter cannot be a superset,
+// and that O(1)-detectable violation aborts.
+TEST(MapKnowledgeDeathTest, AdoptRequiresPoolContainingAdopter) {
+  MapKnowledge a(4), b(4);
+  const std::vector<NodeId> out{1, 2};
+  a.observe_node(0, out, 0);
+  KnowledgePool pool;
+  pool.add(b);
+  EXPECT_DEATH(a.adopt(pool), "assertion failed");
+}
+
+/// O(n) from-scratch reference for serialized_size_bytes().
+std::size_t recounted_size(const MapKnowledge& k) {
+  std::size_t visited = 0;
+  for (std::int64_t t : k.any_visits())
+    if (t != kNeverVisited) ++visited;
+  return 8 * k.known_edge_count() + 12 * visited;
+}
+
+std::vector<std::uint8_t> state_bytes(const MapKnowledge& k) {
+  snapshot::ByteWriter w;
+  k.save_state(w);
+  return w.take();
+}
+
+/// Random knowledge stores: each agent observes random nodes of a random
+/// graph at random times and hears from random peers, with the expiry
+/// clock (ttl 4) running when `ttl` is non-zero. Checks the O(1) size
+/// against the recount after every mutation.
+std::vector<MapKnowledge> random_stores(std::size_t n, std::size_t agents,
+                                        std::size_t ttl, Rng& rng) {
+  Graph g(n);
+  for (NodeId u = 0; u < n; ++u)
+    for (NodeId v = 0; v < n; ++v)
+      if (u != v && rng.bernoulli(0.15)) g.add_edge(u, v);
+  std::vector<MapKnowledge> stores(agents, MapKnowledge(n));
+  for (std::size_t t = 0; t < 12; ++t) {
+    for (MapKnowledge& k : stores) {
+      if (rng.bernoulli(0.6)) {
+        const auto u = static_cast<NodeId>(rng.index(n));
+        k.observe_node(u, g.out_neighbors(u), t);
+        EXPECT_EQ(k.serialized_size_bytes(), recounted_size(k));
+      }
+      if (rng.bernoulli(0.2)) {
+        k.learn_from(stores[rng.index(agents)]);
+        EXPECT_EQ(k.serialized_size_bytes(), recounted_size(k));
+      }
+      k.expire_second_hand(t, ttl);
+      EXPECT_EQ(k.serialized_size_bytes(), recounted_size(k));
+    }
+  }
+  return stores;
+}
+
+// Pool + adopt must leave every member exactly where the per-member union
+// (merge the pool into each member, pool included its own knowledge) left
+// it: combined words and count, visit times, first-hand state, expiry
+// bookkeeping and the migration size. The reference replays that union as
+// learn_from over every member's pre-meeting state, own included.
+TEST(MapKnowledgeAdoptionTest, PoolAndAdoptEqualsPerMemberUnion) {
+  constexpr std::size_t kNodes = 37;  // n² not a multiple of 64
+  KnowledgePool pool;  // reused across meetings, as in the task
+  for (const std::size_t ttl : {std::size_t{0}, std::size_t{4}}) {
+    for (const std::size_t group : {2u, 3u, 8u}) {
+      for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "ttl=" << ttl << " k=" << group
+                                          << " seed=" << seed);
+        Rng rng(seed * 97 + group);
+        const std::vector<MapKnowledge> before =
+            random_stores(kNodes, group, ttl, rng);
+        std::vector<MapKnowledge> adopted = before;
+        pool.clear();
+        for (const MapKnowledge& k : adopted) pool.add(k);
+        for (MapKnowledge& k : adopted) k.adopt(pool);
+        std::vector<MapKnowledge> references = before;
+        for (MapKnowledge& reference : references)
+          for (const MapKnowledge& peer : before) reference.learn_from(peer);
+        for (std::size_t m = 0; m < group; ++m) {
+          const MapKnowledge& reference = references[m];
+          const MapKnowledge& got = adopted[m];
+          EXPECT_EQ(got.combined_edges(), reference.combined_edges());
+          EXPECT_EQ(got.known_edge_count(), reference.known_edge_count());
+          EXPECT_TRUE(std::ranges::equal(got.any_visits(),
+                                         reference.any_visits()));
+          EXPECT_EQ(got.first_hand_edge_count(),
+                    before[m].first_hand_edge_count());
+          for (NodeId v = 0; v < kNodes; ++v)
+            EXPECT_EQ(got.last_visit_first_hand(v),
+                      before[m].last_visit_first_hand(v));
+          EXPECT_EQ(got.serialized_size_bytes(),
+                    reference.serialized_size_bytes());
+          EXPECT_EQ(got.serialized_size_bytes(), recounted_size(got));
+          // Whole-state bytes cover first hand and the expiry epochs.
+          EXPECT_EQ(state_bytes(got), state_bytes(reference));
+        }
+        // Rotation after the meeting must agree too (expiry merge).
+        for (std::size_t m = 0; m < group; ++m) {
+          MapKnowledge reference = references[m];
+          MapKnowledge got = adopted[m];
+          for (std::size_t t = 12; t < 24; ++t) {
+            got.expire_second_hand(t, ttl);
+            reference.expire_second_hand(t, ttl);
+          }
+          EXPECT_EQ(state_bytes(got), state_bytes(reference));
+          EXPECT_EQ(got.serialized_size_bytes(), recounted_size(got));
+        }
+      }
+    }
+  }
+}
+
+TEST(MapKnowledgeAdoptionTest, SizeSurvivesLoadState) {
+  Rng rng(11);
+  const std::vector<MapKnowledge> stores = random_stores(29, 3, 4, rng);
+  for (const MapKnowledge& k : stores) {
+    const std::vector<std::uint8_t> bytes = state_bytes(k);
+    MapKnowledge loaded(29);
+    snapshot::ByteReader r(bytes.data(), bytes.size());
+    loaded.load_state(r);
+    EXPECT_EQ(loaded.serialized_size_bytes(), k.serialized_size_bytes());
+    EXPECT_EQ(loaded.serialized_size_bytes(), recounted_size(loaded));
+    EXPECT_EQ(state_bytes(loaded), bytes);
+  }
 }
 
 TEST(MapKnowledgeTest, CompletenessFraction) {

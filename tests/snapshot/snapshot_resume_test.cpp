@@ -170,6 +170,76 @@ TEST(SnapshotResumeTest, MappingResumeByteIdentical) {
   }
 }
 
+TEST(SnapshotResumeTest, MappingResumeWithKnowledgeExpiryByteIdentical) {
+  // Hearsay expiry on: meetings also merge into the current expiry epoch,
+  // rotations rebuild the full map, and a restored store recounts its
+  // visited nodes on load. Checkpoints every 35 steps fall mid-epoch
+  // (ttl 15) and before both runs finish (steps 61 and 75).
+  TargetEdgeParams params;
+  params.geometry.node_count = 40;
+  params.target_edges = 240;
+  params.tolerance = 0.05;
+  const GeneratedNetwork network = generate_target_edge_network(params, 5);
+  MappingTaskConfig task;
+  task.population = 10;
+  task.max_steps = 120;
+  task.faults = chaos_plan();
+  task.faults.knowledge_ttl = 15;
+  const int runs = 2;
+  const std::uint64_t seed = 123;
+  const auto leg = [&](const std::string& tag, int threads) {
+    return run_leg(tag, [&](const obs::ObsConfig& config) {
+      run_mapping_experiment(network, task, runs, seed, threads, config);
+    });
+  };
+
+  const Artefacts base = leg("mx_base", 1);
+  ASSERT_NE(base.trace.find("\"merge\""), std::string::npos)
+      << "no meeting happened; the leg would not cover the exchange";
+  const std::string ck = temp_path("mx.snap");
+  {
+    EnvGuard save("AGENTNET_CHECKPOINT", ck);
+    EnvGuard every("AGENTNET_CHECKPOINT_EVERY", "35");
+    const Artefacts saving = leg("mx_save", 2);
+    EXPECT_EQ(saving.trace, base.trace);
+    EXPECT_EQ(saving.metrics, base.metrics);
+  }
+  for (const int threads : {1, 2, 7}) {
+    EnvGuard resume("AGENTNET_RESUME", ck);
+    const Artefacts resumed =
+        leg("mx_resume_t" + std::to_string(threads), threads);
+    EXPECT_EQ(resumed.trace, base.trace) << "threads=" << threads;
+    EXPECT_EQ(resumed.metrics, base.metrics) << "threads=" << threads;
+  }
+
+  // Migration bytes are metered from each store's visited-node count, which
+  // load_state recounts; they reach the task result but no artefact.
+  const snapshot::ExperimentIdentity identity{"mapping", 1, seed,
+                                              network.graph.node_count(),
+                                              task.max_steps};
+  const auto direct = [&](snapshot::ExperimentCheckpointer* checkpointer) {
+    MappingTaskConfig run_config = task;
+    snapshot::RunCheckpointPort port;
+    if (checkpointer) {
+      port = checkpointer->port(0);
+      run_config.checkpoint = &port;
+    }
+    World world = World::frozen(network);
+    return run_mapping_task(world, run_config, Rng(seed));
+  };
+  const MappingTaskResult uninterrupted = direct(nullptr);
+  const std::string direct_ck = temp_path("mx_direct.snap");
+  snapshot::ExperimentCheckpointer saver(identity, direct_ck, 35, "");
+  direct(&saver);
+  ASSERT_EQ(snapshot::load_checkpoint(direct_ck).runs.at(0).step, 70u)
+      << "the resume must start mid-run";
+  snapshot::ExperimentCheckpointer resumer(identity, "", 35, direct_ck);
+  const MappingTaskResult resumed = direct(&resumer);
+  EXPECT_GT(uninterrupted.migration_bytes, 0u);
+  EXPECT_EQ(resumed.migration_bytes, uninterrupted.migration_bytes);
+  EXPECT_EQ(resumed.finishing_time, uninterrupted.finishing_time);
+}
+
 TEST(SnapshotResumeTest, TrafficResumeByteIdentical) {
   const RoutingScenario scenario = tiny_scenario();
   TrafficTaskConfig task;
