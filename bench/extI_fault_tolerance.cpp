@@ -27,12 +27,12 @@ int main() {
       task.population = 100;
       task.agent.policy = RoutingPolicy::kOldestNode;
       task.agent.history_size = 10;
-      task.agent_loss_probability = loss;
+      task.faults.agent_loss_probability = loss;
       const Rng seed(paper::kRunSeedBase + static_cast<std::uint64_t>(r));
       const auto plain = run_routing_task(scenario, task, seed);
       plain_conn.add(plain.mean_connectivity);
       plain_pop.add(static_cast<double>(plain.final_population));
-      task.gateway_respawn_probability = 0.25;
+      task.faults.gateway_respawn_probability = 0.25;
       const auto healed = run_routing_task(scenario, task, seed);
       heal_conn.add(healed.mean_connectivity);
       heal_pop.add(static_cast<double>(healed.final_population));

@@ -21,6 +21,8 @@
 #include "common/rng.hpp"
 #include "core/routing_task.hpp"
 #include "energy/battery.hpp"
+#include "experiments/paper.hpp"
+#include "experiments/routing_experiments.hpp"
 #include "geom/vec2.hpp"
 #include "mobility/mobility.hpp"
 #include "net/generators.hpp"
@@ -265,6 +267,35 @@ void BM_AgentsScaleMeasureParallelAgents(benchmark::State& state) {
 BENCHMARK(BM_AgentsScaleMeasureParallelAgents)
     ->Iterations(8)
     ->Unit(benchmark::kMillisecond);
+
+// --- Replicated regime (informational): the Figs 7-11 protocol end to
+// --- end — one serial run_routing_experiment of 8 runs on the paper
+// --- scenario, 100 oldest-node agents with the oracle recorded. With two
+// --- or more runs the scenario's world is recorded once and every run
+// --- replays it (docs/PERFORMANCE.md, "Shared world script"). Items are
+// --- simulated run-steps.
+void BM_RoutingExperiment(benchmark::State& state) {
+  const RoutingScenario scenario(RoutingScenarioParams{},
+                                 paper::kRoutingScenarioSeed);
+  RoutingTaskConfig task;
+  task.steps = paper::kRoutingSteps;
+  task.measure_from = paper::kRoutingMeasureFrom;
+  task.population = 100;
+  task.agent.policy = RoutingPolicy::kOldestNode;
+  task.agent.history_size = 10;
+  task.record_oracle = true;
+  task.agent_parallel = AgentParallelConfig{};
+  constexpr int kRuns = 8;
+  for (auto _ : state) {
+    const RoutingSummary summary =
+        run_routing_experiment(scenario, task, kRuns, paper::kRunSeedBase, 1,
+                               ObsConfig{}, FaultPlan{});
+    benchmark::DoNotOptimize(summary.mean_connectivity.mean());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kRuns * static_cast<std::int64_t>(task.steps));
+}
+BENCHMARK(BM_RoutingExperiment)->Unit(benchmark::kMillisecond);
 
 // --- Traffic regime (informational, no Full/Incremental pair): the whole
 // --- loaded-network loop — delay-mode ants, flow generation, batch

@@ -189,15 +189,29 @@ void RoutingScenario::validate() const {
                    "gateway mask does not match gateway_count");
 }
 
-World RoutingScenario::make_world() const {
+World RoutingScenario::make_world(const WorldScript* script) const {
   auto playback = std::make_unique<TraceMobility>(trace_);
   playback->reset();
   // Mobile nodes run on battery; stationary nodes (gateways included) are
   // mains powered.
   BatteryBank batteries(params_.node_count, mobile_, params_.battery);
-  return World(params_.bounds, initial_positions_,
-               RadioModel(base_ranges_, params_.scaling),
-               std::move(batteries), std::move(playback), params_.policy);
+  World world(params_.bounds, initial_positions_,
+              RadioModel(base_ranges_, params_.scaling), std::move(batteries),
+              std::move(playback), params_.policy);
+  world.set_script(script);
+  return world;
+}
+
+ScenarioScript::ScenarioScript(const RoutingScenario& scenario,
+                               std::size_t steps, bool oracle) {
+  World live = scenario.make_world();
+  OracleConnectivityCache cache;
+  if (oracle) this->oracle.reserve(steps);
+  world = WorldScript::record(live, steps, [&](const World& w) {
+    if (oracle)
+      this->oracle.push_back(
+          cache.measure(w.epoch(), w.graph(), scenario.is_gateway()));
+  });
 }
 
 namespace {
@@ -220,7 +234,8 @@ RoutingTaskResult run_routing_task(const RoutingScenario& scenario,
   AGENTNET_REQUIRE(config.measure_from < config.steps,
                    "measure_from must precede steps");
   obs::ScopedPhase setup_phase(obs::Phase::kSetup);
-  World world = scenario.make_world();
+  World world =
+      scenario.make_world(config.script ? &config.script->world : nullptr);
   const std::size_t n = world.node_count();
   const auto& is_gateway = scenario.is_gateway();
 
@@ -248,21 +263,7 @@ RoutingTaskResult run_routing_task(const RoutingScenario& scenario,
     return false;
   }();
 
-  AGENTNET_REQUIRE(config.agent_loss_probability >= 0.0 &&
-                       config.agent_loss_probability <= 1.0,
-                   "agent loss probability must be in [0,1]");
-  AGENTNET_REQUIRE(config.gateway_respawn_probability >= 0.0 &&
-                       config.gateway_respawn_probability <= 1.0,
-                   "respawn probability must be in [0,1]");
-  // Compatibility: the pre-FaultPlan knobs fold into the plan (and win
-  // when set). They feed the same forked stream in the same per-step draw
-  // order as the original implementation, so legacy configurations get
-  // bit-identical results through the unified path.
-  FaultPlan plan = config.faults;
-  if (config.agent_loss_probability > 0.0)
-    plan.agent_loss_probability = config.agent_loss_probability;
-  if (config.gateway_respawn_probability > 0.0)
-    plan.gateway_respawn_probability = config.gateway_respawn_probability;
+  const FaultPlan& plan = config.faults;
   plan.validate();
 
   RoutingTaskResult result;
@@ -677,11 +678,16 @@ RoutingTaskResult run_routing_task(const RoutingScenario& scenario,
                     .fraction());
       AGENTNET_OBS_GAUGE(kConnectivity, t, result.connectivity.back());
       if (config.record_oracle) {
+        // A fault-masked view is not the world's own graph: no epoch key,
+        // no recorded result — the BFS runs.
+        const bool masked = plan.topology_faults();
         result.oracle.push_back(
             oracle_cache
-                .measure(plan.topology_faults() ? kNoCacheEpoch
-                                                : world.epoch(),
-                         measured, is_gateway)
+                .measure(masked ? kNoCacheEpoch : world.epoch(), measured,
+                         is_gateway,
+                         masked || !config.script
+                             ? nullptr
+                             : config.script->oracle_at(world.step()))
                 .fraction());
         AGENTNET_OBS_GAUGE(kOracleConnectivity, t, result.oracle.back());
       }

@@ -92,8 +92,10 @@ class RoutingScenario {
   const std::vector<double>& base_ranges() const { return base_ranges_; }
   const TraceMobility& trace() const { return trace_; }
 
-  /// A fresh world at step 0 replaying the recorded movement script.
-  World make_world() const;
+  /// A fresh world at step 0 replaying the recorded movement script. With
+  /// a `script` recorded from this scenario, its topology upkeep replays
+  /// that recording too (World::set_script).
+  World make_world(const WorldScript* script = nullptr) const;
 
  private:
   void validate() const;
@@ -103,6 +105,29 @@ class RoutingScenario {
   std::vector<bool> is_gateway_;
   std::vector<bool> mobile_;
   TraceMobility trace_;
+};
+
+/// A scenario's world recorded once for every replication of an
+/// experiment (docs/PERFORMANCE.md, "Shared world script"): the world's
+/// topology upkeep and, optionally, the any-path oracle per step. Both
+/// are pure functions of (scenario, step), so replaying them is
+/// bit-identical to recomputing them.
+struct ScenarioScript {
+  /// Drives one make_world() through `steps` live advances and records
+  /// them; with `oracle`, also the oracle after each advance.
+  ScenarioScript(const RoutingScenario& scenario, std::size_t steps,
+                 bool oracle);
+
+  WorldScript world;
+  /// oracle[s] is the oracle of world step s + 1 (empty unless recorded).
+  std::vector<ConnectivityResult> oracle;
+
+  /// The recorded oracle for `world_step`, or nullptr when not recorded.
+  const ConnectivityResult* oracle_at(std::size_t world_step) const {
+    return world_step >= 1 && world_step <= oracle.size()
+               ? &oracle[world_step - 1]
+               : nullptr;
+  }
 };
 
 struct RoutingTaskConfig {
@@ -130,11 +155,6 @@ struct RoutingTaskConfig {
   /// transit loss, exchange corruption and the resilience policies (see
   /// fault/fault_plan.hpp and docs/ROBUSTNESS.md).
   FaultPlan faults;
-  /// Compatibility: the pre-FaultPlan failure knobs. When > 0 they
-  /// override the corresponding plan fields and produce bit-identical
-  /// results to the original implementation. Prefer `faults`.
-  double agent_loss_probability = 0.0;
-  double gateway_respawn_probability = 0.0;
   /// Intra-run agent parallelism (AGENTNET_AGENT_THREADS): arrive, group
   /// exchanges, per-root connectivity walks and — for non-stigmergic
   /// teams — decide fan over the shared agent pool. Bit-identical at
@@ -144,6 +164,10 @@ struct RoutingTaskConfig {
   /// Checkpoint/restore handle for this run (nullptr = disabled). Owned by
   /// the caller; see snapshot/snapshot.hpp and docs/ROBUSTNESS.md.
   snapshot::RunCheckpointPort* checkpoint = nullptr;
+  /// Recorded world of this run's scenario (nullptr = live upkeep). Owned
+  /// by the caller and shared read-only across runs; the experiment
+  /// harnesses set it when they run two or more replications.
+  const ScenarioScript* script = nullptr;
 };
 
 struct RoutingTaskResult {

@@ -1,5 +1,6 @@
 #include "experiments/routing_experiments.hpp"
 
+#include <optional>
 #include <vector>
 
 #include "common/error.hpp"
@@ -31,6 +32,17 @@ RoutingSummary run_routing_experiment(const RoutingScenario& scenario,
   const auto checkpointer = snapshot::ExperimentCheckpointer::from_env(
       {"routing", static_cast<std::uint64_t>(runs), run_seed_base,
        scenario.node_count(), effective.steps});
+
+  // Shared world script (docs/PERFORMANCE.md): the scenario's world is the
+  // same in every run, so two or more runs record it once, as part of run
+  // 0's setup, and all of them replay it. A single run stays live.
+  std::optional<ScenarioScript> script;
+  if (runs >= 2) {
+    obs::ObsRunScope scope(slots[0]);
+    obs::ScopedPhase setup(obs::Phase::kSetup);
+    effective.script =
+        &script.emplace(scenario, effective.steps, effective.record_oracle);
+  }
 
   std::vector<RoutingTaskResult> results(static_cast<std::size_t>(runs));
   parallel_for(

@@ -18,7 +18,8 @@ TrafficTaskResult run_traffic_task(const RoutingScenario& scenario,
   const FaultPlan& plan = config.faults;
   plan.validate();
   obs::ScopedPhase setup_phase(obs::Phase::kSetup);
-  World world = scenario.make_world();
+  World world =
+      scenario.make_world(config.script ? &config.script->world : nullptr);
   std::optional<FaultInjector> injector;
   if (plan.any()) {
     Rng fault_stream = rng.fork(0xFA11);
@@ -161,6 +162,14 @@ TrafficSummary run_traffic_experiment(const RoutingScenario& scenario,
   const auto checkpointer = snapshot::ExperimentCheckpointer::from_env(
       {"traffic", static_cast<std::uint64_t>(runs), run_seed_base,
        scenario.node_count(), effective.steps});
+
+  // Shared world script, as in run_routing_experiment (no oracle here).
+  std::optional<ScenarioScript> script;
+  if (runs >= 2) {
+    obs::ObsRunScope scope(slots[0]);
+    obs::ScopedPhase setup(obs::Phase::kSetup);
+    effective.script = &script.emplace(scenario, effective.steps, false);
+  }
 
   std::vector<TrafficTaskResult> results(static_cast<std::size_t>(runs));
   parallel_for(

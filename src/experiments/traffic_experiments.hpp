@@ -45,6 +45,9 @@ struct TrafficTaskConfig {
   /// Checkpoint/restore handle for this run (nullptr = disabled). Owned by
   /// the caller; see snapshot/snapshot.hpp and docs/ROBUSTNESS.md.
   snapshot::RunCheckpointPort* checkpoint = nullptr;
+  /// Recorded world of this run's scenario (nullptr = live upkeep); see
+  /// RoutingTaskConfig::script.
+  const ScenarioScript* script = nullptr;
 };
 
 struct TrafficTaskResult {

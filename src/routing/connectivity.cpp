@@ -305,13 +305,17 @@ ConnectivityResult ConnectivityCache::measure(
 
 ConnectivityResult OracleConnectivityCache::measure(
     std::uint64_t epoch, const Graph& graph,
-    const std::vector<bool>& is_gateway) {
+    const std::vector<bool>& is_gateway, const ConnectivityResult* recorded) {
   if (epoch != kNoCacheEpoch && epoch == epoch_) {
     AGENTNET_COUNT(kDerivedCacheHits);
     return result_;
   }
-  graph.transposed_into(reversed_);
-  result_ = oracle_connectivity_impl(graph, is_gateway, reversed_);
+  if (recorded) {
+    result_ = *recorded;
+  } else {
+    graph.transposed_into(reversed_);
+    result_ = oracle_connectivity_impl(graph, is_gateway, reversed_);
+  }
   epoch_ = epoch;
   return result_;
 }

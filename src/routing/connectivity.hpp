@@ -151,8 +151,12 @@ class ConnectivityCache {
 /// gateway mask must be the same per-run mask on every call.
 class OracleConnectivityCache {
  public:
+  /// `recorded`, when set, is this graph's oracle computed earlier (a
+  /// shared world script): a miss takes it instead of running the BFS.
+  /// Hits, the cached state and the checkpoint bytes are unchanged.
   ConnectivityResult measure(std::uint64_t epoch, const Graph& graph,
-                             const std::vector<bool>& is_gateway);
+                             const std::vector<bool>& is_gateway,
+                             const ConnectivityResult* recorded = nullptr);
 
   /// Checkpoint support (same rationale as ConnectivityCache). The
   /// transpose scratch is rebuilt on the next miss and is not carried.

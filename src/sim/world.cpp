@@ -93,6 +93,7 @@ World World::fixed(Graph graph) {
 
 void World::advance() {
   AGENTNET_OBS_PHASE(kWorldAdvance);
+  if (script_ && step_ >= script_->steps()) set_script(nullptr);
   mobility_->step(positions_);
   batteries_.step();
   // Sampled at the pre-increment step, which is the task loop's current t.
@@ -105,7 +106,60 @@ void World::advance() {
                            static_cast<double>(batteries_.size()));
   }
   ++step_;  // the refreshed graph (incl. link weather) belongs to the new step
-  refresh_topology();
+  if (script_)
+    replay_topology();
+  else
+    refresh_topology();
+}
+
+void World::replay_topology() {
+  // The live path's decisions for this step, copied: same edge changes,
+  // same epoch bumps, same counter increments.
+  const std::size_t i = step_ - 1;
+  const WorldScript::Step& s = script_->step(i);
+  const auto removed = script_->removed(i);
+  const auto added = script_->added(i);
+  for (const Edge& e : removed) geo_graph_.remove_edge(e.from, e.to);
+  for (const Edge& e : added) geo_graph_.add_edge(e.from, e.to);
+  if (s.state_bumped) ++state_epoch_;
+  AGENTNET_COUNT_N(kTopoNodesDirty, s.nodes_dirty);
+  AGENTNET_COUNT_N(kTopoFullRebuilds, s.full_rebuilds);
+  AGENTNET_COUNT_N(kDerivedCacheHits, s.cache_hits);
+  AGENTNET_COUNT_N(kShardTilesDirty, s.tiles_dirty);
+  AGENTNET_COUNT_N(kShardHaloRows, s.halo_rows);
+  if (!s.epoch_bumped) return;
+  ++epoch_;
+  if (!sharded_) {
+    csr_.rebuild_from(geo_graph_);
+    return;
+  }
+  // Patch the padded CSR at the changed rows, like the sharded live path.
+  touched_rows_.clear();
+  for (const Edge& e : removed) touched_rows_.push_back(e.from);
+  for (const Edge& e : added) touched_rows_.push_back(e.from);
+  std::sort(touched_rows_.begin(), touched_rows_.end());
+  touched_rows_.erase(std::unique(touched_rows_.begin(), touched_rows_.end()),
+                      touched_rows_.end());
+  for (NodeId u : touched_rows_) {
+    if (!csr_.patch_row(u, geo_graph_.out_neighbors(u))) {
+      csr_.rebuild_padded_from(geo_graph_);
+      break;
+    }
+  }
+}
+
+void World::set_script(const WorldScript* script) {
+  if (script) {
+    AGENTNET_REQUIRE(geometric() && !weather_active_,
+                     "world scripts replay geometric worlds without weather");
+    AGENTNET_REQUIRE(script->node_count() == node_count(),
+                     "world script node count mismatch");
+  } else if (script_) {
+    // Replay never touched the builder grid, ranges or built positions;
+    // resync them before live upkeep diffs against them again.
+    rebuild_derived();
+  }
+  script_ = script;
 }
 
 double World::quantized_range(NodeId node) const {
@@ -323,6 +377,7 @@ void World::set_sharding(bool sharded) {
   AGENTNET_REQUIRE(!fixed_topology_ || !sharded,
                    "fixed-topology worlds do not shard");
   if (sharded == sharded_) return;
+  set_script(nullptr);
   sharded_ = sharded;
   if (sharded_) {
     init_shards();
@@ -383,39 +438,42 @@ void World::load_state(snapshot::ByteReader& r) {
   step_ = r.size();
   batteries_.load_state(r);
   mobility_->load_state(r);
-  if (!fixed_topology_) {
-    // Rebuild every derived structure from the restored snapshot. The
-    // post-advance invariant ranges_[i] == quantized_range(i) holds at a
-    // checkpoint (captured at the top of a step), so recomputing here
-    // reproduces the built state exactly.
-    for (std::size_t i = 0; i < ranges_.size(); ++i)
-      ranges_[i] = quantized_range(static_cast<NodeId>(i));
-    built_positions_ = positions_;
-    builder_.build_into(geo_graph_, positions_, ranges_);
-    if (weather_active_) {
-      rebuild_flapped();
-      std::swap(flapped_, back_flapped_);
-      flapped_valid_ = true;
-      flap_window_ = step_ / flapper_->persistence();
-    }
-    if (sharded_) {
-      // Shard tiles, padded CSR and weather row counts are all derived
-      // state — rebuilt here, never serialized, so the snapshot bytes are
-      // identical to a flat world's.
-      init_shards();
-    } else {
-      csr_.rebuild_from(graph());
-    }
-  }
+  // Rebuild every derived structure from the restored snapshot; a world
+  // replaying a script continues the replay from the restored step.
+  if (!fixed_topology_) rebuild_derived();
   // The epoch counters are restored directly (not bumped by the rebuilds
   // above) so derived-state caches keyed on them stay coherent.
   epoch_ = r.u64();
   state_epoch_ = r.u64();
 }
 
+void World::rebuild_derived() {
+  // The post-advance invariant ranges_[i] == quantized_range(i) holds
+  // between steps, so recomputing here reproduces the built state exactly.
+  for (std::size_t i = 0; i < ranges_.size(); ++i)
+    ranges_[i] = quantized_range(static_cast<NodeId>(i));
+  built_positions_ = positions_;
+  builder_.build_into(geo_graph_, positions_, ranges_);
+  if (weather_active_) {
+    rebuild_flapped();
+    std::swap(flapped_, back_flapped_);
+    flapped_valid_ = true;
+    flap_window_ = step_ / flapper_->persistence();
+  }
+  if (sharded_) {
+    // Shard tiles, padded CSR and weather row counts are all derived
+    // state — rebuilt here, never serialized, so the snapshot bytes are
+    // identical to a flat world's.
+    init_shards();
+  } else {
+    csr_.rebuild_from(graph());
+  }
+}
+
 void World::set_link_flapper(std::optional<LinkFlapper> flapper) {
   AGENTNET_REQUIRE(!fixed_topology_ || !flapper,
                    "fixed-topology worlds do not support link flappers");
+  set_script(nullptr);
   flapper_ = std::move(flapper);
   weather_active_ = flapper_ && flapper_->drop_probability() > 0.0;
   flapped_valid_ = false;

@@ -22,6 +22,11 @@
 // patched row-by-row instead of refrozen wholesale. Sharded advance() is
 // bit-identical to the flat path at any thread count — same graphs, same
 // epochs, same checkpoint bytes (docs/PERFORMANCE.md, "Sharded world").
+//
+// A world attached to a WorldScript (sim/world_script.hpp) replays a
+// recorded run's topology instead: mobility and batteries still step live,
+// but each advance() applies the recorded edge changes and re-emits the
+// recorded counters (docs/PERFORMANCE.md, "Shared world script").
 #pragma once
 
 #include <cstdint>
@@ -38,6 +43,7 @@
 #include "net/topology.hpp"
 #include "radio/range_model.hpp"
 #include "sim/shard.hpp"
+#include "sim/world_script.hpp"
 
 namespace agentnet {
 
@@ -106,6 +112,7 @@ class World {
   /// every internal structure in sync, so toggling mid-run is safe and
   /// never changes results — only the amount of work per advance().
   void set_incremental_topology(bool incremental) {
+    if (incremental != incremental_) set_script(nullptr);
     incremental_ = incremental;
   }
   bool incremental_topology() const { return incremental_; }
@@ -137,6 +144,16 @@ class World {
   void set_link_flapper(std::optional<LinkFlapper> flapper);
   const std::optional<LinkFlapper>& link_flapper() const { return flapper_; }
 
+  /// Attaches a recorded run of this world (WorldScript::record on an
+  /// identical world, same env knobs): from now on advance() replays the
+  /// script's step for the current clock instead of running topology
+  /// upkeep. The script is caller-owned, immutable and may be shared by
+  /// any number of worlds. nullptr — or advancing past the script's end —
+  /// returns to live upkeep; so do the upkeep reconfigurations
+  /// (set_incremental_topology, set_sharding, set_link_flapper).
+  void set_script(const WorldScript* script);
+  const WorldScript* script() const { return script_; }
+
   /// Checkpoint support. Serializes the evolving state (positions, clock,
   /// batteries, mobility, epoch counters); load_state rebuilds the derived
   /// topology — ranges, geometric graph, weather view, CSR — from the
@@ -160,6 +177,12 @@ class World {
   /// Refreshes the weather view, CSR snapshot and epoch after the
   /// geometric graph may have changed.
   void refresh_effective(bool geo_changed);
+  /// The replaying advance() tail: applies the script's edge changes for
+  /// the step just taken, bumps the epochs and re-emits its counters.
+  void replay_topology();
+  /// Rebuilds every derived structure (ranges, built positions, builder
+  /// grid, graphs, CSR, shards) from the current node state.
+  void rebuild_derived();
   /// Filter-copies geo_graph_ minus down links into back_flapped_,
   /// counting the drops (kLinkFlaps totals match the historical
   /// apply-every-step path).
@@ -218,6 +241,7 @@ class World {
   std::uint64_t state_epoch_ = 0;
   bool fixed_topology_ = false;
   std::size_t step_ = 0;
+  const WorldScript* script_ = nullptr;
 };
 
 /// Per-step scalar recorder: collects one named series over a run.

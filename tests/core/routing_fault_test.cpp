@@ -1,6 +1,6 @@
-// Direct tests for failure injection in the routing task: the legacy
-// loss/respawn knobs, their bit-exact compatibility with the unified
-// FaultPlan, the fault counters, and determinism across thread counts.
+// Direct tests for failure injection in the routing task: loss and respawn
+// through the FaultPlan, the fault counters, and determinism across thread
+// counts.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -25,8 +25,8 @@ RoutingTaskConfig lossy_task() {
   task.population = 15;
   task.steps = 60;
   task.measure_from = 30;
-  task.agent_loss_probability = 0.05;
-  task.gateway_respawn_probability = 0.3;
+  task.faults.agent_loss_probability = 0.05;
+  task.faults.gateway_respawn_probability = 0.3;
   return task;
 }
 
@@ -50,7 +50,7 @@ TEST(RoutingFaultTest, LossAndRespawnCountersIncrement) {
 TEST(RoutingFaultTest, LossWithoutRespawnShrinksThePopulation) {
   const auto scenario = tiny_scenario();
   RoutingTaskConfig task = lossy_task();
-  task.gateway_respawn_probability = 0.0;
+  task.faults.gateway_respawn_probability = 0.0;
   const auto result = run_routing_task(scenario, task, Rng(3));
   EXPECT_GT(result.agents_lost, 0u);
   EXPECT_EQ(result.agents_respawned, 0u);
@@ -73,42 +73,6 @@ TEST(RoutingFaultTest, RespawnedAgentsUseTheHomogeneousTemplate) {
     EXPECT_GT(result.agents_respawned, 0u);
   }
   EXPECT_EQ(slot.counters.value(obs::Counter::kStigmergyStamps), 0u);
-}
-
-TEST(RoutingFaultTest, LegacyKnobsAndFaultPlanAreBitIdentical) {
-  // The compatibility contract: pre-FaultPlan configurations must produce
-  // the exact results they always did, and the same settings expressed
-  // through the plan must match them bit for bit.
-  const auto scenario = tiny_scenario();
-  const RoutingTaskConfig legacy = lossy_task();
-  RoutingTaskConfig plan_based;
-  plan_based.population = legacy.population;
-  plan_based.steps = legacy.steps;
-  plan_based.measure_from = legacy.measure_from;
-  plan_based.faults.agent_loss_probability = legacy.agent_loss_probability;
-  plan_based.faults.gateway_respawn_probability =
-      legacy.gateway_respawn_probability;
-  const auto a = run_routing_task(scenario, legacy, Rng(9));
-  const auto b = run_routing_task(scenario, plan_based, Rng(9));
-  ASSERT_EQ(a.connectivity.size(), b.connectivity.size());
-  for (std::size_t t = 0; t < a.connectivity.size(); ++t)
-    ASSERT_EQ(a.connectivity[t], b.connectivity[t]) << "step " << t;
-  EXPECT_EQ(a.mean_connectivity, b.mean_connectivity);
-  EXPECT_EQ(a.agents_lost, b.agents_lost);
-  EXPECT_EQ(a.agents_respawned, b.agents_respawned);
-  EXPECT_EQ(a.migration_bytes, b.migration_bytes);
-}
-
-TEST(RoutingFaultTest, LegacyKnobsOverrideThePlan) {
-  // When both are set, the legacy fields win (they are the older API and
-  // callers setting them expect their historical meaning).
-  const auto scenario = tiny_scenario();
-  RoutingTaskConfig both = lossy_task();
-  both.faults.agent_loss_probability = 0.9;  // overridden by 0.05
-  const auto a = run_routing_task(scenario, lossy_task(), Rng(9));
-  const auto b = run_routing_task(scenario, both, Rng(9));
-  EXPECT_EQ(a.agents_lost, b.agents_lost);
-  EXPECT_EQ(a.mean_connectivity, b.mean_connectivity);
 }
 
 TEST(RoutingFaultTest, LossyRunsBitIdenticalAcrossThreadCounts) {

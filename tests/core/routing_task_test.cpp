@@ -286,7 +286,7 @@ TEST(RoutingTaskTest, NoFaultsByDefault) {
 TEST(RoutingTaskTest, AgentLossShrinksPopulation) {
   const RoutingScenario scenario(small_params(), 19);
   auto cfg = small_task(RoutingPolicy::kOldestNode, 30);
-  cfg.agent_loss_probability = 0.02;
+  cfg.faults.agent_loss_probability = 0.02;
   const auto result = run_routing_task(scenario, cfg, Rng(9));
   EXPECT_GT(result.agents_lost, 0u);
   EXPECT_LT(result.final_population, 30u);
@@ -296,7 +296,7 @@ TEST(RoutingTaskTest, AgentLossShrinksPopulation) {
 TEST(RoutingTaskTest, TotalLossDegradesButDoesNotCrash) {
   const RoutingScenario scenario(small_params(), 20);
   auto cfg = small_task(RoutingPolicy::kOldestNode, 10);
-  cfg.agent_loss_probability = 0.5;  // brutal: everyone dies early
+  cfg.faults.agent_loss_probability = 0.5;  // brutal: everyone dies early
   const auto result = run_routing_task(scenario, cfg, Rng(10));
   EXPECT_EQ(result.final_population, 0u);
   ASSERT_EQ(result.connectivity.size(), 120u);
@@ -311,7 +311,7 @@ TEST(RoutingTaskTest, LossDegradesConnectivityMonotonically) {
   for (std::uint64_t s = 0; s < 3; ++s) {
     auto cfg = small_task(RoutingPolicy::kOldestNode, 30);
     healthy += run_routing_task(scenario, cfg, Rng(70 + s)).mean_connectivity;
-    cfg.agent_loss_probability = 0.05;
+    cfg.faults.agent_loss_probability = 0.05;
     lossy += run_routing_task(scenario, cfg, Rng(70 + s)).mean_connectivity;
   }
   EXPECT_GT(healthy, lossy);
@@ -320,9 +320,9 @@ TEST(RoutingTaskTest, LossDegradesConnectivityMonotonically) {
 TEST(RoutingTaskTest, RespawnRecoversFromLoss) {
   const RoutingScenario scenario(small_params(), 22);
   auto lossy = small_task(RoutingPolicy::kOldestNode, 30);
-  lossy.agent_loss_probability = 0.05;
+  lossy.faults.agent_loss_probability = 0.05;
   auto healed = lossy;
-  healed.gateway_respawn_probability = 0.5;
+  healed.faults.gateway_respawn_probability = 0.5;
   double lossy_sum = 0.0, healed_sum = 0.0;
   std::size_t healed_final = 0;
   for (std::uint64_t s = 0; s < 3; ++s) {
@@ -340,8 +340,8 @@ TEST(RoutingTaskTest, RespawnRecoversFromLoss) {
 TEST(RoutingTaskTest, PopulationNeverExceedsTarget) {
   const RoutingScenario scenario(small_params(), 23);
   auto cfg = small_task(RoutingPolicy::kOldestNode, 20);
-  cfg.agent_loss_probability = 0.01;
-  cfg.gateway_respawn_probability = 1.0;  // eager respawn
+  cfg.faults.agent_loss_probability = 0.01;
+  cfg.faults.gateway_respawn_probability = 1.0;  // eager respawn
   const auto result = run_routing_task(scenario, cfg, Rng(11));
   EXPECT_LE(result.final_population, 20u);
 }
@@ -349,10 +349,10 @@ TEST(RoutingTaskTest, PopulationNeverExceedsTarget) {
 TEST(RoutingTaskTest, RejectsBadFaultProbabilities) {
   const RoutingScenario scenario(small_params(), 24);
   auto cfg = small_task(RoutingPolicy::kRandom);
-  cfg.agent_loss_probability = 1.5;
+  cfg.faults.agent_loss_probability = 1.5;
   EXPECT_THROW(run_routing_task(scenario, cfg, Rng(1)), ConfigError);
   cfg = small_task(RoutingPolicy::kRandom);
-  cfg.gateway_respawn_probability = -0.1;
+  cfg.faults.gateway_respawn_probability = -0.1;
   EXPECT_THROW(run_routing_task(scenario, cfg, Rng(1)), ConfigError);
 }
 

@@ -1,13 +1,16 @@
-// The paper's mapping claims for Figs 5-6 as statistical tests (ctest label
-// `paper`). Each test runs two policies on the paper's 300-node network
-// with the paper's fixed run seeds at reduced replication, and asserts
-// that the 95% confidence intervals on the mean finishing time separate in
-// the claimed direction. The 40-run ratios are in paper_protocol_results.txt.
+// The paper's claims as statistical tests (ctest label `paper`). Each test
+// runs two configurations with the paper's fixed run seeds at reduced
+// replication and asserts that the 95% confidence intervals on the mean
+// separate in the claimed direction: the mapping claims of Figs 5-6 on the
+// 300-node network (finishing time), the routing visiting claims of Figs
+// 10-11 on the 250-node mobile scenario (converged connectivity). The
+// 40-run values are in paper_protocol_results.txt.
 #include <gtest/gtest.h>
 
 #include "common/stats.hpp"
 #include "experiments/mapping_experiments.hpp"
 #include "experiments/paper.hpp"
+#include "experiments/routing_experiments.hpp"
 #include "net/generators.hpp"
 
 namespace agentnet {
@@ -17,6 +20,8 @@ namespace {
 // gap (~18%) is far narrower than the Fig 5 gaps, so it needs more runs.
 constexpr int kMinarRuns = 12;
 constexpr int kStigmergicRuns = 32;
+// Routing replications per setting (Figs 10-11, history 10).
+constexpr int kVisitingRuns = 10;
 
 const GeneratedNetwork& paper_network() {
   static const GeneratedNetwork net =
@@ -35,6 +40,24 @@ RunningStats finishing_times(MappingPolicy policy, StigmergyMode stigmergy,
                              paper::kRunSeedBase, 0, obs::ObsConfig{});
   EXPECT_EQ(s.unfinished, 0u) << "population " << population;
   return s.finishing_time;
+}
+
+/// Per-run mean connectivity over the converged window for 100 agents with
+/// history 10 on the paper's routing scenario. With several runs the
+/// experiment replays one recorded world (docs/PERFORMANCE.md).
+RunningStats connectivity(RoutingPolicy policy, bool visiting, int runs) {
+  static const RoutingScenario scenario{RoutingScenarioParams{},
+                                        paper::kRoutingScenarioSeed};
+  RoutingTaskConfig task;
+  task.steps = paper::kRoutingSteps;
+  task.measure_from = paper::kRoutingMeasureFrom;
+  task.population = 100;
+  task.agent.policy = policy;
+  task.agent.history_size = 10;
+  task.agent.communicate = visiting;
+  return run_routing_experiment(scenario, task, runs, paper::kRunSeedBase, 0,
+                                obs::ObsConfig{}, FaultPlan{})
+      .mean_connectivity;
 }
 
 /// Succeeds when the 95% interval of `slower`'s mean lies wholly above
@@ -79,6 +102,25 @@ TEST(PaperClaimsTest, Fig6StigmergicSuperConscientiousFasterThanConscientious) {
                         StigmergyMode::kFilterFirst, population,
                         kStigmergicRuns)));
   }
+}
+
+// Fig 10: visiting (best-route exchange + history merge) helps random
+// agents — merged histories steer them apart (40 runs at history 10: 0.575
+// without visiting, 0.623 with).
+TEST(PaperClaimsTest, Fig10VisitingRaisesRandomAgentConnectivity) {
+  EXPECT_TRUE(
+      separates_above(connectivity(RoutingPolicy::kRandom, true, kVisitingRuns),
+                      connectivity(RoutingPolicy::kRandom, false,
+                                   kVisitingRuns)));
+}
+
+// Fig 11: visiting hurts oldest-node agents — identical merged histories
+// make them pick the same oldest node and chase each other (40 runs at
+// history 10: 0.592 without visiting, 0.461 with).
+TEST(PaperClaimsTest, Fig11VisitingLowersOldestNodeConnectivity) {
+  EXPECT_TRUE(separates_above(
+      connectivity(RoutingPolicy::kOldestNode, false, kVisitingRuns),
+      connectivity(RoutingPolicy::kOldestNode, true, kVisitingRuns)));
 }
 
 }  // namespace

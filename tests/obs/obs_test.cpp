@@ -141,8 +141,8 @@ TEST(ObsDeterminismTest, MappingCountersIdenticalAcrossThreadCounts) {
 TEST(ObsDeterminismTest, RoutingCountersIdenticalAcrossThreadCounts) {
   const auto scenario = tiny_scenario();
   RoutingTaskConfig task = tiny_routing_task();
-  task.agent_loss_probability = 0.05;
-  task.gateway_respawn_probability = 0.5;
+  task.faults.agent_loss_probability = 0.05;
+  task.faults.gateway_respawn_probability = 0.5;
 
   obs::RunObs serial;
   ObsConfig config;

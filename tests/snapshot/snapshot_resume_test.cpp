@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "aco/ant_routing_task.hpp"
 #include "experiments/mapping_experiments.hpp"
@@ -316,6 +317,101 @@ TEST(SnapshotResumeTest, AntColonyResumeByteIdentical) {
   const Artefacts resumed = leg("aco_resume", &resumer);
   EXPECT_EQ(resumed.trace, base.trace);
   EXPECT_EQ(resumed.metrics, base.metrics);
+}
+
+/// The harness loop without the shared world script: every run live, in
+/// its own slot, merged in run-index order.
+template <typename Task, typename RunOne>
+Artefacts live_loop_leg(const std::string& tag, const Task& task, int runs,
+                        std::uint64_t seed, const RunOne& run_one) {
+  return run_leg(tag, [&](const obs::ObsConfig& config) {
+    std::vector<obs::RunObs> slots(static_cast<std::size_t>(runs));
+    obs::enable_slots(slots, config);
+    for (int r = 0; r < runs; ++r) {
+      obs::ObsRunScope scope(slots[static_cast<std::size_t>(r)]);
+      run_one(task, Rng(seed + static_cast<std::uint64_t>(r)));
+    }
+    obs::merge_and_write(slots, config, seed, runs, 1);
+  });
+}
+
+TEST(SnapshotResumeTest, ReplayingWorldsResumeLikeLiveOnes) {
+  // Replicated experiments replay one shared world script. A checkpoint
+  // taken mid-replay holds only the live world state (the format did not
+  // change), and a resume continues the replay from the restored step: the
+  // artefacts match an uninterrupted loop of live runs at every thread
+  // count.
+  static_assert(snapshot::kSnapshotVersion == 2,
+                "world replay must not change the checkpoint format");
+  const RoutingScenario scenario = tiny_scenario();
+  const int runs = 3;
+  const std::uint64_t seed = 2024;
+
+  RoutingTaskConfig routing;
+  routing.population = 12;
+  routing.steps = 60;
+  routing.measure_from = 30;
+  routing.record_oracle = true;
+  routing.agent.communicate = true;
+  routing.faults = chaos_plan();
+  const Artefacts routing_live = live_loop_leg(
+      "rr_live", routing, runs, seed,
+      [&](const RoutingTaskConfig& t, Rng rng) {
+        run_routing_task(scenario, t, rng);
+      });
+
+  TrafficTaskConfig traffic;
+  traffic.steps = 60;
+  traffic.measure_from = 30;
+  traffic.workload.offered_load = 0.4;
+  const Artefacts traffic_live = live_loop_leg(
+      "tr_live", traffic, runs, seed,
+      [&](const TrafficTaskConfig& t, Rng rng) {
+        run_traffic_task(scenario, t, rng);
+      });
+
+  const auto routing_leg = [&](const std::string& tag, int threads) {
+    return run_leg(tag, [&](const obs::ObsConfig& config) {
+      run_routing_experiment(scenario, routing, runs, seed, threads, config);
+    });
+  };
+  const auto traffic_leg = [&](const std::string& tag, int threads) {
+    return run_leg(tag, [&](const obs::ObsConfig& config) {
+      run_traffic_experiment(scenario, traffic, runs, seed, threads, config);
+    });
+  };
+  const std::string routing_ck = temp_path("rr.snap");
+  const std::string traffic_ck = temp_path("tr.snap");
+  {
+    EnvGuard every("AGENTNET_CHECKPOINT_EVERY", "25");
+    {
+      EnvGuard save("AGENTNET_CHECKPOINT", routing_ck);
+      routing_leg("rr_save", 2);
+    }
+    EnvGuard save("AGENTNET_CHECKPOINT", traffic_ck);
+    traffic_leg("tr_save", 2);
+  }
+  for (const std::string& ck : {routing_ck, traffic_ck}) {
+    // The last save lands at step 50 of 60: the resume is mid-replay.
+    const snapshot::Checkpoint on_disk = snapshot::load_checkpoint(ck);
+    ASSERT_EQ(on_disk.runs.size(), static_cast<std::size_t>(runs));
+    for (const auto& [run, record] : on_disk.runs)
+      EXPECT_EQ(record.step, 50u) << ck << " run " << run;
+  }
+  for (const int threads : {1, 2, 7}) {
+    const std::string t = std::to_string(threads);
+    {
+      EnvGuard resume("AGENTNET_RESUME", routing_ck);
+      const Artefacts resumed = routing_leg("rr_resume_t" + t, threads);
+      EXPECT_EQ(resumed.trace, routing_live.trace) << "threads=" << threads;
+      EXPECT_EQ(resumed.metrics, routing_live.metrics)
+          << "threads=" << threads;
+    }
+    EnvGuard resume("AGENTNET_RESUME", traffic_ck);
+    const Artefacts resumed = traffic_leg("tr_resume_t" + t, threads);
+    EXPECT_EQ(resumed.trace, traffic_live.trace) << "threads=" << threads;
+    EXPECT_EQ(resumed.metrics, traffic_live.metrics) << "threads=" << threads;
+  }
 }
 
 TEST(SnapshotResumeTest, ResumeFromEarlierCheckpointAlsoIdentical) {

@@ -28,7 +28,8 @@
 # leg then snapshots a fault-injected routing run mid-flight, resumes it
 # in a fresh process at a different thread count, and byte-diffs stdout,
 # metrics and traces against the uninterrupted run (docs/ROBUSTNESS.md).
-# A fast data-race + schema check, not a bench sweep.
+# The hot-path equivalence leg includes the shared-world-script replay
+# suites at 7 threads. A fast data-race + schema check, not a bench sweep.
 set -eu
 
 if [ "${1:-}" = "--smoke" ]; then
@@ -133,9 +134,15 @@ if [ "${1:-}" = "--smoke" ]; then
   echo "agent-thread 1 and 2 runs are bit-identical (mapping + routing)"
   echo "##### hot-path equivalence suite (TSan)"
   cmake --build build-tsan --target rebuild_equivalence_test \
-    sharded_world_test -j"$(nproc)"
+    sharded_world_test world_script_test replay_equivalence_test \
+    -j"$(nproc)"
   build-tsan/tests/rebuild_equivalence_test
   build-tsan/tests/sharded_world_test
+  # Shared world script (docs/PERFORMANCE.md): replicated experiments read
+  # one recorded script from every worker, so replay-vs-live runs here at
+  # 7 threads.
+  AGENTNET_THREADS=7 build-tsan/tests/world_script_test
+  AGENTNET_THREADS=7 build-tsan/tests/replay_equivalence_test
   echo "##### incremental topology bit-for-bit diff (TSan)"
   # One traced routing run per topology-upkeep mode: stdout tables and the
   # JSONL event stream must be byte-identical. (CSV counter footers are not
