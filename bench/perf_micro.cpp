@@ -15,6 +15,7 @@
 #include <new>
 #include <string>
 
+#include "aco/ant_routing.hpp"
 #include "common/flat_map.hpp"
 #include "core/mapping_task.hpp"
 #include "core/routing_task.hpp"
@@ -285,6 +286,35 @@ void BM_RoutingStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 30 * state.range(0));
 }
 BENCHMARK(BM_RoutingStep)->Arg(25)->Arg(100);
+
+void BM_AntColonyStep(benchmark::State& state) {
+  // One colony step (evaporate, launch, one hop per ant) in delay mode on
+  // the paper's 250-node / 12-gateway world, frozen after a warm-up so the
+  // ant population and the pheromone rows are at their working size. The
+  // per-hop delays are a fixed non-uniform pattern, as a loaded data plane
+  // would feed.
+  const RoutingScenario scenario{RoutingScenarioParams{}, 2010};
+  World world = scenario.make_world();
+  for (int i = 0; i < 64; ++i) world.advance();
+  std::vector<double> delays(world.node_count());
+  for (std::size_t v = 0; v < delays.size(); ++v)
+    delays[v] = 1.0 + 0.25 * static_cast<double>(v % 5);
+  AntRoutingConfig cfg;
+  cfg.reinforcement = AntReinforcement::kDelay;
+  AntRoutingSystem ants(world.node_count(), scenario.is_gateway(), cfg,
+                        Rng(1));
+  std::size_t t = 0;
+  for (; t < 150; ++t) ants.step(world.graph(), t, delays, {});
+  const std::size_t hops_before = ants.ant_hops();
+  for (auto _ : state) {
+    ants.step(world.graph(), t++, delays, {});
+    benchmark::DoNotOptimize(ants.active_ants());
+  }
+  state.counters["hops_per_step"] = benchmark::Counter(
+      static_cast<double>(ants.ant_hops() - hops_before),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_AntColonyStep);
 
 void BM_WorldAdvance(benchmark::State& state) {
   // allocs_per_advance is the zero-allocation steady-state gauge: after the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 #include "obs/obs.hpp"
@@ -14,7 +15,9 @@ AntRoutingSystem::AntRoutingSystem(std::size_t node_count,
     : config_(config),
       is_gateway_(std::move(is_gateway)),
       pheromone_(node_count),
-      rng_(rng) {
+      rng_(rng),
+      unexplored_weight_(std::pow(0.0 + config.exploration, config.beta)),
+      on_path_(node_count, 0) {
   AGENTNET_REQUIRE(is_gateway_.size() == node_count,
                    "gateway mask size mismatch");
   AGENTNET_REQUIRE(config.launch_probability >= 0.0 &&
@@ -98,6 +101,49 @@ double AntRoutingSystem::pheromone_entropy() const {
   return rows == 0 ? 0.0 : sum / static_cast<double>(rows);
 }
 
+void AntRoutingSystem::load_state(snapshot::ByteReader& r) {
+  const std::size_t n = pheromone_.size();
+  AGENTNET_REQUIRE(r.size() == n, "snapshot: pheromone row count mismatch");
+  // Each rejection names the byte where the offending record starts.
+  const auto at = [](std::size_t pos) {
+    return " (record at byte " + std::to_string(pos) + ")";
+  };
+  for (auto& row : pheromone_) {
+    const std::size_t pos = r.position();
+    row.load_state(r,
+                   [](snapshot::ByteReader& in, double& v) { v = in.f64(); });
+    // Keys ascend strictly, so the last one is the largest.
+    AGENTNET_REQUIRE(row.empty() || std::prev(row.end())->first < n,
+                     "snapshot: pheromone entry names an unknown node" +
+                         at(pos));
+  }
+  ants_.resize(r.counted(8));
+  for (Ant& ant : ants_) {
+    const std::size_t pos = r.position();
+    r.pod_vec(ant.path);
+    ant.position = r.size();
+    ant.backward = r.boolean();
+    ant.trip_time = r.f64();
+    AGENTNET_REQUIRE(!ant.path.empty(),
+                     "snapshot: ant with an empty path" + at(pos));
+    AGENTNET_REQUIRE(ant.path.size() <= std::size_t{config_.ant_ttl} + 1,
+                     "snapshot: ant path longer than the ttl allows" + at(pos));
+    for (const NodeId v : ant.path)
+      AGENTNET_REQUIRE(v < n,
+                       "snapshot: ant path names an unknown node" + at(pos));
+    AGENTNET_REQUIRE(ant.position < ant.path.size(),
+                     "snapshot: ant position past the end of its path" +
+                         at(pos));
+    AGENTNET_REQUIRE(!ant.backward || ant.position > 0,
+                     "snapshot: backward ant already home" + at(pos));
+  }
+  rng_.load_state(r);
+  ant_hops_ = r.size();
+  control_bytes_ = r.size();
+  ants_launched_ = r.size();
+  ants_completed_ = r.size();
+}
+
 void AntRoutingSystem::account_hop(const Ant& ant) {
   ++ant_hops_;
   AGENTNET_COUNT(kAntHops);
@@ -111,39 +157,52 @@ void AntRoutingSystem::advance_forward(Ant& ant, const Graph& graph,
     ant.path.clear();  // ttl exhausted: die
     return;
   }
-  // Candidates: current neighbours not already on the path (loop avoidance).
-  std::vector<NodeId> candidates;
-  std::vector<double> weights;
+  // Loop avoidance: stamp the path once, then test each neighbour in O(1).
+  if (++path_stamp_ == 0) {  // wrapped: clear stale stamps and restart
+    std::fill(on_path_.begin(), on_path_.end(), 0);
+    path_stamp_ = 1;
+  }
+  for (const NodeId v : ant.path) on_path_[v] = path_stamp_;
+  // Candidates: current neighbours not on the path, weighted (τ+ε)^β. The
+  // adjacency and the pheromone row are both ascending by id, so one merge
+  // walk finds each neighbour's entry.
+  candidates_.clear();
+  weights_.clear();
   double total = 0.0;
-  for (NodeId v : graph.out_neighbors(at)) {
-    if (std::find(ant.path.begin(), ant.path.end(), v) != ant.path.end())
-      continue;
+  const auto& row = pheromone_[at];
+  auto entry = row.begin();
+  for (const NodeId v : graph.out_neighbors(at)) {
+    if (on_path_[v] == path_stamp_) continue;
+    while (entry != row.end() && entry->first < v) ++entry;
     const double w =
-        std::pow(pheromone(at, v) + config_.exploration, config_.beta);
-    candidates.push_back(v);
-    weights.push_back(w);
+        entry != row.end() && entry->first == v
+            ? std::pow(entry->second + config_.exploration, config_.beta)
+            : unexplored_weight_;
+    candidates_.push_back(v);
+    weights_.push_back(w);
     total += w;
   }
-  if (candidates.empty()) {
+  if (candidates_.empty()) {
     ant.path.clear();  // dead end: die
     return;
   }
   double pick = rng_.uniform01() * total;
-  std::size_t chosen = candidates.size() - 1;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    pick -= weights[i];
+  std::size_t chosen = candidates_.size() - 1;
+  for (std::size_t i = 0; i < weights_.size(); ++i) {
+    pick -= weights_[i];
     if (pick <= 0.0) {
       chosen = i;
       break;
     }
   }
-  ant.path.push_back(candidates[chosen]);
+  const NodeId next = candidates_[chosen];
+  ant.path.push_back(next);
   // The ant experiences the queueing delay of the link it just crossed
   // (node `at`'s out-queue). An empty span is an idle data plane: every
   // hop costs exactly 1.0, so trip_time == hop count bit-for-bit.
   ant.trip_time += hop_delays.empty() ? 1.0 : hop_delays[at];
   account_hop(ant);
-  if (is_gateway_[candidates[chosen]]) {
+  if (is_gateway_[next]) {
     // Turn around: the backward ant starts at the gateway end.
     ant.backward = true;
     ant.position = ant.path.size() - 1;

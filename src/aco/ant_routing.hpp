@@ -136,27 +136,10 @@ class AntRoutingSystem {
     w.size(ants_launched_);
     w.size(ants_completed_);
   }
-  void load_state(snapshot::ByteReader& r) {
-    const std::size_t rows = r.size();
-    AGENTNET_REQUIRE(rows == pheromone_.size(),
-                     "snapshot: pheromone row count mismatch");
-    for (auto& row : pheromone_)
-      row.load_state(
-          r, [](snapshot::ByteReader& in, double& v) { v = in.f64(); });
-    const std::size_t n = r.counted(8);
-    ants_.resize(n);
-    for (Ant& ant : ants_) {
-      r.pod_vec(ant.path);
-      ant.position = r.size();
-      ant.backward = r.boolean();
-      ant.trip_time = r.f64();
-    }
-    rng_.load_state(r);
-    ant_hops_ = r.size();
-    control_bytes_ = r.size();
-    ants_launched_ = r.size();
-    ants_completed_ = r.size();
-  }
+  /// Rejects (ConfigError) any ant or pheromone entry that names a node
+  /// outside the colony, and any ant whose path or position could not have
+  /// been reached by step().
+  void load_state(snapshot::ByteReader& r);
 
  private:
   struct Ant {
@@ -181,6 +164,17 @@ class AntRoutingSystem {
   std::vector<Ant> ants_;
   Rng rng_;
   AgentParallel par_;  ///< Inactive by default; see set_parallel().
+  /// (0 + exploration)^beta: the sampling weight of a neighbour with no
+  /// pheromone entry, computed once instead of per hop.
+  double unexplored_weight_;
+  /// Forward-hop scratch, reused from hop to hop (not checkpointed).
+  std::vector<NodeId> candidates_;
+  std::vector<double> weights_;
+  /// Loop avoidance: node v is on the hopping ant's path iff
+  /// on_path_[v] == path_stamp_. Each hop takes a fresh stamp, so no
+  /// clearing is needed until the counter wraps.
+  std::vector<std::uint32_t> on_path_;
+  std::uint32_t path_stamp_ = 0;
   std::size_t ant_hops_ = 0;
   std::size_t control_bytes_ = 0;
   std::size_t ants_launched_ = 0;

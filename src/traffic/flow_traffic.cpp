@@ -315,19 +315,19 @@ void FlowTrafficSimulator::step(const Graph& graph,
   open_sessions(now);
   emit_session_batches(now);
 
-  // Serve pass: batches forwarded this step land in `incoming` and only
+  // Serve pass: batches forwarded this step land in `incoming_` and only
   // join queues / sinks afterwards, so a packet moves at most one hop per
   // step. Each node's slot is committed — drop stats, drop events and the
   // global occupancy — serially in node order, reproducing the serial
   // loop's exact event sequence and arrival order.
-  std::vector<std::pair<NodeId, PacketBatch>> incoming;
+  incoming_.clear();
   const auto commit_slot = [&](NodeId v, ServeSlot& slot) {
     for (const ServeSlot::DropRecord& record : slot.drops)
       drop(v, record.count, record.bucket, now);
     total_queued_ -= slot.dequeued;
-    incoming.insert(incoming.end(),
-                    std::make_move_iterator(slot.incoming.begin()),
-                    std::make_move_iterator(slot.incoming.end()));
+    incoming_.insert(incoming_.end(),
+                     std::make_move_iterator(slot.incoming.begin()),
+                     std::make_move_iterator(slot.incoming.end()));
   };
   if (par_.active() && n >= 2) {
     std::vector<ServeSlot> slots(n);
@@ -339,16 +339,14 @@ void FlowTrafficSimulator::step(const Graph& graph,
     for (NodeId v = 0; v < static_cast<NodeId>(n); ++v)
       commit_slot(v, slots[v]);
   } else {
-    std::vector<PacketBatch> stuck;
-    ServeSlot slot;
     for (NodeId v = 0; v < static_cast<NodeId>(n); ++v) {
-      serve_node(v, graph, tables, stuck, slot);
-      commit_slot(v, slot);
-      slot.clear();
+      serve_node(v, graph, tables, stuck_, slot_);
+      commit_slot(v, slot_);
+      slot_.clear();
     }
   }
 
-  for (auto& [node, batch] : incoming) {
+  for (auto& [node, batch] : incoming_) {
     if ((batch.dst != kInvalidNode && node == batch.dst) ||
         is_gateway_[node]) {
       deliver(node, batch, now);

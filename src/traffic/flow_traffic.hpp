@@ -334,6 +334,12 @@ class FlowTrafficSimulator {
   FlowTrafficStats stats_;
   Rng rng_;
   AgentParallel par_;  ///< Inactive by default; see set_parallel().
+  /// step() scratch, reused across steps and not checkpointed: the
+  /// forwarded batches awaiting arrival, plus the serial serve pass's stuck
+  /// list and slot. The parallel pass keeps its own per-node slots.
+  std::vector<std::pair<NodeId, PacketBatch>> incoming_;
+  std::vector<PacketBatch> stuck_;
+  ServeSlot slot_;
 };
 
 }  // namespace agentnet

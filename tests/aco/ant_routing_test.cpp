@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "common/error.hpp"
+#include "experiments/paper.hpp"
 #include "routing/connectivity.hpp"
 
 namespace agentnet {
@@ -149,6 +152,101 @@ TEST(AntRoutingTest, GatewaysDoNotLaunch) {
   AntRoutingSystem system(2, {true, true}, eager(), Rng(9));
   for (std::size_t t = 0; t < 20; ++t) system.step(g, t);
   EXPECT_EQ(system.ants_launched(), 0u);
+}
+
+// Pinned colony state after 300 steps: an FNV-1a digest of the save_state
+// bytes (pheromone rows, in-flight ants, RNG) plus the overhead counters.
+// Any change to candidate order, sampling weights, the RNG draw sequence
+// or loop avoidance moves these values; a pure speed-up must not.
+struct ColonyPin {
+  std::uint64_t digest;
+  std::size_t ant_hops;
+  std::size_t control_bytes;
+  std::size_t ants_launched;
+  std::size_t ants_completed;
+};
+
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+ColonyPin pin_of(const AntRoutingSystem& system) {
+  snapshot::ByteWriter w;
+  system.save_state(w);
+  return {fnv1a(w.bytes()), system.ant_hops(), system.control_bytes(),
+          system.ants_launched(), system.ants_completed()};
+}
+
+void expect_pin(const ColonyPin& got, const ColonyPin& want) {
+  EXPECT_EQ(got.digest, want.digest);
+  EXPECT_EQ(got.ant_hops, want.ant_hops);
+  EXPECT_EQ(got.control_bytes, want.control_bytes);
+  EXPECT_EQ(got.ants_launched, want.ants_launched);
+  EXPECT_EQ(got.ants_completed, want.ants_completed);
+}
+
+constexpr std::size_t kPinSteps = 300;
+
+// The paper's 250-node / 12-gateway routing world, advanced live.
+ColonyPin run_paper_colony(const AntRoutingConfig& cfg,
+                           std::span<const double> hop_delays,
+                           std::span<const double> gateway_bias) {
+  const RoutingScenario scenario{RoutingScenarioParams{},
+                                 paper::kRoutingScenarioSeed};
+  World world = scenario.make_world();
+  AntRoutingSystem system(world.node_count(), scenario.is_gateway(), cfg,
+                          Rng(paper::kRunSeedBase));
+  for (std::size_t t = 0; t < kPinSteps; ++t) {
+    system.step(world.graph(), t, hop_delays, gateway_bias);
+    world.advance();
+  }
+  return pin_of(system);
+}
+
+TEST(AntColonyPinTest, HopCountOnPaperScenario) {
+  const ColonyPin got = run_paper_colony(AntRoutingConfig{}, {}, {});
+  expect_pin(got, {0xb1f9ee9278d80358ull, 106726, 6256208, 14298, 12266});
+}
+
+TEST(AntColonyPinTest, DelayWithBiasAndLossOnPaperScenario) {
+  AntRoutingConfig cfg;
+  cfg.reinforcement = AntReinforcement::kDelay;
+  cfg.ant_loss_probability = 0.05;
+  const std::size_t n = RoutingScenarioParams{}.node_count;
+  std::vector<double> delays(n), bias(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    delays[v] = 1.0 + 0.125 * static_cast<double>(v % 7);
+    bias[v] = 0.5 + 0.0625 * static_cast<double>(v % 9);
+  }
+  const ColonyPin got = run_paper_colony(cfg, delays, bias);
+  expect_pin(got, {0x135556040dcf5d0full, 83062, 4625480, 14352, 8317});
+}
+
+TEST(AntColonyPinTest, DenseGraphShortTtl) {
+  // A complete graph on 10 nodes plus one gateway reachable only through
+  // node 0. Weak pheromone (fast evaporation, a high exploration floor)
+  // keeps the walks near-uniform, so most ants run into the ttl: by the
+  // ninth hop eight of a node's nine neighbours are on the path, and about
+  // 40% of all candidate checks are pruned by loop avoidance.
+  constexpr NodeId kClique = 10;
+  Graph g(kClique + 1);
+  for (NodeId u = 0; u < kClique; ++u)
+    for (NodeId v = u + 1; v < kClique; ++v) g.add_undirected_edge(u, v);
+  g.add_undirected_edge(0, kClique);
+  std::vector<bool> is_gateway(kClique + 1, false);
+  is_gateway[kClique] = true;
+  AntRoutingConfig cfg;
+  cfg.ant_ttl = 9;
+  cfg.evaporation = 0.5;
+  cfg.exploration = 1.0;
+  AntRoutingSystem system(kClique + 1, is_gateway, cfg, Rng(5));
+  for (std::size_t t = 0; t < kPinSteps; ++t) system.step(g, t);
+  expect_pin(pin_of(system), {0x76752c0adb450940ull, 5532, 359912, 581, 137});
 }
 
 TEST(AntRoutingTaskTest, RunsOnScenarioAndConnects) {

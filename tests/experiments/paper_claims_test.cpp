@@ -20,8 +20,8 @@ namespace {
 // gap (~18%) is far narrower than the Fig 5 gaps, so it needs more runs.
 constexpr int kMinarRuns = 12;
 constexpr int kStigmergicRuns = 32;
-// Routing replications per setting (Figs 10-11, history 10).
-constexpr int kVisitingRuns = 10;
+// Routing replications per setting (Figs 8 and 10-11, history 10).
+constexpr int kRoutingRuns = 10;
 
 const GeneratedNetwork& paper_network() {
   static const GeneratedNetwork net =
@@ -42,16 +42,17 @@ RunningStats finishing_times(MappingPolicy policy, StigmergyMode stigmergy,
   return s.finishing_time;
 }
 
-/// Per-run mean connectivity over the converged window for 100 agents with
-/// history 10 on the paper's routing scenario. With several runs the
-/// experiment replays one recorded world (docs/PERFORMANCE.md).
-RunningStats connectivity(RoutingPolicy policy, bool visiting, int runs) {
+/// Per-run mean connectivity over the converged window for `population`
+/// agents with history 10 on the paper's routing scenario. With several
+/// runs the experiment replays one recorded world (docs/PERFORMANCE.md).
+RunningStats connectivity(RoutingPolicy policy, bool visiting, int runs,
+                          int population = 100) {
   static const RoutingScenario scenario{RoutingScenarioParams{},
                                         paper::kRoutingScenarioSeed};
   RoutingTaskConfig task;
   task.steps = paper::kRoutingSteps;
   task.measure_from = paper::kRoutingMeasureFrom;
-  task.population = 100;
+  task.population = population;
   task.agent.policy = policy;
   task.agent.history_size = 10;
   task.agent.communicate = visiting;
@@ -104,14 +105,27 @@ TEST(PaperClaimsTest, Fig6StigmergicSuperConscientiousFasterThanConscientious) {
   }
 }
 
+// Fig 8: more oldest-node agents keep more nodes connected (40 runs at
+// history 10: 0.491 at 25 agents, 0.592 at 100).
+TEST(PaperClaimsTest, Fig8ConnectivityGrowsWithPopulation) {
+  const RunningStats few =
+      connectivity(RoutingPolicy::kOldestNode, false, kRoutingRuns, 25);
+  const RunningStats some =
+      connectivity(RoutingPolicy::kOldestNode, false, kRoutingRuns, 100);
+  const RunningStats many =
+      connectivity(RoutingPolicy::kOldestNode, false, kRoutingRuns, 250);
+  EXPECT_TRUE(separates_above(some, few)) << "25 vs 100 agents";
+  EXPECT_TRUE(separates_above(many, some)) << "100 vs 250 agents";
+}
+
 // Fig 10: visiting (best-route exchange + history merge) helps random
 // agents — merged histories steer them apart (40 runs at history 10: 0.575
 // without visiting, 0.623 with).
 TEST(PaperClaimsTest, Fig10VisitingRaisesRandomAgentConnectivity) {
   EXPECT_TRUE(
-      separates_above(connectivity(RoutingPolicy::kRandom, true, kVisitingRuns),
+      separates_above(connectivity(RoutingPolicy::kRandom, true, kRoutingRuns),
                       connectivity(RoutingPolicy::kRandom, false,
-                                   kVisitingRuns)));
+                                   kRoutingRuns)));
 }
 
 // Fig 11: visiting hurts oldest-node agents — identical merged histories
@@ -119,8 +133,8 @@ TEST(PaperClaimsTest, Fig10VisitingRaisesRandomAgentConnectivity) {
 // history 10: 0.592 without visiting, 0.461 with).
 TEST(PaperClaimsTest, Fig11VisitingLowersOldestNodeConnectivity) {
   EXPECT_TRUE(separates_above(
-      connectivity(RoutingPolicy::kOldestNode, false, kVisitingRuns),
-      connectivity(RoutingPolicy::kOldestNode, true, kVisitingRuns)));
+      connectivity(RoutingPolicy::kOldestNode, false, kRoutingRuns),
+      connectivity(RoutingPolicy::kOldestNode, true, kRoutingRuns)));
 }
 
 }  // namespace

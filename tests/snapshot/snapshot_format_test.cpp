@@ -1,6 +1,7 @@
 // Checkpoint container format: byte-stream round-trips, corruption
 // rejection (CRC, truncation, bad magic, wrong version, giant counts) and
-// the temp-then-rename atomicity contract (docs/ROBUSTNESS.md).
+// the temp-then-rename atomicity contract (docs/ROBUSTNESS.md), plus the
+// ant colony's tampered-state rejection.
 #include "snapshot/snapshot.hpp"
 
 #include <gtest/gtest.h>
@@ -10,7 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "aco/ant_routing.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "net/graph.hpp"
 #include "snapshot/bytes.hpp"
 
@@ -264,6 +267,133 @@ TEST(CheckpointFileTest, DuplicateRunChunkRejected) {
     EXPECT_NE(std::string(e.what()).find("duplicate"), std::string::npos)
         << e.what();
   }
+}
+
+// An ant colony checkpoint written field by field in save_state's layout:
+// kColonyNodes pheromone rows (row 1 holds one entry), the given ants, an
+// RNG state and the four overhead counters.
+constexpr std::size_t kColonyNodes = 6;
+constexpr std::uint32_t kColonyTtl = 3;
+
+struct AntRecord {
+  std::vector<NodeId> path;
+  std::size_t position = 0;
+  bool backward = false;
+};
+
+std::vector<std::uint8_t> colony_bytes(const std::vector<AntRecord>& ants,
+                                       NodeId pheromone_key = 2) {
+  ByteWriter w;
+  w.size(kColonyNodes);
+  for (std::size_t u = 0; u < kColonyNodes; ++u) {
+    w.size(u == 1 ? 1 : 0);
+    if (u == 1) {
+      w.scalar(pheromone_key);
+      w.f64(0.5);
+    }
+  }
+  w.size(ants.size());
+  for (const AntRecord& ant : ants) {
+    w.pod_vec(ant.path);
+    w.size(ant.position);
+    w.boolean(ant.backward);
+    w.f64(1.0);  // trip time
+  }
+  Rng(11).save_state(w);
+  for (int i = 0; i < 4; ++i) w.size(0);
+  return w.bytes();
+}
+
+AntRoutingSystem small_colony() {
+  AntRoutingConfig cfg;
+  cfg.ant_ttl = kColonyTtl;
+  std::vector<bool> is_gateway(kColonyNodes, false);
+  is_gateway[0] = true;
+  return AntRoutingSystem(kColonyNodes, is_gateway, cfg, Rng(1));
+}
+
+void expect_colony_rejected(const std::vector<std::uint8_t>& bytes,
+                            const std::string& what) {
+  AntRoutingSystem colony = small_colony();
+  ByteReader r(bytes);
+  try {
+    colony.load_state(r);
+    FAIL() << "tampered colony accepted; expected: " << what;
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("record at byte"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+const std::vector<AntRecord> kValidAnts = {
+    {{3, 2}, 0, false},       // forward, one hop out
+    {{5, 4, 1, 0}, 3, true},  // backward at the gateway, ttl-long path
+};
+
+TEST(AntColonySnapshotTest, ValidStreamRoundTrips) {
+  const std::vector<std::uint8_t> bytes = colony_bytes(kValidAnts);
+  AntRoutingSystem colony = small_colony();
+  ByteReader r(bytes);
+  colony.load_state(r);
+  EXPECT_EQ(colony.active_ants(), 2u);
+  EXPECT_DOUBLE_EQ(colony.pheromone(1, 2), 0.5);
+  ByteWriter w;
+  colony.save_state(w);
+  EXPECT_EQ(w.bytes(), bytes);
+}
+
+TEST(AntColonySnapshotTest, PathNodeOutOfRangeRejected) {
+  // Overwrite the first ant's second node id in place: the loop-avoidance
+  // stamp array would otherwise turn it into an out-of-bounds write.
+  std::vector<std::uint8_t> bytes = colony_bytes(kValidAnts);
+  ByteReader r(bytes);
+  (void)r.size();
+  for (std::size_t u = 0; u < kColonyNodes; ++u) {
+    const std::size_t k = r.size();
+    for (std::size_t i = 0; i < k; ++i) {
+      (void)r.u64();  // key
+      (void)r.f64();  // pheromone
+    }
+  }
+  (void)r.size();  // ant count
+  (void)r.size();  // path length
+  (void)r.u64();   // path[0]
+  // Node ids are 8-byte little-endian scalars; setting the low four bytes
+  // gives kInvalidNode, which still fits a NodeId.
+  const std::size_t at = r.position();
+  for (int i = 0; i < 4; ++i) bytes[at + static_cast<std::size_t>(i)] = 0xFF;
+  expect_colony_rejected(bytes, "ant path names an unknown node");
+  bytes = colony_bytes({{{3, static_cast<NodeId>(kColonyNodes)}, 0, false}});
+  expect_colony_rejected(bytes, "ant path names an unknown node");
+}
+
+TEST(AntColonySnapshotTest, EmptyPathRejected) {
+  expect_colony_rejected(colony_bytes({{{}, 0, false}}),
+                         "ant with an empty path");
+}
+
+TEST(AntColonySnapshotTest, PositionPastPathRejected) {
+  expect_colony_rejected(colony_bytes({{{3, 2}, 2, true}}),
+                         "ant position past the end of its path");
+}
+
+TEST(AntColonySnapshotTest, BackwardAntAtHomeRejected) {
+  expect_colony_rejected(colony_bytes({{{3, 2, 0}, 0, true}}),
+                         "backward ant already home");
+}
+
+TEST(AntColonySnapshotTest, PathLongerThanTtlRejected) {
+  expect_colony_rejected(colony_bytes({{{5, 4, 3, 2, 1}, 0, false}}),
+                         "ant path longer than the ttl allows");
+}
+
+TEST(AntColonySnapshotTest, PheromoneKeyOutOfRangeRejected) {
+  expect_colony_rejected(
+      colony_bytes(kValidAnts, static_cast<NodeId>(kColonyNodes)),
+      "pheromone entry names an unknown node");
 }
 
 TEST(CheckpointerTest, IdentityMismatchRejectedAtConstruction) {
