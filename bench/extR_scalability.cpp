@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 
 #include "bench_util.hpp"
@@ -60,61 +59,54 @@ int main() {
                    us_per_step});
   }
   bench::finish_table("extR", table);
-  std::cout << "\n(step cost includes mobility, battery, full topology "
-               "rebuild, all agent phases and the connectivity walk)\n";
+  std::cout << "\n(step cost includes mobility, battery, incremental "
+               "topology upkeep, all agent phases and the connectivity "
+               "walk)\n";
 
   // --- Second table: world-advance-only scaling into the million-node
-  // regime, flat vs sharded upkeep (docs/PERFORMANCE.md, "Sharded world").
-  // No agents here — this isolates the simulator's topology upkeep, the
-  // part the spatial sharding accelerates. The 1M row is gated behind
+  // regime (docs/PERFORMANCE.md, "Topology upkeep"). No agents here — this
+  // isolates the simulator's topology upkeep. The 1M row is gated behind
   // AGENTNET_FULL=1 (construction alone takes a while at that size).
-  Table scale({"nodes", "mode", "steps per sec", "bytes per node"});
+  Table scale({"nodes", "steps per sec", "bytes per node"});
   std::vector<std::size_t> sizes{10'000, 100'000};
   if (env_bool("AGENTNET_FULL", false)) sizes.push_back(1'000'000);
   for (const std::size_t nodes : sizes) {
-    for (const bool sharded : {false, true}) {
-      setenv("AGENTNET_TOPO_SHARD", sharded ? "1" : "0", 1);
-      Rng rng(4242);
-      const double side =
-          1000.0 * std::sqrt(static_cast<double>(nodes) / 250.0);
-      const Aabb arena{{0.0, 0.0}, {side, side}};
-      std::vector<Vec2> positions = random_positions(nodes, arena, rng);
-      std::vector<double> ranges =
-          heterogeneous_ranges(nodes, 110.0 * 0.85, 110.0 * 1.15, rng);
-      const std::size_t movers = std::max<std::size_t>(16, nodes / 1000);
-      std::vector<bool> mobile(nodes, false);
-      for (std::size_t i = 0; i < movers; ++i) {
-        mobile[i] = true;
-        positions[i] = {rng.uniform_real(0.0, side / 8.0),
-                        rng.uniform_real(0.0, side / 8.0)};
-      }
-      auto mobility = std::make_unique<RandomDirectionMobility>(
-          arena, mobile, RandomDirectionMobility::Params{0.5, 3.0, 0.05},
-          rng.fork(0x30B));
-      World world(arena, std::move(positions),
-                  RadioModel(std::move(ranges), RangeScaling{0.6}),
-                  BatteryBank(nodes, mobile, BatteryParams{1.0, 0.001}),
-                  std::move(mobility), LinkPolicy::kSymmetricAnd);
-      unsetenv("AGENTNET_TOPO_SHARD");
-      const int steps = nodes >= 1'000'000 ? 8 : 32;
-      for (int i = 0; i < 4; ++i) world.advance();  // warm buffers
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int i = 0; i < steps; ++i) world.advance();
-      const double us =
-          static_cast<double>(
-              std::chrono::duration_cast<std::chrono::microseconds>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count());
-      scale.add_row({static_cast<std::int64_t>(nodes),
-                     sharded ? "sharded" : "flat",
-                     1e6 * static_cast<double>(steps) / std::max(us, 1.0),
-                     static_cast<double>(world.memory_bytes()) /
-                         static_cast<double>(nodes)});
+    Rng rng(4242);
+    const double side = 1000.0 * std::sqrt(static_cast<double>(nodes) / 250.0);
+    const Aabb arena{{0.0, 0.0}, {side, side}};
+    std::vector<Vec2> positions = random_positions(nodes, arena, rng);
+    std::vector<double> ranges =
+        heterogeneous_ranges(nodes, 110.0 * 0.85, 110.0 * 1.15, rng);
+    const std::size_t movers = std::max<std::size_t>(16, nodes / 1000);
+    std::vector<bool> mobile(nodes, false);
+    for (std::size_t i = 0; i < movers; ++i) {
+      mobile[i] = true;
+      positions[i] = {rng.uniform_real(0.0, side / 8.0),
+                      rng.uniform_real(0.0, side / 8.0)};
     }
+    auto mobility = std::make_unique<RandomDirectionMobility>(
+        arena, mobile, RandomDirectionMobility::Params{0.5, 3.0, 0.05},
+        rng.fork(0x30B));
+    World world(arena, std::move(positions),
+                RadioModel(std::move(ranges), RangeScaling{0.6}),
+                BatteryBank(nodes, mobile, BatteryParams{1.0, 0.001}),
+                std::move(mobility), LinkPolicy::kSymmetricAnd);
+    const int steps = nodes >= 1'000'000 ? 8 : 32;
+    for (int i = 0; i < 4; ++i) world.advance();  // warm buffers
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < steps; ++i) world.advance();
+    const double us = static_cast<double>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+    scale.add_row({static_cast<std::int64_t>(nodes),
+                   1e6 * static_cast<double>(steps) / std::max(us, 1.0),
+                   static_cast<double>(world.memory_bytes()) /
+                       static_cast<double>(nodes)});
   }
   bench::finish_table("extR_scale", scale);
   std::cout << "\n(world advance only — mobility, battery, topology upkeep; "
                "a 0.1% mobile convoy in a static mains field; set "
-               "AGENTNET_FULL=1 for the 1M-node rows)\n";
+               "AGENTNET_FULL=1 for the 1M-node row)\n";
   return 0;
 }

@@ -1,9 +1,10 @@
-// Macro benchmarks (google-benchmark): whole-world steps/sec for the three
-// regimes the incremental topology path targets, each in Full and
-// Incremental pairs sharing a name stem. tools/bench_gate reads
-// items_per_second off both and reports/gates the Incremental/Full speedup
-// (routing ≥2×, scale ≥5× by default; mapping-static is informational —
-// both modes skip rebuilds entirely when nothing moves).
+// Macro benchmarks (google-benchmark): whole-world steps/sec for the
+// topology-upkeep regimes — a static field, the paper's half-mobile routing
+// world, a mostly static n=2000 world and the 100k/1M convoy fields — one
+// bench per regime, each reporting bytes_per_node (World::memory_bytes()
+// / n) beside its rate. tools/bench_gate compares them against the
+// checked-in baseline. The BM_Agents* Serial/ParallelAgents pairs share a
+// name stem and are gated on their within-run ratio.
 //
 // Worlds are built directly with RandomDirectionMobility rather than the
 // scenarios' TraceMobility: a recorded trace freezes once playback ends,
@@ -12,7 +13,6 @@
 
 #include <cmath>
 #include <cstddef>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -44,7 +44,7 @@ struct MacroParams {
 
 /// A routing-style world (heterogeneous battery-backed radios, paper
 /// movement parameters) with never-ending random-direction motion.
-World make_macro_world(const MacroParams& p, bool incremental) {
+World make_macro_world(const MacroParams& p) {
   Rng rng(p.seed);
   const Aabb bounds{{0.0, 0.0}, {p.side, p.side}};
   std::vector<Vec2> positions = random_positions(p.node_count, bounds, rng);
@@ -58,15 +58,16 @@ World make_macro_world(const MacroParams& p, bool incremental) {
       bounds, mobile, RandomDirectionMobility::Params{0.5, 3.0, 0.05},
       rng.fork(0x30B));
   BatteryBank batteries(p.node_count, mobile, BatteryParams{1.0, 0.001});
-  World world(bounds, std::move(positions),
-              RadioModel(std::move(ranges), RangeScaling{0.6}),
-              std::move(batteries), std::move(mobility),
-              LinkPolicy::kSymmetricAnd);
-  world.set_incremental_topology(incremental);
-  return world;
+  return World(bounds, std::move(positions),
+               RadioModel(std::move(ranges), RangeScaling{0.6}),
+               std::move(batteries), std::move(mobility),
+               LinkPolicy::kSymmetricAnd);
 }
 
 void advance_loop(benchmark::State& state, World world) {
+  state.counters["bytes_per_node"] = benchmark::Counter(
+      static_cast<double>(world.memory_bytes()) /
+      static_cast<double>(world.node_count()));
   for (int i = 0; i < 16; ++i) world.advance();  // warm every buffer
   for (auto _ : state) {
     world.advance();
@@ -76,42 +77,28 @@ void advance_loop(benchmark::State& state, World world) {
   state.SetItemsProcessed(state.iterations());  // items/sec == steps/sec
 }
 
-// --- Mapping regime: static sensor field, nothing ever moves. Both modes
-// --- detect the empty dirty set and skip all topology work.
-void BM_MappingStaticAdvanceFull(benchmark::State& state) {
+// --- Mapping regime: static sensor field, nothing ever moves. Upkeep
+// --- detects the empty dirty set and skips all topology work.
+void BM_MappingStaticAdvance(benchmark::State& state) {
   MacroParams p;
   p.node_count = 100;
   p.mobile_fraction = 0.0;
   p.side = 632.0;  // ≈250-node paper density at n=100
-  advance_loop(state, make_macro_world(p, false));
+  advance_loop(state, make_macro_world(p));
 }
-BENCHMARK(BM_MappingStaticAdvanceFull);
-
-void BM_MappingStaticAdvanceIncremental(benchmark::State& state) {
-  MacroParams p;
-  p.node_count = 100;
-  p.mobile_fraction = 0.0;
-  p.side = 632.0;
-  advance_loop(state, make_macro_world(p, true));
-}
-BENCHMARK(BM_MappingStaticAdvanceIncremental);
+BENCHMARK(BM_MappingStaticAdvance);
 
 // --- Routing regime: the paper's dynamic network, n=250 with half the
-// --- nodes mobile. Every step dirties ~125 nodes; the incremental win is
-// --- bounded but must stay ≥2×.
-void BM_RoutingAdvanceFull(benchmark::State& state) {
-  advance_loop(state, make_macro_world(MacroParams{}, false));
+// --- nodes mobile. Every step dirties ~125 nodes — the small-n regime
+// --- where per-row patching has the least to skip.
+void BM_RoutingAdvance(benchmark::State& state) {
+  advance_loop(state, make_macro_world(MacroParams{}));
 }
-BENCHMARK(BM_RoutingAdvanceFull);
-
-void BM_RoutingAdvanceIncremental(benchmark::State& state) {
-  advance_loop(state, make_macro_world(MacroParams{}, true));
-}
-BENCHMARK(BM_RoutingAdvanceIncremental);
+BENCHMARK(BM_RoutingAdvance);
 
 // --- Scalability regime: n=2000 mostly static (5% mobile) at the same
-// --- spatial density (side scales with sqrt(n)). Full rebuilds touch all
-// --- 2000 rows for ~100 movers; incremental must win ≥5×.
+// --- spatial density (side scales with sqrt(n)): ~100 movers among 2000
+// --- rows.
 MacroParams scale_params() {
   MacroParams p;
   p.node_count = 2000;
@@ -120,28 +107,17 @@ MacroParams scale_params() {
   return p;
 }
 
-void BM_ScaleAdvanceFull(benchmark::State& state) {
-  advance_loop(state, make_macro_world(scale_params(), false));
+void BM_ScaleAdvance(benchmark::State& state) {
+  advance_loop(state, make_macro_world(scale_params()));
 }
-BENCHMARK(BM_ScaleAdvanceFull);
+BENCHMARK(BM_ScaleAdvance);
 
-void BM_ScaleAdvanceIncremental(benchmark::State& state) {
-  advance_loop(state, make_macro_world(scale_params(), true));
-}
-BENCHMARK(BM_ScaleAdvanceIncremental);
-
-// --- Million-node regime: Flat / Sharded pairs at n=100k and n=1M. A huge
-// --- mains-powered static sensor field with a small battery-powered mobile
-// --- convoy (0.1% of nodes, clustered so dirty tiles stay localised) at
-// --- the same spatial density. The flat path refreezes the whole O(n+E)
-// --- CSR on every epoch change; the sharded path patches only the touched
-// --- rows, so the within-run Sharded/Flat ratio is the tentpole's win and
-// --- tools/bench_gate enforces a floor on it. Each benchmark also reports
-// --- bytes_per_node (World::memory_bytes() / n) for the memory story.
-World make_scale_world(std::size_t node_count, bool sharded) {
-  // Pin the mode via the env knob so construction never builds the other
-  // mode's structures first (auto mode would shard everything ≥4096).
-  setenv("AGENTNET_TOPO_SHARD", sharded ? "1" : "0", 1);
+// --- Million-node regime at n=100k and n=1M: a huge mains-powered static
+// --- sensor field with a small battery-powered mobile convoy (0.1% of
+// --- nodes, clustered so dirty tiles stay localised) at the same spatial
+// --- density. Upkeep scans only the convoy's tiles and patches only the
+// --- touched CSR rows instead of refreezing all O(n+E) entries.
+World make_scale_world(std::size_t node_count) {
   Rng rng(4242);
   const double side =
       1000.0 * std::sqrt(static_cast<double>(node_count) / 250.0);
@@ -162,44 +138,23 @@ World make_scale_world(std::size_t node_count, bool sharded) {
       bounds, mobile, RandomDirectionMobility::Params{0.5, 3.0, 0.05},
       rng.fork(0x30B));
   BatteryBank batteries(node_count, mobile, BatteryParams{1.0, 0.001});
-  World world(bounds, std::move(positions),
-              RadioModel(std::move(ranges), RangeScaling{0.6}),
-              std::move(batteries), std::move(mobility),
-              LinkPolicy::kSymmetricAnd);
-  unsetenv("AGENTNET_TOPO_SHARD");
-  return world;
-}
-
-void scale_advance_loop(benchmark::State& state, std::size_t node_count,
-                        bool sharded) {
-  World world = make_scale_world(node_count, sharded);
-  state.counters["bytes_per_node"] = benchmark::Counter(
-      static_cast<double>(world.memory_bytes()) /
-      static_cast<double>(node_count));
-  advance_loop(state, std::move(world));
+  return World(bounds, std::move(positions),
+               RadioModel(std::move(ranges), RangeScaling{0.6}),
+               std::move(batteries), std::move(mobility),
+               LinkPolicy::kSymmetricAnd);
 }
 
 // Fixed iteration counts: google-benchmark's calibration would otherwise
 // re-run the (expensive to construct) million-node worlds several times.
-void BM_Scale100kAdvanceFlat(benchmark::State& state) {
-  scale_advance_loop(state, 100'000, false);
+void BM_Scale100kAdvance(benchmark::State& state) {
+  advance_loop(state, make_scale_world(100'000));
 }
-BENCHMARK(BM_Scale100kAdvanceFlat)->Iterations(32);
+BENCHMARK(BM_Scale100kAdvance)->Iterations(32);
 
-void BM_Scale100kAdvanceSharded(benchmark::State& state) {
-  scale_advance_loop(state, 100'000, true);
+void BM_Scale1MAdvance(benchmark::State& state) {
+  advance_loop(state, make_scale_world(1'000'000));
 }
-BENCHMARK(BM_Scale100kAdvanceSharded)->Iterations(32);
-
-void BM_Scale1MAdvanceFlat(benchmark::State& state) {
-  scale_advance_loop(state, 1'000'000, false);
-}
-BENCHMARK(BM_Scale1MAdvanceFlat)->Iterations(8);
-
-void BM_Scale1MAdvanceSharded(benchmark::State& state) {
-  scale_advance_loop(state, 1'000'000, true);
-}
-BENCHMARK(BM_Scale1MAdvanceSharded)->Iterations(8);
+BENCHMARK(BM_Scale1MAdvance)->Iterations(8);
 
 // --- Agent-engine regime: Serial / ParallelAgents pairs sharing a stem.
 // --- The intra-run engine (AGENTNET_AGENT_THREADS) fans the per-step
@@ -247,7 +202,7 @@ void scale_measure_loop(benchmark::State& state, std::size_t threads) {
   AgentParallelConfig config;
   config.threads = threads;
   const AgentParallel par(config);
-  World world = make_macro_world(scale_params(), true);
+  World world = make_macro_world(scale_params());
   for (int i = 0; i < 4; ++i) world.advance();
   for (auto _ : state)
     benchmark::DoNotOptimize(mean_shortest_path(world.graph(), par));
@@ -297,14 +252,14 @@ void BM_RoutingExperiment(benchmark::State& state) {
 }
 BENCHMARK(BM_RoutingExperiment)->Unit(benchmark::kMillisecond);
 
-// --- Traffic regime (informational, no Full/Incremental pair): the whole
+// --- Traffic regime (informational): the whole
 // --- loaded-network loop — delay-mode ants, flow generation, batch
 // --- forwarding with queueing — on the paper-sized world. The counted-
 // --- arrival design is what keeps the loaded case within a small factor
 // --- of idle: load scales packet *counts*, not queue-entry counts.
 void traffic_advance_loop(benchmark::State& state, double offered_load) {
   MacroParams p;
-  World world = make_macro_world(p, true);
+  World world = make_macro_world(p);
   std::vector<bool> is_gateway(p.node_count, false);
   for (std::size_t g = 0; g < 12; ++g)
     is_gateway[g * p.node_count / 12] = true;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/error.hpp"
@@ -31,15 +32,19 @@ std::int64_t env_int(const std::string& name, std::int64_t fallback) {
 double env_double(const std::string& name, double fallback) {
   auto v = env_string(name);
   if (!v) return fallback;
+  double out = 0.0;
   try {
     std::size_t pos = 0;
-    double out = std::stod(*v, &pos);
+    out = std::stod(*v, &pos);
     AGENTNET_REQUIRE(pos == v->size(), "trailing characters");
-    return out;
   } catch (const std::exception&) {
     throw ConfigError("environment variable " + name +
                       " is not a number: " + *v);
   }
+  if (!std::isfinite(out))
+    throw ConfigError("environment variable " + name +
+                      " is not a finite number: " + *v);
+  return out;
 }
 
 bool env_bool(const std::string& name, bool fallback) {

@@ -16,7 +16,8 @@ std::optional<std::string> env_string(const std::string& name);
 /// Integer lookup; throws ConfigError when set but unparseable.
 std::int64_t env_int(const std::string& name, std::int64_t fallback);
 
-/// Double lookup; throws ConfigError when set but unparseable.
+/// Double lookup; throws ConfigError when set but unparseable or not finite
+/// (inf, -inf, nan).
 double env_double(const std::string& name, double fallback);
 
 /// Boolean lookup: 1/true/yes/on (case-insensitive) → true; 0/false/no/off

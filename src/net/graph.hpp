@@ -127,8 +127,8 @@ class Graph {
 ///
 /// Rows may carry slack capacity: rebuild_padded_from() reserves headroom
 /// after each row so patch_row() can replace a single row in place without
-/// touching the rest of the layout. The sharded world (docs/PERFORMANCE.md,
-/// "Sharded world") uses this to keep the CSR current at per-dirty-row cost
+/// touching the rest of the layout. World (docs/PERFORMANCE.md, "Topology
+/// upkeep") uses this to keep the CSR current at per-dirty-row cost
 /// instead of refreezing all n+E entries whenever the edge set changes.
 /// Equality is logical (same rows in the same order), independent of slack.
 class CsrView {

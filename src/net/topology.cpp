@@ -70,12 +70,6 @@ void TopologyBuilder::build_into(Graph& graph,
 
 bool TopologyBuilder::update_into(Graph& graph, std::span<const NodeId> dirty,
                                   const std::vector<Vec2>& positions,
-                                  const std::vector<double>& ranges) {
-  return update_into(graph, dirty, positions, ranges, UpdateOptions{});
-}
-
-bool TopologyBuilder::update_into(Graph& graph, std::span<const NodeId> dirty,
-                                  const std::vector<Vec2>& positions,
                                   const std::vector<double>& ranges,
                                   const UpdateOptions& options) {
   const std::size_t n = positions.size();

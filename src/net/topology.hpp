@@ -28,7 +28,7 @@ enum class LinkPolicy {
 /// update_into() patches a previously built graph by recomputing only the
 /// rows touched by a dirty set, relocating the dirty points inside the grid
 /// instead of rebuilding it. Outputs are bit-identical to a full rebuild
-/// (docs/PERFORMANCE.md, "Incremental topology maintenance").
+/// (docs/PERFORMANCE.md, "Topology upkeep").
 class TopologyBuilder {
  public:
   /// `max_range` bounds every effective range passed to build(); used only
@@ -63,12 +63,9 @@ class TopologyBuilder {
   /// (operator==, neighbour iteration order included) to a full rebuild.
   ///
   /// Returns true when the edge set actually changed.
-  bool update_into(Graph& graph, std::span<const NodeId> dirty,
-                   const std::vector<Vec2>& positions,
-                   const std::vector<double>& ranges);
-
-  /// Optional behaviours for update_into(); default-constructed == the
-  /// plain overload above.
+  ///
+  /// Optional behaviours for update_into(); default-constructed options
+  /// gather serially and report no rows.
   struct UpdateOptions {
     /// When set, dirty rows are gathered in parallel over this pool (one
     /// pre-allocated slot per dirty index) and applied serially in index
@@ -78,7 +75,7 @@ class TopologyBuilder {
     /// When set, receives the sorted, deduplicated ids of every row whose
     /// stored adjacency this call modified: dirty rows that changed plus
     /// clean "halo" rows fixed up by mirror diffs / directed in-edge
-    /// repair. The sharded world patches exactly these CSR rows.
+    /// repair. World patches exactly these CSR rows.
     std::vector<NodeId>* touched_rows = nullptr;
   };
   bool update_into(Graph& graph, std::span<const NodeId> dirty,

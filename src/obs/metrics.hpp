@@ -40,11 +40,13 @@ enum class Counter : std::size_t {
   kLsaMessages,          ///< LSA transmissions (flooding baseline).
   kLsaDropped,           ///< LSAs lost in transit (failure injection).
   kDvRelaxations,        ///< Accepted Bellman-Ford relaxations (DV agents).
-  kTopoNodesDirty,       ///< Nodes patched by an incremental topology update.
-  kTopoFullRebuilds,     ///< Full (non-incremental) topology rebuilds.
+  kTopoNodesDirty,       ///< Dirty nodes patched by a topology update.
+  /// Always 0: World upkeep has no full-rebuild path. Kept, name included,
+  /// because benchmark/agentnet_bench reports it as sim.full_rebuilds.
+  kTopoFullRebuilds,
   kDerivedCacheHits,     ///< Epoch-keyed derived-state cache hits.
-  kShardTilesDirty,      ///< Tiles holding ≥1 dirty node (sharded advance).
-  kShardHaloRows,        ///< Clean rows patched by halo exchange (sharded).
+  kShardTilesDirty,      ///< Tiles holding ≥1 dirty node per advance().
+  kShardHaloRows,        ///< Clean rows patched by halo exchange.
   kFlowsStarted,         ///< Traffic sessions opened by the flow generator.
   kFlowsCompleted,       ///< Traffic sessions that emitted their last packet.
   kPacketsGenerated,     ///< Data packets injected (counted arrivals).

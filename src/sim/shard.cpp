@@ -31,12 +31,11 @@ WorldShards::WorldShards(Aabb bounds, double tile_size,
   const std::size_t n = built_positions.size();
   AGENTNET_REQUIRE(built_ranges.size() == n,
                    "shard built positions/ranges size mismatch");
-  maybe_dirty_mask_ = DenseBitset(n);
+  dirty_words_.assign((n + 63) / 64, 0);
   tile_of_.assign(n, kInvalidNode);
   slot_of_.assign(n, kInvalidNode);
   for (NodeId m : maybe_dirty) {
     AGENTNET_REQUIRE(m < n, "shard member id out of range");
-    maybe_dirty_mask_.set(m);
     insert_member(tile_of_pos(built_positions[m]), m, built_positions[m],
                   built_ranges[m], batteries.on_battery(m));
   }
@@ -84,34 +83,21 @@ void WorldShards::remove_member(NodeId m) {
   slot_of_[m] = kInvalidNode;
 }
 
-void WorldShards::commit(const std::vector<Vec2>& positions) {
-  for (std::size_t k = 0; k < dirty_ids_.size(); ++k) {
-    const NodeId m = dirty_ids_[k];
-    const Vec2 p = positions[m];
-    const std::size_t t_old = tile_of_[m];
-    const std::size_t t_new = tile_of_pos(p);
-    if (t_new == t_old) {
-      Tile& t = tiles_[t_old];
-      const std::uint32_t s = slot_of_[m];
-      t.built_x[s] = p.x;
-      t.built_y[s] = p.y;
-      t.built_range[s] = dirty_ranges_[k];
-    } else {
-      const bool battery = tiles_[t_old].on_battery[slot_of_[m]] != 0;
-      remove_member(m);
-      insert_member(t_new, m, p, dirty_ranges_[k], battery);
-    }
-  }
+void WorldShards::migrate(NodeId m, Vec2 pos) {
+  const Tile& from = tiles_[tile_of_[m]];
+  const std::uint32_t s = slot_of_[m];
+  const double range = from.built_range[s];
+  const bool battery = from.on_battery[s] != 0;
+  remove_member(m);
+  insert_member(tile_of_pos(pos), m, pos, range, battery);
 }
 
 std::size_t WorldShards::heap_bytes() const {
   std::size_t bytes = tiles_.capacity() * sizeof(Tile) +
                       tile_of_.capacity() * sizeof(std::uint32_t) +
                       slot_of_.capacity() * sizeof(std::uint32_t) +
-                      merged_.capacity() * sizeof(merged_[0]) +
-                      dirty_ids_.capacity() * sizeof(NodeId) +
-                      dirty_ranges_.capacity() * sizeof(double) +
-                      (maybe_dirty_mask_.size() + 63) / 64 * 8;
+                      dirty_words_.capacity() * sizeof(std::uint64_t) +
+                      dirty_ids_.capacity() * sizeof(NodeId);
   for (const Tile& t : tiles_) {
     bytes += t.members.capacity() * sizeof(NodeId) +
              t.built_x.capacity() * sizeof(double) +
@@ -119,7 +105,7 @@ std::size_t WorldShards::heap_bytes() const {
              t.built_range.capacity() * sizeof(double) +
              t.on_battery.capacity() +
              t.dirty.capacity() * sizeof(NodeId) +
-             t.dirty_range.capacity() * sizeof(double);
+             t.leaving.capacity() * sizeof(NodeId);
   }
   return bytes;
 }

@@ -1,5 +1,5 @@
-// Spatially sharded upkeep state for World (docs/PERFORMANCE.md, "Sharded
-// world").
+// Spatially sharded upkeep state for World (docs/PERFORMANCE.md, "Topology
+// upkeep").
 //
 // WorldShards partitions the maybe-dirty node set into square tiles over the
 // arena and keeps each tile's built snapshot in SoA layout: built positions
@@ -9,21 +9,20 @@
 // the range recomputation entirely (their effective range is a constant),
 // and no tile writes shared state, so the scan fans out over a ThreadPool
 // with no synchronisation. Per-tile dirty lists are merged into one
-// globally ascending (id, range) list, which makes every downstream step —
-// TopologyBuilder::update_into, CSR row patching, epoch bumps — consume
-// exactly the dirty set the flat path would have produced, in the same
-// order. That is the whole bit-identity argument: the sharded structures
-// only *find* the dirty nodes differently, they never change what is done
-// with them.
+// globally ascending id list — a pure function of the snapshot,
+// independent of tiling and threads — so every downstream step
+// (TopologyBuilder::update_into, CSR row patching, epoch bumps) consumes
+// the same dirty set at any thread count. The tiles only *find* the dirty
+// nodes; what is done with them is the same incremental patch whose
+// result equals a full rebuild.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
-#include "common/dense_bitset.hpp"
 #include "common/parallel_for.hpp"
 #include "energy/battery.hpp"
 #include "geom/vec2.hpp"
@@ -47,34 +46,37 @@ class WorldShards {
               const BatteryBank& batteries);
 
   std::size_t tile_count() const { return tiles_.size(); }
-  std::size_t member_count() const { return maybe_dirty_mask_.count(); }
   double tile_size() const { return tile_size_; }
-  /// Maybe-dirty membership, O(1) per query (halo-row classification).
-  const DenseBitset& maybe_dirty_mask() const { return maybe_dirty_mask_; }
 
   /// Per-tile dirty scan against `positions`; `range_of(node)` must return
   /// the node's current quantized effective range (only battery-powered
-  /// members are asked). Fills dirty_ids()/dirty_ranges() — globally
-  /// ascending, identical to the flat World::collect_dirty() output — and
-  /// last_tiles_dirty(). Safe to fan out: each tile touches only its own
-  /// scratch, `positions` and `range_of` are read-only.
+  /// members are asked). A dirty member's new range goes to `ranges[m]`
+  /// and its built snapshot takes the scanned values at once; members
+  /// whose new position left their tile migrate after the scan. Fills
+  /// dirty_ids() — globally ascending, independent of tiling and thread
+  /// count — and last_tiles_dirty(). Safe to fan out: each tile writes
+  /// only its own slots and its own members' `ranges` entries.
   template <class RangeFn>
-  void collect_dirty(const std::vector<Vec2>& positions, RangeFn&& range_of,
-                     ThreadPool* pool) {
+  void scan(const std::vector<Vec2>& positions, RangeFn&& range_of,
+            std::vector<double>& ranges, ThreadPool* pool) {
     auto scan_tile = [&](std::size_t t) {
       Tile& tile = tiles_[t];
       tile.dirty.clear();
-      tile.dirty_range.clear();
+      tile.leaving.clear();
       for (std::size_t s = 0; s < tile.members.size(); ++s) {
         const NodeId m = tile.members[s];
         double r = tile.built_range[s];
         if (tile.on_battery[s]) r = range_of(m);
         const Vec2 p = positions[m];
-        if (p.x != tile.built_x[s] || p.y != tile.built_y[s] ||
-            r != tile.built_range[s]) {
-          tile.dirty.push_back(m);
-          tile.dirty_range.push_back(r);
-        }
+        if (p.x == tile.built_x[s] && p.y == tile.built_y[s] &&
+            r == tile.built_range[s])
+          continue;
+        tile.dirty.push_back(m);
+        ranges[m] = r;
+        tile.built_x[s] = p.x;
+        tile.built_y[s] = p.y;
+        tile.built_range[s] = r;
+        if (tile_of_pos(p) != t) tile.leaving.push_back(m);
       }
     };
     if (pool != nullptr && pool->size() > 1) {
@@ -82,39 +84,38 @@ class WorldShards {
     } else {
       for (std::size_t t = 0; t < tiles_.size(); ++t) scan_tile(t);
     }
-    // Deterministic ordered merge: tile order is fixed, and the global
-    // sort by id erases even that — the output is a pure function of the
-    // (positions, ranges) snapshot, independent of tiling and threads.
-    merged_.clear();
+    // Deterministic serial merge: each dirty tile marks its members in a
+    // per-node bitmap that is read out in ascending id order, so neither
+    // tile order nor thread count reaches the output. Migrations touch
+    // only member slots, never the per-tile dirty lists, so they run in
+    // the same pass.
+    dirty_ids_.clear();
     last_tiles_dirty_ = 0;
-    for (const Tile& tile : tiles_) {
+    std::size_t lo = dirty_words_.size();
+    std::size_t hi = 0;
+    for (Tile& tile : tiles_) {
       if (tile.dirty.empty()) continue;
       ++last_tiles_dirty_;
-      for (std::size_t k = 0; k < tile.dirty.size(); ++k)
-        merged_.push_back({tile.dirty[k], tile.dirty_range[k]});
+      for (NodeId m : tile.dirty) {
+        const std::size_t w = m / 64;
+        dirty_words_[w] |= std::uint64_t{1} << (m % 64);
+        lo = std::min(lo, w);
+        hi = std::max(hi, w + 1);
+      }
+      for (NodeId m : tile.leaving) migrate(m, positions[m]);
     }
-    std::sort(merged_.begin(), merged_.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    dirty_ids_.clear();
-    dirty_ranges_.clear();
-    for (const auto& [id, r] : merged_) {
-      dirty_ids_.push_back(id);
-      dirty_ranges_.push_back(r);
+    for (std::size_t w = lo; w < hi; ++w) {
+      for (std::uint64_t bits = dirty_words_[w]; bits != 0; bits &= bits - 1)
+        dirty_ids_.push_back(
+            static_cast<NodeId>(w * 64 + std::countr_zero(bits)));
+      dirty_words_[w] = 0;
     }
   }
 
-  /// The last scan's dirty nodes, ascending, with their new quantized
-  /// ranges in lockstep.
+  /// The last scan's dirty nodes, ascending.
   const std::vector<NodeId>& dirty_ids() const { return dirty_ids_; }
-  const std::vector<double>& dirty_ranges() const { return dirty_ranges_; }
   /// Tiles that contributed ≥1 dirty node in the last scan.
   std::size_t last_tiles_dirty() const { return last_tiles_dirty_; }
-
-  /// Folds the last scan's dirty set back into the built snapshot:
-  /// built positions/ranges take the scanned values and members whose new
-  /// position crossed a tile boundary migrate buckets. Call after the
-  /// topology patch succeeded (mirrors built_positions_ upkeep).
-  void commit(const std::vector<Vec2>& positions);
 
   /// Heap footprint (bytes/node accounting; O(tiles) walk).
   std::size_t heap_bytes() const;
@@ -126,8 +127,8 @@ class WorldShards {
     std::vector<double> built_y;      // SoA built position, y
     std::vector<double> built_range;  // built quantized range
     std::vector<char> on_battery;     // 1 ⇒ range can drift per step
-    std::vector<NodeId> dirty;        // scan scratch
-    std::vector<double> dirty_range;  // scan scratch
+    std::vector<NodeId> dirty;        // scan output
+    std::vector<NodeId> leaving;      // dirty members that left the tile
   };
 
   std::size_t tile_of_pos(Vec2 p) const;
@@ -135,18 +136,18 @@ class WorldShards {
                      bool battery);
   /// Swap-erase `m` from its tile, fixing the displaced member's slot.
   void remove_member(NodeId m);
+  /// Moves `m`, with its built snapshot, into the tile holding `pos`.
+  void migrate(NodeId m, Vec2 pos);
 
   Aabb bounds_;
   double tile_size_ = 1.0;
   int cols_ = 1;
   int rows_ = 1;
   std::vector<Tile> tiles_;
-  DenseBitset maybe_dirty_mask_;
   std::vector<std::uint32_t> tile_of_;  // per node; kInvalidNode ⇒ not a member
   std::vector<std::uint32_t> slot_of_;
-  std::vector<std::pair<NodeId, double>> merged_;  // merge scratch
+  std::vector<std::uint64_t> dirty_words_;  // merge bitmap, zero between scans
   std::vector<NodeId> dirty_ids_;
-  std::vector<double> dirty_ranges_;
   std::size_t last_tiles_dirty_ = 0;
 };
 

@@ -23,11 +23,8 @@ World::World(Aabb bounds, std::vector<Vec2> initial_positions,
   AGENTNET_REQUIRE(positions_.size() == batteries_.size(),
                    "positions / batteries size mismatch");
   AGENTNET_REQUIRE(mobility_ != nullptr, "world needs a mobility model");
-  incremental_ = env_bool("AGENTNET_TOPO_INCREMENTAL", true);
   quantum_ = env_double("AGENTNET_TOPO_RANGE_QUANTUM", 0.0);
   AGENTNET_REQUIRE(quantum_ >= 0.0, "range quantum must be >= 0");
-  shard_tile_factor_ = env_double("AGENTNET_TOPO_SHARD_TILE", 4.0);
-  AGENTNET_REQUIRE(shard_tile_factor_ > 0.0, "shard tile factor must be > 0");
   const auto threads_knob = env_int("AGENTNET_TOPO_SHARD_THREADS", 1);
   AGENTNET_REQUIRE(threads_knob >= 0, "shard threads must be >= 0");
   shard_threads_ = threads_knob == 0
@@ -40,23 +37,8 @@ World::World(Aabb bounds, std::vector<Vec2> initial_positions,
     if (!mobility_->is_stationary(i) || batteries_.on_battery(i))
       maybe_dirty_.push_back(static_cast<NodeId>(i));
   ranges_.resize(positions_.size());
-  for (std::size_t i = 0; i < ranges_.size(); ++i)
-    ranges_[i] = quantized_range(static_cast<NodeId>(i));
-  built_positions_ = positions_;
-  builder_.build_into(geo_graph_, positions_, ranges_);
-  refresh_effective(true);
-  // AGENTNET_TOPO_SHARD: "auto" (default) turns sharded upkeep on from
-  // AGENTNET_TOPO_SHARD_MIN_NODES nodes; explicit on/off overrides.
-  const auto shard_env = env_string("AGENTNET_TOPO_SHARD");
-  bool want_sharded;
-  if (!shard_env || *shard_env == "auto") {
-    const auto min_nodes = env_int("AGENTNET_TOPO_SHARD_MIN_NODES", 4096);
-    want_sharded = min_nodes >= 0 &&
-                   positions_.size() >= static_cast<std::size_t>(min_nodes);
-  } else {
-    want_sharded = env_bool("AGENTNET_TOPO_SHARD", false);
-  }
-  if (want_sharded) set_sharding(true);
+  rebuild_derived();
+  ++epoch_;  // the first graph opens epoch 1
 }
 
 World World::frozen(const GeneratedNetwork& net) {
@@ -84,8 +66,7 @@ World World::fixed(Graph graph) {
               std::move(mains), std::make_unique<StationaryMobility>(),
               LinkPolicy::kDirected);
   world.fixed_topology_ = true;
-  world.sharded_ = false;  // pinned graph: no upkeep, no shard structures
-  world.shards_.reset();
+  world.shards_.reset();  // pinned graph: no upkeep, no shard structures
   world.geo_graph_ = std::move(graph);
   world.csr_.rebuild_from(world.geo_graph_);
   return world;
@@ -123,29 +104,19 @@ void World::replay_topology() {
   for (const Edge& e : added) geo_graph_.add_edge(e.from, e.to);
   if (s.state_bumped) ++state_epoch_;
   AGENTNET_COUNT_N(kTopoNodesDirty, s.nodes_dirty);
-  AGENTNET_COUNT_N(kTopoFullRebuilds, s.full_rebuilds);
   AGENTNET_COUNT_N(kDerivedCacheHits, s.cache_hits);
   AGENTNET_COUNT_N(kShardTilesDirty, s.tiles_dirty);
   AGENTNET_COUNT_N(kShardHaloRows, s.halo_rows);
   if (!s.epoch_bumped) return;
   ++epoch_;
-  if (!sharded_) {
-    csr_.rebuild_from(geo_graph_);
-    return;
-  }
-  // Patch the padded CSR at the changed rows, like the sharded live path.
+  // Patch the padded CSR at the changed rows, like the live path.
   touched_rows_.clear();
   for (const Edge& e : removed) touched_rows_.push_back(e.from);
   for (const Edge& e : added) touched_rows_.push_back(e.from);
   std::sort(touched_rows_.begin(), touched_rows_.end());
   touched_rows_.erase(std::unique(touched_rows_.begin(), touched_rows_.end()),
                       touched_rows_.end());
-  for (NodeId u : touched_rows_) {
-    if (!csr_.patch_row(u, geo_graph_.out_neighbors(u))) {
-      csr_.rebuild_padded_from(geo_graph_);
-      break;
-    }
-  }
+  patch_csr(touched_rows_);
 }
 
 void World::set_script(const WorldScript* script) {
@@ -155,8 +126,8 @@ void World::set_script(const WorldScript* script) {
     AGENTNET_REQUIRE(script->node_count() == node_count(),
                      "world script node count mismatch");
   } else if (script_) {
-    // Replay never touched the builder grid, ranges or built positions;
-    // resync them before live upkeep diffs against them again.
+    // Replay never touched the builder grid, ranges or shard tiles; resync
+    // them before live upkeep diffs against them again.
     rebuild_derived();
   }
   script_ = script;
@@ -168,49 +139,16 @@ double World::quantized_range(NodeId node) const {
   return std::floor(r / quantum_) * quantum_;
 }
 
-void World::collect_dirty() {
-  dirty_.clear();
-  for (NodeId i : maybe_dirty_) {
-    const double r = quantized_range(i);
-    if (positions_[i] != built_positions_[i] || r != ranges_[i]) {
-      dirty_.push_back(i);
-      ranges_[i] = r;
-    }
-  }
-  if (!dirty_.empty()) ++state_epoch_;
-}
-
 void World::refresh_topology() {
   if (fixed_topology_) return;  // pinned graph (and its CSR) never change
-  if (sharded_) {
-    refresh_topology_sharded();
-    return;
-  }
-  collect_dirty();
-  bool geo_changed = false;
-  if (!dirty_.empty()) {
-    if (incremental_) {
-      AGENTNET_COUNT_N(kTopoNodesDirty, dirty_.size());
-      geo_changed =
-          builder_.update_into(geo_graph_, dirty_, positions_, ranges_);
-      for (NodeId u : dirty_) built_positions_[u] = positions_[u];
-    } else {
-      AGENTNET_COUNT(kTopoFullRebuilds);
-      builder_.build_into(back_graph_, positions_, ranges_);
-      geo_changed = !(back_graph_ == geo_graph_);
-      std::swap(geo_graph_, back_graph_);
-      built_positions_ = positions_;
-    }
-  }
-  refresh_effective(geo_changed);
-}
-
-void World::refresh_topology_sharded() {
-  // Tile-local scan; the merged output is the same ascending dirty set the
-  // flat collect_dirty() produces, so everything downstream matches.
-  shards_->collect_dirty(
-      positions_, [this](NodeId m) { return quantized_range(m); },
-      shard_pool());
+  // Tile-local scan; the merged output is the ascending set of nodes whose
+  // position or quantized range changed since the last build, with their
+  // new ranges already in ranges_. A world without maybe-dirty nodes has
+  // no tile members, so it skips the scan and its dirty set stays empty.
+  if (!maybe_dirty_.empty())
+    shards_->scan(
+        positions_, [this](NodeId m) { return quantized_range(m); }, ranges_,
+        shard_pool());
   const std::vector<NodeId>& dirty = shards_->dirty_ids();
   bool geo_changed = false;
   touched_rows_.clear();
@@ -218,16 +156,11 @@ void World::refresh_topology_sharded() {
     ++state_epoch_;
     AGENTNET_COUNT_N(kTopoNodesDirty, dirty.size());
     AGENTNET_COUNT_N(kShardTilesDirty, shards_->last_tiles_dirty());
-    const std::vector<double>& new_ranges = shards_->dirty_ranges();
-    for (std::size_t k = 0; k < dirty.size(); ++k)
-      ranges_[dirty[k]] = new_ranges[k];
     TopologyBuilder::UpdateOptions opts;
     opts.pool = shard_pool();
     opts.touched_rows = &touched_rows_;
     geo_changed =
         builder_.update_into(geo_graph_, dirty, positions_, ranges_, opts);
-    for (NodeId u : dirty) built_positions_[u] = positions_[u];
-    shards_->commit(positions_);
     // Halo rows: modified rows that were not themselves dirty — clean
     // neighbours fixed up across tile boundaries. Two-pointer walk over
     // the two ascending lists.
@@ -239,151 +172,82 @@ void World::refresh_topology_sharded() {
     }
     AGENTNET_COUNT_N(kShardHaloRows, halo);
   }
-  refresh_effective_sharded(geo_changed);
-}
-
-void World::rebuild_flapped() {
-  back_flapped_.reset(geo_graph_.node_count());
-  std::size_t drops = 0;
-  for (NodeId u = 0; u < geo_graph_.node_count(); ++u) {
-    flap_scratch_.clear();
-    for (NodeId v : geo_graph_.out_neighbors(u)) {
-      if (flapper_->down(u, v, step_))
-        ++drops;
-      else
-        flap_scratch_.push_back(v);
-    }
-    back_flapped_.assign_out_edges(u, flap_scratch_);
-  }
-  AGENTNET_COUNT_N(kLinkFlaps, drops);
-  flap_drops_ = drops;
+  refresh_effective(geo_changed);
 }
 
 void World::refresh_effective(bool geo_changed) {
-  bool effective_changed;
+  bool effective_changed = geo_changed;
   if (weather_active_) {
-    const std::uint64_t window = step_ / flapper_->persistence();
-    if (geo_changed || !flapped_valid_ || window != flap_window_) {
-      rebuild_flapped();
-      effective_changed = !flapped_valid_ || !(back_flapped_ == flapped_);
-      std::swap(flapped_, back_flapped_);
-      flapped_valid_ = true;
-      flap_window_ = window;
+    if (step_ / flapper_->persistence() != flap_window_) {
+      // Window boundary: the whole weather draw changes.
+      effective_changed = redraw_weather();
+      if (effective_changed) csr_.rebuild_padded_from(flapped_);
     } else {
-      // Same geometry, same weather window: the view is unchanged. Charge
-      // the drops it still contains so kLinkFlaps totals stay identical to
-      // the historical apply-every-step path.
-      AGENTNET_COUNT_N(kLinkFlaps, flap_drops_);
+      // Same window: down(u,v) is frozen, so only rows whose geometry
+      // changed can differ. Re-filter exactly those, keeping the running
+      // drop total so kLinkFlaps charges every drop the view contains.
       effective_changed = false;
+      for (NodeId u : touched_rows_) {
+        const std::uint32_t drops = filter_row(u);
+        const auto old_row = flapped_.out_neighbors(u);
+        if (!std::equal(old_row.begin(), old_row.end(), flap_scratch_.begin(),
+                        flap_scratch_.end())) {
+          effective_changed = true;
+          flapped_.assign_out_edges(u, flap_scratch_);
+        }
+        flap_drops_ = flap_drops_ - flap_row_drops_[u] + drops;
+        flap_row_drops_[u] = drops;
+      }
+      AGENTNET_COUNT_N(kLinkFlaps, flap_drops_);
+      if (effective_changed) patch_csr(touched_rows_);
     }
-  } else {
-    effective_changed = geo_changed;
+  } else if (effective_changed) {
+    patch_csr(touched_rows_);
   }
   if (effective_changed) {
-    csr_.rebuild_from(graph());
     ++epoch_;
   } else {
     AGENTNET_COUNT(kDerivedCacheHits);  // CSR snapshot stayed warm
   }
 }
 
-void World::refresh_effective_sharded(bool geo_changed) {
-  // Mirrors refresh_effective() decision for decision — same epoch bumps,
-  // same counter emissions — but replaces every wholesale rebuild with
-  // per-row patching of the rows listed in touched_rows_.
-  bool effective_changed;
-  if (weather_active_) {
-    const std::uint64_t window = step_ / flapper_->persistence();
-    if (!flapped_valid_ || window != flap_window_) {
-      // Window boundary: the whole weather draw changes — full rebuild,
-      // exactly like the flat path (it pays O(E) here too).
-      rebuild_flapped();
-      effective_changed = !flapped_valid_ || !(back_flapped_ == flapped_);
-      std::swap(flapped_, back_flapped_);
-      flapped_valid_ = true;
-      flap_window_ = window;
-      rebuild_flap_row_drops();
-      if (effective_changed) {
-        csr_.rebuild_padded_from(flapped_);
-        ++epoch_;
-      } else {
-        AGENTNET_COUNT(kDerivedCacheHits);
-      }
+std::uint32_t World::filter_row(NodeId u) {
+  flap_scratch_.clear();
+  std::uint32_t drops = 0;
+  for (NodeId v : geo_graph_.out_neighbors(u)) {
+    if (flapper_->down(u, v, step_))
+      ++drops;
+    else
+      flap_scratch_.push_back(v);
+  }
+  return drops;
+}
+
+bool World::redraw_weather() {
+  const std::size_t n = geo_graph_.node_count();
+  back_flapped_.reset(n);
+  flap_row_drops_.resize(n);
+  flap_drops_ = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    const std::uint32_t drops = filter_row(u);
+    back_flapped_.assign_out_edges(u, flap_scratch_);
+    flap_row_drops_[u] = drops;
+    flap_drops_ += drops;
+  }
+  AGENTNET_COUNT_N(kLinkFlaps, flap_drops_);
+  const bool changed = !(back_flapped_ == flapped_);
+  std::swap(flapped_, back_flapped_);
+  flap_window_ = step_ / flapper_->persistence();
+  return changed;
+}
+
+void World::patch_csr(const std::vector<NodeId>& rows) {
+  const Graph& g = graph();
+  for (NodeId u : rows) {
+    if (!csr_.patch_row(u, g.out_neighbors(u))) {
+      csr_.rebuild_padded_from(g);
       return;
     }
-    // Same window: down(u,v) is frozen, so only rows whose geometry
-    // changed can differ. Re-filter exactly those, maintaining the
-    // running drop total so kLinkFlaps matches the flat path's recount.
-    effective_changed = false;
-    bool csr_fits = true;
-    for (NodeId u : touched_rows_) {
-      flap_scratch_.clear();
-      std::uint32_t drops = 0;
-      for (NodeId v : geo_graph_.out_neighbors(u)) {
-        if (flapper_->down(u, v, step_))
-          ++drops;
-        else
-          flap_scratch_.push_back(v);
-      }
-      const auto old_row = flapped_.out_neighbors(u);
-      if (!std::equal(old_row.begin(), old_row.end(), flap_scratch_.begin(),
-                      flap_scratch_.end()))
-        effective_changed = true;
-      flapped_.assign_out_edges(u, flap_scratch_);
-      flap_drops_ += drops;
-      flap_drops_ -= flap_row_drops_[u];
-      flap_row_drops_[u] = drops;
-      if (csr_fits) csr_fits = csr_.patch_row(u, flap_scratch_);
-    }
-    if (!csr_fits) csr_.rebuild_padded_from(flapped_);
-    AGENTNET_COUNT_N(kLinkFlaps, flap_drops_);
-  } else {
-    effective_changed = geo_changed;
-    if (effective_changed) {
-      for (NodeId u : touched_rows_) {
-        if (!csr_.patch_row(u, geo_graph_.out_neighbors(u))) {
-          csr_.rebuild_padded_from(geo_graph_);
-          break;
-        }
-      }
-    }
-  }
-  if (effective_changed) {
-    ++epoch_;
-  } else {
-    AGENTNET_COUNT(kDerivedCacheHits);  // CSR snapshot stayed warm
-  }
-}
-
-void World::rebuild_flap_row_drops() {
-  const std::size_t n = geo_graph_.node_count();
-  flap_row_drops_.assign(n, 0);
-  for (NodeId u = 0; u < n; ++u)
-    flap_row_drops_[u] = static_cast<std::uint32_t>(
-        geo_graph_.out_degree(u) - flapped_.out_degree(u));
-}
-
-void World::init_shards() {
-  const double tile =
-      std::max(radio_.max_base_range() * shard_tile_factor_, 1e-9);
-  shards_ = std::make_unique<WorldShards>(bounds_, tile, maybe_dirty_,
-                                          built_positions_, ranges_,
-                                          batteries_);
-  csr_.rebuild_padded_from(graph());
-  if (weather_active_ && flapped_valid_) rebuild_flap_row_drops();
-}
-
-void World::set_sharding(bool sharded) {
-  AGENTNET_REQUIRE(!fixed_topology_ || !sharded,
-                   "fixed-topology worlds do not shard");
-  if (sharded == sharded_) return;
-  set_script(nullptr);
-  sharded_ = sharded;
-  if (sharded_) {
-    init_shards();
-  } else {
-    shards_.reset();
-    csr_.rebuild_from(graph());  // repack dense; logically unchanged
   }
 }
 
@@ -401,14 +265,12 @@ ThreadPool* World::shard_pool() {
 
 std::size_t World::memory_bytes() const {
   std::size_t bytes = positions_.capacity() * sizeof(Vec2) +
-                      built_positions_.capacity() * sizeof(Vec2) +
                       ranges_.capacity() * sizeof(double) +
                       maybe_dirty_.capacity() * sizeof(NodeId) +
-                      dirty_.capacity() * sizeof(NodeId) +
                       touched_rows_.capacity() * sizeof(NodeId) +
                       flap_row_drops_.capacity() * sizeof(std::uint32_t) +
-                      geo_graph_.heap_bytes() + back_graph_.heap_bytes() +
-                      csr_.heap_bytes() + builder_.heap_bytes();
+                      geo_graph_.heap_bytes() + csr_.heap_bytes() +
+                      builder_.heap_bytes();
   if (weather_active_)
     bytes += flapped_.heap_bytes() + back_flapped_.heap_bytes();
   if (shards_) bytes += shards_->heap_bytes();
@@ -452,22 +314,13 @@ void World::rebuild_derived() {
   // between steps, so recomputing here reproduces the built state exactly.
   for (std::size_t i = 0; i < ranges_.size(); ++i)
     ranges_[i] = quantized_range(static_cast<NodeId>(i));
-  built_positions_ = positions_;
   builder_.build_into(geo_graph_, positions_, ranges_);
-  if (weather_active_) {
-    rebuild_flapped();
-    std::swap(flapped_, back_flapped_);
-    flapped_valid_ = true;
-    flap_window_ = step_ / flapper_->persistence();
-  }
-  if (sharded_) {
-    // Shard tiles, padded CSR and weather row counts are all derived
-    // state — rebuilt here, never serialized, so the snapshot bytes are
-    // identical to a flat world's.
-    init_shards();
-  } else {
-    csr_.rebuild_from(graph());
-  }
+  if (weather_active_) redraw_weather();
+  const double tile =
+      std::max(radio_.max_base_range() * kShardTileFactor, 1e-9);
+  shards_ = std::make_unique<WorldShards>(bounds_, tile, maybe_dirty_,
+                                          positions_, ranges_, batteries_);
+  csr_.rebuild_padded_from(graph());
 }
 
 void World::set_link_flapper(std::optional<LinkFlapper> flapper) {
@@ -476,21 +329,10 @@ void World::set_link_flapper(std::optional<LinkFlapper> flapper) {
   set_script(nullptr);
   flapper_ = std::move(flapper);
   weather_active_ = flapper_ && flapper_->drop_probability() > 0.0;
-  flapped_valid_ = false;
   // Reconfiguration: the effective view may have switched representation,
   // so refresh it and conservatively open a new epoch.
-  if (weather_active_) {
-    rebuild_flapped();
-    std::swap(flapped_, back_flapped_);
-    flapped_valid_ = true;
-    flap_window_ = step_ / flapper_->persistence();
-  }
-  if (sharded_) {
-    csr_.rebuild_padded_from(graph());
-    if (weather_active_) rebuild_flap_row_drops();
-  } else {
-    csr_.rebuild_from(graph());
-  }
+  if (weather_active_) redraw_weather();
+  csr_.rebuild_padded_from(graph());
   ++epoch_;
 }
 

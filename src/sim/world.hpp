@@ -7,21 +7,16 @@
 // boards) owned by the task layer, matching the paper's "the nodes
 // themselves run no programs".
 //
-// Topology maintenance is incremental by default: advance() collects the
-// dirty set (nodes whose position or quantized range changed — stationary,
-// mains-powered nodes are clean forever) and patches only the affected
-// rows; set AGENTNET_TOPO_INCREMENTAL=0 for the full per-step rebuild.
-// Both paths produce bit-identical graphs; epoch() counts the steps where
-// the edge set actually changed, so derived-state consumers can memoise on
-// it (docs/PERFORMANCE.md, "Incremental topology maintenance").
-//
-// At scale (AGENTNET_TOPO_SHARD, auto-on from AGENTNET_TOPO_SHARD_MIN_NODES
-// nodes) upkeep additionally runs *sharded*: the maybe-dirty set lives in
-// spatial tiles with SoA built state (sim/shard.hpp), the dirty scan is
-// tile-local and can fan out over a thread pool, and the frozen CSR is
-// patched row-by-row instead of refrozen wholesale. Sharded advance() is
-// bit-identical to the flat path at any thread count — same graphs, same
-// epochs, same checkpoint bytes (docs/PERFORMANCE.md, "Sharded world").
+// Topology upkeep has one path (docs/PERFORMANCE.md, "Topology upkeep").
+// Only nodes that can move or discharge can ever dirty the graph; they live
+// in spatial tiles with SoA built state (sim/shard.hpp). Each advance()
+// scans those tiles for nodes whose position or quantized range changed
+// (the scan can fan out over a thread pool), patches exactly the affected
+// graph rows and patches the same rows of a padded CSR. The result equals
+// a full rebuild from the current snapshot at any thread count; the tests
+// hold that full rebuild as their oracle. epoch() counts the steps where
+// the edge set actually changed, so derived-state consumers can memoise
+// on it.
 //
 // A world attached to a WorldScript (sim/world_script.hpp) replays a
 // recorded run's topology instead: mobility and batteries still step live,
@@ -107,26 +102,7 @@ class World {
     return radio_.effective_range(node, batteries_.fraction(node));
   }
 
-  /// Selects incremental (dirty-set) vs full per-step topology upkeep.
-  /// Defaults to AGENTNET_TOPO_INCREMENTAL (on when unset). Both modes keep
-  /// every internal structure in sync, so toggling mid-run is safe and
-  /// never changes results — only the amount of work per advance().
-  void set_incremental_topology(bool incremental) {
-    if (incremental != incremental_) set_script(nullptr);
-    incremental_ = incremental;
-  }
-  bool incremental_topology() const { return incremental_; }
-
-  /// Selects spatially sharded topology upkeep (sim/shard.hpp): tile-local
-  /// dirty scans, per-row CSR patching, optional thread fan-out. Defaults
-  /// from AGENTNET_TOPO_SHARD — "auto" (on from AGENTNET_TOPO_SHARD_MIN_NODES
-  /// nodes, default 4096), or an explicit on/off. Sharded upkeep takes
-  /// precedence over the incremental/full toggle and keeps every structure
-  /// in sync, so toggling mid-run is safe and never changes results.
-  void set_sharding(bool sharded);
-  bool sharded() const { return sharded_; }
-
-  /// Worker threads for the sharded dirty scan and row gather; 1 (the
+  /// Worker threads for the tile-local dirty scan and row gather; 1 (the
   /// default, or AGENTNET_TOPO_SHARD_THREADS) is the exact serial path and
   /// every setting is bit-identical — threads only redistribute tile-local
   /// work (0 resolves AGENTNET_THREADS / hardware concurrency).
@@ -139,8 +115,8 @@ class World {
   std::size_t memory_bytes() const;
 
   /// Installs (or clears) link weather: down links are removed from the
-  /// graph() view (the geometric topology is kept separately so
-  /// incremental upkeep can diff against it). Takes effect immediately.
+  /// graph() view (the geometric topology is kept separately so upkeep
+  /// can patch it). Takes effect immediately.
   void set_link_flapper(std::optional<LinkFlapper> flapper);
   const std::optional<LinkFlapper>& link_flapper() const { return flapper_; }
 
@@ -149,55 +125,49 @@ class World {
   /// script's step for the current clock instead of running topology
   /// upkeep. The script is caller-owned, immutable and may be shared by
   /// any number of worlds. nullptr — or advancing past the script's end —
-  /// returns to live upkeep; so do the upkeep reconfigurations
-  /// (set_incremental_topology, set_sharding, set_link_flapper).
+  /// returns to live upkeep; so does set_link_flapper.
   void set_script(const WorldScript* script);
   const WorldScript* script() const { return script_; }
 
   /// Checkpoint support. Serializes the evolving state (positions, clock,
   /// batteries, mobility, epoch counters); load_state rebuilds the derived
-  /// topology — ranges, geometric graph, weather view, CSR — from the
-  /// restored snapshot, which reproduces it bit-for-bit because it is a
-  /// pure function of that state. Call on a world constructed from the
+  /// topology — ranges, geometric graph, weather view, CSR, shard tiles —
+  /// from the restored snapshot, which reproduces it bit-for-bit because it
+  /// is a pure function of that state. Call on a world constructed from the
   /// same config (same node count, policy, flapper and env knobs).
   void save_state(snapshot::ByteWriter& w) const;
   void load_state(snapshot::ByteReader& r);
 
  private:
+  /// Shard tile edge as a multiple of the largest base radio range.
+  static constexpr double kShardTileFactor = 4.0;
+
   /// Quantized effective range: AGENTNET_TOPO_RANGE_QUANTUM > 0 coarsens
   /// ranges to multiples of the quantum (fewer range-dirty nodes per step);
-  /// the default 0 is the exact identity. Applied identically in both
-  /// upkeep modes, so they always agree bit for bit.
+  /// the default 0 is the exact identity.
   double quantized_range(NodeId node) const;
-  /// Fills dirty_ (ascending) with the maybe-dirty nodes whose position or
-  /// quantized range changed since the last build, refreshing ranges_.
-  void collect_dirty();
-  /// Rebuilds or patches the geometric graph for the current snapshot.
+  /// The live advance() tail: tile scan, row gather, graph and CSR row
+  /// patching.
   void refresh_topology();
-  /// Refreshes the weather view, CSR snapshot and epoch after the
-  /// geometric graph may have changed.
+  /// Refreshes the weather view, CSR rows and epoch after the geometric
+  /// graph may have changed at the rows listed in touched_rows_.
   void refresh_effective(bool geo_changed);
   /// The replaying advance() tail: applies the script's edge changes for
   /// the step just taken, bumps the epochs and re-emits its counters.
   void replay_topology();
-  /// Rebuilds every derived structure (ranges, built positions, builder
-  /// grid, graphs, CSR, shards) from the current node state.
+  /// Rebuilds every derived structure (ranges, builder grid, graphs, shard
+  /// tiles, CSR) from the current node state.
   void rebuild_derived();
-  /// Filter-copies geo_graph_ minus down links into back_flapped_,
-  /// counting the drops (kLinkFlaps totals match the historical
-  /// apply-every-step path).
-  void rebuild_flapped();
-  /// The sharded advance() tail: tile scan, parallel row gather, CSR row
-  /// patching. Bit-identical to refresh_topology()'s flat body.
-  void refresh_topology_sharded();
-  /// Sharded counterpart of refresh_effective(): patches weather rows and
-  /// CSR rows listed in touched_rows_ instead of rebuilding wholesale.
-  void refresh_effective_sharded(bool geo_changed);
-  /// (Re)builds the shard tiles + padded CSR from the current built state.
-  void init_shards();
-  /// Refreshes flap_row_drops_ (per-row weather drop counts) from the
-  /// current geo/flapped pair; sharded weather bookkeeping.
-  void rebuild_flap_row_drops();
+  /// Re-draws the whole weather view from geo_graph_ for the current
+  /// window (double-buffered through back_flapped_), refreshing the per-row
+  /// drop counts. Returns whether the view changed.
+  bool redraw_weather();
+  /// Fills flap_scratch_ with u's geometric out-neighbours that are up
+  /// this step; returns how many the weather drops.
+  std::uint32_t filter_row(NodeId u);
+  /// Patches the CSR at `rows` from graph(), re-freezing it wholesale when
+  /// a row outgrows its padded slot.
+  void patch_csr(const std::vector<NodeId>& rows);
   ThreadPool* shard_pool();
 
   Aabb bounds_;
@@ -206,36 +176,26 @@ class World {
   BatteryBank batteries_;
   std::unique_ptr<MobilityModel> mobility_;
   TopologyBuilder builder_;
-  // Pure geometric topology (no weather). Incremental updates patch it in
-  // place; full rebuilds write into back_graph_ (recycling its per-node
-  // capacity) and swap — steady-state advance() allocates nothing.
+  // Pure geometric topology (no weather), patched in place every step.
   Graph geo_graph_;
-  Graph back_graph_;
   // Weather view double buffer, used only while a flapper is active.
   Graph flapped_;
   Graph back_flapped_;
-  CsrView csr_;
+  CsrView csr_;  ///< Frozen graph(), padded and patched per row.
   std::vector<double> ranges_;  ///< Quantized ranges as of the last build.
-  std::vector<Vec2> built_positions_;  ///< Positions as of the last build.
   std::vector<NodeId> maybe_dirty_;  ///< Nodes that can ever become dirty.
-  std::vector<NodeId> dirty_;        ///< collect_dirty() output (scratch).
   std::vector<NodeId> flap_scratch_;
   std::optional<LinkFlapper> flapper_;
   bool weather_active_ = false;
-  bool flapped_valid_ = false;
   std::uint64_t flap_window_ = 0;
-  std::size_t flap_drops_ = 0;  ///< Drops in the last weather rebuild.
-  bool incremental_ = true;
-  // Sharded upkeep (docs/PERFORMANCE.md, "Sharded world"). All of it is
-  // derived state: checkpoints never serialize shard structures, load_state
-  // rebuilds them, so snapshots stay byte-compatible with flat worlds.
+  std::size_t flap_drops_ = 0;  ///< Drops in the current weather view.
+  // Shard tiles are derived state: checkpoints never serialize them,
+  // load_state rebuilds them. Null only on fixed() worlds.
   std::unique_ptr<WorldShards> shards_;
   std::unique_ptr<ThreadPool> shard_pool_;
   std::vector<NodeId> touched_rows_;  ///< update_into() modified-row output.
   std::vector<std::uint32_t> flap_row_drops_;  ///< Weather drops per row.
-  bool sharded_ = false;
   std::size_t shard_threads_ = 1;
-  double shard_tile_factor_ = 4.0;
   double quantum_ = 0.0;
   std::uint64_t epoch_ = 0;
   std::uint64_t state_epoch_ = 0;

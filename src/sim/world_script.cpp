@@ -70,8 +70,6 @@ WorldScript WorldScript::record(
     using obs::Counter;
     step.nodes_dirty = delta(scratch.counters, Counter::kTopoNodesDirty,
                              counters);
-    step.full_rebuilds = delta(scratch.counters, Counter::kTopoFullRebuilds,
-                               counters);
     step.cache_hits = delta(scratch.counters, Counter::kDerivedCacheHits,
                             counters);
     step.tiles_dirty = delta(scratch.counters, Counter::kShardTilesDirty,

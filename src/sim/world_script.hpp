@@ -3,7 +3,7 @@
 // A scenario world whose mobility is a recorded trace and whose batteries
 // drain deterministically evolves identically in every replication: its
 // link graph is a pure function of (scenario, step). WorldScript::record
-// drives one such world through its steps on the ordinary live upkeep path
+// drives one such world through its steps on the live upkeep path
 // and keeps, per step, the directed edge changes, the epoch bumps and the
 // topology counters that advance() emitted. A World attached to the script
 // (World::set_script) still steps mobility and batteries live but applies
@@ -33,10 +33,9 @@ class WorldScript {
     std::uint32_t added_end = 0;    ///< End of this step's added_ range.
     bool epoch_bumped = false;
     bool state_bumped = false;
-    // Topology counter increments (kTopoNodesDirty, kTopoFullRebuilds,
-    // kDerivedCacheHits, kShardTilesDirty, kShardHaloRows).
+    // Topology counter increments (kTopoNodesDirty, kDerivedCacheHits,
+    // kShardTilesDirty, kShardHaloRows).
     std::uint32_t nodes_dirty = 0;
-    std::uint32_t full_rebuilds = 0;
     std::uint32_t cache_hits = 0;
     std::uint32_t tiles_dirty = 0;
     std::uint32_t halo_rows = 0;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -59,6 +61,30 @@ TEST_F(EnvTest, DoubleParses) {
 TEST_F(EnvTest, DoubleRejectsGarbage) {
   set("AGENTNET_TEST_DBL", "x");
   EXPECT_THROW(env_double("AGENTNET_TEST_DBL", 0.0), ConfigError);
+}
+
+TEST_F(EnvTest, DoubleRejectsNonFiniteNamingTheVariable) {
+  // No AGENTNET_* double knob means anything at infinity, and NaN slips
+  // past every range check, so both are rejected at the parse.
+  for (const char* v : {"inf", "-inf", "INF", "infinity", "nan", "-nan",
+                        "NaN", "1e999"}) {
+    set("AGENTNET_TEST_DBL", v);
+    try {
+      env_double("AGENTNET_TEST_DBL", 0.0);
+      ADD_FAILURE() << v << " was accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("AGENTNET_TEST_DBL"),
+                std::string::npos)
+          << v << ": " << e.what();
+    }
+  }
+}
+
+TEST_F(EnvTest, DoubleAcceptsFiniteExtremes) {
+  set("AGENTNET_TEST_DBL", "-0");
+  EXPECT_EQ(env_double("AGENTNET_TEST_DBL", 1.0), 0.0);
+  set("AGENTNET_TEST_DBL", "1.7e308");
+  EXPECT_EQ(env_double("AGENTNET_TEST_DBL", 0.0), 1.7e308);
 }
 
 TEST_F(EnvTest, BoolTruthyForms) {

@@ -2,9 +2,10 @@
 //
 // Three layers of protection for the "not a single output bit changes"
 // contract (docs/ARCHITECTURE.md):
-//   1. TopologyBuilder::build / build_into vs a naive O(n²) reference
-//      builder, across all three LinkPolicy values, mobility steps and
-//      link weather.
+//   1. TopologyBuilder::build / build_into, and World::advance()'s
+//      incremental upkeep, vs a naive O(n²) reference builder (the
+//      full-rebuild oracle), across all three LinkPolicy values, mobility
+//      steps, range quantization, link weather and fault plans.
 //   2. CsrView vs the Graph it froze (neighbour order, BFS, connectivity).
 //   3. Golden end-to-end values captured from the pre-refactor build for
 //      every system whose tables moved from std::map to FlatMap (routing
@@ -28,6 +29,8 @@
 #include "net/topology.hpp"
 #include "routing/connectivity.hpp"
 #include "sim/world.hpp"
+
+#include "../sim/topology_oracle.hpp"
 
 namespace agentnet {
 namespace {
@@ -305,10 +308,11 @@ TEST(GoldenEquivalenceTest, LinkStateFlooding) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental topology maintenance: the dirty-set patch path must agree
-// with the full per-step rebuild bit for bit — across link policies, link
-// weather, fault plans and range quantization — and epoch() must move
-// exactly when the edge set does.
+// Topology upkeep against the naive oracle: World::advance() patches the
+// graph incrementally, and at every step the result must equal the naive
+// O(n²) rebuild from the current positions and quantized ranges — across
+// link policies, link weather, range quantization and fault plans — with
+// the CSR frozen from it and epoch() moving exactly when the edge set does.
 
 RoutingScenario churn_scenario(LinkPolicy policy, std::uint64_t seed) {
   RoutingScenarioParams params;
@@ -320,66 +324,50 @@ RoutingScenario churn_scenario(LinkPolicy policy, std::uint64_t seed) {
   return RoutingScenario(params, seed);
 }
 
-TEST(IncrementalEquivalenceTest, LockstepMatchesFullAcrossPoliciesAndWeather) {
+Graph naive_oracle(const World& world, double quantum) {
+  Graph graph = naive_build(world.positions(), quantized_ranges(world, quantum),
+                            world.link_policy());
+  apply_weather(world, graph);
+  return graph;
+}
+
+TEST(UpkeepOracleTest, MatchesNaiveRebuildAcrossPoliciesWeatherAndQuantum) {
   for (LinkPolicy policy : {LinkPolicy::kDirected, LinkPolicy::kSymmetricAnd,
                             LinkPolicy::kSymmetricOr}) {
     for (bool weather : {false, true}) {
-      const RoutingScenario scenario =
-          churn_scenario(policy, 11 + static_cast<std::uint64_t>(policy));
-      World full = scenario.make_world();
-      World incr = scenario.make_world();
-      World shard = scenario.make_world();
-      full.set_incremental_topology(false);
-      incr.set_incremental_topology(true);
-      shard.set_sharding(true);  // third upkeep mode, same contract
-      if (weather) {
-        full.set_link_flapper(LinkFlapper(0.15, 3, 0xF1A9));
-        incr.set_link_flapper(LinkFlapper(0.15, 3, 0xF1A9));
-        shard.set_link_flapper(LinkFlapper(0.15, 3, 0xF1A9));
-      }
-      for (int step = 0; step < 35; ++step) {
-        ASSERT_EQ(incr.graph(), full.graph())
-            << "policy " << static_cast<int>(policy) << " weather "
-            << weather << " step " << step;
-        ASSERT_EQ(incr.csr(), full.csr());
-        ASSERT_EQ(incr.csr(), CsrView(incr.graph()));
-        ASSERT_EQ(incr.epoch(), full.epoch());
-        ASSERT_EQ(shard.graph(), full.graph())
-            << "sharded, policy " << static_cast<int>(policy) << " weather "
-            << weather << " step " << step;
-        ASSERT_EQ(shard.csr(), full.csr());
-        ASSERT_EQ(shard.epoch(), full.epoch());
-        full.advance();
-        incr.advance();
-        shard.advance();
+      for (const char* quantum : {"0", "7.5"}) {
+        ASSERT_EQ(setenv("AGENTNET_TOPO_RANGE_QUANTUM", quantum, 1), 0);
+        World world =
+            churn_scenario(policy, 11 + static_cast<std::uint64_t>(policy))
+                .make_world();
+        ASSERT_EQ(unsetenv("AGENTNET_TOPO_RANGE_QUANTUM"), 0);
+        if (weather) world.set_link_flapper(LinkFlapper(0.15, 3, 0xF1A9));
+        const double q = std::atof(quantum);
+        for (int step = 0; step < 35; ++step) {
+          const Graph before = world.graph();
+          const std::uint64_t epoch = world.epoch();
+          world.advance();
+          ASSERT_EQ(world.graph(), naive_oracle(world, q))
+              << "policy " << static_cast<int>(policy) << " weather "
+              << weather << " quantum " << quantum << " step " << step;
+          ASSERT_EQ(world.csr(), CsrView(world.graph()));
+          ASSERT_EQ(world.epoch() != epoch, !(world.graph() == before));
+        }
       }
     }
   }
 }
 
-TEST(IncrementalEquivalenceTest, EpochMovesExactlyWithEdgeSet) {
-  for (bool incremental : {false, true}) {
-    const RoutingScenario scenario =
-        churn_scenario(LinkPolicy::kSymmetricAnd, 29);
-    World world = scenario.make_world();
-    world.set_incremental_topology(incremental);
-    bool epoch_held = false, epoch_moved = false;
-    for (int step = 0; step < 40; ++step) {
-      const Graph before = world.graph();
-      const std::uint64_t epoch = world.epoch();
-      world.advance();
-      const bool changed = !(world.graph() == before);
-      ASSERT_EQ(world.epoch() != epoch, changed)
-          << "incremental " << incremental << " step " << step;
-      (changed ? epoch_moved : epoch_held) = true;
-    }
-    // The scenario must exercise both directions of the iff.
-    EXPECT_TRUE(epoch_moved);
-    EXPECT_TRUE(epoch_held);
-  }
+TEST(UpkeepOracleTest, EpochMovesExactlyWithEdgeSet) {
+  World world = churn_scenario(LinkPolicy::kSymmetricAnd, 29).make_world();
+  const EpochTally tally =
+      expect_upkeep_matches_oracle(world, 40, 0.0, "epoch iff");
+  // The scenario must exercise both directions of the iff.
+  EXPECT_GT(tally.moved, 0u);
+  EXPECT_GT(tally.held, 0u);
 }
 
-TEST(IncrementalEquivalenceTest, FaultMasksMatchFullRecomputeUnderFaultPlans) {
+TEST(UpkeepOracleTest, FaultMasksMatchOracleUnderFaultPlans) {
   FaultPlan plan;
   plan.node_crash_probability = 0.04;
   plan.crash_persistence = 5;
@@ -388,38 +376,34 @@ TEST(IncrementalEquivalenceTest, FaultMasksMatchFullRecomputeUnderFaultPlans) {
   plan.blackouts.push_back(Blackout{{210.0, 210.0}, 120.0, 8, 12});
   plan.weather_seed = 0xD00D;
 
-  const RoutingScenario scenario =
-      churn_scenario(LinkPolicy::kSymmetricAnd, 31);
-  World full = scenario.make_world();
-  World incr = scenario.make_world();
-  full.set_incremental_topology(false);
-  incr.set_incremental_topology(true);
-  // The full side uses the Graph overload (recomputes every new step); the
-  // incremental side uses the World overload with the cross-step cache.
-  FaultInjector full_inj(plan, Rng(1));
-  FaultInjector incr_inj(plan, Rng(1));
-  obs::RunObs full_obs, incr_obs;
+  World world = churn_scenario(LinkPolicy::kSymmetricAnd, 31).make_world();
+  // The oracle side masks the naive rebuild with the Graph overload
+  // (recomputes every new step); the world side uses the World overload
+  // with the cross-step cache.
+  FaultInjector oracle_inj(plan, Rng(1));
+  FaultInjector world_inj(plan, Rng(1));
+  obs::RunObs oracle_obs, world_obs;
   for (int step = 0; step < 35; ++step) {
+    const Graph oracle = naive_oracle(world, 0.0);
     {
-      obs::ObsRunScope scope(full_obs);
+      obs::ObsRunScope scope(oracle_obs);
       const Graph& a =
-          full_inj.live_graph(full.graph(), full.positions(), full.step());
-      obs::ObsRunScope scope2(incr_obs);
-      const Graph& b = incr_inj.live_graph(incr, incr.step());
+          oracle_inj.live_graph(oracle, world.positions(), world.step());
+      obs::ObsRunScope scope2(world_obs);
+      const Graph& b = world_inj.live_graph(world, world.step());
       ASSERT_EQ(b, a) << "step " << step;
     }
-    full.advance();
-    incr.advance();
+    world.advance();
   }
   // Cross-step cache hits re-emit the cached drop total, so the per-run
   // counter footers agree with the recompute-every-step path. (A half-
   // mobile world changes epoch every step, so no hits are expected here —
   // the static-world test below covers the hit path.)
-  EXPECT_EQ(incr_obs.counters.value(obs::Counter::kFaultLinkDrops),
-            full_obs.counters.value(obs::Counter::kFaultLinkDrops));
+  EXPECT_EQ(world_obs.counters.value(obs::Counter::kFaultLinkDrops),
+            oracle_obs.counters.value(obs::Counter::kFaultLinkDrops));
 }
 
-TEST(IncrementalEquivalenceTest, FaultMaskCrossStepCacheHitsOnStaticWorld) {
+TEST(UpkeepOracleTest, FaultMaskCrossStepCacheHitsOnStaticWorld) {
   // On a static world the graph epoch never moves, so the World-overload
   // mask is recomputed only when a crash or burst window flips; all other
   // steps must be cache hits with identical masks and drop totals.
@@ -457,23 +441,6 @@ TEST(IncrementalEquivalenceTest, FaultMaskCrossStepCacheHitsOnStaticWorld) {
   EXPECT_EQ(cached_obs.counters.value(obs::Counter::kFaultLinkDrops),
             ref_obs.counters.value(obs::Counter::kFaultLinkDrops));
   EXPECT_GT(cached_obs.counters.value(obs::Counter::kDerivedCacheHits), 0u);
-}
-
-TEST(IncrementalEquivalenceTest, RangeQuantizationKeepsModesIdentical) {
-  ASSERT_EQ(setenv("AGENTNET_TOPO_RANGE_QUANTUM", "7.5", 1), 0);
-  const RoutingScenario scenario =
-      churn_scenario(LinkPolicy::kSymmetricAnd, 37);
-  World full = scenario.make_world();
-  World incr = scenario.make_world();
-  ASSERT_EQ(unsetenv("AGENTNET_TOPO_RANGE_QUANTUM"), 0);
-  full.set_incremental_topology(false);
-  incr.set_incremental_topology(true);
-  for (int step = 0; step < 30; ++step) {
-    ASSERT_EQ(incr.graph(), full.graph()) << "step " << step;
-    ASSERT_EQ(incr.epoch(), full.epoch()) << "step " << step;
-    full.advance();
-    incr.advance();
-  }
 }
 
 TEST(GoldenEquivalenceTest, MappingRadius1MeetingsUnderFaults) {

@@ -1,15 +1,17 @@
-// Sharded-world equivalence suite (ctest label: perf).
+// Topology-upkeep oracle suite (ctest label: perf).
 //
-// The contract under test (docs/PERFORMANCE.md, "Sharded world"): sharded
-// advance() is bit-identical to the flat path — same graphs, same CSR, same
-// epoch()/state_epoch(), same fault masks, same checkpoint bytes — across
-// link policies, mobility, link weather, fault plans and shard thread
-// counts {1, 2, 7}; plus halo-edge goldens for links that cross tile
-// boundaries and the env knobs that select the mode.
+// The contract under test (docs/PERFORMANCE.md, "Topology upkeep"): the
+// tile-sharded incremental advance() produces, at every step, exactly the
+// graph a full rebuild from the current snapshot would — with the CSR
+// frozen from it and epoch() moving exactly when the edge set does — across
+// link policies, mobility, link weather, range quantization, fault plans,
+// checkpoint/restore and shard thread counts {1, 2, 7}; plus halo-edge
+// goldens for links that cross tile boundaries.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -21,9 +23,9 @@
 #include "net/link_noise.hpp"
 #include "obs/scope.hpp"
 #include "radio/range_model.hpp"
-#include "sim/shard.hpp"
 #include "sim/world.hpp"
 #include "snapshot/bytes.hpp"
+#include "topology_oracle.hpp"
 
 namespace agentnet {
 namespace {
@@ -38,60 +40,53 @@ RoutingScenario churn_scenario(LinkPolicy policy, std::uint64_t seed) {
   return RoutingScenario(params, seed);
 }
 
-void expect_lockstep_equal(World& sharded, World& flat, int steps,
-                           const char* what) {
-  for (int step = 0; step < steps; ++step) {
-    ASSERT_EQ(sharded.graph(), flat.graph()) << what << " step " << step;
-    ASSERT_EQ(sharded.csr(), flat.csr()) << what << " step " << step;
-    ASSERT_EQ(sharded.csr(), CsrView(sharded.graph()))
-        << what << " step " << step;
-    ASSERT_EQ(sharded.epoch(), flat.epoch()) << what << " step " << step;
-    ASSERT_EQ(sharded.state_epoch(), flat.state_epoch())
-        << what << " step " << step;
-    sharded.advance();
-    flat.advance();
-  }
+/// Builds a churn world under AGENTNET_TOPO_RANGE_QUANTUM=`quantum`.
+World quantized_world(const RoutingScenario& scenario, const char* quantum) {
+  EXPECT_EQ(setenv("AGENTNET_TOPO_RANGE_QUANTUM", quantum, 1), 0);
+  World world = scenario.make_world();
+  EXPECT_EQ(unsetenv("AGENTNET_TOPO_RANGE_QUANTUM"), 0);
+  return world;
 }
 
-TEST(ShardedWorldTest, LockstepMatchesFlatAcrossPoliciesWeatherAndThreads) {
+TEST(ShardedWorldTest, MatchesOracleAcrossPoliciesWeatherQuantumAndThreads) {
   for (LinkPolicy policy : {LinkPolicy::kDirected, LinkPolicy::kSymmetricAnd,
                             LinkPolicy::kSymmetricOr}) {
     for (bool weather : {false, true}) {
-      for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{7}}) {
-        const RoutingScenario scenario =
-            churn_scenario(policy, 11 + static_cast<std::uint64_t>(policy));
-        World flat = scenario.make_world();
-        World sharded = scenario.make_world();
-        flat.set_sharding(false);
-        sharded.set_sharding(true);
-        sharded.set_shard_threads(threads);
-        ASSERT_TRUE(sharded.sharded());
-        ASSERT_FALSE(flat.sharded());
-        if (weather) {
-          flat.set_link_flapper(LinkFlapper(0.15, 3, 0xF1A9));
-          sharded.set_link_flapper(LinkFlapper(0.15, 3, 0xF1A9));
+      for (const char* quantum : {"0", "7.5"}) {
+        for (std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{7}}) {
+          const RoutingScenario scenario =
+              churn_scenario(policy, 11 + static_cast<std::uint64_t>(policy));
+          World world = quantized_world(scenario, quantum);
+          world.set_shard_threads(threads);
+          if (weather) world.set_link_flapper(LinkFlapper(0.15, 3, 0xF1A9));
+          const std::string what =
+              "policy " + std::to_string(static_cast<int>(policy)) +
+              " weather " + std::to_string(weather) + " quantum " + quantum +
+              " threads " + std::to_string(threads);
+          const EpochTally tally = expect_upkeep_matches_oracle(
+              world, 35, std::atof(quantum), what);
+          ASSERT_FALSE(HasFailure()) << what;
+          EXPECT_GT(tally.moved, 10u) << what << ": too little churn";
         }
-        expect_lockstep_equal(sharded, flat, 35, "sharded-vs-flat");
       }
     }
   }
 }
 
-TEST(ShardedWorldTest, RangeQuantizationKeepsModesIdentical) {
-  ASSERT_EQ(setenv("AGENTNET_TOPO_RANGE_QUANTUM", "7.5", 1), 0);
-  const RoutingScenario scenario =
-      churn_scenario(LinkPolicy::kSymmetricAnd, 37);
-  World flat = scenario.make_world();
-  World sharded = scenario.make_world();
-  ASSERT_EQ(unsetenv("AGENTNET_TOPO_RANGE_QUANTUM"), 0);
-  flat.set_sharding(false);
-  sharded.set_sharding(true);
-  sharded.set_shard_threads(2);
-  expect_lockstep_equal(sharded, flat, 30, "quantized");
+/// Nodes whose position or quantized range differ between two snapshots.
+std::size_t changed_nodes(const std::vector<Vec2>& before_pos,
+                          const std::vector<double>& before_ranges,
+                          const World& world) {
+  const std::vector<double> ranges = quantized_ranges(world, 0.0);
+  std::size_t n = 0;
+  for (NodeId v = 0; v < world.node_count(); ++v)
+    if (before_pos[v] != world.positions()[v] || before_ranges[v] != ranges[v])
+      ++n;
+  return n;
 }
 
-TEST(ShardedWorldTest, FaultMasksAndDropTotalsMatchFlatUnderFaultPlans) {
+TEST(ShardedWorldTest, FaultMasksAndCountersMatchOracleUnderFaultPlans) {
   FaultPlan plan;
   plan.node_crash_probability = 0.04;
   plan.crash_persistence = 5;
@@ -103,109 +98,102 @@ TEST(ShardedWorldTest, FaultMasksAndDropTotalsMatchFlatUnderFaultPlans) {
   for (std::size_t threads : {std::size_t{1}, std::size_t{7}}) {
     const RoutingScenario scenario =
         churn_scenario(LinkPolicy::kSymmetricAnd, 31);
-    World flat = scenario.make_world();
-    World sharded = scenario.make_world();
-    flat.set_sharding(false);
-    sharded.set_sharding(true);
-    sharded.set_shard_threads(threads);
-    flat.set_link_flapper(LinkFlapper(0.1, 4, 0xABCD));
-    sharded.set_link_flapper(LinkFlapper(0.1, 4, 0xABCD));
-    FaultInjector flat_inj(plan, Rng(1));
-    FaultInjector sharded_inj(plan, Rng(1));
-    obs::RunObs flat_obs, sharded_obs;
+    World world = scenario.make_world();
+    world.set_shard_threads(threads);
+    world.set_link_flapper(LinkFlapper(0.1, 4, 0xABCD));
+    // The oracle side masks the from-scratch graph with the Graph overload
+    // (recomputes every step); the world side uses the World overload with
+    // its epoch-keyed cross-step cache.
+    FaultInjector oracle_inj(plan, Rng(1));
+    FaultInjector world_inj(plan, Rng(1));
+    obs::RunObs oracle_obs, world_obs;
     for (int step = 0; step < 35; ++step) {
+      const Graph oracle = full_rebuild_oracle(world, 0.0);
       {
-        obs::ObsRunScope scope(flat_obs);
-        const Graph& a = flat_inj.live_graph(flat, flat.step());
-        obs::ObsRunScope scope2(sharded_obs);
-        const Graph& b = sharded_inj.live_graph(sharded, sharded.step());
+        obs::ObsRunScope scope(oracle_obs);
+        const Graph& a =
+            oracle_inj.live_graph(oracle, world.positions(), world.step());
+        obs::ObsRunScope scope2(world_obs);
+        const Graph& b = world_inj.live_graph(world, world.step());
         ASSERT_EQ(b, a) << "threads " << threads << " step " << step;
       }
+      const std::vector<Vec2> positions = world.positions();
+      const std::vector<double> ranges = quantized_ranges(world, 0.0);
+      const obs::MetricsSnapshot before = obs::snapshot(world_obs.counters);
       {
-        obs::ObsRunScope scope(flat_obs);
-        flat.advance();
+        obs::ObsRunScope scope(world_obs);
+        world.advance();
       }
-      {
-        obs::ObsRunScope scope(sharded_obs);
-        sharded.advance();
-      }
+      const obs::MetricsSnapshot after = obs::snapshot(world_obs.counters);
+      const auto delta = [&](obs::Counter c) {
+        return after.value(c) - before.value(c);
+      };
+      // Every advance charges each link the weather holds down, and
+      // exactly the nodes whose position or range changed count as dirty.
+      TopologyBuilder builder(world.bounds(), world.radio().max_base_range(),
+                              world.link_policy());
+      const Graph geo =
+          builder.build(world.positions(), quantized_ranges(world, 0.0));
+      ASSERT_EQ(delta(obs::Counter::kLinkFlaps),
+                geo.edge_count() - world.graph().edge_count())
+          << "threads " << threads << " step " << step;
+      ASSERT_EQ(delta(obs::Counter::kTopoNodesDirty),
+                changed_nodes(positions, ranges, world))
+          << "threads " << threads << " step " << step;
     }
-    EXPECT_EQ(sharded_obs.counters.value(obs::Counter::kFaultLinkDrops),
-              flat_obs.counters.value(obs::Counter::kFaultLinkDrops));
-    // Weather totals must agree too — the sharded path maintains a running
-    // per-row drop total instead of recounting, and the totals may not
-    // drift by a single link.
-    EXPECT_EQ(sharded_obs.counters.value(obs::Counter::kLinkFlaps),
-              flat_obs.counters.value(obs::Counter::kLinkFlaps));
-    EXPECT_EQ(sharded_obs.counters.value(obs::Counter::kTopoNodesDirty),
-              flat_obs.counters.value(obs::Counter::kTopoNodesDirty));
+    EXPECT_EQ(world_obs.counters.value(obs::Counter::kFaultLinkDrops),
+              oracle_obs.counters.value(obs::Counter::kFaultLinkDrops));
+    EXPECT_EQ(world_obs.counters.value(obs::Counter::kTopoFullRebuilds), 0u);
   }
 }
 
-TEST(ShardedWorldTest, CheckpointBytesMatchFlatAndResumeBitIdentical) {
+TEST(ShardedWorldTest, CheckpointResumeMatchesOracleAtAnyThreadCount) {
   const RoutingScenario scenario =
       churn_scenario(LinkPolicy::kSymmetricAnd, 53);
-  World flat = scenario.make_world();
-  World sharded = scenario.make_world();
-  flat.set_sharding(false);
-  sharded.set_sharding(true);
-  sharded.set_shard_threads(2);
-  flat.set_link_flapper(LinkFlapper(0.12, 4, 0xC0DE));
-  sharded.set_link_flapper(LinkFlapper(0.12, 4, 0xC0DE));
+  World serial = scenario.make_world();
+  World threaded = scenario.make_world();
+  threaded.set_shard_threads(2);
+  serial.set_link_flapper(LinkFlapper(0.12, 4, 0xC0DE));
+  threaded.set_link_flapper(LinkFlapper(0.12, 4, 0xC0DE));
   for (int step = 0; step < 13; ++step) {
-    flat.advance();
-    sharded.advance();
+    serial.advance();
+    threaded.advance();
   }
-  // A sharded world's snapshot is byte-identical to the flat twin's: shard
-  // structures are derived state and never serialized.
-  snapshot::ByteWriter flat_bytes, sharded_bytes;
-  flat.save_state(flat_bytes);
-  sharded.save_state(sharded_bytes);
-  ASSERT_EQ(sharded_bytes.bytes(), flat_bytes.bytes());
+  // Shard structures are derived state and never serialized, so the bytes
+  // do not depend on the shard thread count.
+  snapshot::ByteWriter serial_bytes, threaded_bytes;
+  serial.save_state(serial_bytes);
+  threaded.save_state(threaded_bytes);
+  ASSERT_EQ(threaded_bytes.bytes(), serial_bytes.bytes());
 
-  // Restoring into a sharded world reproduces the run bit for bit — in
-  // lockstep with the uninterrupted sharded world AND with a flat restore.
-  World resumed_sharded = scenario.make_world();
-  resumed_sharded.set_sharding(true);
-  resumed_sharded.set_shard_threads(7);
-  resumed_sharded.set_link_flapper(LinkFlapper(0.12, 4, 0xC0DE));
-  snapshot::ByteReader r1(sharded_bytes.bytes());
-  resumed_sharded.load_state(r1);
-  World resumed_flat = scenario.make_world();
-  resumed_flat.set_sharding(false);
-  resumed_flat.set_link_flapper(LinkFlapper(0.12, 4, 0xC0DE));
-  snapshot::ByteReader r2(flat_bytes.bytes());
-  resumed_flat.load_state(r2);
-  ASSERT_EQ(resumed_sharded.graph(), sharded.graph());
-  ASSERT_EQ(resumed_sharded.csr(), sharded.csr());
+  // Restoring at another thread count rebuilds the tiles and the CSR from
+  // the snapshot and continues in lockstep with the uninterrupted run.
+  World resumed = scenario.make_world();
+  resumed.set_shard_threads(7);
+  resumed.set_link_flapper(LinkFlapper(0.12, 4, 0xC0DE));
+  snapshot::ByteReader r(threaded_bytes.bytes());
+  resumed.load_state(r);
+  ASSERT_EQ(resumed.graph(), threaded.graph());
+  ASSERT_EQ(resumed.csr(), threaded.csr());
+  ASSERT_EQ(resumed.epoch(), threaded.epoch());
   for (int step = 0; step < 12; ++step) {
-    ASSERT_EQ(resumed_sharded.graph(), resumed_flat.graph())
+    threaded.advance();
+    const std::uint64_t epoch = resumed.epoch();
+    const Graph before = resumed.graph();
+    resumed.advance();
+    ASSERT_EQ(resumed.graph(), full_rebuild_oracle(resumed, 0.0))
         << "step " << step;
-    ASSERT_EQ(resumed_sharded.graph(), sharded.graph()) << "step " << step;
-    ASSERT_EQ(resumed_sharded.epoch(), sharded.epoch()) << "step " << step;
-    resumed_sharded.advance();
-    resumed_flat.advance();
-    sharded.advance();
+    ASSERT_EQ(resumed.csr(), CsrView(resumed.graph())) << "step " << step;
+    ASSERT_EQ(resumed.epoch() != epoch, !(resumed.graph() == before))
+        << "step " << step;
+    ASSERT_EQ(resumed.epoch(), threaded.epoch()) << "step " << step;
+    ASSERT_EQ(resumed.state_epoch(), threaded.state_epoch())
+        << "step " << step;
   }
-}
-
-TEST(ShardedWorldTest, MidRuntogglesNeverChangeResults) {
-  const RoutingScenario scenario =
-      churn_scenario(LinkPolicy::kDirected, 61);
-  World reference = scenario.make_world();
-  World toggled = scenario.make_world();
-  reference.set_sharding(false);
-  toggled.set_sharding(false);
-  for (int step = 0; step < 40; ++step) {
-    if (step == 10) toggled.set_sharding(true);
-    if (step == 20) toggled.set_sharding(false);
-    if (step == 30) toggled.set_sharding(true);
-    ASSERT_EQ(toggled.graph(), reference.graph()) << "step " << step;
-    ASSERT_EQ(toggled.csr(), reference.csr()) << "step " << step;
-    ASSERT_EQ(toggled.epoch(), reference.epoch()) << "step " << step;
-    toggled.advance();
-    reference.advance();
-  }
+  snapshot::ByteWriter resumed_end, threaded_end;
+  resumed.save_state(resumed_end);
+  threaded.save_state(threaded_end);
+  EXPECT_EQ(resumed_end.bytes(), threaded_end.bytes());
 }
 
 // ---------------------------------------------------------------------------
@@ -236,27 +224,27 @@ class ScriptedMobility final : public MobilityModel {
 };
 
 TEST(ShardedWorldTest, HaloEdgeGoldenAcrossTileBoundary) {
-  // Arena 40×10, range 10, tile factor 1 ⇒ tile edge 10 ⇒ 4×1 tiles.
-  // Node 0: stationary mains at (5,5) — never maybe-dirty, tile 0.
-  // Node 1: scripted, starts at (16,5) in tile 1, walks left 2/step:
-  //   x = 14, 12, 10, 8, 6 — the link (distance ≤ 10) appears at x=14 and
-  //   node 1 migrates into tile 0 when x reaches 8.
-  ASSERT_EQ(setenv("AGENTNET_TOPO_SHARD", "1", 1), 0);
-  ASSERT_EQ(setenv("AGENTNET_TOPO_SHARD_TILE", "1.0", 1), 0);
-  const Aabb bounds{{0.0, 0.0}, {40.0, 10.0}};
-  std::vector<Vec2> start{{5.0, 5.0}, {16.0, 5.0}};
+  // Arena 160×10, range 10, tile factor 4 ⇒ tile edge 40 ⇒ 4×1 tiles.
+  // Node 0: stationary mains at (35,5) — never maybe-dirty, tile 0.
+  // Node 1: scripted, starts at (46,5) in tile 1, walks left 2/step:
+  //   x = 44, 42, 40, 38, 36 — the link (distance ≤ 10) appears at x=44
+  //   and node 1 migrates into tile 0 when x reaches 38.
+  // Node 2: scripted, jitters between x=3 and x=2 in tile 0, out of
+  //   everyone's range — dirty every step, so tile 0 is dirty every step.
+  const Aabb bounds{{0.0, 0.0}, {160.0, 10.0}};
+  std::vector<Vec2> start{{35.0, 5.0}, {46.0, 5.0}, {2.0, 5.0}};
   std::vector<std::vector<Vec2>> frames;
-  for (double x : {14.0, 12.0, 10.0, 8.0, 6.0})
-    frames.push_back({{5.0, 5.0}, {x, 5.0}});
-  World world(bounds, start, RadioModel({10.0, 10.0}, RangeScaling{1.0}),
-              BatteryBank(2, {false, false}, BatteryParams{}),
-              std::make_unique<ScriptedMobility>(frames,
-                                                 std::vector<bool>{false,
-                                                                   true}),
+  double jitter = 3.0;
+  for (double x : {44.0, 42.0, 40.0, 38.0, 36.0}) {
+    frames.push_back({{35.0, 5.0}, {x, 5.0}, {jitter, 5.0}});
+    jitter = 5.0 - jitter;
+  }
+  World world(bounds, start,
+              RadioModel({10.0, 10.0, 10.0}, RangeScaling{1.0}),
+              BatteryBank(3, {false, false, false}, BatteryParams{}),
+              std::make_unique<ScriptedMobility>(
+                  frames, std::vector<bool>{false, true, true}),
               LinkPolicy::kSymmetricAnd);
-  ASSERT_EQ(unsetenv("AGENTNET_TOPO_SHARD"), 0);
-  ASSERT_EQ(unsetenv("AGENTNET_TOPO_SHARD_TILE"), 0);
-  ASSERT_TRUE(world.sharded());
 
   ASSERT_FALSE(world.graph().has_edge(0, 1));  // 11 apart at start
   obs::RunObs run;
@@ -270,39 +258,21 @@ TEST(ShardedWorldTest, HaloEdgeGoldenAcrossTileBoundary) {
     EXPECT_TRUE(world.csr().has_edge(0, 1)) << "step " << step;
     EXPECT_EQ(world.csr(), CsrView(world.graph())) << "step " << step;
   }
-  // Golden counter values for the scripted walk: node 1 is dirty on all 5
-  // steps, always alone in its tile; node 0's row is patched exactly once
+  // Golden counter values for the scripted walk: nodes 1 and 2 are dirty
+  // on all 5 steps. A dirty node counts toward the tile it was scanned in,
+  // so node 1 dirties tile 1 on the first four steps (the fourth moves it
+  // into tile 0) and tile 0 only on the last: 4 × 2 + 1 × 1 dirty tiles.
+  // Node 0's row is patched exactly once
   // (the step the link appeared) — one halo row, and the edge set changes
   // only that step.
-  EXPECT_EQ(run.counters.value(obs::Counter::kTopoNodesDirty), 5u);
-  EXPECT_EQ(run.counters.value(obs::Counter::kShardTilesDirty), 5u);
+  EXPECT_EQ(run.counters.value(obs::Counter::kTopoNodesDirty), 10u);
+  EXPECT_EQ(run.counters.value(obs::Counter::kShardTilesDirty), 9u);
   EXPECT_EQ(run.counters.value(obs::Counter::kShardHaloRows), 1u);
   EXPECT_EQ(world.epoch(), epoch0 + 1);
   EXPECT_EQ(world.state_epoch(), state_epoch0 + 5);
 }
 
-TEST(ShardedWorldTest, EnvKnobsSelectShardingMode) {
-  RoutingScenarioParams params;
-  params.node_count = 30;
-  params.gateway_count = 3;
-  params.trace_steps = 10;
-  // Explicit on: sharded even far below the auto threshold.
-  ASSERT_EQ(setenv("AGENTNET_TOPO_SHARD", "1", 1), 0);
-  EXPECT_TRUE(RoutingScenario(params, 5).make_world().sharded());
-  // Explicit off.
-  ASSERT_EQ(setenv("AGENTNET_TOPO_SHARD", "0", 1), 0);
-  EXPECT_FALSE(RoutingScenario(params, 5).make_world().sharded());
-  // Auto: below the (lowered) threshold off, above it on.
-  ASSERT_EQ(setenv("AGENTNET_TOPO_SHARD", "auto", 1), 0);
-  ASSERT_EQ(setenv("AGENTNET_TOPO_SHARD_MIN_NODES", "31", 1), 0);
-  EXPECT_FALSE(RoutingScenario(params, 5).make_world().sharded());
-  ASSERT_EQ(setenv("AGENTNET_TOPO_SHARD_MIN_NODES", "30", 1), 0);
-  EXPECT_TRUE(RoutingScenario(params, 5).make_world().sharded());
-  ASSERT_EQ(unsetenv("AGENTNET_TOPO_SHARD"), 0);
-  ASSERT_EQ(unsetenv("AGENTNET_TOPO_SHARD_MIN_NODES"), 0);
-}
-
-TEST(ShardedWorldTest, StaticShardedWorldDoesZeroTopologyWork) {
+TEST(ShardedWorldTest, StaticWorldDoesZeroTopologyWork) {
   RoutingScenarioParams params;
   params.node_count = 40;
   params.gateway_count = 4;
@@ -310,7 +280,6 @@ TEST(ShardedWorldTest, StaticShardedWorldDoesZeroTopologyWork) {
   params.trace_steps = 10;
   const RoutingScenario scenario(params, 9);
   World world = scenario.make_world();
-  world.set_sharding(true);
   const std::uint64_t epoch = world.epoch();
   const std::uint64_t state_epoch = world.state_epoch();
   obs::RunObs run;
@@ -330,12 +299,15 @@ TEST(ShardedWorldTest, MemoryBytesCoversLiveStructures) {
   const RoutingScenario scenario =
       churn_scenario(LinkPolicy::kSymmetricAnd, 77);
   World world = scenario.make_world();
-  world.set_sharding(false);
-  const std::size_t flat_bytes = world.memory_bytes();
-  EXPECT_GT(flat_bytes, world.node_count() * sizeof(Vec2));
-  world.set_sharding(true);
-  // Shard tiles add state; the accounting must see it.
-  EXPECT_GT(world.memory_bytes(), flat_bytes);
+  const std::size_t n = world.node_count();
+  const std::size_t plain = world.memory_bytes();
+  // Node state alone (positions, ranges) is a lower bound; the graph, the
+  // padded CSR, the builder grid and the shard tiles come on top.
+  EXPECT_GT(plain, n * (sizeof(Vec2) + sizeof(double)) +
+                       world.csr().edge_count() * sizeof(NodeId));
+  // The weather view's double buffer is counted while a flapper is on.
+  world.set_link_flapper(LinkFlapper(0.2, 3, 0xF00D));
+  EXPECT_GT(world.memory_bytes(), plain);
 }
 
 }  // namespace

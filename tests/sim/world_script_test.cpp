@@ -1,14 +1,14 @@
 // Shared world script, sim level (ctest label: perf): a world replaying a
 // WorldScript must be indistinguishable from the live world it was
 // recorded from — same graph, same CSR rows, same epochs, same counter
-// increments and trace events every step — under every upkeep mode the
-// environment can select, across checkpoint/restore, past the script's end
-// and across upkeep reconfigurations (docs/PERFORMANCE.md, "Shared world
-// script").
+// increments and trace events every step — across range quantization and
+// shard thread counts, checkpoint/restore, past the script's end and across
+// upkeep reconfigurations (docs/PERFORMANCE.md, "Shared world script").
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -81,49 +81,44 @@ void expect_same(const Probe& replay, const Probe& live,
   ASSERT_EQ(replay.events, live.events) << where;
 }
 
-TEST(WorldScriptTest, ReplayMatchesLiveUnderEveryUpkeepMode) {
-  for (const char* incremental : {"1", "0"}) {
-    for (const char* shard : {"0", "1"}) {
-      for (const char* quantum : {"0", "6.5"}) {
-        EnvGuard incr_env("AGENTNET_TOPO_INCREMENTAL", incremental);
-        EnvGuard shard_env("AGENTNET_TOPO_SHARD", shard);
-        EnvGuard quantum_env("AGENTNET_TOPO_RANGE_QUANTUM", quantum);
-        for (LinkPolicy policy :
-             {LinkPolicy::kDirected, LinkPolicy::kSymmetricAnd,
-              LinkPolicy::kSymmetricOr}) {
-          const RoutingScenario scenario =
-              churn_scenario(policy, 31 + static_cast<std::uint64_t>(policy));
-          World recorder = scenario.make_world();
-          const WorldScript script = WorldScript::record(recorder, 50);
-          ASSERT_EQ(script.steps(), 50u);
-          Probe live(scenario.make_world());
-          Probe replay(scenario.make_world(&script));
-          ASSERT_EQ(replay.world.script(), &script);
-          ASSERT_EQ(replay.world.sharded(), live.world.sharded());
-          const std::string mode = std::string("incremental=") + incremental +
-                                   " shard=" + shard + " quantum=" + quantum +
-                                   " policy=" +
-                                   std::to_string(static_cast<int>(policy));
-          std::size_t changed_steps = 0;
-          for (int step = 0; step < 50; ++step) {
-            const std::uint64_t epoch = live.world.epoch();
-            live.advance();
-            replay.advance();
-            if (live.world.epoch() != epoch) ++changed_steps;
-            expect_same(replay, live, mode + " step " + std::to_string(step));
-          }
-          EXPECT_GT(changed_steps, 10u) << mode << ": too little churn";
-          EXPECT_EQ(replay.world.script(), &script)
-              << "replay stays attached while the script lasts";
+TEST(WorldScriptTest, ReplayMatchesLiveAcrossQuantumAndShardThreads) {
+  for (const char* threads : {"1", "7"}) {
+    for (const char* quantum : {"0", "6.5"}) {
+      EnvGuard threads_env("AGENTNET_TOPO_SHARD_THREADS", threads);
+      EnvGuard quantum_env("AGENTNET_TOPO_RANGE_QUANTUM", quantum);
+      for (LinkPolicy policy :
+           {LinkPolicy::kDirected, LinkPolicy::kSymmetricAnd,
+            LinkPolicy::kSymmetricOr}) {
+        const RoutingScenario scenario =
+            churn_scenario(policy, 31 + static_cast<std::uint64_t>(policy));
+        World recorder = scenario.make_world();
+        const WorldScript script = WorldScript::record(recorder, 50);
+        ASSERT_EQ(script.steps(), 50u);
+        Probe live(scenario.make_world());
+        Probe replay(scenario.make_world(&script));
+        ASSERT_EQ(replay.world.script(), &script);
+        const std::string mode = std::string("threads=") + threads +
+                                 " quantum=" + quantum + " policy=" +
+                                 std::to_string(static_cast<int>(policy));
+        std::size_t changed_steps = 0;
+        for (int step = 0; step < 50; ++step) {
+          const std::uint64_t epoch = live.world.epoch();
+          live.advance();
+          replay.advance();
+          if (live.world.epoch() != epoch) ++changed_steps;
+          expect_same(replay, live, mode + " step " + std::to_string(step));
         }
+        EXPECT_GT(changed_steps, 10u) << mode << ": too little churn";
+        EXPECT_EQ(replay.world.script(), &script)
+            << "replay stays attached while the script lasts";
       }
     }
   }
 }
 
 TEST(WorldScriptTest, CheckpointMidReplayResumesTheReplay) {
-  for (const char* shard : {"0", "1"}) {
-    EnvGuard shard_env("AGENTNET_TOPO_SHARD", shard);
+  for (const char* threads : {"1", "7"}) {
+    EnvGuard threads_env("AGENTNET_TOPO_SHARD_THREADS", threads);
     const RoutingScenario scenario =
         churn_scenario(LinkPolicy::kSymmetricAnd, 5);
     World recorder = scenario.make_world();
@@ -147,7 +142,7 @@ TEST(WorldScriptTest, CheckpointMidReplayResumesTheReplay) {
       live.advance();
       resumed.advance();
       expect_same(resumed, live,
-                  std::string("shard=") + shard + " step " +
+                  std::string("threads=") + threads + " step " +
                       std::to_string(step));
     }
   }
@@ -175,15 +170,17 @@ TEST(WorldScriptTest, UpkeepReconfigurationDetachesTheScript) {
   Probe live(scenario.make_world());
   Probe replay(scenario.make_world(&script));
   for (int step = 0; step < 40; ++step) {
+    // Clearing the (absent) link weather is still a reconfiguration: it
+    // opens a new epoch and sends a replaying world back to live upkeep.
     if (step == 10) {
-      live.world.set_sharding(true);
-      replay.world.set_sharding(true);
+      live.world.set_link_flapper(std::nullopt);
+      replay.world.set_link_flapper(std::nullopt);
       EXPECT_EQ(replay.world.script(), nullptr);
     }
     if (step == 25) {
       replay.world.set_script(&script);  // re-attach mid-run
-      live.world.set_incremental_topology(false);
-      replay.world.set_incremental_topology(false);
+      live.world.set_link_flapper(std::nullopt);
+      replay.world.set_link_flapper(std::nullopt);
       EXPECT_EQ(replay.world.script(), nullptr);
     }
     live.advance();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/mapping_task.hpp"
@@ -127,62 +129,27 @@ TEST(WorldTest, FixedWorldRunsMappingTask) {
 }
 
 TEST(WorldTest, StaticWorldAdvanceDoesZeroTopologyWork) {
-  // Regression: a pure clock tick on a static world used to run the full
-  // double-buffered rebuild every step. Now the empty dirty set short-
-  // circuits both upkeep modes: no rebuild, no patch, no epoch movement.
+  // A pure clock tick on a static world finds an empty dirty set and does
+  // no upkeep: no patch, no epoch movement.
   const GeneratedNetwork net = paper_mapping_network(5);
-  for (bool incremental : {false, true}) {
-    World world = World::frozen(net);
-    world.set_incremental_topology(incremental);
-    const std::uint64_t epoch = world.epoch();
-    obs::RunObs slot;
-    {
-      obs::ObsRunScope scope(slot);
-      for (int i = 0; i < 20; ++i) world.advance();
-    }
-    EXPECT_EQ(slot.counters.value(obs::Counter::kTopoNodesDirty), 0u);
-    EXPECT_EQ(slot.counters.value(obs::Counter::kTopoFullRebuilds), 0u);
-    EXPECT_EQ(world.epoch(), epoch) << "incremental " << incremental;
-    EXPECT_EQ(world.graph(), net.graph);
+  World world = World::frozen(net);
+  const std::uint64_t epoch = world.epoch();
+  obs::RunObs slot;
+  {
+    obs::ObsRunScope scope(slot);
+    for (int i = 0; i < 20; ++i) world.advance();
   }
+  EXPECT_EQ(slot.counters.value(obs::Counter::kTopoNodesDirty), 0u);
+  EXPECT_EQ(slot.counters.value(obs::Counter::kShardTilesDirty), 0u);
+  EXPECT_EQ(slot.counters.value(obs::Counter::kTopoFullRebuilds), 0u);
+  EXPECT_EQ(world.epoch(), epoch);
+  EXPECT_EQ(world.graph(), net.graph);
 }
 
-TEST(WorldTest, MobileWorldReportsTopologyWorkByMode) {
+TEST(WorldTest, MobileWorldReportsTopologyWork) {
   // Positive control for the zero-work assertion above: a world with a
-  // moving node must report dirty nodes (incremental) or full rebuilds.
-  struct Work {
-    std::uint64_t dirty, rebuilds;
-  };
-  const auto run = [](bool incremental) {
-    BatteryBank batteries(2, {false, false}, {1.0, 0.0});
-    RandomDirectionMobility::Params movement{1.0, 2.0, 0.1};
-    auto mobility = std::make_unique<RandomDirectionMobility>(
-        kArena, std::vector<bool>{true, false}, movement, Rng(9));
-    World world(kArena, {{10.0, 10.0}, {30.0, 10.0}},
-                RadioModel({40.0, 40.0}, RangeScaling{1.0}),
-                std::move(batteries), std::move(mobility),
-                LinkPolicy::kDirected);
-    world.set_incremental_topology(incremental);
-    obs::RunObs slot;
-    {
-      obs::ObsRunScope scope(slot);
-      for (int i = 0; i < 10; ++i) world.advance();
-    }
-    return Work{slot.counters.value(obs::Counter::kTopoNodesDirty),
-                slot.counters.value(obs::Counter::kTopoFullRebuilds)};
-  };
-  const Work incr = run(true);
-  EXPECT_GE(incr.dirty, 10u);
-  EXPECT_EQ(incr.rebuilds, 0u);
-  const Work full = run(false);
-  EXPECT_EQ(full.dirty, 0u);
-  EXPECT_EQ(full.rebuilds, 10u);
-}
-
-TEST(WorldTest, ShardedWorldReportsTileCounters) {
-  // Third upkeep mode: a sharded world reports dirty nodes and dirty
-  // tiles, never full rebuilds — and the one mobile node occupies exactly
-  // one tile per step.
+  // moving node reports dirty nodes and dirty tiles, never full rebuilds —
+  // and the one mobile node occupies exactly one tile per step.
   BatteryBank batteries(2, {false, false}, {1.0, 0.0});
   RandomDirectionMobility::Params movement{1.0, 2.0, 0.1};
   auto mobility = std::make_unique<RandomDirectionMobility>(
@@ -191,7 +158,6 @@ TEST(WorldTest, ShardedWorldReportsTileCounters) {
               RadioModel({40.0, 40.0}, RangeScaling{1.0}),
               std::move(batteries), std::move(mobility),
               LinkPolicy::kDirected);
-  world.set_sharding(true);
   obs::RunObs slot;
   {
     obs::ObsRunScope scope(slot);
@@ -200,6 +166,17 @@ TEST(WorldTest, ShardedWorldReportsTileCounters) {
   EXPECT_GE(slot.counters.value(obs::Counter::kTopoNodesDirty), 10u);
   EXPECT_EQ(slot.counters.value(obs::Counter::kShardTilesDirty), 10u);
   EXPECT_EQ(slot.counters.value(obs::Counter::kTopoFullRebuilds), 0u);
+}
+
+TEST(WorldTest, NonFiniteRangeQuantumIsRejected) {
+  // floor(r / inf) * inf is NaN: an accepted infinite quantum would turn
+  // every range into NaN and silently run the world on an edgeless graph.
+  for (const char* quantum : {"inf", "nan"}) {
+    ASSERT_EQ(::setenv("AGENTNET_TOPO_RANGE_QUANTUM", quantum, 1), 0);
+    EXPECT_THROW(make_two_node_world(0.0, 0.5, {false, false}), ConfigError)
+        << quantum;
+  }
+  ASSERT_EQ(::unsetenv("AGENTNET_TOPO_RANGE_QUANTUM"), 0);
 }
 
 TEST(SeriesRecorderTest, CollectsValues) {

@@ -143,34 +143,22 @@ if [ "${1:-}" = "--smoke" ]; then
   # 7 threads.
   AGENTNET_THREADS=7 build-tsan/tests/world_script_test
   AGENTNET_THREADS=7 build-tsan/tests/replay_equivalence_test
-  echo "##### incremental topology bit-for-bit diff (TSan)"
-  # One traced routing run per topology-upkeep mode: stdout tables and the
-  # JSONL event stream must be byte-identical. (CSV counter footers are not
-  # diffed — topo_nodes_dirty vs topo_full_rebuilds differ by design.)
-  AGENTNET_THREADS=7 AGENTNET_TOPO_INCREMENTAL=0 \
-    AGENTNET_TRACE="$tmp/route_full.jsonl" \
-    build-tsan/examples/agentnet_cli scenario=routing nodes=50 gateways=4 \
-    population=10 runs=2 > "$tmp/route_full.out"
-  AGENTNET_THREADS=7 AGENTNET_TOPO_INCREMENTAL=1 \
-    AGENTNET_TRACE="$tmp/route_incr.jsonl" \
-    build-tsan/examples/agentnet_cli scenario=routing nodes=50 gateways=4 \
-    population=10 runs=2 > "$tmp/route_incr.out"
-  diff "$tmp/route_full.out" "$tmp/route_incr.out"
-  diff "$tmp/route_full.jsonl" "$tmp/route_incr.jsonl"
-  echo "incremental and full topology runs are bit-identical"
-  echo "##### sharded world bit-for-bit diff (TSan, 7 shard threads)"
-  # The sharded advance fans the tile scan and row gather over a thread
-  # pool; under TSan, against the flat run, stdout tables and the JSONL
-  # event stream must still be byte-identical (docs/PERFORMANCE.md,
-  # "Sharded world"; counter footers differ by design — shard_tiles_dirty
-  # exists only in sharded mode).
-  AGENTNET_THREADS=7 AGENTNET_TOPO_SHARD=1 AGENTNET_TOPO_SHARD_THREADS=7 \
-    AGENTNET_TRACE="$tmp/route_shard.jsonl" \
-    build-tsan/examples/agentnet_cli scenario=routing nodes=50 gateways=4 \
-    population=10 runs=2 > "$tmp/route_shard.out"
-  diff "$tmp/route_full.out" "$tmp/route_shard.out"
-  diff "$tmp/route_full.jsonl" "$tmp/route_shard.jsonl"
-  echo "sharded and flat topology runs are bit-identical"
+  echo "##### topology upkeep thread-count diff (TSan, shard threads 1/7)"
+  # World::advance() fans the tile-local dirty scan and the row gather over
+  # AGENTNET_TOPO_SHARD_THREADS workers (docs/PERFORMANCE.md, "Topology
+  # upkeep"). One traced routing run per shard thread count: stdout tables
+  # and the JSONL event stream must be byte-identical, under TSan so a race
+  # in the fan-out fails the leg outright. runs=1 keeps the world on the
+  # live upkeep path instead of a replayed script.
+  for st in 1 7; do
+    AGENTNET_THREADS=2 AGENTNET_TOPO_SHARD_THREADS="$st" \
+      AGENTNET_TRACE="$tmp/route_st${st}.jsonl" \
+      build-tsan/examples/agentnet_cli scenario=routing nodes=50 gateways=4 \
+      population=10 runs=1 > "$tmp/route_st${st}.out"
+  done
+  diff "$tmp/route_st1.out" "$tmp/route_st7.out"
+  diff "$tmp/route_st1.jsonl" "$tmp/route_st7.jsonl"
+  echo "topology upkeep at shard threads 1 and 7 is bit-identical"
   echo "##### checkpoint/restore byte-identity (TSan + snapshot_inspect)"
   # Crash-tolerance proof (docs/ROBUSTNESS.md "Checkpoint/restore"): run a
   # traced+metered fault-injected routing experiment uninterrupted, run it
