@@ -49,16 +49,21 @@ int main() {
 
     // Map while the network decays (the realistic setting).
     StigmergyBoard board(world.node_count());
+    EdgeIndex index(world.csr());
     std::vector<MappingAgent> agents;
     for (int a = 0; a < 15; ++a)
       agents.emplace_back(a, static_cast<NodeId>(
                                  rng.index(world.node_count())),
-                          world.node_count(),
+                          index,
                           MappingAgentConfig{MappingPolicy::kConscientious,
                                              StigmergyMode::kFilterFirst},
                           rng.fork(a + 1));
     // Run until the team's pooled map covers 99% of the live topology.
     for (std::size_t t = 0; t < 2000; ++t) {
+      // The world advances, so register what each agent is about to sense.
+      for (const auto& agent : agents)
+        index.add_row(agent.location(),
+                      world.graph().out_neighbors(agent.location()));
       for (auto& agent : agents) agent.sense(world.graph(), t);
       double best = 0.0;
       for (auto& agent : agents)

@@ -190,15 +190,24 @@ void BM_FlatMapChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_FlatMapChurn);
 
+/// The paper network's arcs in CSR order: the edge ids every mapping run
+/// on it uses.
+const EdgeIndex& index300() {
+  static const EdgeIndex index{CsrView(net300().graph)};
+  return index;
+}
+
 void BM_KnowledgeMerge(benchmark::State& state) {
-  MapKnowledge a(300), b(300);
+  const EdgeIndex& index = index300();
+  MapKnowledge b(index);
   const Graph& g = net300().graph;
   for (NodeId u = 0; u < 300; u += 2) b.observe_node(u, g.out_neighbors(u), 0);
   for (auto _ : state) {
-    MapKnowledge fresh(300);
+    MapKnowledge fresh(index);
     fresh.learn_from(b);
     benchmark::DoNotOptimize(fresh.known_edge_count());
   }
+  state.counters["bytes_per_agent"] = static_cast<double>(b.heap_bytes());
 }
 BENCHMARK(BM_KnowledgeMerge);
 
@@ -208,7 +217,7 @@ void BM_MeetingExchange(benchmark::State& state) {
   // pre-meeting maps (k store copies), so the pool does real merging.
   const auto k = static_cast<std::size_t>(state.range(0));
   const Graph& g = net300().graph;
-  std::vector<MapKnowledge> before(k, MapKnowledge(300));
+  std::vector<MapKnowledge> before(k, MapKnowledge(index300()));
   for (std::size_t m = 0; m < k; ++m)
     for (NodeId u = static_cast<NodeId>(m); u < 300;
          u += static_cast<NodeId>(k))
@@ -223,6 +232,8 @@ void BM_MeetingExchange(benchmark::State& state) {
     benchmark::DoNotOptimize(members.back().known_edge_count());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(k));
+  state.counters["bytes_per_agent"] =
+      static_cast<double>(members.back().heap_bytes());
 }
 BENCHMARK(BM_MeetingExchange)->Arg(2)->Arg(8);
 

@@ -1,4 +1,5 @@
-// Static index-chunked parallel dispatch over a ThreadPool.
+// Parallel index dispatch over a ThreadPool: static contiguous chunks
+// (parallel_for) or work claiming (parallel_for_claimed).
 //
 // The experiment harness's determinism contract (docs/ARCHITECTURE.md,
 // "Determinism & parallelism") only needs indices to be *executed* in any
@@ -8,9 +9,11 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
+#include <exception>
 #include <future>
-#include <utility>
+#include <mutex>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -46,20 +49,51 @@ void parallel_for(ThreadPool& pool, std::size_t n, Fn&& fn) {
   for (auto& f : done) f.get();
 }
 
-/// Convenience form: resolves the worker count (0 → AGENTNET_THREADS /
-/// hardware_concurrency) and builds a transient pool. When one worker
-/// suffices this is the *exact* serial loop `for (i) fn(i)` — no pool, no
-/// threads — so `AGENTNET_THREADS=1` reproduces pre-pool behaviour.
+/// Runs fn(i) for every i in [0, n) on a transient pool whose workers each
+/// claim the next unstarted index from a shared counter, so a few long
+/// indices (uneven replications) do not leave the other workers idle.
+/// `threads` 0 resolves AGENTNET_THREADS / hardware_concurrency; when one
+/// worker suffices this is the *exact* serial loop `for (i) fn(i)` — no
+/// pool, no threads — so `AGENTNET_THREADS=1` reproduces pre-pool
+/// behaviour. When several indices throw, the lowest index's exception is
+/// rethrown — the one the serial loop stops at. After a failure no new
+/// index is claimed: every lower index was claimed already, so that answer
+/// cannot change.
 template <typename Fn>
-void parallel_for(std::size_t n, Fn&& fn, std::size_t threads = 0) {
+void parallel_for_claimed(std::size_t n, Fn&& fn, std::size_t threads = 0) {
   std::size_t want = threads == 0 ? ThreadPool::default_threads() : threads;
   want = std::min(want, n);
   if (want <= 1) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  ThreadPool pool(want);
-  parallel_for(pool, n, std::forward<Fn>(fn));
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> first_failed{n};
+  std::exception_ptr error;
+  std::mutex error_mutex;
+  const auto work = [&] {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n || i > first_failed.load(std::memory_order_relaxed)) return;
+      try {
+        fn(i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (i < first_failed.load(std::memory_order_relaxed)) {
+          first_failed.store(i, std::memory_order_relaxed);
+          error = std::current_exception();
+        }
+      }
+    }
+  };
+  {
+    ThreadPool pool(want);
+    std::vector<std::future<void>> done;
+    done.reserve(want);
+    for (std::size_t w = 0; w < want; ++w) done.push_back(pool.submit(work));
+    for (auto& f : done) f.get();
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace agentnet

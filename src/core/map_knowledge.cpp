@@ -1,6 +1,7 @@
 #include "core/map_knowledge.hpp"
 
 #include <algorithm>
+#include <string>
 
 namespace agentnet {
 
@@ -8,12 +9,15 @@ void KnowledgePool::add(const MapKnowledge& member) {
   if (visits_.empty()) {
     // The first talker's map is the whole pool so far: copy it (the copy
     // reuses the storage of earlier meetings) instead of a counted merge.
+    index_ = member.index_;
     edges_ = member.combined_;
     visits_ = member.any_visit_;
     visited_ = member.visited_;
     return;
   }
-  edges_.merge(member.combined_);  // throws on a node-count mismatch
+  AGENTNET_REQUIRE(member.index_ == index_,
+                   "pooled knowledge built over different edge indexes");
+  edges_.merge(member.combined_);
   const std::vector<std::int64_t>& visits = member.any_visit_;
   for (std::size_t i = 0; i < visits_.size(); ++i) {
     visited_ += visits_[i] == kNeverVisited && visits[i] != kNeverVisited;
@@ -21,13 +25,14 @@ void KnowledgePool::add(const MapKnowledge& member) {
   }
 }
 
-MapKnowledge::MapKnowledge(std::size_t node_count)
-    : node_count_(node_count),
-      first_hand_(node_count * node_count),
-      combined_(node_count * node_count),
-      first_hand_visit_(node_count, kNeverVisited),
-      any_visit_(node_count, kNeverVisited) {
-  AGENTNET_REQUIRE(node_count > 0, "knowledge needs >= 1 node");
+MapKnowledge::MapKnowledge(const EdgeIndex& index)
+    : index_(&index),
+      node_count_(index.node_count()),
+      first_hand_(index.size()),
+      combined_(index.size()),
+      first_hand_visit_(node_count_, kNeverVisited),
+      any_visit_(node_count_, kNeverVisited) {
+  AGENTNET_REQUIRE(node_count_ > 0, "knowledge needs >= 1 node");
 }
 
 void MapKnowledge::observe_node(NodeId node,
@@ -38,16 +43,24 @@ void MapKnowledge::observe_node(NodeId node,
   if (any_visit_[node] == kNeverVisited) ++visited_;
   first_hand_visit_[node] = std::max(first_hand_visit_[node], t);
   any_visit_[node] = std::max(any_visit_[node], t);
+  first_hand_.grow(index_->size());
+  combined_.grow(index_->size());
+  // Both the live row and the index row ascend by target, so one forward
+  // walk finds every neighbour's id.
+  const auto row = index_->row(node);
+  std::size_t k = 0;
   for (NodeId v : out_neighbors) {
-    const std::size_t bit = bit_index(node, v);
-    first_hand_.set(bit);
-    combined_.set(bit);
+    while (k < row.size() && row[k].target < v) ++k;
+    AGENTNET_ASSERT_MSG(k < row.size() && row[k].target == v,
+                        "sensed an arc the edge index lacks");
+    first_hand_.set(row[k].id);
+    combined_.set(row[k].id);
   }
 }
 
 void MapKnowledge::learn_from(const MapKnowledge& peer) {
-  AGENTNET_REQUIRE(peer.node_count_ == node_count_,
-                   "knowledge node-count mismatch");
+  AGENTNET_REQUIRE(peer.index_ == index_,
+                   "knowledge built over different edge indexes");
   combined_.merge(peer.combined_);
   for (std::size_t i = 0; i < node_count_; ++i)
     any_visit_[i] = std::max(any_visit_[i], peer.any_visit_[i]);
@@ -61,7 +74,7 @@ void MapKnowledge::learn_from(const MapKnowledge& peer) {
 }
 
 void MapKnowledge::adopt(const KnowledgePool& pool) {
-  AGENTNET_ASSERT(pool.visits_.size() == node_count_ &&
+  AGENTNET_ASSERT(pool.index_ == index_ &&
                   pool.edges_.count() >= combined_.count() &&
                   pool.visited_ >= visited_);
   if (expiry_enabled_) {
@@ -82,7 +95,7 @@ void MapKnowledge::expire_second_hand(std::size_t now, std::size_t ttl) {
     // epoch that is already ending, so it ages out at the first rotation.
     expiry_enabled_ = true;
     last_rotation_ = now;
-    second_recent_ = DenseBitset(node_count_ * node_count_);
+    second_recent_ = DenseBitset(index_->size());
     learned_visit_prev_.assign(node_count_, kNeverVisited);
     learned_visit_recent_.assign(node_count_, kNeverVisited);
     return;
@@ -103,34 +116,117 @@ void MapKnowledge::expire_second_hand(std::size_t now, std::size_t ttl) {
 }
 
 bool MapKnowledge::knows_edge_first_hand(NodeId u, NodeId v) const {
-  return first_hand_.test(bit_index(u, v));
+  AGENTNET_ASSERT(u < node_count_ && v < node_count_);
+  const EdgeId id = index_->find(u, v);
+  return id != EdgeIndex::kMiss && first_hand_.test(id);
 }
 
 bool MapKnowledge::knows_edge(NodeId u, NodeId v) const {
-  return combined_.test(bit_index(u, v));
+  AGENTNET_ASSERT(u < node_count_ && v < node_count_);
+  const EdgeId id = index_->find(u, v);
+  return id != EdgeIndex::kMiss && combined_.test(id);
 }
 
 namespace {
 
 template <class AnyGraph>
-std::size_t known_in(const MapKnowledge& k, const AnyGraph& truth) {
-  AGENTNET_REQUIRE(truth.node_count() == k.node_count(),
+std::size_t known_in(const EdgeIndex& index, const DenseBitset& known,
+                     const AnyGraph& truth) {
+  AGENTNET_REQUIRE(truth.node_count() == index.node_count(),
                    "truth graph node-count mismatch");
   std::size_t n = 0;
-  for (NodeId u = 0; u < k.node_count(); ++u)
-    for (NodeId v : truth.out_neighbors(u))
-      if (k.knows_edge(u, v)) ++n;
+  for (NodeId u = 0; u < index.node_count(); ++u) {
+    // Ascending rows on both sides: one merge walk per node. Arcs the
+    // index never registered were never sensed, so they are unknown.
+    const auto row = index.row(u);
+    std::size_t k = 0;
+    for (NodeId v : truth.out_neighbors(u)) {
+      while (k < row.size() && row[k].target < v) ++k;
+      if (k == row.size()) break;
+      if (row[k].target == v && known.test(row[k].id)) ++n;
+    }
+  }
   return n;
 }
 
 }  // namespace
 
 std::size_t MapKnowledge::known_edge_count_in(const Graph& truth) const {
-  return known_in(*this, truth);
+  return known_in(*index_, combined_, truth);
 }
 
 std::size_t MapKnowledge::known_edge_count_in(const CsrView& truth) const {
-  return known_in(*this, truth);
+  return known_in(*index_, combined_, truth);
+}
+
+std::size_t MapKnowledge::heap_bytes() const {
+  const auto bytes = [](const std::vector<std::int64_t>& v) {
+    return v.capacity() * sizeof(std::int64_t);
+  };
+  return first_hand_.heap_bytes() + combined_.heap_bytes() +
+         second_recent_.heap_bytes() + bytes(first_hand_visit_) +
+         bytes(any_visit_) + bytes(learned_visit_prev_) +
+         bytes(learned_visit_recent_);
+}
+
+void MapKnowledge::save_state(snapshot::ByteWriter& w) const {
+  w.size(node_count_);
+  index_->save_pairs(first_hand_, w);
+  index_->save_pairs(combined_, w);
+  w.pod_vec(first_hand_visit_);
+  w.pod_vec(any_visit_);
+  w.boolean(expiry_enabled_);
+  w.size(last_rotation_);
+  // Without expiry the epoch state is unallocated: an empty set.
+  if (expiry_enabled_)
+    index_->save_pairs(second_recent_, w);
+  else
+    DenseBitset().save_state(w);
+  w.pod_vec(learned_visit_prev_);
+  w.pod_vec(learned_visit_recent_);
+}
+
+void MapKnowledge::load_state(snapshot::ByteReader& r, EdgeIndex& index) {
+  AGENTNET_REQUIRE(&index == index_,
+                   "snapshot: knowledge loaded through a foreign edge index");
+  const auto at = [](std::size_t pos) {
+    return " at byte " + std::to_string(pos);
+  };
+  std::size_t pos = r.position();
+  AGENTNET_REQUIRE(r.size() == node_count_,
+                   "snapshot: map knowledge node count mismatch" + at(pos));
+  // Visit arrays hold one time per node, or none while the epoch state is
+  // unallocated.
+  const auto visits = [&](std::vector<std::int64_t>& v, std::size_t want) {
+    const std::size_t start = r.position();
+    r.pod_vec(v);
+    AGENTNET_REQUIRE(v.size() == want,
+                     "snapshot: visit-time array of length " +
+                         std::to_string(v.size()) + ", expected " +
+                         std::to_string(want) + at(start));
+  };
+  first_hand_ = index.load_pairs(r);
+  pos = r.position();
+  combined_ = index.load_pairs(r);
+  AGENTNET_REQUIRE(
+      first_hand_.intersection_count(combined_) == first_hand_.count(),
+      "snapshot: first-hand knowledge outside the combined map" + at(pos));
+  visits(first_hand_visit_, node_count_);
+  visits(any_visit_, node_count_);
+  recount_visited();
+  expiry_enabled_ = r.boolean();
+  last_rotation_ = r.size();
+  if (expiry_enabled_) {
+    second_recent_ = index.load_pairs(r);
+  } else {
+    pos = r.position();
+    second_recent_.load_state(r);
+    AGENTNET_REQUIRE(second_recent_.size() == 0,
+                     "snapshot: epoch edge set without expiry" + at(pos));
+  }
+  const std::size_t epoch_len = expiry_enabled_ ? node_count_ : 0;
+  visits(learned_visit_prev_, epoch_len);
+  visits(learned_visit_recent_, epoch_len);
 }
 
 std::int64_t MapKnowledge::last_visit_first_hand(NodeId node) const {

@@ -2,7 +2,9 @@
 // the agent observed itself, nodes it visited) and the full map over both
 // hands, which adds what peers passed on in direct communication. Movement
 // policies differ in which they consult: conscientious agents use
-// first-hand only, super-conscientious agents use both.
+// first-hand only, super-conscientious agents use both. Edge sets hold one
+// bit per arc of the run's EdgeIndex (core/edge_index.hpp), not one per
+// node pair; snapshots still use the node-pair layout.
 #pragma once
 
 #include <cstdint>
@@ -10,6 +12,7 @@
 #include <vector>
 
 #include "common/dense_bitset.hpp"
+#include "core/edge_index.hpp"
 #include "core/selection.hpp"
 #include "net/graph.hpp"
 #include "snapshot/bytes.hpp"
@@ -25,11 +28,13 @@ class KnowledgePool {
  public:
   /// Starts a new meeting; the next add() overwrites the old contents.
   void clear() { visits_.clear(); }
-  /// Pools one talker's full map (both hands) and visit times.
+  /// Pools one talker's full map (both hands) and visit times. Throws
+  /// ConfigError when the talkers' maps use different edge indexes.
   void add(const MapKnowledge& member);
 
  private:
   friend class MapKnowledge;
+  const EdgeIndex* index_ = nullptr;  // the first talker's
   DenseBitset edges_;
   std::vector<std::int64_t> visits_;  // empty until the first add()
   std::size_t visited_ = 0;           // nodes with a pooled visit time
@@ -37,17 +42,22 @@ class KnowledgePool {
 
 class MapKnowledge {
  public:
-  explicit MapKnowledge(std::size_t node_count);
+  /// An empty map over `index`'s network. The store keeps a pointer to the
+  /// index, which must outlive it; every store a map meets must share it.
+  explicit MapKnowledge(const EdgeIndex& index);
+  MapKnowledge(const EdgeIndex&& index) = delete;
 
   std::size_t node_count() const { return node_count_; }
 
   /// First-hand observation: the agent stands on `node` at time `now` and
-  /// sees all of its out-edges.
+  /// sees all of its out-edges, given ascending. Every arc must already be
+  /// registered in the index.
   void observe_node(NodeId node, std::span<const NodeId> out_neighbors,
                     std::size_t now);
 
   /// Direct communication with one peer: absorbs everything `peer` knows
-  /// (both hands) as hearsay. The pairwise form of adopt().
+  /// (both hands) as hearsay. The pairwise form of adopt(). Throws
+  /// ConfigError when the peer's map uses a different edge index.
   void learn_from(const MapKnowledge& peer);
 
   /// Direct communication in a co-located group (see MappingTask): takes
@@ -66,8 +76,8 @@ class MapKnowledge {
   /// memory for this).
   void expire_second_hand(std::size_t now, std::size_t ttl);
 
-  /// The agent's full (first ∪ second hand) edge set; used to pool group
-  /// knowledge without exposing internals for mutation.
+  /// The agent's full (first ∪ second hand) edge set, indexed by edge id;
+  /// used to pool group knowledge without exposing internals for mutation.
   const DenseBitset& combined_edges() const { return combined_; }
   /// Last-visit times over both hands, indexed by node.
   std::span<const std::int64_t> any_visits() const { return any_visit_; }
@@ -85,6 +95,9 @@ class MapKnowledge {
   std::size_t known_edge_count_in(const Graph& truth) const;
   /// CSR variant — identical count over the frozen snapshot.
   std::size_t known_edge_count_in(const CsrView& truth) const;
+
+  /// Heap bytes the store occupies (edge sets, visit times, expiry state).
+  std::size_t heap_bytes() const;
 
   std::int64_t last_visit_first_hand(NodeId node) const;
   /// Includes visit times learned from peers (what super-conscientious
@@ -105,44 +118,22 @@ class MapKnowledge {
   }
 
   /// Checkpoint support: first-hand and combined sets, visit times and the
-  /// expiry-epoch bookkeeping.
-  void save_state(snapshot::ByteWriter& w) const {
-    w.size(node_count_);
-    first_hand_.save_state(w);
-    combined_.save_state(w);
-    w.pod_vec(first_hand_visit_);
-    w.pod_vec(any_visit_);
-    w.boolean(expiry_enabled_);
-    w.size(last_rotation_);
-    second_recent_.save_state(w);
-    w.pod_vec(learned_visit_prev_);
-    w.pod_vec(learned_visit_recent_);
-  }
-  void load_state(snapshot::ByteReader& r) {
-    const std::size_t n = r.size();
-    AGENTNET_REQUIRE(n == node_count_,
-                     "snapshot: map knowledge node count mismatch");
-    first_hand_.load_state(r);
-    combined_.load_state(r);
-    r.pod_vec(first_hand_visit_);
-    r.pod_vec(any_visit_);
-    recount_visited();
-    expiry_enabled_ = r.boolean();
-    last_rotation_ = r.size();
-    second_recent_.load_state(r);
-    r.pod_vec(learned_visit_prev_);
-    r.pod_vec(learned_visit_recent_);
-  }
+  /// expiry-epoch bookkeeping. Edge sets are written in the node-pair
+  /// layout (EdgeIndex::save_pairs).
+  void save_state(snapshot::ByteWriter& w) const;
+  /// Restores a save_state stream, registering in `index` (this store's
+  /// own) any arc it lacks. Throws ConfigError, naming the byte offset, on
+  /// arrays of the wrong length, edge sets that are not n² bits, and
+  /// first-hand knowledge outside the combined map.
+  void load_state(snapshot::ByteReader& r, EdgeIndex& index);
 
  private:
   friend class KnowledgePool;
-  std::size_t bit_index(NodeId u, NodeId v) const {
-    AGENTNET_ASSERT(u < node_count_ && v < node_count_);
-    return static_cast<std::size_t>(u) * node_count_ + v;
-  }
   void recount_visited();
 
+  const EdgeIndex* index_;
   std::size_t node_count_;
+  // Edge sets are indexed by EdgeId and grow with the index.
   DenseBitset first_hand_;
   DenseBitset combined_;  // first ∪ second hand, maintained incrementally
   std::vector<std::int64_t> first_hand_visit_;

@@ -14,14 +14,15 @@ const char* to_string(MappingPolicy policy) {
   return "?";
 }
 
-MappingAgent::MappingAgent(int id, NodeId start, std::size_t node_count,
+MappingAgent::MappingAgent(int id, NodeId start, const EdgeIndex& index,
                            MappingAgentConfig config, Rng rng)
     : id_(id),
       location_(start),
       config_(config),
-      knowledge_(node_count),
+      knowledge_(index),
       rng_(rng) {
-  AGENTNET_REQUIRE(start < node_count, "agent start node out of range");
+  AGENTNET_REQUIRE(start < index.node_count(),
+                   "agent start node out of range");
   AGENTNET_REQUIRE(config.randomness >= 0.0 && config.randomness <= 1.0,
                    "randomness must be a probability");
 }

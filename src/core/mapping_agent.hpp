@@ -2,6 +2,8 @@
 // unknown network and cooperatively build its map.
 #pragma once
 
+#include <string>
+
 #include "common/rng.hpp"
 #include "core/map_knowledge.hpp"
 #include "core/selection.hpp"
@@ -31,8 +33,11 @@ const char* to_string(MappingPolicy policy);
 
 class MappingAgent {
  public:
-  MappingAgent(int id, NodeId start, std::size_t node_count,
+  /// The agent maps `index`'s network; the index must outlive it.
+  MappingAgent(int id, NodeId start, const EdgeIndex& index,
                MappingAgentConfig config, Rng rng);
+  MappingAgent(int id, NodeId start, const EdgeIndex&& index,
+               MappingAgentConfig config, Rng rng) = delete;
 
   int id() const { return id_; }
   NodeId location() const { return location_; }
@@ -42,7 +47,8 @@ class MappingAgent {
     return config_.stigmergy != StigmergyMode::kOff;
   }
 
-  /// Phase 1: learn all out-edges of the current node (first-hand).
+  /// Phase 1: learn all out-edges of the current node (first-hand). The
+  /// index must already hold them (see EdgeIndex::add_row).
   void sense(const Graph& graph, std::size_t now);
 
   /// Phase 2: direct communication — take a co-located group's pooled
@@ -76,17 +82,22 @@ class MappingAgent {
   }
 
   /// Checkpoint support: id, location, knowledge and RNG; the config is
-  /// reconstructed from the task config on resume.
+  /// reconstructed from the task config on resume. Loading registers in
+  /// `index` (the agent's own) any arc the knowledge names that it lacks.
   void save_state(snapshot::ByteWriter& w) const {
     w.scalar(id_);
     w.scalar(location_);
     knowledge_.save_state(w);
     rng_.save_state(w);
   }
-  void load_state(snapshot::ByteReader& r) {
+  void load_state(snapshot::ByteReader& r, EdgeIndex& index) {
     id_ = r.scalar<int>();
+    const std::size_t at = r.position();
     location_ = r.scalar<NodeId>();
-    knowledge_.load_state(r);
+    AGENTNET_REQUIRE(location_ < knowledge_.node_count(),
+                     "snapshot: mapping agent on an unknown node at byte " +
+                         std::to_string(at));
+    knowledge_.load_state(r, index);
     rng_.load_state(r);
   }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <optional>
+#include <string>
 
 #include "common/agent_parallel.hpp"
 #include "common/dense_bitset.hpp"
@@ -131,6 +132,10 @@ MappingTaskResult run_mapping_task(World& world,
                            ? *config.truth_edges_override
                            : world.graph().edge_count();
   AGENTNET_REQUIRE(result.truth_edges > 0, "mapping an edgeless network");
+  // Edge ids for every knowledge set of the run: the step-0 arcs in CSR
+  // order. Only a world that advances can show an agent an arc outside
+  // them; the sense phase registers those first.
+  EdgeIndex index(world.csr());
 
   const std::vector<MappingAgentConfig> roster =
       config.team.empty()
@@ -141,7 +146,7 @@ MappingTaskResult run_mapping_task(World& world,
   agents.reserve(roster.size());
   for (std::size_t a = 0; a < roster.size(); ++a) {
     const NodeId start = static_cast<NodeId>(rng.index(n));
-    agents.emplace_back(static_cast<int>(a), start, n, roster[a],
+    agents.emplace_back(static_cast<int>(a), start, index, roster[a],
                         rng.fork(static_cast<std::uint64_t>(a) + 1));
     AGENTNET_OBS_EVENT(kSpawn, 0, static_cast<std::int64_t>(a),
                        static_cast<std::int64_t>(start));
@@ -163,7 +168,7 @@ MappingTaskResult run_mapping_task(World& world,
   std::vector<double> fractions;
   // The monitoring entity's collected map (completeness is tracked against
   // the step-0 truth; pair it with advance_world only for rough readings).
-  DenseBitset monitor_map(config.monitor_node ? n * n : 0);
+  DenseBitset monitor_map;  // grows with the index as agents upload
   if (config.monitor_node)
     AGENTNET_REQUIRE(*config.monitor_node < n,
                      "monitor node out of range");
@@ -231,7 +236,10 @@ MappingTaskResult run_mapping_task(World& world,
     w.pod_vec(decide_order);
     w.size(agents.size());
     for (const MappingAgent& agent : agents) agent.save_state(w);
-    monitor_map.save_state(w);
+    if (config.monitor_node)
+      index.save_pairs(monitor_map, w);
+    else
+      monitor_map.save_state(w);
     w.f64(result.monitor_completeness);
     w.boolean(result.monitor_finished);
     w.size(result.monitor_finishing_time);
@@ -260,10 +268,18 @@ MappingTaskResult run_mapping_task(World& world,
     for (std::size_t i = 0; i < live; ++i) {
       AGENTNET_REQUIRE(slot_of[i] < roster.size(),
                        "snapshot: roster slot out of range");
-      agents.emplace_back(0, NodeId{0}, n, roster[slot_of[i]], Rng(0));
-      agents.back().load_state(r);
+      agents.emplace_back(0, NodeId{0}, index, roster[slot_of[i]], Rng(0));
+      agents.back().load_state(r, index);
     }
-    monitor_map.load_state(r);
+    if (config.monitor_node) {
+      monitor_map = index.load_pairs(r);
+    } else {
+      const std::size_t at = r.position();
+      monitor_map.load_state(r);
+      AGENTNET_REQUIRE(monitor_map.size() == 0,
+                       "snapshot: monitor map without a monitor at byte " +
+                           std::to_string(at));
+    }
     result.monitor_completeness = r.f64();
     result.monitor_finished = r.boolean();
     result.monitor_finishing_time = r.size();
@@ -320,7 +336,7 @@ MappingTaskResult run_mapping_task(World& world,
           if (live_nodes.empty()) break;  // total blackout: retry later
           const NodeId at = live_nodes[injector->pick(live_nodes.size())];
           agents.emplace_back(
-              next_agent_id, at, n, roster[slot],
+              next_agent_id, at, index, roster[slot],
               rng.fork(static_cast<std::uint64_t>(next_agent_id) + 1));
           slot_of.push_back(slot);
           watchdog.beat(slot, t);
@@ -340,6 +356,14 @@ MappingTaskResult run_mapping_task(World& world,
     // live_graph() refreshed above).
     {
       AGENTNET_OBS_PHASE(kSense);
+      // An advancing world can show an arc the index has not seen yet:
+      // register it serially, so the fan-out below only reads the index.
+      // Masks and weather on a frozen world only remove seeded arcs.
+      if (config.advance_world)
+        for (const MappingAgent& agent : agents)
+          if (!(injector && injector->down(agent.location())))
+            index.add_row(agent.location(),
+                          live.out_neighbors(agent.location()));
       par.for_each(agents.size(), [&](std::size_t i) {
         MappingAgent& agent = agents[i];
         if (injector && injector->down(agent.location())) return;

@@ -35,7 +35,7 @@ MappingSummary run_mapping_experiment(const GeneratedNetwork& network,
        network.graph.node_count(), effective.max_steps});
 
   std::vector<MappingTaskResult> results(static_cast<std::size_t>(runs));
-  parallel_for(
+  parallel_for_claimed(
       results.size(),
       [&](std::size_t r) {
         obs::ObsRunScope scope(slots[r]);

@@ -45,7 +45,7 @@ RoutingSummary run_routing_experiment(const RoutingScenario& scenario,
   }
 
   std::vector<RoutingTaskResult> results(static_cast<std::size_t>(runs));
-  parallel_for(
+  parallel_for_claimed(
       results.size(),
       [&](std::size_t r) {
         obs::ObsRunScope scope(slots[r]);

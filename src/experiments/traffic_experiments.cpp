@@ -172,7 +172,7 @@ TrafficSummary run_traffic_experiment(const RoutingScenario& scenario,
   }
 
   std::vector<TrafficTaskResult> results(static_cast<std::size_t>(runs));
-  parallel_for(
+  parallel_for_claimed(
       results.size(),
       [&](std::size_t r) {
         obs::ObsRunScope scope(slots[r]);

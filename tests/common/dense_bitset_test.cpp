@@ -58,9 +58,55 @@ TEST(DenseBitsetTest, MergeCountsNewBits) {
   EXPECT_TRUE(a.test(150));
 }
 
-TEST(DenseBitsetTest, MergeSizeMismatchThrows) {
-  DenseBitset a(10), b(11);
-  EXPECT_THROW(a.merge(b), ConfigError);
+// Edge-id sets grow with their index: a merge with a longer operand
+// extends this set, and a shorter operand's missing tail reads as clear.
+// (Mixing maps of different networks is rejected a layer up, by
+// MapKnowledge's edge-index check.)
+TEST(DenseBitsetTest, MergeGrowsToTheLongerOperand) {
+  DenseBitset a(10), b(130);
+  a.set(9);
+  b.set(129);
+  EXPECT_EQ(a.merge(b), 1u);
+  EXPECT_EQ(a.size(), 130u);
+  EXPECT_TRUE(a.test(9));
+  EXPECT_TRUE(a.test(129));
+  DenseBitset c(5);
+  c.set(0);
+  EXPECT_EQ(a.merge(c), 1u);
+  EXPECT_EQ(a.size(), 130u) << "a shorter operand never shrinks the set";
+  EXPECT_EQ(a.count(), 3u);
+}
+
+TEST(DenseBitsetTest, GrowKeepsBitsAndReadsPastTheEndAsClear) {
+  DenseBitset b(3);
+  b.set(2);
+  EXPECT_FALSE(b.test(3));
+  EXPECT_FALSE(b.test(1000));
+  b.grow(200);
+  EXPECT_EQ(b.size(), 200u);
+  EXPECT_TRUE(b.test(2));
+  EXPECT_TRUE(b.set(199));
+  b.grow(50);  // never shrinks
+  EXPECT_EQ(b.size(), 200u);
+  EXPECT_EQ(b.count(), 2u);
+}
+
+TEST(DenseBitsetTest, ForEachVisitsSetBitsAscending) {
+  DenseBitset b(300);
+  const std::vector<std::size_t> bits{0, 63, 64, 170, 299};
+  for (std::size_t i : bits) b.set(i);
+  std::vector<std::size_t> seen;
+  b.for_each([&](std::size_t i) { seen.push_back(i); });
+  EXPECT_EQ(seen, bits);
+}
+
+TEST(DenseBitsetTest, LoadStateRejectsBitsPastTheSize) {
+  snapshot::ByteWriter w;
+  w.size(70);  // two words; bits 70..127 must be clear
+  w.pod_vec(std::vector<std::uint64_t>{0, std::uint64_t{1} << 10});
+  snapshot::ByteReader r(w.bytes());
+  DenseBitset b;
+  EXPECT_THROW(b.load_state(r), ConfigError);
 }
 
 TEST(DenseBitsetTest, IntersectionCount) {

@@ -24,11 +24,12 @@ TEST(KnowledgeDynamicsTest, LockstepOfIdenticalSuperAgents) {
   // Two super-conscientious agents with identical knowledge at the same
   // node must move identically, step after step (the Fig 5 mechanism).
   const Graph g = ring(16);
+  const EdgeIndex index{CsrView(g)};
   StigmergyBoard board(16);
-  MappingAgent a(0, 5, 16, {MappingPolicy::kSuperConscientious,
+  MappingAgent a(0, 5, index, {MappingPolicy::kSuperConscientious,
                             StigmergyMode::kOff},
                  Rng(1));
-  MappingAgent b(1, 5, 16, {MappingPolicy::kSuperConscientious,
+  MappingAgent b(1, 5, index, {MappingPolicy::kSuperConscientious,
                             StigmergyMode::kOff},
                  Rng(999));  // different private randomness must not matter
   for (std::size_t t = 0; t < 40; ++t) {
@@ -48,11 +49,12 @@ TEST(KnowledgeDynamicsTest, StigmergyBreaksTheLockstep) {
   // Same setup, but the first mover stamps its exit: the second must take
   // a different door (the Fig 6 / extA mechanism).
   const Graph g = ring(16);
+  const EdgeIndex index{CsrView(g)};
   StigmergyBoard board(16);
-  MappingAgent a(0, 5, 16, {MappingPolicy::kSuperConscientious,
+  MappingAgent a(0, 5, index, {MappingPolicy::kSuperConscientious,
                             StigmergyMode::kFilterFirst},
                  Rng(1));
-  MappingAgent b(1, 5, 16, {MappingPolicy::kSuperConscientious,
+  MappingAgent b(1, 5, index, {MappingPolicy::kSuperConscientious,
                             StigmergyMode::kFilterFirst},
                  Rng(2));
   a.sense(g, 0);
@@ -69,9 +71,10 @@ TEST(KnowledgeDynamicsTest, GossipReachesEveryoneThroughChains) {
   // Three agents in a line of meetings: a meets b, then b meets c — c must
   // end up with a's first-hand knowledge without ever meeting a.
   const Graph g = ring(10);
-  MappingAgent a(0, 0, 10, {}, Rng(1));
-  MappingAgent b(1, 0, 10, {}, Rng(2));
-  MappingAgent c(2, 0, 10, {}, Rng(3));
+  const EdgeIndex index{CsrView(g)};
+  MappingAgent a(0, 0, index, {}, Rng(1));
+  MappingAgent b(1, 0, index, {}, Rng(2));
+  MappingAgent c(2, 0, index, {}, Rng(3));
   a.sense(g, 0);  // a learns ring edges at node 0
   b.learn_from(a);
   c.learn_from(b);

@@ -3,15 +3,35 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <numeric>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "map_knowledge_oracle.hpp"
+#include "net/generators.hpp"
+#include "sim/world.hpp"
 
 namespace agentnet {
 namespace {
 
+/// An index with every ordered pair registered (self-loops included), so
+/// hand-written observations need no registration step.
+EdgeIndex all_pairs(std::size_t n) {
+  EdgeIndex index(n);
+  std::vector<NodeId> all(n);
+  std::iota(all.begin(), all.end(), NodeId{0});
+  for (NodeId u = 0; u < n; ++u) index.add_row(u, all);
+  return index;
+}
+
+const EdgeIndex kPairs3 = all_pairs(3);
+const EdgeIndex kPairs4 = all_pairs(4);
+const EdgeIndex kPairs5 = all_pairs(5);
+const EdgeIndex kPairs6 = all_pairs(6);
+
 TEST(MapKnowledgeTest, StartsEmpty) {
-  MapKnowledge k(5);
+  MapKnowledge k(kPairs5);
   EXPECT_EQ(k.known_edge_count(), 0u);
   EXPECT_EQ(k.first_hand_edge_count(), 0u);
   for (NodeId v = 0; v < 5; ++v)
@@ -19,7 +39,7 @@ TEST(MapKnowledgeTest, StartsEmpty) {
 }
 
 TEST(MapKnowledgeTest, ObserveRecordsEdgesAndVisit) {
-  MapKnowledge k(5);
+  MapKnowledge k(kPairs5);
   const std::vector<NodeId> out{1, 3};
   k.observe_node(0, out, 7);
   EXPECT_TRUE(k.knows_edge(0, 1));
@@ -31,7 +51,7 @@ TEST(MapKnowledgeTest, ObserveRecordsEdgesAndVisit) {
 }
 
 TEST(MapKnowledgeTest, RepeatObservationDoesNotDoubleCount) {
-  MapKnowledge k(4);
+  MapKnowledge k(kPairs4);
   const std::vector<NodeId> out{1};
   k.observe_node(0, out, 1);
   k.observe_node(0, out, 5);
@@ -40,7 +60,7 @@ TEST(MapKnowledgeTest, RepeatObservationDoesNotDoubleCount) {
 }
 
 TEST(MapKnowledgeTest, LearnFromKeepsHandsSeparate) {
-  MapKnowledge a(4), b(4);
+  MapKnowledge a(kPairs4), b(kPairs4);
   const std::vector<NodeId> out_b{2};
   b.observe_node(1, out_b, 3);
   a.learn_from(b);
@@ -52,7 +72,7 @@ TEST(MapKnowledgeTest, LearnFromKeepsHandsSeparate) {
 }
 
 TEST(MapKnowledgeTest, LearnFromPropagatesVisitTimes) {
-  MapKnowledge a(4), b(4);
+  MapKnowledge a(kPairs4), b(kPairs4);
   const std::vector<NodeId> none{};
   b.observe_node(2, none, 9);
   a.learn_from(b);
@@ -61,7 +81,7 @@ TEST(MapKnowledgeTest, LearnFromPropagatesVisitTimes) {
 }
 
 TEST(MapKnowledgeTest, LearnFromTakesMaxVisitTime) {
-  MapKnowledge a(4), b(4);
+  MapKnowledge a(kPairs4), b(kPairs4);
   const std::vector<NodeId> none{};
   a.observe_node(2, none, 10);
   b.observe_node(2, none, 4);
@@ -71,7 +91,7 @@ TEST(MapKnowledgeTest, LearnFromTakesMaxVisitTime) {
 
 TEST(MapKnowledgeTest, TransitiveSecondHandSpreads) {
   // a learns from b who learned from c: c's edge reaches a.
-  MapKnowledge a(4), b(4), c(4);
+  MapKnowledge a(kPairs4), b(kPairs4), c(kPairs4);
   const std::vector<NodeId> out{0};
   c.observe_node(3, out, 1);
   b.learn_from(c);
@@ -80,7 +100,7 @@ TEST(MapKnowledgeTest, TransitiveSecondHandSpreads) {
 }
 
 TEST(MapKnowledgeTest, AdoptMatchesLearnFrom) {
-  MapKnowledge a1(4), a2(4), b(4);
+  MapKnowledge a1(kPairs4), a2(kPairs4), b(kPairs4);
   const std::vector<NodeId> out{1, 2};
   b.observe_node(0, out, 6);
   const std::vector<NodeId> own{3};
@@ -102,7 +122,7 @@ TEST(MapKnowledgeTest, AdoptMatchesLearnFrom) {
 // knowledge. A pool with fewer edges than the adopter cannot be a superset,
 // and that O(1)-detectable violation aborts.
 TEST(MapKnowledgeDeathTest, AdoptRequiresPoolContainingAdopter) {
-  MapKnowledge a(4), b(4);
+  MapKnowledge a(kPairs4), b(kPairs4);
   const std::vector<NodeId> out{1, 2};
   a.observe_node(0, out, 0);
   KnowledgePool pool;
@@ -128,13 +148,15 @@ std::vector<std::uint8_t> state_bytes(const MapKnowledge& k) {
 /// graph at random times and hears from random peers, with the expiry
 /// clock (ttl 4) running when `ttl` is non-zero. Checks the O(1) size
 /// against the recount after every mutation.
-std::vector<MapKnowledge> random_stores(std::size_t n, std::size_t agents,
-                                        std::size_t ttl, Rng& rng) {
+std::vector<MapKnowledge> random_stores(const EdgeIndex& index,
+                                        std::size_t agents, std::size_t ttl,
+                                        Rng& rng) {
+  const std::size_t n = index.node_count();
   Graph g(n);
   for (NodeId u = 0; u < n; ++u)
     for (NodeId v = 0; v < n; ++v)
       if (u != v && rng.bernoulli(0.15)) g.add_edge(u, v);
-  std::vector<MapKnowledge> stores(agents, MapKnowledge(n));
+  std::vector<MapKnowledge> stores(agents, MapKnowledge(index));
   for (std::size_t t = 0; t < 12; ++t) {
     for (MapKnowledge& k : stores) {
       if (rng.bernoulli(0.6)) {
@@ -160,6 +182,7 @@ std::vector<MapKnowledge> random_stores(std::size_t n, std::size_t agents,
 // learn_from over every member's pre-meeting state, own included.
 TEST(MapKnowledgeAdoptionTest, PoolAndAdoptEqualsPerMemberUnion) {
   constexpr std::size_t kNodes = 37;  // n² not a multiple of 64
+  const EdgeIndex index = all_pairs(kNodes);
   KnowledgePool pool;  // reused across meetings, as in the task
   for (const std::size_t ttl : {std::size_t{0}, std::size_t{4}}) {
     for (const std::size_t group : {2u, 3u, 8u}) {
@@ -168,7 +191,7 @@ TEST(MapKnowledgeAdoptionTest, PoolAndAdoptEqualsPerMemberUnion) {
                                           << " seed=" << seed);
         Rng rng(seed * 97 + group);
         const std::vector<MapKnowledge> before =
-            random_stores(kNodes, group, ttl, rng);
+            random_stores(index, group, ttl, rng);
         std::vector<MapKnowledge> adopted = before;
         pool.clear();
         for (const MapKnowledge& k : adopted) pool.add(k);
@@ -212,12 +235,14 @@ TEST(MapKnowledgeAdoptionTest, PoolAndAdoptEqualsPerMemberUnion) {
 
 TEST(MapKnowledgeAdoptionTest, SizeSurvivesLoadState) {
   Rng rng(11);
-  const std::vector<MapKnowledge> stores = random_stores(29, 3, 4, rng);
+  const EdgeIndex index = all_pairs(29);
+  const std::vector<MapKnowledge> stores = random_stores(index, 3, 4, rng);
   for (const MapKnowledge& k : stores) {
     const std::vector<std::uint8_t> bytes = state_bytes(k);
-    MapKnowledge loaded(29);
+    EdgeIndex fresh(29);  // registers the pairs in load order
+    MapKnowledge loaded(fresh);
     snapshot::ByteReader r(bytes.data(), bytes.size());
-    loaded.load_state(r);
+    loaded.load_state(r, fresh);
     EXPECT_EQ(loaded.serialized_size_bytes(), k.serialized_size_bytes());
     EXPECT_EQ(loaded.serialized_size_bytes(), recounted_size(loaded));
     EXPECT_EQ(state_bytes(loaded), bytes);
@@ -225,7 +250,7 @@ TEST(MapKnowledgeAdoptionTest, SizeSurvivesLoadState) {
 }
 
 TEST(MapKnowledgeTest, CompletenessFraction) {
-  MapKnowledge k(4);
+  MapKnowledge k(kPairs4);
   const std::vector<NodeId> out{1, 2};
   k.observe_node(0, out, 0);
   EXPECT_DOUBLE_EQ(k.completeness(4), 0.5);
@@ -233,7 +258,7 @@ TEST(MapKnowledgeTest, CompletenessFraction) {
 }
 
 TEST(MapKnowledgeTest, KnownEdgeCountInIgnoresVanishedEdges) {
-  MapKnowledge k(3);
+  MapKnowledge k(kPairs3);
   const std::vector<NodeId> out{1, 2};
   k.observe_node(0, out, 0);
   Graph truth(3);
@@ -243,35 +268,44 @@ TEST(MapKnowledgeTest, KnownEdgeCountInIgnoresVanishedEdges) {
 }
 
 TEST(MapKnowledgeTest, SerializedSizeTracksContents) {
-  MapKnowledge k(6);
+  MapKnowledge k(kPairs6);
   EXPECT_EQ(k.serialized_size_bytes(), 0u);
   const std::vector<NodeId> out{1, 2, 3};
   k.observe_node(0, out, 5);
   // 3 edges x 8 bytes + 1 visited node x 12 bytes.
   EXPECT_EQ(k.serialized_size_bytes(), 3u * 8 + 12);
   // Second-hand knowledge counts too (the agent carries it when moving).
-  MapKnowledge peer(6);
+  MapKnowledge peer(kPairs6);
   const std::vector<NodeId> peer_out{0};
   peer.observe_node(4, peer_out, 1);
   k.learn_from(peer);
   EXPECT_EQ(k.serialized_size_bytes(), 4u * 8 + 2 * 12);
 }
 
+// Maps over different edge indexes cannot be mixed, whether the networks
+// differ in size or the indexes merely number the same network apart.
 TEST(MapKnowledgeTest, SizeMismatchThrows) {
-  MapKnowledge a(3), b(4);
+  MapKnowledge a(kPairs3), b(kPairs4);
   EXPECT_THROW(a.learn_from(b), ConfigError);
+  const EdgeIndex other = all_pairs(4);
+  MapKnowledge c(kPairs4), d(other);
+  EXPECT_THROW(c.learn_from(d), ConfigError);
+  KnowledgePool pool;
+  pool.add(c);
+  EXPECT_THROW(pool.add(d), ConfigError);
 }
 
 TEST(MapKnowledgeTest, RejectsZeroNodes) {
-  EXPECT_THROW(MapKnowledge(0), ConfigError);
+  const EdgeIndex empty(0);
+  EXPECT_THROW(MapKnowledge{empty}, ConfigError);
 }
 
 // Stale-knowledge expiry (resilience policy): hearsay survives the epoch
 // rotation that closes its epoch and drops at the next one, so its
 // effective age is in [ttl, 2*ttl). First-hand observations never expire.
 TEST(MapKnowledgeExpiryTest, HearsayExpiresAfterTwoRotations) {
-  MapKnowledge k(5);
-  MapKnowledge peer(5);
+  MapKnowledge k(kPairs5);
+  MapKnowledge peer(kPairs5);
   const std::vector<NodeId> peer_out{4};
   peer.observe_node(3, peer_out, 2);
   k.expire_second_hand(0, 10);  // first call activates the epoch clock
@@ -290,8 +324,8 @@ TEST(MapKnowledgeExpiryTest, HearsayExpiresAfterTwoRotations) {
 }
 
 TEST(MapKnowledgeExpiryTest, RefreshedHearsayStaysAlive) {
-  MapKnowledge k(5);
-  MapKnowledge peer(5);
+  MapKnowledge k(kPairs5);
+  MapKnowledge peer(kPairs5);
   const std::vector<NodeId> peer_out{4};
   peer.observe_node(3, peer_out, 2);
   k.expire_second_hand(0, 10);
@@ -305,13 +339,155 @@ TEST(MapKnowledgeExpiryTest, RefreshedHearsayStaysAlive) {
 }
 
 TEST(MapKnowledgeExpiryTest, ZeroTtlDisablesExpiry) {
-  MapKnowledge k(5);
-  MapKnowledge peer(5);
+  MapKnowledge k(kPairs5);
+  MapKnowledge peer(kPairs5);
   const std::vector<NodeId> peer_out{4};
   peer.observe_node(3, peer_out, 2);
   k.learn_from(peer);
   k.expire_second_hand(1000, 0);
   EXPECT_EQ(k.known_edge_count(), 1u) << "ttl 0 must be a no-op";
+}
+
+// ---- Equivalence with the node-pair oracle --------------------------------
+//
+// Seeded random sequences of observe_node, learn_from, pool + adopt and
+// expire_second_hand, applied in lockstep to edge-indexed stores and to
+// PairMapKnowledge (the layout they replaced). A dynamic world registers the
+// arcs an agent is about to sense first, serially, exactly as the mapping
+// task does; a frozen world's seeded index already holds them all.
+
+void expect_same(const MapKnowledge& got, const PairMapKnowledge& want,
+                 const CsrView& truth, bool every_pair) {
+  const std::size_t n = got.node_count();
+  ASSERT_EQ(got.first_hand_edge_count(), want.first_hand_edge_count());
+  ASSERT_EQ(got.known_edge_count(), want.known_edge_count());
+  ASSERT_EQ(got.known_edge_count_in(truth), want.known_edge_count_in(truth));
+  ASSERT_EQ(got.serialized_size_bytes(), want.serialized_size_bytes());
+  for (NodeId v = 0; v < n; ++v) {
+    ASSERT_EQ(got.last_visit_first_hand(v), want.last_visit_first_hand(v));
+    ASSERT_EQ(got.last_visit_any(v), want.last_visit_any(v));
+  }
+  snapshot::ByteWriter w;
+  want.save_state(w);
+  ASSERT_EQ(state_bytes(got), w.bytes());
+  if (!every_pair) return;
+  for (NodeId u = 0; u < n; ++u)
+    for (NodeId v = 0; v < n; ++v) {
+      ASSERT_EQ(got.knows_edge(u, v), want.knows_edge(u, v))
+          << u << "->" << v;
+      ASSERT_EQ(got.knows_edge_first_hand(u, v),
+                want.knows_edge_first_hand(u, v))
+          << u << "->" << v;
+    }
+}
+
+/// Returns how many arcs were registered after seeding.
+std::size_t drive_against_oracle(World& world, bool dynamic,
+                                 std::uint64_t seed) {
+  constexpr std::size_t kAgents = 6;
+  constexpr std::size_t kSteps = 60;
+  const std::size_t n = world.node_count();
+  EdgeIndex index(world.csr());
+  const std::size_t seeded = index.size();
+  std::vector<MapKnowledge> stores(kAgents, MapKnowledge(index));
+  std::vector<PairMapKnowledge> oracles(kAgents, PairMapKnowledge(n));
+  KnowledgePool pool;
+  PairKnowledgePool oracle_pool;
+  Rng rng(seed);
+  const std::size_t ttl = seed % 2 == 0 ? 0 : 7;
+  for (std::size_t t = 0; t < kSteps; ++t) {
+    if (dynamic && t > 0) world.advance();
+    for (std::size_t a = 0; a < kAgents; ++a) {
+      if (!rng.bernoulli(0.8)) continue;
+      const auto at = static_cast<NodeId>(rng.index(n));
+      const auto row = world.graph().out_neighbors(at);
+      if (dynamic) index.add_row(at, row);
+      stores[a].observe_node(at, row, t);
+      oracles[a].observe_node(at, row, t);
+    }
+    if (rng.bernoulli(0.3)) {
+      const std::size_t a = rng.index(kAgents);
+      const std::size_t b = rng.index(kAgents);
+      stores[a].learn_from(stores[b]);
+      oracles[a].learn_from(oracles[b]);
+    }
+    if (rng.bernoulli(0.4)) {
+      std::vector<std::size_t> members;
+      for (std::size_t a = 0; a < kAgents; ++a)
+        if (rng.bernoulli(0.5)) members.push_back(a);
+      pool.clear();
+      oracle_pool.clear();
+      for (std::size_t a : members) {
+        pool.add(stores[a]);
+        oracle_pool.add(oracles[a]);
+      }
+      for (std::size_t a : members) {
+        stores[a].adopt(pool);
+        oracles[a].adopt(oracle_pool);
+      }
+    }
+    for (std::size_t a = 0; a < kAgents; ++a) {
+      stores[a].expire_second_hand(t, ttl);
+      oracles[a].expire_second_hand(t, ttl);
+      SCOPED_TRACE(::testing::Message() << "step " << t << " agent " << a);
+      expect_same(stores[a], oracles[a], world.csr(), t % 20 == 19);
+    }
+  }
+  // A resumed run's index registers the arcs in load order, not in the
+  // order they were sensed; the restored maps must not notice.
+  EdgeIndex resumed(n);
+  for (std::size_t a = 0; a < kAgents; ++a) {
+    const std::vector<std::uint8_t> bytes = state_bytes(stores[a]);
+    MapKnowledge loaded(resumed);
+    snapshot::ByteReader r(bytes);
+    loaded.load_state(r, resumed);
+    expect_same(loaded, oracles[a], world.csr(), true);
+  }
+  return index.size() - seeded;
+}
+
+TEST(MapKnowledgeEquivalenceTest, PaperNetworkMatchesPairOracle) {
+  const GeneratedNetwork net = paper_mapping_network(2010);
+  for (std::uint64_t seed : {1u, 2u}) {
+    World world = World::frozen(net);
+    EXPECT_EQ(drive_against_oracle(world, false, seed), 0u);
+  }
+}
+
+TEST(MapKnowledgeEquivalenceTest, MobileWorldMatchesPairOracle) {
+  const Aabb arena{{0.0, 0.0}, {100.0, 100.0}};
+  for (std::uint64_t seed : {3u, 4u}) {
+    Rng rng(seed);
+    constexpr std::size_t kNodes = 60;
+    std::vector<Vec2> positions(kNodes);
+    std::vector<bool> mobile(kNodes);
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      positions[i] = {100.0 * rng.uniform01(), 100.0 * rng.uniform01()};
+      mobile[i] = i % 2 == 0;
+    }
+    World world(arena, positions, RadioModel(std::vector<double>(kNodes, 20.0), RangeScaling{1.0}),
+                BatteryBank(kNodes, std::vector<bool>(kNodes, false), {}),
+                std::make_unique<RandomWaypointMobility>(
+                    arena, mobile, RandomWaypointMobility::Params{2.0, 5.0, 1},
+                    rng.fork(1)),
+                LinkPolicy::kDirected);
+    EXPECT_GT(drive_against_oracle(world, true, seed), 0u)
+        << "moving nodes must show agents arcs outside the seed";
+  }
+}
+
+TEST(MapKnowledgeEquivalenceTest, FlappingWorldMatchesPairOracle) {
+  TargetEdgeParams params;
+  params.geometry.node_count = 50;
+  params.target_edges = 340;
+  params.tolerance = 0.05;
+  const auto net = generate_target_edge_network(params, 22);
+  for (std::uint64_t seed : {5u, 6u}) {
+    World world = World::frozen(net);
+    world.set_link_flapper(LinkFlapper(0.2, 3, seed));
+    EXPECT_GT(drive_against_oracle(world, true, seed), 0u)
+        << "links down at step 0 must be registered when they return";
+  }
 }
 
 }  // namespace

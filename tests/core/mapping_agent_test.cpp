@@ -17,9 +17,20 @@ Graph star_graph() {
   return g;
 }
 
+/// Every ordered pair of the 4 nodes, so agents can sense any test graph.
+const EdgeIndex& pair_index() {
+  static const EdgeIndex index = [] {
+    EdgeIndex all(4);
+    const std::vector<NodeId> nodes{0, 1, 2, 3};
+    for (NodeId u = 0; u < 4; ++u) all.add_row(u, nodes);
+    return all;
+  }();
+  return index;
+}
+
 MappingAgent make_agent(MappingPolicy policy, StigmergyMode mode,
                         NodeId start = 0, std::uint64_t seed = 1) {
-  return MappingAgent(0, start, 4, {policy, mode}, Rng(seed));
+  return MappingAgent(0, start, pair_index(), {policy, mode}, Rng(seed));
 }
 
 TEST(MappingAgentTest, SenseLearnsOutEdges) {
@@ -198,7 +209,7 @@ TEST(MappingAgentTest, StateSizeGrowsWithKnowledge) {
 TEST(MappingAgentTest, FullRandomnessBehavesLikeRandomPolicy) {
   const Graph g = star_graph();
   StigmergyBoard board(4);
-  MappingAgent agent(0, 0, 4,
+  MappingAgent agent(0, 0, pair_index(),
                      {MappingPolicy::kConscientious, StigmergyMode::kOff,
                       1.0},
                      Rng(5));

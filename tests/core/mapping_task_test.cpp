@@ -195,7 +195,8 @@ TEST(MappingTaskTest, StigmergyCostsNoExtraMigrationBytes) {
   // agent's serialized size — hence bytes for the steps both runs share —
   // must not carry any footprint payload. We verify the accounting uses
   // only knowledge size: a fresh agent's size is the 64-byte stub.
-  MappingAgent agent(0, 0, 10, {}, Rng(1));
+  const EdgeIndex index(10);
+  MappingAgent agent(0, 0, index, {}, Rng(1));
   EXPECT_EQ(agent.state_size_bytes(), 64u);
 }
 
@@ -324,7 +325,8 @@ TEST(MappingTaskTest, CommRadiusValidated) {
 }
 
 TEST(MappingAgentConfigTest, RejectsBadRandomness) {
-  EXPECT_THROW(MappingAgent(0, 0, 4,
+  const EdgeIndex index(4);
+  EXPECT_THROW(MappingAgent(0, 0, index,
                             {MappingPolicy::kRandom, StigmergyMode::kOff,
                              1.5},
                             Rng(1)),

@@ -1,8 +1,11 @@
 // Regression suite for the parallel replication engine: experiment
 // summaries must be bit-identical at every thread count, and the mergeable
 // accumulators must agree with their single-pass references.
+#include <atomic>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -118,10 +121,41 @@ TEST(ParallelForTest, PropagatesWorkerExceptions) {
                std::runtime_error);
 }
 
+TEST(ParallelForTest, ClaimingRunsEveryIndexExactlyOnce) {
+  std::vector<std::atomic<int>> hits(1000);
+  parallel_for_claimed(
+      hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); },
+      /*threads=*/5);
+  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
+}
+
+// Several failing runs: the lowest run index's exception surfaces, as in
+// the serial loop, however the workers happened to claim the indices.
+TEST(ParallelForTest, ClaimingRethrowsLowestFailingIndex) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3},
+                                    std::size_t{7}}) {
+    for (int round = 0; round < 20; ++round) {
+      try {
+        parallel_for_claimed(
+            64,
+            [](std::size_t i) {
+              if (i == 41 || i == 17 || i == 63)
+                throw std::runtime_error(std::to_string(i));
+              if (i < 17) std::this_thread::yield();
+            },
+            threads);
+        FAIL() << "no exception propagated";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "17") << "threads=" << threads;
+      }
+    }
+  }
+}
+
 TEST(ParallelForTest, SerialFallbackWithoutPool) {
   std::vector<int> hits(17, 0);
-  parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; },
-               /*threads=*/1);
+  parallel_for_claimed(hits.size(), [&](std::size_t i) { ++hits[i]; },
+                       /*threads=*/1);
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 

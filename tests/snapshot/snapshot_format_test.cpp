@@ -1,7 +1,7 @@
 // Checkpoint container format: byte-stream round-trips, corruption
 // rejection (CRC, truncation, bad magic, wrong version, giant counts) and
 // the temp-then-rename atomicity contract (docs/ROBUSTNESS.md), plus the
-// ant colony's tampered-state rejection.
+// ant colony's and mapping knowledge's tampered-state rejection.
 #include "snapshot/snapshot.hpp"
 
 #include <gtest/gtest.h>
@@ -12,7 +12,9 @@
 #include <vector>
 
 #include "aco/ant_routing.hpp"
+#include "common/dense_bitset.hpp"
 #include "common/error.hpp"
+#include "core/map_knowledge.hpp"
 #include "common/rng.hpp"
 #include "net/graph.hpp"
 #include "snapshot/bytes.hpp"
@@ -394,6 +396,131 @@ TEST(AntColonySnapshotTest, PheromoneKeyOutOfRangeRejected) {
   expect_colony_rejected(
       colony_bytes(kValidAnts, static_cast<NodeId>(kColonyNodes)),
       "pheromone entry names an unknown node");
+}
+
+// A mapping agent's knowledge written field by field in save_state's
+// layout: node-pair edge sets (bit u·n + v), visit times, then the expiry
+// epoch state. The valid record has expiry on, two first-hand arcs and one
+// hearsay arc.
+constexpr std::size_t kKnowledgeNodes = 4;
+
+DenseBitset pair_set(std::initializer_list<std::size_t> bits,
+                     std::size_t size = kKnowledgeNodes * kKnowledgeNodes) {
+  DenseBitset set(size);
+  for (std::size_t b : bits) set.set(b);
+  return set;
+}
+
+struct KnowledgeRecord {
+  DenseBitset first_hand = pair_set({1, 4});
+  DenseBitset combined = pair_set({1, 4, 11});
+  std::vector<std::int64_t> first_visit{3, 5, kNeverVisited, kNeverVisited};
+  std::vector<std::int64_t> any_visit{3, 5, 2, kNeverVisited};
+  bool expiry = true;
+  DenseBitset recent = pair_set({11});
+  std::vector<std::int64_t> prev_visit{kNeverVisited, kNeverVisited, 2,
+                                       kNeverVisited};
+  std::vector<std::int64_t> recent_visit{kNeverVisited, kNeverVisited, 2,
+                                         kNeverVisited};
+};
+
+std::vector<std::uint8_t> knowledge_bytes(const KnowledgeRecord& k) {
+  ByteWriter w;
+  w.size(kKnowledgeNodes);
+  k.first_hand.save_state(w);
+  k.combined.save_state(w);
+  w.pod_vec(k.first_visit);
+  w.pod_vec(k.any_visit);
+  w.boolean(k.expiry);
+  w.size(4);  // last rotation
+  k.recent.save_state(w);
+  w.pod_vec(k.prev_visit);
+  w.pod_vec(k.recent_visit);
+  return w.bytes();
+}
+
+void expect_knowledge_rejected(const std::vector<std::uint8_t>& bytes,
+                               const std::string& what) {
+  EdgeIndex index(kKnowledgeNodes);
+  MapKnowledge knowledge(index);
+  ByteReader r(bytes);
+  try {
+    knowledge.load_state(r, index);
+    FAIL() << "tampered knowledge accepted; expected: " << what;
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find(" at byte "), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(MapKnowledgeSnapshotTest, ValidStreamRoundTrips) {
+  const std::vector<std::uint8_t> bytes = knowledge_bytes({});
+  EdgeIndex index(kKnowledgeNodes);
+  MapKnowledge knowledge(index);
+  ByteReader r(bytes);
+  knowledge.load_state(r, index);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(index.size(), 3u) << "each stored arc registered once";
+  EXPECT_TRUE(knowledge.knows_edge_first_hand(0, 1));
+  EXPECT_TRUE(knowledge.knows_edge_first_hand(1, 0));
+  EXPECT_TRUE(knowledge.knows_edge(2, 3));
+  EXPECT_FALSE(knowledge.knows_edge_first_hand(2, 3));
+  EXPECT_EQ(knowledge.last_visit_any(2), 2);
+  ByteWriter w;
+  knowledge.save_state(w);
+  EXPECT_EQ(w.bytes(), bytes);
+}
+
+TEST(MapKnowledgeSnapshotTest, ShortVisitArraysRejected) {
+  // A short any-visit array used to be read past its end by
+  // last_visit_any(); every per-node array is checked.
+  for (auto field : {&KnowledgeRecord::first_visit,
+                     &KnowledgeRecord::any_visit,
+                     &KnowledgeRecord::prev_visit,
+                     &KnowledgeRecord::recent_visit}) {
+    KnowledgeRecord k;
+    (k.*field).pop_back();
+    expect_knowledge_rejected(knowledge_bytes(k),
+                              "visit-time array of length 3, expected 4");
+  }
+}
+
+TEST(MapKnowledgeSnapshotTest, EpochArraysWithoutExpiryRejected) {
+  KnowledgeRecord k;
+  k.expiry = false;
+  k.recent = DenseBitset();
+  expect_knowledge_rejected(knowledge_bytes(k),
+                            "visit-time array of length 4, expected 0");
+  k.prev_visit.clear();
+  k.recent_visit.clear();
+  const std::vector<std::uint8_t> valid = knowledge_bytes(k);
+  EdgeIndex index(kKnowledgeNodes);
+  MapKnowledge knowledge(index);
+  ByteReader r(valid);
+  EXPECT_NO_THROW(knowledge.load_state(r, index));
+  k.recent = pair_set({11});
+  expect_knowledge_rejected(knowledge_bytes(k),
+                            "epoch edge set without expiry");
+}
+
+TEST(MapKnowledgeSnapshotTest, EdgeSetOfWrongSizeRejected) {
+  for (auto field : {&KnowledgeRecord::first_hand,
+                     &KnowledgeRecord::combined, &KnowledgeRecord::recent}) {
+    KnowledgeRecord k;
+    k.*field = pair_set({1}, 17);
+    expect_knowledge_rejected(knowledge_bytes(k),
+                              "edge set of 17 bits, expected 16");
+  }
+}
+
+TEST(MapKnowledgeSnapshotTest, FirstHandOutsideCombinedRejected) {
+  KnowledgeRecord k;
+  k.combined = pair_set({1, 11});  // drops first-hand arc 1→0
+  expect_knowledge_rejected(
+      knowledge_bytes(k),
+      "first-hand knowledge outside the combined map");
 }
 
 TEST(CheckpointerTest, IdentityMismatchRejectedAtConstruction) {

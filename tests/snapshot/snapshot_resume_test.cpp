@@ -241,6 +241,59 @@ TEST(SnapshotResumeTest, MappingResumeWithKnowledgeExpiryByteIdentical) {
   EXPECT_EQ(resumed.finishing_time, uninterrupted.finishing_time);
 }
 
+// On an advancing world the run's edge index grows as agents sense arcs
+// the step-0 topology lacked. A resumed run re-registers the stored arcs
+// in load order, so its ids differ from the uninterrupted run's; every
+// result depends on counts only and must match exactly. The monitor's map
+// goes through the same node-pair encoding.
+TEST(SnapshotResumeTest, MappingResumeOnAdvancingWorldMatches) {
+  TargetEdgeParams params;
+  params.geometry.node_count = 40;
+  params.target_edges = 240;
+  params.tolerance = 0.05;
+  const GeneratedNetwork network = generate_target_edge_network(params, 5);
+  MappingTaskConfig task;
+  task.population = 6;
+  task.max_steps = 150;
+  task.advance_world = true;
+  task.truth_edges_override = network.graph.edge_count();
+  task.monitor_node = 0;
+  task.faults.knowledge_ttl = 15;
+  const std::uint64_t seed = 77;
+  const snapshot::ExperimentIdentity identity{"mapping", 1, seed,
+                                              network.graph.node_count(),
+                                              task.max_steps};
+  const auto direct = [&](snapshot::ExperimentCheckpointer* checkpointer) {
+    MappingTaskConfig run_config = task;
+    snapshot::RunCheckpointPort port;
+    if (checkpointer) {
+      port = checkpointer->port(0);
+      run_config.checkpoint = &port;
+    }
+    World world = World::frozen(network);
+    world.set_link_flapper(LinkFlapper(0.3, 4, 9));
+    return run_mapping_task(world, run_config, Rng(seed));
+  };
+  const MappingTaskResult uninterrupted = direct(nullptr);
+  const std::string ck = temp_path("madv.snap");
+  snapshot::ExperimentCheckpointer saver(identity, ck, 35, "");
+  direct(&saver);
+  ASSERT_GE(snapshot::load_checkpoint(ck).runs.at(0).step, 35u);
+  snapshot::ExperimentCheckpointer resumer(identity, "", 35, ck);
+  const MappingTaskResult resumed = direct(&resumer);
+  EXPECT_EQ(resumed.finished, uninterrupted.finished);
+  EXPECT_EQ(resumed.finishing_time, uninterrupted.finishing_time);
+  EXPECT_EQ(resumed.mean_knowledge, uninterrupted.mean_knowledge);
+  EXPECT_EQ(resumed.min_knowledge, uninterrupted.min_knowledge);
+  EXPECT_EQ(resumed.migration_bytes, uninterrupted.migration_bytes);
+  EXPECT_GT(uninterrupted.monitor_completeness, 0.0);
+  EXPECT_EQ(resumed.monitor_completeness,
+            uninterrupted.monitor_completeness);
+  EXPECT_EQ(resumed.monitor_finished, uninterrupted.monitor_finished);
+  EXPECT_EQ(resumed.monitor_finishing_time,
+            uninterrupted.monitor_finishing_time);
+}
+
 TEST(SnapshotResumeTest, TrafficResumeByteIdentical) {
   const RoutingScenario scenario = tiny_scenario();
   TrafficTaskConfig task;

@@ -29,7 +29,10 @@
 # in a fresh process at a different thread count, and byte-diffs stdout,
 # metrics and traces against the uninterrupted run (docs/ROBUSTNESS.md).
 # The hot-path equivalence leg includes the shared-world-script replay
-# suites at 7 threads. A fast data-race + schema check, not a bench sweep.
+# suites at 7 threads. An ASan + UBSan leg (separate build-asan/ tree)
+# runs the map-knowledge, edge-index and snapshot suites plus the
+# work-claiming ParallelForTest cases. A fast data-race + memory-safety +
+# schema check, not a bench sweep.
 set -eu
 
 if [ "${1:-}" = "--smoke" ]; then
@@ -206,6 +209,17 @@ if [ "${1:-}" = "--smoke" ]; then
     echo "truncated snapshot was accepted" >&2; exit 1
   fi
   echo "checkpointed, resumed and uninterrupted runs are bit-identical"
+  echo "##### knowledge + snapshot suites (ASan + UBSan)"
+  cmake -B build-asan -S . -DAGENTNET_SANITIZE=address,undefined
+  cmake --build build-asan \
+    --target map_knowledge_test edge_index_test snapshot_format_test \
+    snapshot_resume_test parallel_determinism_test -j"$(nproc)"
+  for t in map_knowledge_test edge_index_test snapshot_format_test \
+    snapshot_resume_test; do
+    UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 build-asan/tests/"$t"
+  done
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 AGENTNET_THREADS=7 \
+    build-asan/tests/parallel_determinism_test --gtest_filter='ParallelForTest.*'
   echo "##### bench gates (report-only; docs/PERFORMANCE.md)"
   # Report-only: CI containers are 1-core and noisy, so the smoke leg
   # records the numbers without enforcing; run tools/bench_gate directly
@@ -217,7 +231,7 @@ if [ "${1:-}" = "--smoke" ]; then
   else
     echo "perf binaries not built (Release tree) — skipping bench gates" >&2
   fi
-  echo "TSan + trace + chaos + perf smoke passed" >&2
+  echo "TSan + ASan/UBSan + trace + chaos + perf smoke passed" >&2
   exit 0
 fi
 
