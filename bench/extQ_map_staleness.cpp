@@ -49,7 +49,7 @@ int main() {
 
     // Map while the network decays (the realistic setting).
     StigmergyBoard board(world.node_count());
-    EdgeIndex index(world.csr());
+    EdgeIndex index(world.graph());
     std::vector<MappingAgent> agents;
     for (int a = 0; a < 15; ++a)
       agents.emplace_back(a, static_cast<NodeId>(

@@ -83,8 +83,7 @@ AntRoutingResult run_ant_routing_task(const RoutingScenario& scenario,
           measure_connectivity(measured, tables, scenario.is_gateway(), 0, par)
               .fraction());
     } else {
-      // Fault-free topology: measure over the frozen CSR snapshot
-      // (bit-identical to walking world.graph()).
+      // Fault-free topology: the epoch-keyed cache walks world.graph().
       if (injector) injector->live_graph(world, world.step());
       result.connectivity.push_back(
           conn_cache.measure(world, tables, scenario.is_gateway(), 0, par)

@@ -244,8 +244,7 @@ DvRoutingTaskResult run_dv_routing_task(const RoutingScenario& scenario,
           measure_connectivity(measured, tables, is_gateway, 0, par)
               .fraction());
     } else {
-      // Fault-free topology: walk the frozen CSR snapshot (bit-identical
-      // to walking world.graph()).
+      // Fault-free topology: the epoch-keyed cache walks world.graph().
       result.connectivity.push_back(
           conn_cache.measure(world, tables, is_gateway, 0, par).fraction());
     }

@@ -10,7 +10,7 @@
 //     caller's thread — no pool, no wrappers — so `AGENTNET_AGENT_THREADS`
 //     unset reproduces pre-engine behaviour bit for bit.
 //   * Parallel bodies follow a two-phase read/commit step: fn(i) reads
-//     frozen pre-step state (CsrView, stigmergy stamps, pheromone rows)
+//     frozen pre-step state (the graph, stigmergy stamps, pheromone rows)
 //     and writes index i's pre-allocated slot; the caller commits slots in
 //     index order afterwards. No shared RNG draws and no trace events
 //     inside fn — task loops pre-draw fault decisions and replay events

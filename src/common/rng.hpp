@@ -132,7 +132,9 @@ class Rng {
 
   /// Checkpoint support: the full generator state — the four state words
   /// plus the polar method's cached spare — so a restored stream continues
-  /// the exact sequence it was saved mid-way through.
+  /// the exact sequence it was saved mid-way through. kStateBytes is what
+  /// save_state writes.
+  static constexpr std::size_t kStateBytes = 4 * 8 + 1 + 8;
   void save_state(snapshot::ByteWriter& w) const {
     for (std::uint64_t word : s_) w.u64(word);
     w.boolean(have_spare_normal_);

@@ -1,7 +1,7 @@
 // Dense ids for a network's directed arcs: the coordinates of agents'
 // edge-knowledge sets (core/map_knowledge.hpp). A mapping run seeds one
-// index from the world's CSR snapshot, so a frozen world's arcs are
-// numbered in CSR order and row u's ids are contiguous; a dynamic world
+// index from the world's graph, so a frozen world's arcs are numbered in
+// row order and row u's ids are contiguous; a dynamic world
 // registers a directed pair the first time an agent senses it. Ids are
 // append-only — never reused or renumbered — so a set indexed by them stays
 // valid while the index grows. Nothing a run reports depends on the id
@@ -33,8 +33,8 @@ class EdgeIndex {
 
   /// An index over `node_count` nodes with no arcs registered.
   explicit EdgeIndex(std::size_t node_count);
-  /// Registers every arc of `seed`, numbered in CSR order.
-  explicit EdgeIndex(const CsrView& seed);
+  /// Registers every arc of `seed`, numbered in row order.
+  explicit EdgeIndex(const Graph& seed);
 
   std::size_t node_count() const { return rows_.size(); }
   /// Registered arcs; every id is below this.

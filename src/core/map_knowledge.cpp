@@ -127,11 +127,8 @@ bool MapKnowledge::knows_edge(NodeId u, NodeId v) const {
   return id != EdgeIndex::kMiss && combined_.test(id);
 }
 
-namespace {
-
-template <class AnyGraph>
-std::size_t known_in(const EdgeIndex& index, const DenseBitset& known,
-                     const AnyGraph& truth) {
+std::size_t MapKnowledge::known_edge_count_in(const Graph& truth) const {
+  const EdgeIndex& index = *index_;
   AGENTNET_REQUIRE(truth.node_count() == index.node_count(),
                    "truth graph node-count mismatch");
   std::size_t n = 0;
@@ -143,20 +140,10 @@ std::size_t known_in(const EdgeIndex& index, const DenseBitset& known,
     for (NodeId v : truth.out_neighbors(u)) {
       while (k < row.size() && row[k].target < v) ++k;
       if (k == row.size()) break;
-      if (row[k].target == v && known.test(row[k].id)) ++n;
+      if (row[k].target == v && combined_.test(row[k].id)) ++n;
     }
   }
   return n;
-}
-
-}  // namespace
-
-std::size_t MapKnowledge::known_edge_count_in(const Graph& truth) const {
-  return known_in(*index_, combined_, truth);
-}
-
-std::size_t MapKnowledge::known_edge_count_in(const CsrView& truth) const {
-  return known_in(*index_, combined_, truth);
 }
 
 std::size_t MapKnowledge::heap_bytes() const {

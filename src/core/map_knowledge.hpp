@@ -93,8 +93,6 @@ class MapKnowledge {
   /// |known ∩ truth| — for dynamic topologies where stale knowledge may
   /// reference edges that no longer exist.
   std::size_t known_edge_count_in(const Graph& truth) const;
-  /// CSR variant — identical count over the frozen snapshot.
-  std::size_t known_edge_count_in(const CsrView& truth) const;
 
   /// Heap bytes the store occupies (edge sets, visit times, expiry state).
   std::size_t heap_bytes() const;

@@ -132,10 +132,10 @@ MappingTaskResult run_mapping_task(World& world,
                            ? *config.truth_edges_override
                            : world.graph().edge_count();
   AGENTNET_REQUIRE(result.truth_edges > 0, "mapping an edgeless network");
-  // Edge ids for every knowledge set of the run: the step-0 arcs in CSR
+  // Edge ids for every knowledge set of the run: the step-0 arcs in row
   // order. Only a world that advances can show an agent an arc outside
   // them; the sense phase registers those first.
-  EdgeIndex index(world.csr());
+  EdgeIndex index(world.graph());
 
   const std::vector<MappingAgentConfig> roster =
       config.team.empty()
@@ -212,8 +212,7 @@ MappingTaskResult run_mapping_task(World& world,
     // is eventually observable, so plain completeness applies.
     if (!config.advance_world || config.truth_edges_override)
       return agent.knowledge().completeness(result.truth_edges);
-    // The CSR snapshot of world.graph() — same edges, flat iteration.
-    const CsrView& truth = world.csr();
+    const Graph& truth = world.graph();
     if (truth.edge_count() == 0) return 1.0;
     return static_cast<double>(
                agent.knowledge().known_edge_count_in(truth)) /
@@ -481,13 +480,7 @@ MappingTaskResult run_mapping_task(World& world,
       double min_fraction = 1.0;
       double sum_fraction = 0.0;
       // Per-agent fractions land in index slots and reduce in index order,
-      // so the floating-point sum is bitwise the serial loop's. The lazy
-      // CSR refreeze is forced up front — workers must only read it (the
-      // serial path lets the first knowledge_fraction call freeze it, so
-      // an extinct team never triggers a refreeze either way).
-      if (par.active() && !agents.empty() && config.advance_world &&
-          !config.truth_edges_override)
-        world.csr();
+      // so the floating-point sum is bitwise the serial loop's.
       fractions.resize(agents.size());
       par.for_each(agents.size(), [&](std::size_t i) {
         fractions[i] = knowledge_fraction(agents[i]);

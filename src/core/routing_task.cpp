@@ -667,9 +667,8 @@ RoutingTaskResult run_routing_task(const RoutingScenario& scenario,
           }
         }
       }
-      // Without topology faults `measured` IS world.graph(), so the frozen
-      // CSR snapshot measures the same topology — bit-identically, since
-      // neighbour order matches — over two flat arrays.
+      // Without topology faults `measured` IS world.graph(), so the cache
+      // keyed on the world's epoch measures the same topology.
       result.connectivity.push_back(
           plan.topology_faults()
               ? measure_connectivity(measured, tables, is_gateway, 0, par)

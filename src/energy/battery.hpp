@@ -60,7 +60,9 @@ class BatteryBank {
   const Battery& battery(std::size_t node) const;
 
   /// Checkpoint support: per-node charges and the step counter. The
-  /// on-battery mask is config-derived and not carried.
+  /// on-battery mask is config-derived and not carried. state_bytes() is
+  /// what save_state writes.
+  std::size_t state_bytes() const { return 8 + 8 * batteries_.size() + 8; }
   void save_state(snapshot::ByteWriter& w) const {
     w.size(batteries_.size());
     for (const Battery& b : batteries_) b.save_state(w);

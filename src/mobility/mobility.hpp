@@ -36,6 +36,8 @@ class MobilityModel {
   /// Config-derived members (bounds, mobile mask, params) are not carried —
   /// the model is constructed normally before load_state overwrites the
   /// evolving state. Stateless models keep the no-op default.
+  /// state_bytes() is what save_state writes, so a writer can reserve it.
+  virtual std::size_t state_bytes() const { return 0; }
   virtual void save_state(snapshot::ByteWriter&) const {}
   virtual void load_state(snapshot::ByteReader&) {}
 };
@@ -67,6 +69,10 @@ class RandomDirectionMobility final : public MobilityModel {
   bool is_stationary(std::size_t node) const override;
   double speed(std::size_t node) const;
 
+  std::size_t state_bytes() const override {
+    return 8 + 8 * speeds_.size() + 8 + 16 * headings_.size() +
+           Rng::kStateBytes + 1;
+  }
   void save_state(snapshot::ByteWriter& w) const override {
     w.pod_vec(speeds_);
     w.size(headings_.size());
@@ -115,6 +121,9 @@ class RandomWaypointMobility final : public MobilityModel {
   void step(std::vector<Vec2>& positions) override;
   bool is_stationary(std::size_t node) const override;
 
+  std::size_t state_bytes() const override {
+    return 8 + (3 * 8 + 8 + 1) * legs_.size() + Rng::kStateBytes;
+  }
   void save_state(snapshot::ByteWriter& w) const override {
     w.size(legs_.size());
     for (const Leg& leg : legs_) {
@@ -175,6 +184,9 @@ class GaussMarkovMobility final : public MobilityModel {
   void step(std::vector<Vec2>& positions) override;
   bool is_stationary(std::size_t node) const override;
 
+  std::size_t state_bytes() const override {
+    return 16 + 8 * (speeds_.size() + headings_.size()) + Rng::kStateBytes;
+  }
   void save_state(snapshot::ByteWriter& w) const override {
     w.pod_vec(speeds_);
     w.pod_vec(headings_);
@@ -219,6 +231,7 @@ class TraceMobility final : public MobilityModel {
 
   /// Only the playback cursor — the recorded frames are reconstructed from
   /// config (same model, same seed) before load_state runs.
+  std::size_t state_bytes() const override { return 8; }
   void save_state(snapshot::ByteWriter& w) const override {
     w.size(cursor_);
   }

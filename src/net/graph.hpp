@@ -1,12 +1,19 @@
-// Directed graph with per-node sorted adjacency.
+// Directed graph with per-node sorted adjacency, stored as a padded CSR.
 //
 // The paper's environments make the topology a directed graph (heterogeneous
-// battery-degraded radio ranges ⇒ A can hear B without B hearing A). Node
-// counts are in the hundreds and topologies are rebuilt wholesale each step
-// under mobility, so the representation favours simplicity and cache-friendly
-// iteration over incremental update tricks. For rebuild-every-step callers,
-// reset() + assign_out_edges() recycle the per-node storage, and CsrView
-// freezes a graph into two flat arrays for read-heavy consumers.
+// battery-degraded radio ranges ⇒ A can hear B without B hearing A), and
+// under mobility its links change every step. One representation serves
+// every caller, from a 250-node paper scenario to a million-node field
+// (docs/PERFORMANCE.md, "One graph representation"): three per-node arrays
+// (slot start, live length, slot capacity) over one flat targets array.
+// Each row lives in its own slot with spare capacity after its live
+// entries, so World's per-step upkeep patches the few rows a step touches
+// in place. A row that outgrows its slot moves to the tail of the targets
+// array with at least doubled capacity, so the slots moved rows leave
+// behind stay below half the array. reset() + assign_out_edges()
+// lay a graph out row by row into recycled storage, and read-heavy
+// consumers (BFS, connectivity walks, coverage measurement) iterate the
+// flat arrays directly.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +42,7 @@ class Graph {
   Graph() = default;
   explicit Graph(std::size_t node_count);
 
-  std::size_t node_count() const { return adjacency_.size(); }
+  std::size_t node_count() const { return lens_.size(); }
   std::size_t edge_count() const { return edge_count_; }
 
   /// Adds u→v if absent; returns true when the edge was new. Self-loops are
@@ -47,8 +54,13 @@ class Graph {
   bool remove_edge(NodeId u, NodeId v);
 
   bool has_edge(NodeId u, NodeId v) const;
-  /// Out-neighbours of u in ascending id order.
-  std::span<const NodeId> out_neighbors(NodeId u) const;
+  /// Out-neighbours of u in ascending id order. The span aliases the
+  /// graph's storage: any mutation that grows a row (add_edge,
+  /// assign_out_edges) may move it, so copy a row before mutating others.
+  std::span<const NodeId> out_neighbors(NodeId u) const {
+    check_node(u);
+    return {targets_.data() + starts_[u], lens_[u]};
+  }
   std::size_t out_degree(NodeId u) const { return out_neighbors(u).size(); }
   /// O(V·log d) single-node scan; when you need every node's in-degree,
   /// use in_degrees() — one pass over the edges instead of V scans.
@@ -61,121 +73,59 @@ class Graph {
   /// All edges in (from, to) lexicographic order.
   std::vector<Edge> edges() const;
 
-  /// Drops all edges, keeps the node set.
+  /// Drops all edges, keeps the node set and every row's slot.
   void clear_edges();
 
-  /// Resizes to `node_count` nodes with no edges, recycling each node's
-  /// adjacency capacity — the rebuild-every-step entry point.
+  /// Resizes to `node_count` nodes with no edges, keeping the targets
+  /// array's capacity — the rebuild-every-step entry point.
   void reset(std::size_t node_count);
 
   /// Replaces u's out-list with `sorted_neighbors` (strictly ascending, no
-  /// self-loop), appending into recycled storage. Pairs with reset():
-  /// TopologyBuilder writes each adjacency append-only instead of
-  /// insertion-sorting edge by edge.
+  /// self-loop, not aliasing this graph's storage), in place when it fits
+  /// u's slot. Pairs with reset(): rows assigned in node order after a
+  /// reset are laid out back to back, each with spare slots for later
+  /// growth.
   void assign_out_edges(NodeId u, std::span<const NodeId> sorted_neighbors);
 
-  /// Writes the transpose into `out` (recycling its storage): counting pass
-  /// over in_degrees() to reserve, then an append pass that emits each
-  /// reversed adjacency already sorted.
+  /// Writes the transpose into `out` with a dense, slack-free layout:
+  /// counting pass to place each reversed row, then an append pass that
+  /// emits each one already sorted.
   void transposed_into(Graph& out) const;
 
-  friend bool operator==(const Graph&, const Graph&) = default;
-
-  /// Heap footprint of the adjacency storage (bytes/node accounting): row
-  /// headers plus every row's reserved capacity. O(V) walk — bench/report
-  /// use, not per-step hot path.
-  std::size_t heap_bytes() const;
-
-  /// Checkpoint support: node count plus every adjacency row. load_state
-  /// re-derives edge_count_ from the rows and validates the strictly-
-  /// ascending, no-self-loop row invariant.
-  void save_state(snapshot::ByteWriter& w) const {
-    w.size(adjacency_.size());
-    for (const auto& row : adjacency_) w.pod_vec(row);
-  }
-  void load_state(snapshot::ByteReader& r) {
-    const std::size_t n = r.counted(8);
-    reset(n);
-    std::vector<NodeId> row;
-    for (NodeId u = 0; u < static_cast<NodeId>(n); ++u) {
-      r.pod_vec(row);
-      for (std::size_t k = 0; k < row.size(); ++k) {
-        AGENTNET_REQUIRE(row[k] < n && row[k] != u &&
-                             (k == 0 || row[k - 1] < row[k]),
-                         "snapshot: malformed adjacency row");
-      }
-      assign_out_edges(u, row);
-    }
-  }
-
- private:
-  void check_node(NodeId u) const {
-    AGENTNET_ASSERT_MSG(u < adjacency_.size(), "node id out of range");
-  }
-
-  std::vector<std::vector<NodeId>> adjacency_;
-  std::size_t edge_count_ = 0;
-};
-
-/// A frozen CSR snapshot of a Graph: one starts array, one lengths array,
-/// one targets array. Read-heavy per-step consumers (BFS, connectivity
-/// walks, coverage measurement) iterate this instead of the
-/// vector-of-vectors — the whole edge set lives in contiguous allocations,
-/// and rebuild_from() recycles them across steps. The neighbour order is
-/// exactly the Graph's (ascending), so any algorithm gives bit-identical
-/// results on either representation.
-///
-/// Rows may carry slack capacity: rebuild_padded_from() reserves headroom
-/// after each row so patch_row() can replace a single row in place without
-/// touching the rest of the layout. World (docs/PERFORMANCE.md, "Topology
-/// upkeep") uses this to keep the CSR current at per-dirty-row cost
-/// instead of refreezing all n+E entries whenever the edge set changes.
-/// Equality is logical (same rows in the same order), independent of slack.
-class CsrView {
- public:
-  CsrView() = default;
-  explicit CsrView(const Graph& graph) { rebuild_from(graph); }
-
-  /// Re-freezes from `graph` with no slack, reusing the arrays.
-  void rebuild_from(const Graph& graph);
-
-  /// Re-freezes from `graph` reserving `row_slack` spare target slots after
-  /// each row (plus proportional headroom for dense rows) so subsequent
-  /// patch_row() calls usually fit in place.
-  void rebuild_padded_from(const Graph& graph, std::uint32_t row_slack = 8);
-
-  /// Replaces u's row with `sorted_neighbors` in place. Returns false —
-  /// leaving the view unchanged — when the new row exceeds the slot's
-  /// capacity; the caller then re-freezes via rebuild_padded_from().
-  bool patch_row(NodeId u, std::span<const NodeId> sorted_neighbors);
-
-  std::size_t node_count() const { return lens_.size(); }
-  std::size_t edge_count() const { return edge_count_; }
-
-  std::span<const NodeId> out_neighbors(NodeId u) const {
-    AGENTNET_ASSERT_MSG(u < lens_.size(), "node id out of range");
-    return {targets_.data() + starts_[u], lens_[u]};
-  }
-  std::size_t out_degree(NodeId u) const { return out_neighbors(u).size(); }
-  bool has_edge(NodeId u, NodeId v) const;
-
   /// Logical equality: same node count and per-row neighbour sequences.
-  /// Slack layout is invisible — a padded view equals its dense twin.
-  friend bool operator==(const CsrView& a, const CsrView& b);
+  /// Slot layout is invisible — a padded graph equals its dense twin.
+  friend bool operator==(const Graph& a, const Graph& b);
 
-  /// Heap footprint of the frozen arrays (bytes/node accounting).
+  /// Heap footprint of the arrays (bytes/node accounting).
   std::size_t heap_bytes() const {
-    return starts_.capacity() * sizeof(std::uint32_t) +
-           lens_.capacity() * sizeof(std::uint32_t) +
-           targets_.capacity() * sizeof(NodeId);
+    return (starts_.capacity() + lens_.capacity() + caps_.capacity() +
+            targets_.capacity()) *
+           sizeof(std::uint32_t);
   }
 
+  /// Checkpoint support: node count plus every adjacency row, each as a
+  /// length-prefixed list. load_state re-derives edge_count() from the rows
+  /// and validates the strictly-ascending, no-self-loop row invariant.
+  void save_state(snapshot::ByteWriter& w) const;
+  void load_state(snapshot::ByteReader& r);
+
  private:
-  std::vector<std::uint32_t> starts_;  // node_count + 1; row u occupies
-                                       // [starts_[u], starts_[u+1]) slots
-  std::vector<std::uint32_t> lens_;    // node_count; live entries per row
-  std::vector<NodeId> targets_;        // slot storage, sorted per row
+  /// Spare slots given to a row laid out from empty.
+  static constexpr std::uint32_t kRowSlack = 8;
+
+  void check_node(NodeId u) const {
+    AGENTNET_ASSERT_MSG(u < lens_.size(), "node id out of range");
+  }
+  /// Grows u's slot to hold `need` entries, moving the row to the tail
+  /// with doubled capacity when it does not fit.
+  void make_room(NodeId u, std::size_t need);
+
+  std::vector<std::uint32_t> starts_;  // row u occupies targets_[starts_[u]
+  std::vector<std::uint32_t> lens_;    //   .. starts_[u] + caps_[u]), its
+  std::vector<std::uint32_t> caps_;    //   first lens_[u] entries live
+  std::vector<NodeId> targets_;
   std::size_t edge_count_ = 0;
+  std::size_t dead_ = 0;  ///< targets_ slots no row owns.
 };
 
 }  // namespace agentnet

@@ -7,12 +7,14 @@ namespace agentnet {
 
 namespace {
 
-// Shared over Graph and CsrView — both expose node_count()/out_neighbors()
-// with identical (ascending) neighbour order, so the results are
-// bit-identical across representations.
-template <class AnyGraph>
-void bfs_distances_impl(const AnyGraph& graph, NodeId src,
-                        std::vector<int>& dist) {
+std::size_t count_reached(const std::vector<int>& dist) {
+  return static_cast<std::size_t>(
+      std::count_if(dist.begin(), dist.end(), [](int d) { return d >= 0; }));
+}
+
+}  // namespace
+
+void bfs_distances(const Graph& graph, NodeId src, std::vector<int>& dist) {
   dist.assign(graph.node_count(), -1);
   AGENTNET_REQUIRE(src < graph.node_count(), "bfs source out of range");
   std::queue<NodeId> frontier;
@@ -30,34 +32,13 @@ void bfs_distances_impl(const AnyGraph& graph, NodeId src,
   }
 }
 
-std::size_t count_reached(const std::vector<int>& dist) {
-  return static_cast<std::size_t>(
-      std::count_if(dist.begin(), dist.end(), [](int d) { return d >= 0; }));
-}
-
-}  // namespace
-
 std::vector<int> bfs_distances(const Graph& graph, NodeId src) {
   std::vector<int> dist;
-  bfs_distances_impl(graph, src, dist);
+  bfs_distances(graph, src, dist);
   return dist;
-}
-
-std::vector<int> bfs_distances(const CsrView& graph, NodeId src) {
-  std::vector<int> dist;
-  bfs_distances_impl(graph, src, dist);
-  return dist;
-}
-
-void bfs_distances(const CsrView& graph, NodeId src, std::vector<int>& dist) {
-  bfs_distances_impl(graph, src, dist);
 }
 
 std::size_t reachable_count(const Graph& graph, NodeId src) {
-  return count_reached(bfs_distances(graph, src));
-}
-
-std::size_t reachable_count(const CsrView& graph, NodeId src) {
   return count_reached(bfs_distances(graph, src));
 }
 
@@ -145,7 +126,7 @@ int diameter(const Graph& graph, const AgentParallel& par) {
   par.for_each_scratch(
       n, [] { return std::vector<int>(); },
       [&](std::size_t u, std::vector<int>& dist) {
-        bfs_distances_impl(graph, static_cast<NodeId>(u), dist);
+        bfs_distances(graph, static_cast<NodeId>(u), dist);
         int best = 0;
         for (int d : dist) {
           if (d < 0) {
@@ -254,7 +235,7 @@ double mean_shortest_path(const Graph& graph, const AgentParallel& par) {
   par.for_each_scratch(
       n, [] { return std::vector<int>(); },
       [&](std::size_t u, std::vector<int>& dist) {
-        bfs_distances_impl(graph, static_cast<NodeId>(u), dist);
+        bfs_distances(graph, static_cast<NodeId>(u), dist);
         for (int d : dist) {
           if (d > 0) {
             ++pair_slots[u];

@@ -13,15 +13,11 @@ namespace agentnet {
 /// Hop distance from `src` to every node following out-edges; unreachable
 /// nodes get -1.
 std::vector<int> bfs_distances(const Graph& graph, NodeId src);
-/// CSR variant — identical result; the flat arrays are what per-step
-/// measurement phases iterate.
-std::vector<int> bfs_distances(const CsrView& graph, NodeId src);
 /// As above, reusing caller storage for the distance array.
-void bfs_distances(const CsrView& graph, NodeId src, std::vector<int>& dist);
+void bfs_distances(const Graph& graph, NodeId src, std::vector<int>& dist);
 
 /// Number of nodes reachable from `src` (including src).
 std::size_t reachable_count(const Graph& graph, NodeId src);
-std::size_t reachable_count(const CsrView& graph, NodeId src);
 
 /// True iff every node can reach every other following edge directions.
 bool is_strongly_connected(const Graph& graph);

@@ -125,8 +125,8 @@ bool TopologyBuilder::update_into(Graph& graph, std::span<const NodeId> dirty,
     const NodeId u = dirty[i];
     if (!pre_gather) gather_row(u, positions, ranges);
     const std::vector<NodeId>& new_row = pre_gather ? row_slots_[i] : scratch_;
-    const auto old_row = graph.out_neighbors(u);
-    if (!std::equal(old_row.begin(), old_row.end(), new_row.begin(),
+    const auto live_row = graph.out_neighbors(u);
+    if (!std::equal(live_row.begin(), live_row.end(), new_row.begin(),
                     new_row.end())) {
       changed = true;
       if (options.touched_rows) options.touched_rows->push_back(u);
@@ -134,7 +134,11 @@ bool TopologyBuilder::update_into(Graph& graph, std::span<const NodeId> dirty,
         // Symmetric policies: out(u) == in(u), so the row diff tells every
         // *clean* neighbour whether its edge toward u appeared or vanished
         // (dirty neighbours recompute their own rows). Two-pointer walk
-        // over the sorted old/new rows.
+        // over the sorted old/new rows. The old row is copied first: a
+        // neighbour row that outgrows its slot moves, and that reallocates
+        // the storage live_row points into.
+        old_row_.assign(live_row.begin(), live_row.end());
+        const std::vector<NodeId>& old_row = old_row_;
         std::size_t a = 0, b = 0;
         while (a < old_row.size() || b < new_row.size()) {
           if (b == new_row.size() ||
@@ -158,8 +162,8 @@ bool TopologyBuilder::update_into(Graph& graph, std::span<const NodeId> dirty,
           }
         }
       }
+      graph.assign_out_edges(u, new_row);
     }
-    graph.assign_out_edges(u, new_row);
   }
 
   // (b) Directed in-edges toward moved nodes: candidates from the new
@@ -197,6 +201,7 @@ bool TopologyBuilder::update_into(Graph& graph, std::span<const NodeId> dirty,
 std::size_t TopologyBuilder::heap_bytes() const {
   std::size_t bytes = grid_.heap_bytes() +
                       scratch_.capacity() * sizeof(NodeId) +
+                      old_row_.capacity() * sizeof(NodeId) +
                       dirty_mask_.capacity() +
                       moved_.capacity() * sizeof(NodeId) +
                       pairs_.capacity() * sizeof(pairs_[0]) +

@@ -42,8 +42,8 @@ class TopologyBuilder {
   Graph build(const std::vector<Vec2>& positions,
               const std::vector<double>& ranges);
 
-  /// Rebuilds `graph` in place, recycling its adjacency capacity (and the
-  /// builder's grid + scratch) across steps. Each node's accepted
+  /// Rebuilds `graph` in place, recycling its storage (and the builder's
+  /// grid + scratch) across steps. Each node's accepted
   /// neighbours are gathered, sorted once and written append-only — no
   /// per-edge insertion sort. Produces a Graph identical (operator==) to
   /// build()'s.
@@ -75,7 +75,7 @@ class TopologyBuilder {
     /// When set, receives the sorted, deduplicated ids of every row whose
     /// stored adjacency this call modified: dirty rows that changed plus
     /// clean "halo" rows fixed up by mirror diffs / directed in-edge
-    /// repair. World patches exactly these CSR rows.
+    /// repair. World re-filters exactly these rows under link weather.
     std::vector<NodeId>* touched_rows = nullptr;
   };
   bool update_into(Graph& graph, std::span<const NodeId> dirty,
@@ -101,6 +101,7 @@ class TopologyBuilder {
   LinkPolicy policy_;
   double max_range_;
   std::vector<NodeId> scratch_;  ///< One node's accepted neighbours.
+  std::vector<NodeId> old_row_;  ///< A dirty row's edges before its patch.
   // update_into() scratch, reused across steps. dirty_mask_ is cleared by
   // walking the previous dirty set (not an O(n) refill), so steady-state
   // update cost tracks the dirty count, not the node count.

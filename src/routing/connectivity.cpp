@@ -9,14 +9,54 @@ namespace agentnet {
 
 namespace {
 
-// Templated over Graph / CsrView: both expose node_count() and has_edge()
-// and the walk logic is identical, so either representation yields the same
-// flags bit for bit.
-template <class AnyGraph>
-std::vector<bool> valid_route_flags_impl(const AnyGraph& graph,
-                                         const RoutingTables& tables,
-                                         const std::vector<bool>& is_gateway,
-                                         std::size_t max_hops) {
+/// Chunk-local memo for the parallel walk (one per engine chunk).
+struct WalkScratch {
+  std::vector<char> state;
+  std::vector<NodeId> path;
+};
+
+ConnectivityResult count_connected(const std::vector<bool>& valid) {
+  ConnectivityResult result;
+  result.total = valid.size();
+  for (bool v : valid)
+    if (v) ++result.connected;
+  return result;
+}
+
+ConnectivityResult oracle_connectivity_impl(
+    const Graph& graph, const std::vector<bool>& is_gateway,
+    const Graph& rev) {
+  const std::size_t n = graph.node_count();
+  AGENTNET_REQUIRE(is_gateway.size() == n, "gateway mask size mismatch");
+  // A node is potentially connected iff it reaches a gateway along edge
+  // directions; BFS from all gateways over *incoming* edges.
+  std::vector<bool> reach(n, false);
+  std::queue<NodeId> frontier;
+  for (NodeId v = 0; v < n; ++v) {
+    if (is_gateway[v]) {
+      reach[v] = true;
+      frontier.push(v);
+    }
+  }
+  while (!frontier.empty()) {
+    const NodeId u = frontier.front();
+    frontier.pop();
+    for (NodeId w : rev.out_neighbors(u)) {
+      if (!reach[w]) {
+        reach[w] = true;
+        frontier.push(w);
+      }
+    }
+  }
+  return count_connected(reach);
+}
+
+}  // namespace
+
+std::vector<bool> valid_route_flags(const Graph& graph,
+                                    const RoutingTables& tables,
+                                    const std::vector<bool>& is_gateway,
+                                    std::size_t max_hops) {
   const std::size_t n = graph.node_count();
   AGENTNET_REQUIRE(tables.size() == n, "tables/graph size mismatch");
   AGENTNET_REQUIRE(is_gateway.size() == n, "gateway mask size mismatch");
@@ -75,38 +115,27 @@ std::vector<bool> valid_route_flags_impl(const AnyGraph& graph,
   return valid;
 }
 
-template <class AnyGraph>
-ConnectivityResult measure_connectivity_impl(
-    const AnyGraph& graph, const RoutingTables& tables,
-    const std::vector<bool>& is_gateway, std::size_t max_hops) {
-  const auto valid =
-      valid_route_flags_impl(graph, tables, is_gateway, max_hops);
-  ConnectivityResult result;
-  result.total = valid.size();
-  for (bool v : valid)
-    if (v) ++result.connected;
-  return result;
+ConnectivityResult measure_connectivity(const Graph& graph,
+                                        const RoutingTables& tables,
+                                        const std::vector<bool>& is_gateway,
+                                        std::size_t max_hops) {
+  return count_connected(
+      valid_route_flags(graph, tables, is_gateway, max_hops));
 }
-
-/// Chunk-local memo for the parallel walk (one per engine chunk).
-struct WalkScratch {
-  std::vector<char> state;
-  std::vector<NodeId> path;
-};
 
 // Parallel walk: roots fan over the agent engine, each chunk carrying its
 // own memo. A verdict is an exact property of (graph, tables, mask) — the
 // memo only short-circuits walks that would reach the same answer — so the
 // flags match the serial walk bit for bit. Workers write byte slots
 // (vector<bool> packs bits into shared words and would race).
-template <class AnyGraph>
-std::vector<bool> valid_route_flags_par_impl(
-    const AnyGraph& graph, const RoutingTables& tables,
-    const std::vector<bool>& is_gateway, std::size_t max_hops,
-    const AgentParallel& par) {
+std::vector<bool> valid_route_flags(const Graph& graph,
+                                    const RoutingTables& tables,
+                                    const std::vector<bool>& is_gateway,
+                                    std::size_t max_hops,
+                                    const AgentParallel& par) {
   const std::size_t n = graph.node_count();
   if (!par.active() || n < 2)
-    return valid_route_flags_impl(graph, tables, is_gateway, max_hops);
+    return valid_route_flags(graph, tables, is_gateway, max_hops);
   AGENTNET_REQUIRE(tables.size() == n, "tables/graph size mismatch");
   AGENTNET_REQUIRE(is_gateway.size() == n, "gateway mask size mismatch");
   std::vector<char> flags(n, 0);
@@ -162,115 +191,13 @@ std::vector<bool> valid_route_flags_par_impl(
   return valid;
 }
 
-template <class AnyGraph>
-ConnectivityResult measure_connectivity_par_impl(
-    const AnyGraph& graph, const RoutingTables& tables,
-    const std::vector<bool>& is_gateway, std::size_t max_hops,
-    const AgentParallel& par) {
-  const auto valid =
-      valid_route_flags_par_impl(graph, tables, is_gateway, max_hops, par);
-  ConnectivityResult result;
-  result.total = valid.size();
-  for (bool v : valid)
-    if (v) ++result.connected;
-  return result;
-}
-
-template <class AnyGraph>
-ConnectivityResult oracle_connectivity_impl(
-    const AnyGraph& graph, const std::vector<bool>& is_gateway,
-    const Graph& rev) {
-  const std::size_t n = graph.node_count();
-  AGENTNET_REQUIRE(is_gateway.size() == n, "gateway mask size mismatch");
-  // A node is potentially connected iff it reaches a gateway along edge
-  // directions; BFS from all gateways over *incoming* edges.
-  std::vector<bool> reach(n, false);
-  std::queue<NodeId> frontier;
-  for (NodeId v = 0; v < n; ++v) {
-    if (is_gateway[v]) {
-      reach[v] = true;
-      frontier.push(v);
-    }
-  }
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop();
-    for (NodeId w : rev.out_neighbors(u)) {
-      if (!reach[w]) {
-        reach[w] = true;
-        frontier.push(w);
-      }
-    }
-  }
-  ConnectivityResult result;
-  result.total = n;
-  for (bool r : reach)
-    if (r) ++result.connected;
-  return result;
-}
-
-}  // namespace
-
-std::vector<bool> valid_route_flags(const Graph& graph,
-                                    const RoutingTables& tables,
-                                    const std::vector<bool>& is_gateway,
-                                    std::size_t max_hops) {
-  return valid_route_flags_impl(graph, tables, is_gateway, max_hops);
-}
-
-std::vector<bool> valid_route_flags(const CsrView& graph,
-                                    const RoutingTables& tables,
-                                    const std::vector<bool>& is_gateway,
-                                    std::size_t max_hops) {
-  return valid_route_flags_impl(graph, tables, is_gateway, max_hops);
-}
-
-ConnectivityResult measure_connectivity(const Graph& graph,
-                                        const RoutingTables& tables,
-                                        const std::vector<bool>& is_gateway,
-                                        std::size_t max_hops) {
-  return measure_connectivity_impl(graph, tables, is_gateway, max_hops);
-}
-
-ConnectivityResult measure_connectivity(const CsrView& graph,
-                                        const RoutingTables& tables,
-                                        const std::vector<bool>& is_gateway,
-                                        std::size_t max_hops) {
-  return measure_connectivity_impl(graph, tables, is_gateway, max_hops);
-}
-
-std::vector<bool> valid_route_flags(const Graph& graph,
-                                    const RoutingTables& tables,
-                                    const std::vector<bool>& is_gateway,
-                                    std::size_t max_hops,
-                                    const AgentParallel& par) {
-  return valid_route_flags_par_impl(graph, tables, is_gateway, max_hops, par);
-}
-
-std::vector<bool> valid_route_flags(const CsrView& graph,
-                                    const RoutingTables& tables,
-                                    const std::vector<bool>& is_gateway,
-                                    std::size_t max_hops,
-                                    const AgentParallel& par) {
-  return valid_route_flags_par_impl(graph, tables, is_gateway, max_hops, par);
-}
-
 ConnectivityResult measure_connectivity(const Graph& graph,
                                         const RoutingTables& tables,
                                         const std::vector<bool>& is_gateway,
                                         std::size_t max_hops,
                                         const AgentParallel& par) {
-  return measure_connectivity_par_impl(graph, tables, is_gateway, max_hops,
-                                       par);
-}
-
-ConnectivityResult measure_connectivity(const CsrView& graph,
-                                        const RoutingTables& tables,
-                                        const std::vector<bool>& is_gateway,
-                                        std::size_t max_hops,
-                                        const AgentParallel& par) {
-  return measure_connectivity_par_impl(graph, tables, is_gateway, max_hops,
-                                       par);
+  return count_connected(
+      valid_route_flags(graph, tables, is_gateway, max_hops, par));
 }
 
 ConnectivityResult oracle_connectivity(const Graph& graph,
@@ -296,7 +223,7 @@ ConnectivityResult ConnectivityCache::measure(
     return result_;
   }
   result_ =
-      measure_connectivity(world.csr(), tables, is_gateway, max_hops, par);
+      measure_connectivity(world.graph(), tables, is_gateway, max_hops, par);
   epoch_ = world.epoch();
   max_hops_ = max_hops;
   entries_ = tables.entries();  // assign reuses capacity across steps

@@ -33,19 +33,9 @@ ConnectivityResult measure_connectivity(const Graph& graph,
                                         const RoutingTables& tables,
                                         const std::vector<bool>& is_gateway,
                                         std::size_t max_hops = 0);
-/// CSR variant — bit-identical result; measurement phases iterate the
-/// frozen snapshot instead of the vector-of-vectors graph.
-ConnectivityResult measure_connectivity(const CsrView& graph,
-                                        const RoutingTables& tables,
-                                        const std::vector<bool>& is_gateway,
-                                        std::size_t max_hops = 0);
 
 /// Per-node validity flags from the same walk (diagnostics / tests).
 std::vector<bool> valid_route_flags(const Graph& graph,
-                                    const RoutingTables& tables,
-                                    const std::vector<bool>& is_gateway,
-                                    std::size_t max_hops = 0);
-std::vector<bool> valid_route_flags(const CsrView& graph,
                                     const RoutingTables& tables,
                                     const std::vector<bool>& is_gateway,
                                     std::size_t max_hops = 0);
@@ -61,17 +51,7 @@ std::vector<bool> valid_route_flags(const Graph& graph,
                                     const std::vector<bool>& is_gateway,
                                     std::size_t max_hops,
                                     const AgentParallel& par);
-std::vector<bool> valid_route_flags(const CsrView& graph,
-                                    const RoutingTables& tables,
-                                    const std::vector<bool>& is_gateway,
-                                    std::size_t max_hops,
-                                    const AgentParallel& par);
 ConnectivityResult measure_connectivity(const Graph& graph,
-                                        const RoutingTables& tables,
-                                        const std::vector<bool>& is_gateway,
-                                        std::size_t max_hops,
-                                        const AgentParallel& par);
-ConnectivityResult measure_connectivity(const CsrView& graph,
                                         const RoutingTables& tables,
                                         const std::vector<bool>& is_gateway,
                                         std::size_t max_hops,
@@ -93,8 +73,8 @@ inline constexpr std::uint64_t kNoCacheEpoch =
 /// fixed per run, so the cache keys on World::epoch() (bumped exactly when
 /// the edge set changes) plus a copy of the table contents. A hit re-emits
 /// the stored result — bit-identical, since the inputs are — and counts
-/// kDerivedCacheHits; a miss walks the world's frozen CSR snapshot exactly
-/// like the uncached path.
+/// kDerivedCacheHits; a miss walks world.graph() exactly like the uncached
+/// path.
 class ConnectivityCache {
  public:
   ConnectivityResult measure(const World& world, const RoutingTables& tables,

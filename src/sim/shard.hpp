@@ -11,10 +11,10 @@
 // with no synchronisation. Per-tile dirty lists are merged into one
 // globally ascending id list — a pure function of the snapshot,
 // independent of tiling and threads — so every downstream step
-// (TopologyBuilder::update_into, CSR row patching, epoch bumps) consumes
-// the same dirty set at any thread count. The tiles only *find* the dirty
-// nodes; what is done with them is the same incremental patch whose
-// result equals a full rebuild.
+// (TopologyBuilder::update_into, weather row filtering, epoch bumps)
+// consumes the same dirty set at any thread count. The tiles only *find*
+// the dirty nodes; what is done with them is the same incremental patch
+// whose result equals a full rebuild.
 #pragma once
 
 #include <algorithm>

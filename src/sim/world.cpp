@@ -68,7 +68,6 @@ World World::fixed(Graph graph) {
   world.fixed_topology_ = true;
   world.shards_.reset();  // pinned graph: no upkeep, no shard structures
   world.geo_graph_ = std::move(graph);
-  world.csr_.rebuild_from(world.geo_graph_);
   return world;
 }
 
@@ -107,16 +106,7 @@ void World::replay_topology() {
   AGENTNET_COUNT_N(kDerivedCacheHits, s.cache_hits);
   AGENTNET_COUNT_N(kShardTilesDirty, s.tiles_dirty);
   AGENTNET_COUNT_N(kShardHaloRows, s.halo_rows);
-  if (!s.epoch_bumped) return;
-  ++epoch_;
-  // Patch the padded CSR at the changed rows, like the live path.
-  touched_rows_.clear();
-  for (const Edge& e : removed) touched_rows_.push_back(e.from);
-  for (const Edge& e : added) touched_rows_.push_back(e.from);
-  std::sort(touched_rows_.begin(), touched_rows_.end());
-  touched_rows_.erase(std::unique(touched_rows_.begin(), touched_rows_.end()),
-                      touched_rows_.end());
-  patch_csr(touched_rows_);
+  if (s.epoch_bumped) ++epoch_;
 }
 
 void World::set_script(const WorldScript* script) {
@@ -140,7 +130,7 @@ double World::quantized_range(NodeId node) const {
 }
 
 void World::refresh_topology() {
-  if (fixed_topology_) return;  // pinned graph (and its CSR) never change
+  if (fixed_topology_) return;  // a pinned graph never changes
   // Tile-local scan; the merged output is the ascending set of nodes whose
   // position or quantized range changed since the last build, with their
   // new ranges already in ranges_. A world without maybe-dirty nodes has
@@ -181,37 +171,23 @@ void World::refresh_effective(bool geo_changed) {
     if (step_ / flapper_->persistence() != flap_window_) {
       // Window boundary: the whole weather draw changes.
       effective_changed = redraw_weather();
-      if (effective_changed) csr_.rebuild_padded_from(flapped_);
     } else {
       // Same window: down(u,v) is frozen, so only rows whose geometry
       // changed can differ. Re-filter exactly those, keeping the running
       // drop total so kLinkFlaps charges every drop the view contains.
       effective_changed = false;
-      for (NodeId u : touched_rows_) {
-        const std::uint32_t drops = filter_row(u);
-        const auto old_row = flapped_.out_neighbors(u);
-        if (!std::equal(old_row.begin(), old_row.end(), flap_scratch_.begin(),
-                        flap_scratch_.end())) {
-          effective_changed = true;
-          flapped_.assign_out_edges(u, flap_scratch_);
-        }
-        flap_drops_ = flap_drops_ - flap_row_drops_[u] + drops;
-        flap_row_drops_[u] = drops;
-      }
+      for (NodeId u : touched_rows_) effective_changed |= refilter_row(u);
       AGENTNET_COUNT_N(kLinkFlaps, flap_drops_);
-      if (effective_changed) patch_csr(touched_rows_);
     }
-  } else if (effective_changed) {
-    patch_csr(touched_rows_);
   }
   if (effective_changed) {
     ++epoch_;
   } else {
-    AGENTNET_COUNT(kDerivedCacheHits);  // CSR snapshot stayed warm
+    AGENTNET_COUNT(kDerivedCacheHits);  // derived state stays warm
   }
 }
 
-std::uint32_t World::filter_row(NodeId u) {
+bool World::refilter_row(NodeId u) {
   flap_scratch_.clear();
   std::uint32_t drops = 0;
   for (NodeId v : geo_graph_.out_neighbors(u)) {
@@ -220,35 +196,26 @@ std::uint32_t World::filter_row(NodeId u) {
     else
       flap_scratch_.push_back(v);
   }
-  return drops;
+  flap_drops_ = flap_drops_ - flap_row_drops_[u] + drops;
+  flap_row_drops_[u] = drops;
+  const auto old_row = flapped_.out_neighbors(u);
+  if (std::equal(old_row.begin(), old_row.end(), flap_scratch_.begin(),
+                 flap_scratch_.end()))
+    return false;
+  flapped_.assign_out_edges(u, flap_scratch_);
+  return true;
 }
 
 bool World::redraw_weather() {
   const std::size_t n = geo_graph_.node_count();
-  back_flapped_.reset(n);
-  flap_row_drops_.resize(n);
+  bool changed = flapped_.node_count() != n;
+  if (changed) flapped_.reset(n);
+  flap_row_drops_.assign(n, 0);
   flap_drops_ = 0;
-  for (NodeId u = 0; u < n; ++u) {
-    const std::uint32_t drops = filter_row(u);
-    back_flapped_.assign_out_edges(u, flap_scratch_);
-    flap_row_drops_[u] = drops;
-    flap_drops_ += drops;
-  }
+  for (NodeId u = 0; u < n; ++u) changed |= refilter_row(u);
   AGENTNET_COUNT_N(kLinkFlaps, flap_drops_);
-  const bool changed = !(back_flapped_ == flapped_);
-  std::swap(flapped_, back_flapped_);
   flap_window_ = step_ / flapper_->persistence();
   return changed;
-}
-
-void World::patch_csr(const std::vector<NodeId>& rows) {
-  const Graph& g = graph();
-  for (NodeId u : rows) {
-    if (!csr_.patch_row(u, g.out_neighbors(u))) {
-      csr_.rebuild_padded_from(g);
-      return;
-    }
-  }
 }
 
 void World::set_shard_threads(std::size_t threads) {
@@ -269,15 +236,16 @@ std::size_t World::memory_bytes() const {
                       maybe_dirty_.capacity() * sizeof(NodeId) +
                       touched_rows_.capacity() * sizeof(NodeId) +
                       flap_row_drops_.capacity() * sizeof(std::uint32_t) +
-                      geo_graph_.heap_bytes() + csr_.heap_bytes() +
+                      geo_graph_.heap_bytes() + flapped_.heap_bytes() +
                       builder_.heap_bytes();
-  if (weather_active_)
-    bytes += flapped_.heap_bytes() + back_flapped_.heap_bytes();
   if (shards_) bytes += shards_->heap_bytes();
   return bytes;
 }
 
 void World::save_state(snapshot::ByteWriter& w) const {
+  // Positions, clock, batteries, mobility, the two epochs: one allocation.
+  w.reserve(8 + 16 * positions_.size() + 8 + batteries_.state_bytes() +
+            mobility_->state_bytes() + 16);
   w.size(positions_.size());
   for (const Vec2& p : positions_) {
     w.f64(p.x);
@@ -320,7 +288,6 @@ void World::rebuild_derived() {
       std::max(radio_.max_base_range() * kShardTileFactor, 1e-9);
   shards_ = std::make_unique<WorldShards>(bounds_, tile, maybe_dirty_,
                                           positions_, ranges_, batteries_);
-  csr_.rebuild_padded_from(graph());
 }
 
 void World::set_link_flapper(std::optional<LinkFlapper> flapper) {
@@ -329,10 +296,12 @@ void World::set_link_flapper(std::optional<LinkFlapper> flapper) {
   set_script(nullptr);
   flapper_ = std::move(flapper);
   weather_active_ = flapper_ && flapper_->drop_probability() > 0.0;
-  // Reconfiguration: the effective view may have switched representation,
-  // so refresh it and conservatively open a new epoch.
-  if (weather_active_) redraw_weather();
-  csr_.rebuild_padded_from(graph());
+  // Reconfiguration: the effective view may have switched, so refresh it
+  // (or release it) and conservatively open a new epoch.
+  if (weather_active_)
+    redraw_weather();
+  else
+    flapped_ = Graph();
   ++epoch_;
 }
 

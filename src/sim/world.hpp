@@ -11,8 +11,8 @@
 // Only nodes that can move or discharge can ever dirty the graph; they live
 // in spatial tiles with SoA built state (sim/shard.hpp). Each advance()
 // scans those tiles for nodes whose position or quantized range changed
-// (the scan can fan out over a thread pool), patches exactly the affected
-// graph rows and patches the same rows of a padded CSR. The result equals
+// (the scan can fan out over a thread pool) and patches exactly the
+// affected rows of the one graph (a padded CSR) in place. The result equals
 // a full rebuild from the current snapshot at any thread count; the tests
 // hold that full rebuild as their oracle. epoch() counts the steps where
 // the edge set actually changed, so derived-state consumers can memoise
@@ -62,8 +62,7 @@ class World {
 
   /// Advances one simulation step: mobility, battery drain, link upkeep.
   /// When nothing is dirty (static world, pure clock tick) the topology —
-  /// graph, CSR snapshot, epoch — is left untouched, so downstream caches
-  /// stay warm.
+  /// graph and epoch — is left untouched, so downstream caches stay warm.
   void advance();
 
   std::size_t node_count() const { return positions_.size(); }
@@ -73,11 +72,6 @@ class World {
   const Graph& graph() const {
     return weather_active_ ? flapped_ : geo_graph_;
   }
-  /// Frozen CSR snapshot of graph(), refreshed only when the edge set
-  /// changes. Read-heavy per-step consumers (connectivity walks, coverage
-  /// measurement) iterate this; results are bit-identical to iterating
-  /// graph().
-  const CsrView& csr() const { return csr_; }
   /// Monotonic edge-set version of graph(): bumped exactly when an
   /// advance() (or reconfiguration) changed some edge. Derived-state
   /// consumers memoise on it — equal epochs guarantee an identical graph.
@@ -110,7 +104,7 @@ class World {
   std::size_t shard_threads() const { return shard_threads_; }
 
   /// Approximate heap footprint of the world's live structures — node
-  /// state, graphs, CSR, builder grid, shard tiles. The scale benches
+  /// state, graphs, builder grid, shard tiles. The scale benches
   /// report this as bytes/node; O(n) walk, not for hot paths.
   std::size_t memory_bytes() const;
 
@@ -131,7 +125,7 @@ class World {
 
   /// Checkpoint support. Serializes the evolving state (positions, clock,
   /// batteries, mobility, epoch counters); load_state rebuilds the derived
-  /// topology — ranges, geometric graph, weather view, CSR, shard tiles —
+  /// topology — ranges, geometric graph, weather view, shard tiles —
   /// from the restored snapshot, which reproduces it bit-for-bit because it
   /// is a pure function of that state. Call on a world constructed from the
   /// same config (same node count, policy, flapper and env knobs).
@@ -146,28 +140,24 @@ class World {
   /// ranges to multiples of the quantum (fewer range-dirty nodes per step);
   /// the default 0 is the exact identity.
   double quantized_range(NodeId node) const;
-  /// The live advance() tail: tile scan, row gather, graph and CSR row
-  /// patching.
+  /// The live advance() tail: tile scan, row gather, graph row patching.
   void refresh_topology();
-  /// Refreshes the weather view, CSR rows and epoch after the geometric
-  /// graph may have changed at the rows listed in touched_rows_.
+  /// Refreshes the weather view and epoch after the geometric graph may
+  /// have changed at the rows listed in touched_rows_.
   void refresh_effective(bool geo_changed);
   /// The replaying advance() tail: applies the script's edge changes for
   /// the step just taken, bumps the epochs and re-emits its counters.
   void replay_topology();
   /// Rebuilds every derived structure (ranges, builder grid, graphs, shard
-  /// tiles, CSR) from the current node state.
+  /// tiles) from the current node state.
   void rebuild_derived();
   /// Re-draws the whole weather view from geo_graph_ for the current
-  /// window (double-buffered through back_flapped_), refreshing the per-row
-  /// drop counts. Returns whether the view changed.
+  /// window, rewriting only the rows that differ, and refreshes the
+  /// per-row drop counts. Returns whether the view changed.
   bool redraw_weather();
-  /// Fills flap_scratch_ with u's geometric out-neighbours that are up
-  /// this step; returns how many the weather drops.
-  std::uint32_t filter_row(NodeId u);
-  /// Patches the CSR at `rows` from graph(), re-freezing it wholesale when
-  /// a row outgrows its padded slot.
-  void patch_csr(const std::vector<NodeId>& rows);
+  /// Re-filters u's weather row from geo_graph_, rewriting it when it
+  /// differs (returns true then), and updates the drop counts.
+  bool refilter_row(NodeId u);
   ThreadPool* shard_pool();
 
   Aabb bounds_;
@@ -178,10 +168,8 @@ class World {
   TopologyBuilder builder_;
   // Pure geometric topology (no weather), patched in place every step.
   Graph geo_graph_;
-  // Weather view double buffer, used only while a flapper is active.
+  // Weather view of geo_graph_, held only while a flapper is active.
   Graph flapped_;
-  Graph back_flapped_;
-  CsrView csr_;  ///< Frozen graph(), padded and patched per row.
   std::vector<double> ranges_;  ///< Quantized ranges as of the last build.
   std::vector<NodeId> maybe_dirty_;  ///< Nodes that can ever become dirty.
   std::vector<NodeId> flap_scratch_;

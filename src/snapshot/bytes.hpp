@@ -44,6 +44,9 @@ inline std::uint32_t crc32(const std::uint8_t* data, std::size_t len,
 
 class ByteWriter {
  public:
+  /// Makes room for `n` more bytes, so a writer that knows its encoded
+  /// size up front grows its buffer once instead of by doubling.
+  void reserve(std::size_t n) { bytes_.reserve(bytes_.size() + n); }
   void u8(std::uint8_t v) { bytes_.push_back(v); }
   void u32(std::uint32_t v) {
     for (int i = 0; i < 4; ++i)

@@ -1,8 +1,8 @@
 #include "snapshot/snapshot.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <utility>
 
 #include "common/atomic_file.hpp"
@@ -35,12 +35,29 @@ ExperimentIdentity read_identity(ByteReader& r) {
   return id;
 }
 
-void append_chunk(ByteWriter& body, std::uint32_t id, ByteWriter&& chunk) {
-  const std::vector<std::uint8_t> bytes = chunk.take();
-  body.u32(id);
-  body.u64(bytes.size());
-  body.u32(crc32(bytes.data(), bytes.size()));
-  body.raw(bytes.data(), bytes.size());
+/// A run chunk's body opens with the run index, the step and the payload's
+/// length prefix — 24 bytes — and the payload follows.
+constexpr std::size_t kRunPrefixBytes = 24;
+
+void put(std::ostream& os, const std::vector<std::uint8_t>& bytes) {
+  os.write(reinterpret_cast<const char*>(bytes.data()),
+           static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Streams one chunk — header, then `prefix` and `payload` as its body —
+/// straight to `os`. The CRC chains over the two parts, so the body is
+/// never assembled in memory.
+void write_chunk(std::ostream& os, std::uint32_t id,
+                 const std::vector<std::uint8_t>& prefix,
+                 const std::vector<std::uint8_t>& payload) {
+  ByteWriter header;
+  header.u32(id);
+  header.u64(prefix.size() + payload.size());
+  header.u32(crc32(payload.data(), payload.size(),
+                   crc32(prefix.data(), prefix.size())));
+  put(os, header.bytes());
+  put(os, prefix);
+  put(os, payload);
 }
 
 /// Captures one run's telemetry shard — counters, trace events, metrics
@@ -96,49 +113,58 @@ void load_obs_state(ByteReader& r, obs::RunObs& o) {
 }  // namespace
 
 void save_checkpoint(const Checkpoint& checkpoint, const std::string& path) {
-  ByteWriter body;
-  {
-    ByteWriter chunk;
-    write_identity(chunk, checkpoint.identity);
-    append_chunk(body, kChunkIdentity, std::move(chunk));
-  }
-  for (const auto& [run, record] : checkpoint.runs) {
-    ByteWriter chunk;
-    chunk.u64(run);
-    chunk.u64(record.step);
-    chunk.blob(record.payload);
-    append_chunk(body, kChunkRun, std::move(chunk));
-  }
-
   AtomicFileWriter file(path, std::ios::binary);
   std::ostream& os = file.stream();
   os.write(kSnapshotMagic, sizeof kSnapshotMagic);
   ByteWriter header;
   header.u32(kSnapshotVersion);
   header.u32(static_cast<std::uint32_t>(1 + checkpoint.runs.size()));
-  os.write(reinterpret_cast<const char*>(header.bytes().data()),
-           static_cast<std::streamsize>(header.bytes().size()));
-  os.write(reinterpret_cast<const char*>(body.bytes().data()),
-           static_cast<std::streamsize>(body.bytes().size()));
+  put(os, header.bytes());
+  ByteWriter identity;
+  write_identity(identity, checkpoint.identity);
+  write_chunk(os, kChunkIdentity, identity.bytes(), {});
+  for (const auto& [run, record] : checkpoint.runs) {
+    ByteWriter prefix;
+    prefix.u64(run);
+    prefix.u64(record.step);
+    prefix.size(record.payload.size());
+    write_chunk(os, kChunkRun, prefix.bytes(), record.payload);
+  }
   file.commit();
 }
 
 Checkpoint load_checkpoint(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
   AGENTNET_REQUIRE(is.is_open(), "cannot open checkpoint: " + path);
-  std::vector<std::uint8_t> data(
-      (std::istreambuf_iterator<char>(is)), std::istreambuf_iterator<char>());
-  AGENTNET_REQUIRE(!is.bad(), "error reading checkpoint: " + path);
-
-  AGENTNET_REQUIRE(data.size() >= sizeof kSnapshotMagic &&
-                       std::memcmp(data.data(), kSnapshotMagic,
-                                   sizeof kSnapshotMagic) == 0,
-                   "not an agentnet snapshot (bad magic): " + path);
+  const std::uint64_t file_size = static_cast<std::uint64_t>(is.tellg());
+  is.seekg(0);
+  // Every read is checked against the bytes left in the file before
+  // anything is allocated for it, so a corrupt length cannot allocate.
+  std::uint64_t offset = 0;
+  const auto read = [&](std::vector<std::uint8_t>& into, std::uint64_t n) {
+    AGENTNET_REQUIRE(n <= file_size - offset,
+                     "snapshot: truncated stream at byte " +
+                         std::to_string(offset) + " (need " +
+                         std::to_string(n) + " more of " +
+                         std::to_string(file_size - offset) + " left)");
+    into.resize(static_cast<std::size_t>(n));
+    is.read(reinterpret_cast<char*>(into.data()),
+            static_cast<std::streamsize>(n));
+    AGENTNET_REQUIRE(!is.fail(), "error reading checkpoint");
+    offset += n;
+  };
 
   Checkpoint out;
   try {
-    ByteReader r(data.data() + sizeof kSnapshotMagic,
-                 data.size() - sizeof kSnapshotMagic);
+    std::vector<std::uint8_t> head;
+    AGENTNET_REQUIRE(file_size >= sizeof kSnapshotMagic,
+                     "not an agentnet snapshot (bad magic)");
+    read(head, sizeof kSnapshotMagic);
+    AGENTNET_REQUIRE(
+        std::memcmp(head.data(), kSnapshotMagic, sizeof kSnapshotMagic) == 0,
+        "not an agentnet snapshot (bad magic)");
+    read(head, 8);
+    ByteReader r(head);
     const std::uint32_t version = r.u32();
     AGENTNET_REQUIRE(
         version == kSnapshotVersion,
@@ -148,22 +174,34 @@ Checkpoint load_checkpoint(const std::string& path) {
     const std::uint32_t chunk_count = r.u32();
 
     bool have_identity = false;
+    std::vector<std::uint8_t> prefix;
     for (std::uint32_t c = 0; c < chunk_count; ++c) {
-      const std::size_t offset = sizeof kSnapshotMagic + r.position();
-      const std::uint32_t id = r.u32();
-      const std::uint64_t len = r.u64();
-      const std::uint32_t stored_crc = r.u32();
-      AGENTNET_REQUIRE(len <= r.remaining(),
+      const std::uint64_t at = offset;
+      const std::string where =
+          std::to_string(c) + " at byte " + std::to_string(at);
+      read(head, 16);
+      ByteReader h(head);
+      const std::uint32_t id = h.u32();
+      const std::uint64_t len = h.u64();
+      const std::uint32_t stored_crc = h.u32();
+      AGENTNET_REQUIRE(len <= file_size - offset,
                        "snapshot: chunk " + std::to_string(c) +
                            " of length " + std::to_string(len) +
                            " overruns the file at byte " +
-                           std::to_string(offset));
-      const std::uint8_t* body_ptr = r.raw(static_cast<std::size_t>(len));
-      AGENTNET_REQUIRE(
-          crc32(body_ptr, static_cast<std::size_t>(len)) == stored_crc,
-          "snapshot: CRC mismatch in chunk " + std::to_string(c) +
-              " at byte " + std::to_string(offset));
-      ByteReader body(body_ptr, static_cast<std::size_t>(len));
+                           std::to_string(at));
+      // A run chunk's payload is read on its own into an exactly sized
+      // buffer that becomes the record's payload.
+      const std::uint64_t split =
+          id == kChunkRun ? std::min<std::uint64_t>(len, kRunPrefixBytes)
+                          : len;
+      std::vector<std::uint8_t> payload;
+      read(prefix, split);
+      read(payload, len - split);
+      AGENTNET_REQUIRE(crc32(payload.data(), payload.size(),
+                             crc32(prefix.data(), prefix.size())) ==
+                           stored_crc,
+                       "snapshot: CRC mismatch in chunk " + where);
+      ByteReader body(prefix);
       if (id == kChunkIdentity) {
         AGENTNET_REQUIRE(!have_identity, "snapshot: duplicate identity chunk");
         out.identity = read_identity(body);
@@ -172,21 +210,24 @@ Checkpoint load_checkpoint(const std::string& path) {
         const std::uint64_t run = body.u64();
         RunRecord record;
         record.step = body.u64();
-        record.payload = body.blob();
+        AGENTNET_REQUIRE(body.u64() == payload.size(),
+                         "snapshot: payload length disagrees with chunk " +
+                             where);
+        record.payload = std::move(payload);
         AGENTNET_REQUIRE(out.runs.find(run) == out.runs.end(),
                          "snapshot: duplicate record for run " +
                              std::to_string(run));
         out.runs.emplace(run, std::move(record));
       } else {
         throw ConfigError("snapshot: unknown chunk id " + std::to_string(id) +
-                          " at byte " + std::to_string(offset));
+                          " at byte " + std::to_string(at));
       }
       AGENTNET_REQUIRE(body.done(), "snapshot: trailing bytes in chunk " +
-                                        std::to_string(c) + " at byte " +
-                                        std::to_string(offset));
+                                        where);
     }
-    AGENTNET_REQUIRE(r.done(), "snapshot: " + std::to_string(r.remaining()) +
-                                   " trailing bytes after last chunk");
+    AGENTNET_REQUIRE(offset == file_size,
+                     "snapshot: " + std::to_string(file_size - offset) +
+                         " trailing bytes after last chunk");
     AGENTNET_REQUIRE(have_identity, "snapshot: missing identity chunk");
   } catch (const ConfigError& e) {
     // Every structural failure names the file it came from.

@@ -13,16 +13,16 @@ namespace {
 
 TEST(EdgeIndexTest, SeededIdsFollowCsrOrder) {
   const GeneratedNetwork net = paper_mapping_network(2010);
-  const CsrView csr(net.graph);
-  const EdgeIndex index(csr);
-  ASSERT_EQ(index.node_count(), csr.node_count());
-  EXPECT_EQ(index.size(), csr.edge_count());
+  const Graph& g = net.graph;
+  const EdgeIndex index(g);
+  ASSERT_EQ(index.node_count(), g.node_count());
+  EXPECT_EQ(index.size(), g.edge_count());
   EdgeId next = 0;
-  for (NodeId u = 0; u < csr.node_count(); ++u) {
-    const auto targets = csr.out_neighbors(u);
+  for (NodeId u = 0; u < g.node_count(); ++u) {
+    const auto targets = g.out_neighbors(u);
     const auto row = index.row(u);
     ASSERT_EQ(row.size(), targets.size());
-    // Row u holds the next deg(u) ids, in the CSR row's order.
+    // Row u holds the next deg(u) ids, in the graph row's order.
     for (std::size_t k = 0; k < row.size(); ++k) {
       EXPECT_EQ(row[k].target, targets[k]);
       EXPECT_EQ(row[k].id, next++);
@@ -35,7 +35,7 @@ TEST(EdgeIndexTest, LookupMissIsReported) {
   Graph g(4);
   g.add_edge(0, 2);
   g.add_edge(1, 3);
-  const EdgeIndex index{CsrView(g)};
+  const EdgeIndex index(g);
   EXPECT_EQ(index.find(0, 1), EdgeIndex::kMiss);  // before a row entry
   EXPECT_EQ(index.find(0, 3), EdgeIndex::kMiss);  // past the row's end
   EXPECT_EQ(index.find(2, 0), EdgeIndex::kMiss);  // empty row
@@ -48,7 +48,7 @@ TEST(EdgeIndexTest, RegistrationIsAppendOnly) {
   Graph g(5);
   g.add_edge(1, 2);
   g.add_edge(1, 4);
-  EdgeIndex index{CsrView(g)};
+  EdgeIndex index(g);
   const std::vector<NodeId> row{0, 2, 3, 4};
   EXPECT_EQ(index.add_row(1, row), 2u);  // 1→0 and 1→3 are new
   EXPECT_EQ(index.size(), 4u);

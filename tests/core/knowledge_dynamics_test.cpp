@@ -24,7 +24,7 @@ TEST(KnowledgeDynamicsTest, LockstepOfIdenticalSuperAgents) {
   // Two super-conscientious agents with identical knowledge at the same
   // node must move identically, step after step (the Fig 5 mechanism).
   const Graph g = ring(16);
-  const EdgeIndex index{CsrView(g)};
+  const EdgeIndex index(g);
   StigmergyBoard board(16);
   MappingAgent a(0, 5, index, {MappingPolicy::kSuperConscientious,
                             StigmergyMode::kOff},
@@ -49,7 +49,7 @@ TEST(KnowledgeDynamicsTest, StigmergyBreaksTheLockstep) {
   // Same setup, but the first mover stamps its exit: the second must take
   // a different door (the Fig 6 / extA mechanism).
   const Graph g = ring(16);
-  const EdgeIndex index{CsrView(g)};
+  const EdgeIndex index(g);
   StigmergyBoard board(16);
   MappingAgent a(0, 5, index, {MappingPolicy::kSuperConscientious,
                             StigmergyMode::kFilterFirst},
@@ -71,7 +71,7 @@ TEST(KnowledgeDynamicsTest, GossipReachesEveryoneThroughChains) {
   // Three agents in a line of meetings: a meets b, then b meets c — c must
   // end up with a's first-hand knowledge without ever meeting a.
   const Graph g = ring(10);
-  const EdgeIndex index{CsrView(g)};
+  const EdgeIndex index(g);
   MappingAgent a(0, 0, index, {}, Rng(1));
   MappingAgent b(1, 0, index, {}, Rng(2));
   MappingAgent c(2, 0, index, {}, Rng(3));

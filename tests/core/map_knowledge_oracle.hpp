@@ -113,8 +113,7 @@ class PairMapKnowledge {
   }
   std::size_t first_hand_edge_count() const { return first_hand_.count(); }
   std::size_t known_edge_count() const { return combined_.count(); }
-  template <class AnyGraph>
-  std::size_t known_edge_count_in(const AnyGraph& truth) const {
+  std::size_t known_edge_count_in(const Graph& truth) const {
     std::size_t count = 0;
     for (NodeId u = 0; u < n_; ++u)
       for (NodeId v : truth.out_neighbors(u))

@@ -357,7 +357,7 @@ TEST(MapKnowledgeExpiryTest, ZeroTtlDisablesExpiry) {
 // task does; a frozen world's seeded index already holds them all.
 
 void expect_same(const MapKnowledge& got, const PairMapKnowledge& want,
-                 const CsrView& truth, bool every_pair) {
+                 const Graph& truth, bool every_pair) {
   const std::size_t n = got.node_count();
   ASSERT_EQ(got.first_hand_edge_count(), want.first_hand_edge_count());
   ASSERT_EQ(got.known_edge_count(), want.known_edge_count());
@@ -387,7 +387,7 @@ std::size_t drive_against_oracle(World& world, bool dynamic,
   constexpr std::size_t kAgents = 6;
   constexpr std::size_t kSteps = 60;
   const std::size_t n = world.node_count();
-  EdgeIndex index(world.csr());
+  EdgeIndex index(world.graph());
   const std::size_t seeded = index.size();
   std::vector<MapKnowledge> stores(kAgents, MapKnowledge(index));
   std::vector<PairMapKnowledge> oracles(kAgents, PairMapKnowledge(n));
@@ -430,7 +430,7 @@ std::size_t drive_against_oracle(World& world, bool dynamic,
       stores[a].expire_second_hand(t, ttl);
       oracles[a].expire_second_hand(t, ttl);
       SCOPED_TRACE(::testing::Message() << "step " << t << " agent " << a);
-      expect_same(stores[a], oracles[a], world.csr(), t % 20 == 19);
+      expect_same(stores[a], oracles[a], world.graph(), t % 20 == 19);
     }
   }
   // A resumed run's index registers the arcs in load order, not in the
@@ -441,7 +441,7 @@ std::size_t drive_against_oracle(World& world, bool dynamic,
     MapKnowledge loaded(resumed);
     snapshot::ByteReader r(bytes);
     loaded.load_state(r, resumed);
-    expect_same(loaded, oracles[a], world.csr(), true);
+    expect_same(loaded, oracles[a], world.graph(), true);
   }
   return index.size() - seeded;
 }

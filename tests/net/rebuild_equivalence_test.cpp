@@ -6,7 +6,9 @@
 //      incremental upkeep, vs a naive O(n²) reference builder (the
 //      full-rebuild oracle), across all three LinkPolicy values, mobility
 //      steps, range quantization, link weather and fault plans.
-//   2. CsrView vs the Graph it froze (neighbour order, BFS, connectivity).
+//   2. A Graph's slot layout is invisible: padded, relocated and dense
+//      layouts of one edge set give the same neighbour order, BFS and
+//      connectivity walks.
 //   3. Golden end-to-end values captured from the pre-refactor build for
 //      every system whose tables moved from std::map to FlatMap (routing
 //      with communication, ACO, DV, link-state flooding) and for the
@@ -112,38 +114,48 @@ TEST(RebuildEquivalenceTest, WorldRebuildMatchesNaiveUnderMobilityAndWeather) {
         naive_build(world.positions(), ranges, world.link_policy());
     reference_weather.apply(expected, world.step());
     EXPECT_EQ(world.graph(), expected) << "step " << step;
-    EXPECT_EQ(CsrView(world.graph()), world.csr()) << "step " << step;
     world.advance();
   }
 }
 
 // ---------------------------------------------------------------------------
-// Layer 2: CsrView freezes exactly the Graph's adjacency.
+// Layer 2: a Graph's slot layout never shows through its adjacency.
+
+/// The same edge set in a dense, slack-free layout: the transpose of the
+/// transpose.
+Graph dense_copy(const Graph& g) {
+  Graph rev;
+  Graph dense;
+  g.transposed_into(rev);
+  rev.transposed_into(dense);
+  return dense;
+}
 
 TEST(CsrEquivalenceTest, SnapshotMatchesGraphAndRecyclesStorage) {
   const GeneratedNetwork net =
       paper_mapping_network(11);
-  CsrView csr;
-  csr.rebuild_from(net.graph);
-  ASSERT_EQ(csr.node_count(), net.graph.node_count());
-  ASSERT_EQ(csr.edge_count(), net.graph.edge_count());
+  // net.graph was grown edge by edge (rows moved as they outgrew their
+  // slots); its dense twin holds the same rows back to back.
+  const Graph dense = dense_copy(net.graph);
+  ASSERT_EQ(dense, net.graph);
+  ASSERT_EQ(dense.edge_count(), net.graph.edge_count());
   for (NodeId u = 0; u < net.graph.node_count(); ++u) {
     const auto a = net.graph.out_neighbors(u);
-    const auto b = csr.out_neighbors(u);
+    const auto b = dense.out_neighbors(u);
     ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
         << "node " << u;
     for (NodeId v = 0; v < net.graph.node_count(); ++v)
-      ASSERT_EQ(csr.has_edge(u, v), net.graph.has_edge(u, v));
+      ASSERT_EQ(dense.has_edge(u, v), net.graph.has_edge(u, v));
   }
-  // BFS over either representation is identical.
-  EXPECT_EQ(bfs_distances(csr, 0), bfs_distances(net.graph, 0));
-  // Refreezing from a smaller graph reuses the arrays and drops the rest.
+  EXPECT_EQ(bfs_distances(dense, 0), bfs_distances(net.graph, 0));
+  // Re-laying a smaller graph into used storage drops the rest.
+  Graph reused = dense;
   Graph small(3);
   small.add_edge(0, 2);
-  csr.rebuild_from(small);
-  EXPECT_EQ(csr.node_count(), 3u);
-  EXPECT_EQ(csr.edge_count(), 1u);
-  EXPECT_TRUE(csr.has_edge(0, 2));
+  small.transposed_into(reused);
+  EXPECT_EQ(reused.node_count(), 3u);
+  EXPECT_EQ(reused.edge_count(), 1u);
+  EXPECT_TRUE(reused.has_edge(2, 0));
 }
 
 TEST(CsrEquivalenceTest, ConnectivityWalksMatchGraphWalks) {
@@ -169,9 +181,9 @@ TEST(CsrEquivalenceTest, ConnectivityWalksMatchGraphWalks) {
   for (std::size_t max_hops : {std::size_t{0}, std::size_t{3}}) {
     const auto from_graph = valid_route_flags(
         world.graph(), tables, scenario.is_gateway(), max_hops);
-    const auto from_csr = valid_route_flags(
-        world.csr(), tables, scenario.is_gateway(), max_hops);
-    EXPECT_EQ(from_graph, from_csr) << "max_hops " << max_hops;
+    const auto from_dense = valid_route_flags(
+        dense_copy(world.graph()), tables, scenario.is_gateway(), max_hops);
+    EXPECT_EQ(from_graph, from_dense) << "max_hops " << max_hops;
   }
 }
 
@@ -350,7 +362,6 @@ TEST(UpkeepOracleTest, MatchesNaiveRebuildAcrossPoliciesWeatherAndQuantum) {
           ASSERT_EQ(world.graph(), naive_oracle(world, q))
               << "policy " << static_cast<int>(policy) << " weather "
               << weather << " quantum " << quantum << " step " << step;
-          ASSERT_EQ(world.csr(), CsrView(world.graph()));
           ASSERT_EQ(world.epoch() != epoch, !(world.graph() == before));
         }
       }

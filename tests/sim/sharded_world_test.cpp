@@ -166,7 +166,7 @@ TEST(ShardedWorldTest, CheckpointResumeMatchesOracleAtAnyThreadCount) {
   threaded.save_state(threaded_bytes);
   ASSERT_EQ(threaded_bytes.bytes(), serial_bytes.bytes());
 
-  // Restoring at another thread count rebuilds the tiles and the CSR from
+  // Restoring at another thread count rebuilds the tiles and the graph from
   // the snapshot and continues in lockstep with the uninterrupted run.
   World resumed = scenario.make_world();
   resumed.set_shard_threads(7);
@@ -174,7 +174,6 @@ TEST(ShardedWorldTest, CheckpointResumeMatchesOracleAtAnyThreadCount) {
   snapshot::ByteReader r(threaded_bytes.bytes());
   resumed.load_state(r);
   ASSERT_EQ(resumed.graph(), threaded.graph());
-  ASSERT_EQ(resumed.csr(), threaded.csr());
   ASSERT_EQ(resumed.epoch(), threaded.epoch());
   for (int step = 0; step < 12; ++step) {
     threaded.advance();
@@ -183,7 +182,6 @@ TEST(ShardedWorldTest, CheckpointResumeMatchesOracleAtAnyThreadCount) {
     resumed.advance();
     ASSERT_EQ(resumed.graph(), full_rebuild_oracle(resumed, 0.0))
         << "step " << step;
-    ASSERT_EQ(resumed.csr(), CsrView(resumed.graph())) << "step " << step;
     ASSERT_EQ(resumed.epoch() != epoch, !(resumed.graph() == before))
         << "step " << step;
     ASSERT_EQ(resumed.epoch(), threaded.epoch()) << "step " << step;
@@ -255,8 +253,6 @@ TEST(ShardedWorldTest, HaloEdgeGoldenAcrossTileBoundary) {
     world.advance();
     EXPECT_TRUE(world.graph().has_edge(0, 1)) << "step " << step;
     EXPECT_TRUE(world.graph().has_edge(1, 0)) << "step " << step;
-    EXPECT_TRUE(world.csr().has_edge(0, 1)) << "step " << step;
-    EXPECT_EQ(world.csr(), CsrView(world.graph())) << "step " << step;
   }
   // Golden counter values for the scripted walk: nodes 1 and 2 are dirty
   // on all 5 steps. A dirty node counts toward the tile it was scanned in,
@@ -302,10 +298,10 @@ TEST(ShardedWorldTest, MemoryBytesCoversLiveStructures) {
   const std::size_t n = world.node_count();
   const std::size_t plain = world.memory_bytes();
   // Node state alone (positions, ranges) is a lower bound; the graph, the
-  // padded CSR, the builder grid and the shard tiles come on top.
+  // builder grid and the shard tiles come on top.
   EXPECT_GT(plain, n * (sizeof(Vec2) + sizeof(double)) +
-                       world.csr().edge_count() * sizeof(NodeId));
-  // The weather view's double buffer is counted while a flapper is on.
+                       world.graph().edge_count() * sizeof(NodeId));
+  // The weather view is counted while a flapper is on.
   world.set_link_flapper(LinkFlapper(0.2, 3, 0xF00D));
   EXPECT_GT(world.memory_bytes(), plain);
 }

@@ -57,14 +57,13 @@ struct EpochTally {
 };
 
 /// Advances `world` `steps` times. Before the first and after every step
-/// graph() must equal the oracle and csr() must freeze graph(); across
-/// every step epoch() must move exactly when the edge set does.
+/// graph() must equal the oracle; across every step epoch() must move
+/// exactly when the edge set does.
 inline EpochTally expect_upkeep_matches_oracle(World& world, int steps,
                                                double quantum,
                                                const std::string& what) {
   EpochTally tally;
   EXPECT_EQ(world.graph(), full_rebuild_oracle(world, quantum)) << what;
-  EXPECT_EQ(world.csr(), CsrView(world.graph())) << what;
   for (int step = 0; step < steps; ++step) {
     const Graph before = world.graph();
     const std::uint64_t epoch = world.epoch();
@@ -72,7 +71,6 @@ inline EpochTally expect_upkeep_matches_oracle(World& world, int steps,
     const std::string where = what + " step " + std::to_string(step);
     const bool changed = !(world.graph() == before);
     EXPECT_EQ(world.graph(), full_rebuild_oracle(world, quantum)) << where;
-    EXPECT_EQ(world.csr(), CsrView(world.graph())) << where;
     EXPECT_EQ(world.epoch() != epoch, changed) << where;
     if (::testing::Test::HasFailure()) return tally;
     (changed ? tally.moved : tally.held) += 1;

@@ -179,6 +179,39 @@ TEST(WorldTest, NonFiniteRangeQuantumIsRejected) {
   ASSERT_EQ(::unsetenv("AGENTNET_TOPO_RANGE_QUANTUM"), 0);
 }
 
+TEST(WorldTest, SaveStateReservesExactlyItsEncodedSize) {
+  // save_state sizes its buffer once from the parts' state_bytes(): a
+  // miscount would leave spare capacity or regrow the buffer.
+  Rng rng(8);
+  const std::size_t n = 30;
+  const std::vector<bool> mobile(n, true);
+  const std::vector<Vec2> positions = random_positions(n, kArena, rng);
+  std::vector<std::unique_ptr<MobilityModel>> models;
+  models.push_back(std::make_unique<StationaryMobility>());
+  models.push_back(std::make_unique<RandomDirectionMobility>(
+      kArena, mobile, RandomDirectionMobility::Params{}, rng.fork(1)));
+  models.push_back(std::make_unique<RandomWaypointMobility>(
+      kArena, mobile, RandomWaypointMobility::Params{}, rng.fork(2)));
+  models.push_back(std::make_unique<GaussMarkovMobility>(
+      kArena, mobile, GaussMarkovMobility::Params{}, rng.fork(3)));
+  RandomWaypointMobility recorded(kArena, mobile, {}, rng.fork(4));
+  models.push_back(std::make_unique<TraceMobility>(
+      TraceMobility::record(recorded, positions, 5)));
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    World world(kArena, positions,
+                RadioModel(std::vector<double>(n, 20.0), RangeScaling{0.5}),
+                BatteryBank(n, mobile, {1.0, 0.01}), std::move(models[m]),
+                LinkPolicy::kSymmetricAnd);
+    for (int t = 0; t < 2; ++t) {
+      snapshot::ByteWriter w;
+      world.save_state(w);
+      EXPECT_EQ(w.bytes().capacity(), w.bytes().size())
+          << "model " << m << " step " << world.step();
+      world.advance();
+    }
+  }
+}
+
 TEST(SeriesRecorderTest, CollectsValues) {
   SeriesRecorder rec;
   rec.record(1.0);

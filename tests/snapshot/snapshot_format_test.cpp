@@ -271,6 +271,93 @@ TEST(CheckpointFileTest, DuplicateRunChunkRejected) {
   }
 }
 
+/// The build-then-write checkpoint writer save_checkpoint replaced: each
+/// chunk body is assembled in memory, copied into one file body, then
+/// written. Kept as the byte-level oracle for the streaming writer.
+std::vector<std::uint8_t> legacy_checkpoint_bytes(const Checkpoint& ck) {
+  const auto append_chunk = [](ByteWriter& body, std::uint32_t id,
+                               ByteWriter&& chunk) {
+    const std::vector<std::uint8_t> bytes = chunk.take();
+    body.u32(id);
+    body.u64(bytes.size());
+    body.u32(crc32(bytes.data(), bytes.size()));
+    body.raw(bytes.data(), bytes.size());
+  };
+  ByteWriter body;
+  {
+    ByteWriter chunk;
+    chunk.str(ck.identity.kind);
+    chunk.u64(ck.identity.runs);
+    chunk.u64(ck.identity.run_seed_base);
+    chunk.u64(ck.identity.node_count);
+    chunk.u64(ck.identity.steps);
+    append_chunk(body, 1, std::move(chunk));
+  }
+  for (const auto& [run, record] : ck.runs) {
+    ByteWriter chunk;
+    chunk.u64(run);
+    chunk.u64(record.step);
+    chunk.blob(record.payload);
+    append_chunk(body, 2, std::move(chunk));
+  }
+  ByteWriter file;
+  file.raw(reinterpret_cast<const std::uint8_t*>(kSnapshotMagic),
+           sizeof kSnapshotMagic);
+  file.u32(kSnapshotVersion);
+  file.u32(static_cast<std::uint32_t>(1 + ck.runs.size()));
+  file.raw(body.bytes().data(), body.bytes().size());
+  return file.take();
+}
+
+TEST(CheckpointFileTest, StreamedBytesMatchBuildThenWriteOracle) {
+  Checkpoint identity_only;
+  identity_only.identity = {"field", 1, 7, 1000, 500};
+  Checkpoint empty_payload = identity_only;
+  empty_payload.runs[4] = RunRecord{12, {}};
+  Checkpoint large = sample_checkpoint();
+  large.runs[9] = RunRecord{900, std::vector<std::uint8_t>(70000)};
+  for (std::size_t i = 0; i < large.runs[9].payload.size(); ++i)
+    large.runs[9].payload[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  int k = 0;
+  for (const Checkpoint* ck :
+       {&identity_only, &empty_payload, &large}) {
+    const std::string path = temp_path("oracle.snap");
+    save_checkpoint(*ck, path);
+    EXPECT_EQ(read_bytes(path), legacy_checkpoint_bytes(*ck)) << "case " << k;
+    const Checkpoint loaded = load_checkpoint(path);
+    EXPECT_EQ(loaded.identity, ck->identity) << "case " << k;
+    ASSERT_EQ(loaded.runs.size(), ck->runs.size()) << "case " << k;
+    for (const auto& [run, record] : ck->runs) {
+      EXPECT_EQ(loaded.runs.at(run).step, record.step);
+      EXPECT_EQ(loaded.runs.at(run).payload, record.payload);
+    }
+    ++k;
+  }
+}
+
+TEST(CheckpointFileTest, ChunkLongerThanTheFileRejectedBeforeAllocating) {
+  const std::string path = temp_path("giant_chunk.snap");
+  save_checkpoint(sample_checkpoint(), path);
+  std::vector<std::uint8_t> bytes = read_bytes(path);
+  // The identity chunk's header sits right after magic(8) + version(4) +
+  // chunk_count(4); its length field follows the 4-byte id. A length of
+  // 2^60 bytes cannot be allocated: reaching for it would throw
+  // std::bad_alloc, not the ConfigError the length check raises.
+  const std::size_t chunk_at = 16;
+  for (int i = 0; i < 8; ++i)
+    bytes[chunk_at + 4 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>((std::uint64_t{1} << 60) >> (8 * i));
+  write_bytes(path, bytes);
+  try {
+    load_checkpoint(path);
+    FAIL() << "giant chunk length accepted";
+  } catch (const ConfigError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("overruns the file at byte 16"), std::string::npos)
+        << what;
+  }
+}
+
 // An ant colony checkpoint written field by field in save_state's layout:
 // kColonyNodes pheromone rows (row 1 holds one entry), the given ants, an
 // RNG state and the four overhead counters.

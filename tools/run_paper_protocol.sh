@@ -30,8 +30,8 @@
 # metrics and traces against the uninterrupted run (docs/ROBUSTNESS.md).
 # The hot-path equivalence leg includes the shared-world-script replay
 # suites at 7 threads. An ASan + UBSan leg (separate build-asan/ tree)
-# runs the map-knowledge, edge-index and snapshot suites plus the
-# work-claiming ParallelForTest cases. A fast data-race + memory-safety +
+# runs the graph, topology-upkeep, map-knowledge, edge-index and snapshot
+# suites plus the work-claiming ParallelForTest cases. A fast data-race + memory-safety +
 # schema check, not a bench sweep.
 set -eu
 
@@ -209,13 +209,14 @@ if [ "${1:-}" = "--smoke" ]; then
     echo "truncated snapshot was accepted" >&2; exit 1
   fi
   echo "checkpointed, resumed and uninterrupted runs are bit-identical"
-  echo "##### knowledge + snapshot suites (ASan + UBSan)"
+  echo "##### graph + upkeep + knowledge + snapshot suites (ASan + UBSan)"
   cmake -B build-asan -S . -DAGENTNET_SANITIZE=address,undefined
-  cmake --build build-asan \
-    --target map_knowledge_test edge_index_test snapshot_format_test \
-    snapshot_resume_test parallel_determinism_test -j"$(nproc)"
-  for t in map_knowledge_test edge_index_test snapshot_format_test \
-    snapshot_resume_test; do
+  asan_suites="graph_test topology_test rebuild_equivalence_test
+    sharded_world_test world_script_test map_knowledge_test edge_index_test
+    snapshot_format_test snapshot_resume_test"
+  cmake --build build-asan --target $asan_suites parallel_determinism_test \
+    -j"$(nproc)"
+  for t in $asan_suites; do
     UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 build-asan/tests/"$t"
   done
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 AGENTNET_THREADS=7 \
