@@ -187,9 +187,18 @@ void RoutingScenario::validate() const {
   }
   AGENTNET_REQUIRE(gateways == params_.gateway_count,
                    "gateway mask does not match gateway_count");
+  AGENTNET_REQUIRE(trace_.node_count() == n,
+                   "trace node count must match node_count");
+  AGENTNET_REQUIRE(trace_.initial() == initial_positions_,
+                   "trace must start from the initial positions");
+  for (std::size_t i = 0; i < n; ++i)
+    AGENTNET_REQUIRE(trace_.is_stationary(i) == !mobile_[i],
+                     "trace stationary mask must be the complement of the "
+                     "mobile mask");
 }
 
 World RoutingScenario::make_world(const WorldScript* script) const {
+  // Shares the recording; the copy's cursor starts at frame zero.
   auto playback = std::make_unique<TraceMobility>(trace_);
   playback->reset();
   // Mobile nodes run on battery; stationary nodes (gateways included) are

@@ -16,6 +16,8 @@
 #include <fstream>
 #include <iomanip>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/atomic_file.hpp"
 #include "common/error.hpp"
@@ -36,39 +38,95 @@ const char* policy_token(LinkPolicy policy) {
   return "?";
 }
 
-LinkPolicy parse_policy_token(const std::string& name) {
+/// Reads the non-blank, non-comment lines of a scenario document and
+/// remembers the 1-based number of the last one read, for error messages.
+class LineReader {
+ public:
+  explicit LineReader(std::istream& is) : is_(is) {}
+
+  std::string next() {
+    std::string line;
+    while (std::getline(is_, line)) {
+      ++line_no_;
+      const auto first = line.find_first_not_of(" \t\r");
+      if (first == std::string::npos) continue;
+      if (line[first] == '#') continue;
+      return line;
+    }
+    throw ConfigError("scenario line " + std::to_string(line_no_ + 1) +
+                      ": unexpected end of file");
+  }
+
+  /// The next line, which must open with `tag`; the stream is left after
+  /// the tag.
+  std::istringstream tagged(const char* tag) {
+    std::istringstream line(next());
+    std::string seen;
+    line >> seen;
+    if (seen != tag)
+      fail(std::string("expected section '") + tag + "', got '" + seen + "'");
+    return line;
+  }
+
+  /// Throws ConfigError naming the last line read.
+  [[noreturn]] void fail(const std::string& what) const {
+    throw ConfigError("scenario line " + std::to_string(line_no_) + ": " +
+                      what);
+  }
+  void require(bool ok, const char* what) const {
+    if (!ok) fail(what);
+  }
+
+ private:
+  std::istream& is_;
+  std::size_t line_no_ = 0;
+};
+
+LinkPolicy parse_policy_token(const std::string& name, const LineReader& in) {
   if (name == "directed") return LinkPolicy::kDirected;
   if (name == "symmetric-and") return LinkPolicy::kSymmetricAnd;
   if (name == "symmetric-or") return LinkPolicy::kSymmetricOr;
-  throw ConfigError("unknown link policy in scenario file: " + name);
+  in.fail("unknown link policy: " + name);
 }
 
-GatewayPlacement parse_placement_token(const std::string& name) {
+GatewayPlacement parse_placement_token(const std::string& name,
+                                       const LineReader& in) {
   if (name == "random") return GatewayPlacement::kRandom;
   if (name == "spread") return GatewayPlacement::kSpread;
   if (name == "perimeter") return GatewayPlacement::kPerimeter;
-  throw ConfigError("unknown gateway placement in scenario file: " + name);
+  in.fail("unknown gateway placement: " + name);
 }
 
-std::string next_line(std::istream& is) {
-  std::string line;
-  while (std::getline(is, line)) {
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos) continue;
-    if (line[first] == '#') continue;
-    return line;
+/// Feeds TraceMobility::record one parsed frame line per step, so the
+/// loader never holds the frames twice. A frame may move only the nodes
+/// flagged 'm'.
+class FrameReader final : public MobilityModel {
+ public:
+  FrameReader(LineReader& in, const std::vector<bool>& mobile)
+      : in_(in), mobile_(mobile) {}
+
+  void step(std::vector<Vec2>& positions) override {
+    std::istringstream line(in_.next());
+    for (std::size_t i = 0; i < positions.size(); ++i) {
+      Vec2 p;
+      line >> p.x >> p.y;
+      in_.require(!line.fail(), "bad frame line");
+      if (!mobile_[i] && !(p == positions[i]))
+        in_.fail("frame moves node " + std::to_string(i) +
+                 ", which is not flagged 'm'");
+      positions[i] = p;
+    }
+    line >> std::ws;
+    in_.require(line.eof(), "trailing tokens on frame line");
   }
-  throw ConfigError("unexpected end of scenario file");
-}
+  bool is_stationary(std::size_t node) const override {
+    return !mobile_[node];
+  }
 
-std::istringstream tagged(std::istream& is, const char* tag) {
-  std::istringstream line(next_line(is));
-  std::string seen;
-  line >> seen;
-  AGENTNET_REQUIRE(seen == tag, std::string("expected section '") + tag +
-                                    "', got '" + seen + "'");
-  return line;
-}
+ private:
+  LineReader& in_;
+  const std::vector<bool>& mobile_;
+};
 
 }  // namespace
 
@@ -97,7 +155,7 @@ void save_scenario(const RoutingScenario& scenario, std::ostream& os) {
   const TraceMobility& trace = scenario.trace();
   os << "frames " << trace.frames() << '\n';
   for (std::size_t f = 0; f < trace.frames(); ++f) {
-    const auto& frame = trace.frame(f);
+    const std::vector<Vec2> frame = trace.frame(f);
     for (std::size_t i = 0; i < frame.size(); ++i)
       os << frame[i].x << ' ' << frame[i].y
          << (i + 1 == frame.size() ? '\n' : ' ');
@@ -106,107 +164,87 @@ void save_scenario(const RoutingScenario& scenario, std::ostream& os) {
 }
 
 RoutingScenario load_scenario(std::istream& is) {
+  LineReader in(is);
   {
-    std::istringstream header(next_line(is));
+    std::istringstream header(in.next());
     std::string magic;
     int version = 0;
     header >> magic >> version;
-    AGENTNET_REQUIRE(magic == "agentnet-scenario" && version == 1,
-                     "not an agentnet-scenario v1 file");
+    in.require(magic == "agentnet-scenario" && version == 1,
+               "not an agentnet-scenario v1 file");
   }
   RoutingScenarioParams p;
   {
-    auto line = tagged(is, "params");
+    auto line = in.tagged("params");
     std::string placement;
     line >> p.node_count >> p.gateway_count >> placement >>
         p.mobile_fraction;
-    AGENTNET_REQUIRE(!line.fail(), "bad params line");
-    p.gateway_placement = parse_placement_token(placement);
+    in.require(!line.fail(), "bad params line");
+    p.gateway_placement = parse_placement_token(placement, in);
   }
   {
-    auto line = tagged(is, "bounds");
+    auto line = in.tagged("bounds");
     line >> p.bounds.lo.x >> p.bounds.lo.y >> p.bounds.hi.x >> p.bounds.hi.y;
-    AGENTNET_REQUIRE(!line.fail(), "bad bounds line");
+    in.require(!line.fail(), "bad bounds line");
   }
   {
-    auto line = tagged(is, "radio");
+    auto line = in.tagged("radio");
     line >> p.node_range >> p.range_spread >> p.gateway_range_boost >>
         p.scaling.min_scale;
-    AGENTNET_REQUIRE(!line.fail(), "bad radio line");
+    in.require(!line.fail(), "bad radio line");
   }
   {
-    auto line = tagged(is, "battery");
+    auto line = in.tagged("battery");
     line >> p.battery.capacity >> p.battery.drain_per_step;
-    AGENTNET_REQUIRE(!line.fail(), "bad battery line");
+    in.require(!line.fail(), "bad battery line");
   }
   {
-    auto line = tagged(is, "movement");
+    auto line = in.tagged("movement");
     line >> p.movement.min_speed >> p.movement.max_speed >>
         p.movement.turn_probability;
-    AGENTNET_REQUIRE(!line.fail(), "bad movement line");
+    in.require(!line.fail(), "bad movement line");
   }
   {
-    auto line = tagged(is, "policy");
+    auto line = in.tagged("policy");
     std::string token;
     line >> token;
-    AGENTNET_REQUIRE(!line.fail(), "bad policy line");
-    p.policy = parse_policy_token(token);
+    in.require(!line.fail(), "bad policy line");
+    p.policy = parse_policy_token(token, in);
   }
   std::size_t node_count = 0;
   {
-    auto line = tagged(is, "nodes");
+    auto line = in.tagged("nodes");
     line >> node_count;
-    AGENTNET_REQUIRE(!line.fail() && node_count == p.node_count,
-                     "nodes section disagrees with params");
+    in.require(!line.fail() && node_count == p.node_count,
+               "nodes section disagrees with params");
   }
-  std::vector<Vec2> positions(node_count);
-  std::vector<double> ranges(node_count);
-  std::vector<bool> is_gateway(node_count), mobile(node_count);
+  // Grown line by line: node_count is not trusted to size an allocation.
+  std::vector<Vec2> positions;
+  std::vector<double> ranges;
+  std::vector<bool> is_gateway, mobile;
   for (std::size_t i = 0; i < node_count; ++i) {
-    std::istringstream line(next_line(is));
+    std::istringstream line(in.next());
+    Vec2 at;
+    double range = 0.0;
     char g = 0, m = 0;
-    line >> positions[i].x >> positions[i].y >> ranges[i] >> g >> m;
-    AGENTNET_REQUIRE(!line.fail() && (g == 'g' || g == '-') &&
-                         (m == 'm' || m == '-'),
-                     "bad node line");
-    is_gateway[i] = g == 'g';
-    mobile[i] = m == 'm';
+    line >> at.x >> at.y >> range >> g >> m;
+    in.require(!line.fail() && (g == 'g' || g == '-') &&
+                   (m == 'm' || m == '-'),
+               "bad node line");
+    positions.push_back(at);
+    ranges.push_back(range);
+    is_gateway.push_back(g == 'g');
+    mobile.push_back(m == 'm');
   }
   std::size_t frame_count = 0;
   {
-    auto line = tagged(is, "frames");
+    auto line = in.tagged("frames");
     line >> frame_count;
-    AGENTNET_REQUIRE(!line.fail(), "bad frames line");
+    in.require(!line.fail(), "bad frames line");
   }
   p.trace_steps = frame_count;
-  // Re-record the trace by replaying the stored frames through a scripted
-  // model, so the loaded scenario replays identically.
-  class FrameScript final : public MobilityModel {
-   public:
-    std::vector<std::vector<Vec2>> frames;
-    std::vector<bool> stationary;
-    std::size_t cursor = 0;
-    void step(std::vector<Vec2>& positions) override {
-      if (cursor < frames.size()) positions = frames[cursor++];
-    }
-    bool is_stationary(std::size_t node) const override {
-      return stationary[node];
-    }
-  };
-  FrameScript script;
-  script.stationary.resize(node_count);
-  for (std::size_t i = 0; i < node_count; ++i)
-    script.stationary[i] = !mobile[i];
-  script.frames.reserve(frame_count);
-  for (std::size_t f = 0; f < frame_count; ++f) {
-    std::istringstream line(next_line(is));
-    std::vector<Vec2> frame(node_count);
-    for (std::size_t i = 0; i < node_count; ++i)
-      line >> frame[i].x >> frame[i].y;
-    AGENTNET_REQUIRE(!line.fail(), "bad frame line");
-    script.frames.push_back(std::move(frame));
-  }
-  TraceMobility trace = TraceMobility::record(script, positions, frame_count);
+  FrameReader frames(in, mobile);
+  TraceMobility trace = TraceMobility::record(frames, positions, frame_count);
   return RoutingScenario(p, std::move(positions), std::move(ranges),
                          std::move(is_gateway), std::move(mobile),
                          std::move(trace));

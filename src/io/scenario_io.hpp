@@ -17,7 +17,8 @@ namespace agentnet {
 void save_scenario(const RoutingScenario& scenario, std::ostream& os);
 
 /// Parses a document produced by save_scenario. Throws ConfigError on
-/// malformed or inconsistent input.
+/// malformed or inconsistent input, naming the 1-based line; a frame may
+/// move only the nodes flagged 'm'.
 RoutingScenario load_scenario(std::istream& is);
 
 void save_scenario_file(const RoutingScenario& scenario,

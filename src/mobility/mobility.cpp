@@ -1,7 +1,10 @@
 #include "mobility/mobility.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -196,37 +199,71 @@ bool GaussMarkovMobility::is_stationary(std::size_t node) const {
 TraceMobility TraceMobility::record(MobilityModel& model,
                                     std::vector<Vec2> initial,
                                     std::size_t steps) {
-  TraceMobility trace;
-  trace.initial_ = initial;
-  trace.stationary_.resize(initial.size());
-  for (std::size_t i = 0; i < initial.size(); ++i)
-    trace.stationary_[i] = model.is_stationary(i);
+  const std::size_t n = initial.size();
+  AGENTNET_REQUIRE(n <= std::numeric_limits<std::uint32_t>::max(),
+                   "trace node count exceeds the u32 node index");
+  auto rec = std::make_shared<Recording>();
+  rec->stationary.resize(n);
+  std::vector<std::uint32_t> pinned;
+  for (std::size_t i = 0; i < n; ++i) {
+    rec->stationary[i] = model.is_stationary(i);
+    (rec->stationary[i] ? pinned : rec->movers)
+        .push_back(static_cast<std::uint32_t>(i));
+  }
+  rec->initial = initial;
   std::vector<Vec2> positions = std::move(initial);
-  trace.frames_.reserve(steps);
+  // No reserve: `steps` may come from an unchecked file header, and the
+  // row headers are small enough to grow by doubling.
   for (std::size_t t = 0; t < steps; ++t) {
     model.step(positions);
-    trace.frames_.push_back(positions);
+    for (const std::uint32_t i : pinned)
+      AGENTNET_REQUIRE(positions[i] == rec->initial[i],
+                       "mobility model moved node " + std::to_string(i) +
+                           ", which it reports as stationary, at step " +
+                           std::to_string(t + 1));
+    std::vector<Vec2>& row = rec->frames.emplace_back(rec->movers.size());
+    for (std::size_t k = 0; k < rec->movers.size(); ++k)
+      row[k] = positions[rec->movers[k]];
   }
+  TraceMobility trace;
+  trace.recording_ = std::move(rec);
   return trace;
 }
 
+const TraceMobility::Recording& TraceMobility::recording() const {
+  static const Recording kEmpty;
+  return recording_ ? *recording_ : kEmpty;
+}
+
 void TraceMobility::step(std::vector<Vec2>& positions) {
-  AGENTNET_REQUIRE(positions.size() == initial_.size(),
+  const Recording& rec = recording();
+  AGENTNET_REQUIRE(positions.size() == rec.initial.size(),
                    "position count does not match recorded trace");
-  if (frames_.empty()) return;
-  const std::size_t idx = std::min(cursor_, frames_.size() - 1);
-  positions = frames_[idx];
-  if (cursor_ < frames_.size()) ++cursor_;
+  if (rec.frames.empty()) return;
+  const std::vector<Vec2>& row =
+      rec.frames[std::min(cursor_, rec.frames.size() - 1)];
+  for (std::size_t k = 0; k < rec.movers.size(); ++k)
+    positions[rec.movers[k]] = row[k];
+  if (cursor_ < rec.frames.size()) ++cursor_;
 }
 
 bool TraceMobility::is_stationary(std::size_t node) const {
-  AGENTNET_ASSERT(node < stationary_.size());
-  return stationary_[node];
+  AGENTNET_ASSERT(node < node_count());
+  return recording().stationary[node];
 }
 
-const std::vector<Vec2>& TraceMobility::frame(std::size_t i) const {
-  AGENTNET_ASSERT(i < frames_.size());
-  return frames_[i];
+std::vector<Vec2> TraceMobility::frame(std::size_t i) const {
+  const Recording& rec = recording();
+  AGENTNET_ASSERT(i < rec.frames.size());
+  std::vector<Vec2> out = rec.initial;
+  for (std::size_t k = 0; k < rec.movers.size(); ++k)
+    out[rec.movers[k]] = rec.frames[i][k];
+  return out;
+}
+
+std::span<const Vec2> TraceMobility::mover_frame(std::size_t i) const {
+  AGENTNET_ASSERT(i < frames());
+  return recording().frames[i];
 }
 
 std::vector<Vec2> random_positions(std::size_t node_count, Aabb bounds,

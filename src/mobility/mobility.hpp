@@ -4,12 +4,18 @@
 // always stationary) and moves the rest with *random* per-node velocities
 // (the paper's change vs. Kramer et al.'s constant velocity). The paper
 // also runs every parameter setting against "the same configuration and
-// movement path of nodes" — TraceMobility records one model's output once
-// and replays it identically across settings.
+// movement path of nodes". TraceMobility serves that: it records one
+// model's output once and replays it in every world built from the
+// scenario. The recording is immutable and shared, so a copy of a trace
+// costs a pointer and a playback cursor. It keeps only what moves: the
+// initial positions once, then one row per frame holding the mobile
+// nodes' positions, which replay writes in place.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -208,26 +214,39 @@ class GaussMarkovMobility final : public MobilityModel {
 };
 
 /// Replays a pre-recorded movement script. Construct via `record`, which
-/// runs `model` for `steps` steps from `initial` and stores every frame;
-/// replaying past the end holds the final frame (the network freezes).
+/// runs `model` for `steps` steps from `initial` and stores each frame's
+/// mobile-node positions; replaying past the end holds the final frame
+/// (the network freezes). Copies share one immutable recording and keep
+/// their own cursor.
 class TraceMobility final : public MobilityModel {
  public:
-  /// Default-constructs an empty trace (zero nodes, zero frames); assign
-  /// the result of record() before use.
+  /// An empty trace (zero nodes, zero frames); assign the result of
+  /// record() before use.
   TraceMobility() = default;
 
+  /// Throws ConfigError if `model` moves a node it reports as stationary:
+  /// only the other nodes' positions are recorded.
   static TraceMobility record(MobilityModel& model, std::vector<Vec2> initial,
                               std::size_t steps);
 
   /// Restarts playback from frame zero (fresh run, same movements).
   void reset() { cursor_ = 0; }
 
+  /// Writes the next frame's mobile-node positions into `positions`; the
+  /// stationary entries are left as they are.
   void step(std::vector<Vec2>& positions) override;
   bool is_stationary(std::size_t node) const override;
 
-  std::size_t frames() const { return frames_.size(); }
-  const std::vector<Vec2>& frame(std::size_t i) const;
-  const std::vector<Vec2>& initial() const { return initial_; }
+  std::size_t node_count() const { return recording().initial.size(); }
+  std::size_t frames() const { return recording().frames.size(); }
+  /// All node positions after i + 1 steps, materialised.
+  std::vector<Vec2> frame(std::size_t i) const;
+  const std::vector<Vec2>& initial() const { return recording().initial; }
+  /// The mobile nodes, ascending: mover_frame(i)[k] is node movers()[k].
+  std::span<const std::uint32_t> movers() const {
+    return recording().movers;
+  }
+  std::span<const Vec2> mover_frame(std::size_t i) const;
 
   /// Only the playback cursor — the recorded frames are reconstructed from
   /// config (same model, same seed) before load_state runs.
@@ -238,9 +257,19 @@ class TraceMobility final : public MobilityModel {
   void load_state(snapshot::ByteReader& r) override { cursor_ = r.size(); }
 
  private:
-  std::vector<Vec2> initial_;
-  std::vector<std::vector<Vec2>> frames_;  // frames_[t] = positions after t+1 steps
-  std::vector<bool> stationary_;
+  struct Recording {
+    std::vector<Vec2> initial;
+    std::vector<bool> stationary;
+    std::vector<std::uint32_t> movers;
+    /// frames[t][k]: node movers[k] after t + 1 steps. One row per frame,
+    /// not one flat array: rows stay under glibc's mmap ceiling (32 MiB)
+    /// and are recycled through the heap when scenarios are rebuilt,
+    /// where a large flat array is mapped and faulted in afresh.
+    std::vector<std::vector<Vec2>> frames;
+  };
+  const Recording& recording() const;
+
+  std::shared_ptr<const Recording> recording_;
   std::size_t cursor_ = 0;
 };
 

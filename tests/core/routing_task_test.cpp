@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.hpp"
 #include "net/metrics.hpp"
 
@@ -53,6 +55,72 @@ TEST(RoutingScenarioTest, WorldsAreReproducible) {
     ASSERT_EQ(a.positions(), b.positions()) << "step " << t;
     ASSERT_EQ(a.graph(), b.graph()) << "step " << t;
   }
+}
+
+TEST(RoutingScenarioTest, InterleavedWorldsMatchALoneWorld) {
+  // Every world replays the scenario's one shared recording with its own
+  // cursor; advancing eight of them in turn must not disturb any.
+  const RoutingScenario scenario(small_params(), 2);
+  World lone = scenario.make_world();
+  std::vector<World> worlds;
+  for (int w = 0; w < 8; ++w) worlds.push_back(scenario.make_world());
+  // Past the recording's end too, where playback holds the last frame.
+  const std::size_t steps = scenario.params().trace_steps + 5;
+  for (std::size_t t = 0; t < steps; ++t) {
+    lone.advance();
+    // Staggered order: world w advances w-th, then the rest.
+    for (std::size_t k = 0; k < worlds.size(); ++k) {
+      World& world = worlds[(k + t) % worlds.size()];
+      world.advance();
+      ASSERT_EQ(world.positions(), lone.positions()) << "step " << t;
+      ASSERT_EQ(world.graph(), lone.graph()) << "step " << t;
+    }
+  }
+}
+
+TEST(RoutingScenarioTest, PartsConstructorValidatesTrace) {
+  const auto params = small_params();
+  const RoutingScenario base(params, 3);
+  const auto rebuild = [&](const std::vector<Vec2>& initial,
+                           const std::vector<bool>& mobile,
+                           TraceMobility trace) {
+    return RoutingScenario(params, initial, base.base_ranges(),
+                           base.is_gateway(), mobile, std::move(trace));
+  };
+  // The scenario's own parts are accepted.
+  EXPECT_NO_THROW(
+      rebuild(base.initial_positions(), base.mobile(), base.trace()));
+  const auto record = [&](std::vector<Vec2> initial,
+                          const std::vector<bool>& mobile) {
+    RandomDirectionMobility model(params.bounds, mobile, params.movement,
+                                  Rng(4));
+    return TraceMobility::record(model, std::move(initial), 5);
+  };
+  // Wrong node count.
+  std::vector<Vec2> fewer = base.initial_positions();
+  fewer.pop_back();
+  std::vector<bool> fewer_mobile = base.mobile();
+  fewer_mobile.pop_back();
+  EXPECT_THROW(rebuild(base.initial_positions(), base.mobile(),
+                       record(fewer, fewer_mobile)),
+               ConfigError);
+  EXPECT_THROW(
+      rebuild(base.initial_positions(), base.mobile(), TraceMobility{}),
+      ConfigError);
+  // A trace starting elsewhere.
+  std::vector<Vec2> shifted = base.initial_positions();
+  shifted[0].x += 1.0;
+  EXPECT_THROW(rebuild(base.initial_positions(), base.mobile(),
+                       record(shifted, base.mobile())),
+               ConfigError);
+  // A trace whose stationary mask is not !mobile.
+  std::size_t ordinary = 0;
+  while (base.is_gateway()[ordinary] || base.mobile()[ordinary]) ++ordinary;
+  std::vector<bool> more_mobile = base.mobile();
+  more_mobile[ordinary] = true;
+  EXPECT_THROW(rebuild(base.initial_positions(), base.mobile(),
+                       record(base.initial_positions(), more_mobile)),
+               ConfigError);
 }
 
 TEST(RoutingScenarioTest, TopologyActuallyChanges) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -91,6 +93,129 @@ TEST(ScenarioIoTest, RejectsSectionOutOfOrder) {
       "agentnet-scenario 1\n"
       "bounds 0 0 1 1\n");  // params section missing
   EXPECT_THROW(load_scenario(bad), ConfigError);
+}
+
+TEST(ScenarioIoTest, SaveLoadSaveIsByteIdentical) {
+  const RoutingScenario original(small_params(), 14);
+  std::stringstream first;
+  save_scenario(original, first);
+  std::stringstream in(first.str());
+  const RoutingScenario loaded = load_scenario(in);
+  std::stringstream second;
+  save_scenario(loaded, second);
+  EXPECT_EQ(second.str(), first.str());
+  EXPECT_EQ(loaded.trace().movers().size(), 20u);  // half of 40 move
+}
+
+/// A valid saved scenario with 3 nodes and 2 frames, one section per line
+/// (line numbers are 1-based, as in the messages).
+std::vector<std::string> tiny_lines() {
+  return {
+      "agentnet-scenario 1",             // 1
+      "params 3 1 random 0.34",          // 2
+      "bounds 0 0 100 100",              // 3
+      "radio 50 0 1.5 0.6",              // 4
+      "battery 1 0.001",                 // 5
+      "movement 0.5 3 0.05",             // 6
+      "policy symmetric-and",            // 7
+      "nodes 3",                         // 8
+      "10 10 50 g -",                    // 9
+      "20 20 50 - m",                    // 10
+      "30 30 50 - -",                    // 11
+      "frames 2",                        // 12
+      "10 10 21 20 30 30",               // 13
+      "10 10 22 20 30 30",               // 14
+  };
+}
+
+std::string join(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const std::string& line : lines) text += line + "\n";
+  return text;
+}
+
+/// The ConfigError message load_scenario raises for `lines`.
+std::string rejection(const std::vector<std::string>& lines) {
+  std::stringstream in(join(lines));
+  try {
+    load_scenario(in);
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+TEST(ScenarioIoTest, TinyScenarioLoadsAndRoundTrips) {
+  std::stringstream in(join(tiny_lines()));
+  const RoutingScenario loaded = load_scenario(in);
+  EXPECT_EQ(loaded.trace().frames(), 2u);
+  EXPECT_EQ(loaded.trace().frame(1)[1], (Vec2{22.0, 20.0}));
+  std::stringstream out;
+  save_scenario(loaded, out);
+  std::stringstream again(out.str());
+  std::stringstream resaved;
+  save_scenario(load_scenario(again), resaved);
+  EXPECT_EQ(resaved.str(), out.str());
+}
+
+TEST(ScenarioIoTest, RejectionsNameTheirLine) {
+  const auto expect_rejection = [](std::vector<std::string> lines,
+                                   const std::string& expected) {
+    const std::string message = rejection(lines);
+    EXPECT_NE(message.find(expected), std::string::npos)
+        << "expected \"" << expected << "\" in \"" << message << "\"";
+  };
+  auto lines = tiny_lines();
+  lines[9] = "20 20 50 - x";
+  expect_rejection(lines, "scenario line 10: bad node line");
+  lines = tiny_lines();
+  lines[12] = "10 10 21 20 30";
+  expect_rejection(lines, "scenario line 13: bad frame line");
+  lines = tiny_lines();
+  lines[13] += " 7";
+  expect_rejection(lines, "scenario line 14: trailing tokens on frame line");
+  lines = tiny_lines();
+  lines[12] = "10 10 21 20 30.5 30";
+  expect_rejection(lines,
+                   "scenario line 13: frame moves node 2, which is not "
+                   "flagged 'm'");
+  lines = tiny_lines();
+  lines[13] = "10.5 10 22 20 30 30";  // the gateway
+  expect_rejection(lines, "scenario line 14: frame moves node 0");
+  lines = tiny_lines();
+  lines[3] = "bounds 0 0 100 100";
+  expect_rejection(lines, "scenario line 4: expected section 'radio'");
+  lines = tiny_lines();
+  lines[7] = "nodes 4";
+  expect_rejection(lines, "scenario line 8: nodes section disagrees");
+  lines = tiny_lines();
+  lines[6] = "policy sideways";
+  expect_rejection(lines, "scenario line 7: unknown link policy");
+  lines = tiny_lines();
+  lines[1] = "params 3 1 middle 0.34";
+  expect_rejection(lines, "scenario line 2: unknown gateway placement");
+  // Comments and blank lines count toward the line number.
+  lines = tiny_lines();
+  lines.insert(lines.begin() + 8, "# node table");
+  lines.insert(lines.begin() + 9, "");
+  lines[11] = "20 20 50 - x";
+  expect_rejection(lines, "scenario line 12: bad node line");
+  // Missing frames: the line after the last one.
+  lines = tiny_lines();
+  lines.pop_back();
+  expect_rejection(lines, "scenario line 14: unexpected end of file");
+}
+
+TEST(ScenarioIoTest, HugeFrameCountIsAConfigError) {
+  auto lines = tiny_lines();
+  lines[11] = "frames 99999999999";
+  EXPECT_NE(rejection(lines).find("scenario line 15: unexpected end of file"),
+            std::string::npos);
+  lines = tiny_lines();
+  lines[1] = "params 99999999999 1 random 0.34";
+  lines[7] = "nodes 99999999999";
+  EXPECT_NE(rejection(lines).find("scenario line 12: bad node line"),
+            std::string::npos);
 }
 
 TEST(ScenarioIoTest, FileRoundTrip) {

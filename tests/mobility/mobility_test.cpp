@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/error.hpp"
 
 namespace agentnet {
@@ -263,6 +266,104 @@ TEST(TraceMobilityTest, PreservesStationaryFlags) {
       TraceMobility::record(recorder, {{1.0, 1.0}, {2.0, 2.0}}, 5);
   EXPECT_FALSE(trace.is_stationary(0));
   EXPECT_TRUE(trace.is_stationary(1));
+}
+
+TEST(TraceMobilityTest, MixedMaskReplayMatchesLiveModel) {
+  const std::vector<bool> mobile{true, false, true, true, false, false, true};
+  const RandomDirectionMobility::Params params{1.0, 3.0, 0.2};
+  Rng rng(14);
+  const auto initial = random_positions(mobile.size(), kArena, rng);
+  RandomDirectionMobility recorder(kArena, mobile, params, Rng(15));
+  RandomDirectionMobility live(kArena, mobile, params, Rng(15));
+  const TraceMobility recorded = TraceMobility::record(recorder, initial, 40);
+  ASSERT_EQ(recorded.frames(), 40u);
+  EXPECT_EQ(std::vector<std::uint32_t>(recorded.movers().begin(),
+                                       recorded.movers().end()),
+            (std::vector<std::uint32_t>{0, 2, 3, 6}));
+  TraceMobility trace = recorded;
+  auto expected = initial;
+  auto replay = initial;
+  for (std::size_t t = 0; t < 40; ++t) {
+    live.step(expected);
+    trace.step(replay);
+    ASSERT_EQ(replay, expected) << "step " << t;
+    ASSERT_EQ(recorded.frame(t), expected) << "step " << t;
+    ASSERT_EQ(recorded.mover_frame(t).size(), 4u);
+  }
+  for (int t = 0; t < 5; ++t) {
+    trace.step(replay);
+    EXPECT_EQ(replay, expected) << "past the end, step " << t;
+  }
+}
+
+TEST(TraceMobilityTest, CopiesShareOneRecordingWithOwnCursors) {
+  RandomDirectionMobility recorder(kArena, {true, false, true},
+                                   {1.0, 2.0, 0.1}, Rng(16));
+  const std::vector<Vec2> initial{{10.0, 10.0}, {20.0, 20.0}, {30.0, 30.0}};
+  TraceMobility a = TraceMobility::record(recorder, initial, 10);
+  TraceMobility b = a;
+  TraceMobility c;
+  c = b;
+  for (std::size_t t = 0; t < a.frames(); ++t) {
+    EXPECT_EQ(a.mover_frame(t).data(), b.mover_frame(t).data());
+    EXPECT_EQ(a.mover_frame(t).data(), c.mover_frame(t).data());
+  }
+  EXPECT_EQ(&a.initial(), &b.initial());
+  // Cursors move independently: a runs ahead, b and c start from zero.
+  auto pa = initial;
+  for (int t = 0; t < 3; ++t) a.step(pa);
+  auto pb = initial;
+  b.step(pb);
+  EXPECT_EQ(pb, a.frame(0));
+  auto pc = initial;
+  for (int t = 0; t < 3; ++t) c.step(pc);
+  EXPECT_EQ(pc, pa);
+  a.step(pa);
+  EXPECT_EQ(pa, a.frame(3));
+  b.step(pb);
+  EXPECT_EQ(pb, a.frame(1));
+}
+
+TEST(TraceMobilityTest, RecordRejectsModelMovingAStationaryNode) {
+  // Reports every node stationary but moves node 1 on its third step.
+  class Liar final : public MobilityModel {
+   public:
+    void step(std::vector<Vec2>& positions) override {
+      if (++steps_ == 3) positions[1].x += 0.5;
+    }
+    bool is_stationary(std::size_t) const override { return true; }
+
+   private:
+    int steps_ = 0;
+  };
+  Liar liar;
+  EXPECT_THROW(TraceMobility::record(liar, {{1.0, 1.0}, {2.0, 2.0}}, 5),
+               ConfigError);
+  Liar short_liar;  // never reaches its third step
+  const TraceMobility trace =
+      TraceMobility::record(short_liar, {{1.0, 1.0}, {2.0, 2.0}}, 2);
+  EXPECT_EQ(trace.frames(), 2u);
+  EXPECT_TRUE(trace.movers().empty());
+  EXPECT_EQ(trace.frame(1), (std::vector<Vec2>{{1.0, 1.0}, {2.0, 2.0}}));
+}
+
+TEST(TraceMobilityTest, DefaultConstructedTraceIsEmptyAndSafe) {
+  TraceMobility trace;
+  EXPECT_EQ(trace.node_count(), 0u);
+  EXPECT_EQ(trace.frames(), 0u);
+  EXPECT_TRUE(trace.initial().empty());
+  EXPECT_TRUE(trace.movers().empty());
+  std::vector<Vec2> none;
+  trace.step(none);
+  TraceMobility copy = trace;
+  copy.reset();
+  copy.step(none);
+  EXPECT_TRUE(none.empty());
+  std::vector<Vec2> one{{1.0, 1.0}};
+  EXPECT_THROW(trace.step(one), ConfigError);
+  snapshot::ByteWriter w;
+  trace.save_state(w);
+  EXPECT_EQ(w.bytes().size(), trace.state_bytes());
 }
 
 }  // namespace

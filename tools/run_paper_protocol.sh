@@ -31,8 +31,9 @@
 # The hot-path equivalence leg includes the shared-world-script replay
 # suites at 7 threads. An ASan + UBSan leg (separate build-asan/ tree)
 # runs the graph, topology-upkeep, map-knowledge, edge-index and snapshot
-# suites plus the work-claiming ParallelForTest cases. A fast data-race + memory-safety +
-# schema check, not a bench sweep.
+# suites, the shared movement-recording suites (mobility, scenario I/O,
+# routing task) and the work-claiming ParallelForTest cases. A fast
+# data-race + memory-safety + schema check, not a bench sweep.
 set -eu
 
 if [ "${1:-}" = "--smoke" ]; then
@@ -209,11 +210,12 @@ if [ "${1:-}" = "--smoke" ]; then
     echo "truncated snapshot was accepted" >&2; exit 1
   fi
   echo "checkpointed, resumed and uninterrupted runs are bit-identical"
-  echo "##### graph + upkeep + knowledge + snapshot suites (ASan + UBSan)"
+  echo "##### graph + upkeep + knowledge + snapshot + mobility suites (ASan + UBSan)"
   cmake -B build-asan -S . -DAGENTNET_SANITIZE=address,undefined
   asan_suites="graph_test topology_test rebuild_equivalence_test
     sharded_world_test world_script_test map_knowledge_test edge_index_test
-    snapshot_format_test snapshot_resume_test"
+    snapshot_format_test snapshot_resume_test mobility_test scenario_io_test
+    routing_task_test"
   cmake --build build-asan --target $asan_suites parallel_determinism_test \
     -j"$(nproc)"
   for t in $asan_suites; do
