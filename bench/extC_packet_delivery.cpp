@@ -28,8 +28,8 @@ int main() {
     AntReinforcement reinforcement;
     bool balance;
   };
-  const double low = env_double("AGENTNET_TRAFFIC_LOW_LOAD", 0.05);
-  const double high = env_double("AGENTNET_TRAFFIC_HIGH_LOAD", 0.3);
+  constexpr double low = 0.05;
+  constexpr double high = 0.3;
   const Setting settings[] = {
       {"hop-count, low load", low, AntReinforcement::kHopCount, false},
       {"delay, low load", low, AntReinforcement::kDelay, false},

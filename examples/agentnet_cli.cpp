@@ -117,6 +117,24 @@ int run_mapping(Options& opts) {
   return 0;
 }
 
+/// The latency, drop and flow line shared by the routing and traffic
+/// scenarios' reports.
+void print_traffic_details(const FlowTrafficStats& ts) {
+  std::printf(
+      "latency p50/p95/p99: %llu/%llu/%llu steps; drops: no-route %llu, "
+      "link-down %llu, ttl %llu, queue-full %llu; flows %llu started, "
+      "%llu completed\n",
+      static_cast<unsigned long long>(ts.latency_quantile(0.5)),
+      static_cast<unsigned long long>(ts.latency_quantile(0.95)),
+      static_cast<unsigned long long>(ts.latency_quantile(0.99)),
+      static_cast<unsigned long long>(ts.dropped_no_route),
+      static_cast<unsigned long long>(ts.dropped_link_down),
+      static_cast<unsigned long long>(ts.dropped_ttl),
+      static_cast<unsigned long long>(ts.dropped_queue_full),
+      static_cast<unsigned long long>(ts.flows_started),
+      static_cast<unsigned long long>(ts.flows_completed));
+}
+
 GatewayPlacement parse_placement(const std::string& name) {
   if (name == "random") return GatewayPlacement::kRandom;
   if (name == "spread") return GatewayPlacement::kSpread;
@@ -147,7 +165,7 @@ int run_routing(Options& opts) {
   task.agent.communicate = opts.get_bool("visiting", false);
   task.agent.stigmergy = parse_stigmergy(opts.get_string("stigmergy", "off"));
   task.record_oracle = opts.get_bool("oracle", false);
-  if (opts.get_bool("traffic", false)) task.traffic = TrafficConfig{};
+  task.traffic = opts.get_bool("traffic", false);
   const int runs = static_cast<int>(opts.get_int("runs", 5));
   const std::string csv = opts.get_string("csv", "");
   opts.finish();
@@ -172,14 +190,14 @@ int run_routing(Options& opts) {
       summary.mean_connectivity.mean(),
       confidence_halfwidth(summary.mean_connectivity), runs);
   if (task.traffic) {
-    // Re-run one task to surface the traffic stats of a representative run.
-    const auto one = run_routing_task(scenario, task, Rng(paper::kRunSeedBase));
-    const TrafficStats& ts = *one.traffic_stats;
+    const FlowTrafficStats& ts = summary.traffic;
     std::printf(
-        "traffic: generated %zu, delivered %zu (ratio %.3f), mean latency "
-        "%.2f steps\n",
-        ts.generated, ts.delivered, ts.delivery_ratio(),
-        ts.latency.count() ? ts.latency.mean() : 0.0);
+        "traffic: generated %llu, delivered %llu, delivery %.3f over %d "
+        "runs\n",
+        static_cast<unsigned long long>(ts.generated),
+        static_cast<unsigned long long>(ts.delivered), ts.delivery_ratio(),
+        runs);
+    print_traffic_details(ts);
   }
   if (!csv.empty()) {
     AtomicFileWriter file(csv);
@@ -284,19 +302,7 @@ int run_traffic(Options& opts) {
       mode.c_str(), task.balance_gateways ? "+balance" : "",
       summary.offered_load.mean(), summary.carried_load.mean(),
       ts.delivery_ratio(), runs);
-  std::printf(
-      "latency p50/p95/p99: %llu/%llu/%llu steps; drops: no-route %llu, "
-      "link-down %llu, ttl %llu, queue-full %llu; flows %llu started, "
-      "%llu completed\n",
-      static_cast<unsigned long long>(ts.latency_quantile(0.5)),
-      static_cast<unsigned long long>(ts.latency_quantile(0.95)),
-      static_cast<unsigned long long>(ts.latency_quantile(0.99)),
-      static_cast<unsigned long long>(ts.dropped_no_route),
-      static_cast<unsigned long long>(ts.dropped_link_down),
-      static_cast<unsigned long long>(ts.dropped_ttl),
-      static_cast<unsigned long long>(ts.dropped_queue_full),
-      static_cast<unsigned long long>(ts.flows_started),
-      static_cast<unsigned long long>(ts.flows_completed));
+  print_traffic_details(ts);
   return 0;
 }
 

@@ -13,8 +13,8 @@
 //   sim/      the simulated World
 //   fault/    deterministic fault injection + resilience (watchdog)
 //   routing/  routing tables, connectivity metrics, gateway balancing
-//   traffic/  packet-level delivery over agent-maintained routes, plus the
-//             flow-based heavy-traffic data plane (docs/TRAFFIC.md)
+//   traffic/  the flow data plane: session traffic over agent- or
+//             ant-maintained routes (docs/TRAFFIC.md)
 //   core/     the paper's agents and tasks (mapping + dynamic routing)
 //   aco/      ant-colony routing baseline (AntHocNet-style, ref [9])
 //   adv/      distance-vector-carrying agent baseline (refs [10][11])
@@ -70,4 +70,3 @@
 #include "routing/routing_table.hpp"
 #include "sim/world.hpp"
 #include "traffic/flow_traffic.hpp"
-#include "traffic/traffic.hpp"

@@ -235,6 +235,12 @@ struct MeetingPlan {
   bool corrupted = false;
 };
 
+/// Checkpoint tag in front of the traffic state; 0 = traffic off. Tag 1
+/// marked the state of the Bernoulli simulator the flow plane replaced, so
+/// the flow plane's state takes a new tag: an old traffic-on checkpoint is
+/// refused rather than misparsed.
+constexpr std::uint8_t kFlowTrafficTag = 2;
+
 }  // namespace
 
 RoutingTaskResult run_routing_task(const RoutingScenario& scenario,
@@ -288,9 +294,10 @@ RoutingTaskResult run_routing_task(const RoutingScenario& scenario,
   const AgentParallel par(config.agent_parallel);
   std::vector<MeetingPlan> meetings;
 
-  std::optional<TrafficSimulator> traffic;
+  std::optional<FlowTrafficSimulator> traffic;
   if (config.traffic)
-    traffic.emplace(n, is_gateway, *config.traffic, rng.fork(0x7AFF1C));
+    traffic.emplace(n, is_gateway, FlowWorkloadConfig{}, LinkQueueConfig{},
+                    rng.fork(0x7AFF1C));
 
   // The fault stream is forked here unconditionally (it predates the
   // FaultPlan), which is what keeps fault-free configurations on their
@@ -352,7 +359,7 @@ RoutingTaskResult run_routing_task(const RoutingScenario& scenario,
       w.scalar(ac.stigmergy);
       agent.save_state(w);
     }
-    w.boolean(traffic.has_value());
+    w.u8(traffic ? kFlowTrafficTag : 0);
     if (traffic) traffic->save_state(w);
     w.pod_vec(result.connectivity);
     w.pod_vec(result.oracle);
@@ -389,7 +396,7 @@ RoutingTaskResult run_routing_task(const RoutingScenario& scenario,
     }
     AGENTNET_REQUIRE(slot_of.size() == agents.size(),
                      "snapshot: roster slot map size mismatch");
-    AGENTNET_REQUIRE(r.boolean() == traffic.has_value(),
+    AGENTNET_REQUIRE(r.u8() == (traffic ? kFlowTrafficTag : 0),
                      "snapshot: traffic configuration mismatch");
     if (traffic) traffic->load_state(r);
     r.pod_vec(result.connectivity);

@@ -25,7 +25,7 @@
 #include "routing/connectivity.hpp"
 #include "routing/routing_table.hpp"
 #include "sim/world.hpp"
-#include "traffic/traffic.hpp"
+#include "traffic/flow_traffic.hpp"
 
 namespace agentnet {
 
@@ -148,9 +148,12 @@ struct RoutingTaskConfig {
   std::size_t stigmergy_capacity = 1;
   /// Also record the any-path oracle upper bound per step.
   bool record_oracle = false;
-  /// When set, packet traffic is injected over the converged window
-  /// (steps ≥ measure_from) and its delivery statistics reported.
-  std::optional<TrafficConfig> traffic;
+  /// When set, the flow data plane (FlowWorkloadConfig{} over
+  /// LinkQueueConfig{}, docs/TRAFFIC.md) carries packets over the agents'
+  /// tables during the converged window (steps ≥ measure_from) and its
+  /// delivery statistics are reported. The plane only reads the tables,
+  /// so the agents behave exactly as with traffic off.
+  bool traffic = false;
   /// The unified fault model: crash windows, blackouts, burst outages,
   /// transit loss, exchange corruption and the resilience policies (see
   /// fault/fault_plan.hpp and docs/ROBUSTNESS.md).
@@ -179,7 +182,7 @@ struct RoutingTaskResult {
   double mean_connectivity = 0.0;
   double stddev_connectivity = 0.0;
   /// Present when the task injected traffic.
-  std::optional<TrafficStats> traffic_stats;
+  std::optional<FlowTrafficStats> traffic_stats;
   /// Total migration traffic: Σ over actual moves of the moving agent's
   /// serialized size (the paper's overhead measure).
   std::size_t migration_bytes = 0;

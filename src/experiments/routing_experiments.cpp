@@ -72,6 +72,7 @@ RoutingSummary run_routing_experiment(const RoutingScenario& scenario,
     summary.window_stddev.add(result.stddev_connectivity);
     summary.connectivity.add(result.connectivity);
     if (!result.oracle.empty()) summary.oracle.add(result.oracle);
+    if (result.traffic_stats) summary.traffic += *result.traffic_stats;
   }
   return summary;
 }

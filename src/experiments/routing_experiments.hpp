@@ -24,6 +24,9 @@ struct RoutingSummary {
   /// Per-step oracle upper bound (filled when the task records it; the
   /// oracle depends only on the movement script, so runs are identical).
   SeriesAccumulator oracle;
+  /// Exact element-wise merge of every run's traffic stats, in run-index
+  /// order (all zero unless the task injected traffic).
+  FlowTrafficStats traffic;
 };
 
 /// Runs `runs` independent replications (run r is seeded run_seed_base + r)

@@ -1,10 +1,11 @@
 // Flow-based heavy-traffic data plane with per-link queueing delay.
 //
-// The legacy TrafficSimulator (traffic.hpp) injects independent Bernoulli
-// packets — fine as a delivery probe, useless as a *load* model: real
-// traffic arrives in sessions (a sensor burst, a bulk transfer), and links
-// have finite capacity, so delay grows with queue occupancy. This module
-// supplies both halves of the AntNet story (see docs/TRAFFIC.md):
+// The one packet data plane: it carries the traffic task's load over
+// ant-maintained routes and the routing task's optional traffic over the
+// paper's agent tables. Real traffic arrives in sessions (a sensor burst,
+// a bulk transfer), and links have finite capacity, so delay grows with
+// queue occupancy. This module supplies both halves of the AntNet story
+// (see docs/TRAFFIC.md):
 //
 //   * A workload generator: Poisson session arrivals per node, each session
 //     a CBR packet train, drawn from an elephant–mice mix, addressed either

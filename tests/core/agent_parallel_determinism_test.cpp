@@ -142,26 +142,7 @@ void expect_identical(const RoutingTaskResult& test,
   EXPECT_EQ(test.agents_lost, reference.agents_lost);
   EXPECT_EQ(test.agents_respawned, reference.agents_respawned);
   EXPECT_EQ(test.final_population, reference.final_population);
-  ASSERT_EQ(test.traffic_stats.has_value(),
-            reference.traffic_stats.has_value());
-  if (test.traffic_stats) {
-    EXPECT_EQ(test.traffic_stats->generated,
-              reference.traffic_stats->generated);
-    EXPECT_EQ(test.traffic_stats->delivered,
-              reference.traffic_stats->delivered);
-    EXPECT_EQ(test.traffic_stats->dropped_no_route,
-              reference.traffic_stats->dropped_no_route);
-    EXPECT_EQ(test.traffic_stats->dropped_link_down,
-              reference.traffic_stats->dropped_link_down);
-    EXPECT_EQ(test.traffic_stats->dropped_ttl,
-              reference.traffic_stats->dropped_ttl);
-    EXPECT_EQ(test.traffic_stats->dropped_queue_full,
-              reference.traffic_stats->dropped_queue_full);
-    EXPECT_EQ(test.traffic_stats->latency.count(),
-              reference.traffic_stats->latency.count());
-    EXPECT_EQ(test.traffic_stats->latency.mean(),
-              reference.traffic_stats->latency.mean());
-  }
+  EXPECT_EQ(test.traffic_stats, reference.traffic_stats);
 }
 
 RoutingTaskConfig routing_chaos_config(std::size_t threads,
@@ -173,7 +154,7 @@ RoutingTaskConfig routing_chaos_config(std::size_t threads,
   task.steps = 60;
   task.measure_from = 30;
   task.record_oracle = true;
-  task.traffic = TrafficConfig{};
+  task.traffic = true;
   task.faults = chaos_plan();
   task.agent_parallel.threads = threads;
   return task;

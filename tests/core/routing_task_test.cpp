@@ -262,10 +262,10 @@ TEST(RoutingTaskTest, CommunicationHelpsRandomAgents) {
 TEST(RoutingTaskTest, TrafficStatsPresentWhenRequested) {
   const RoutingScenario scenario(small_params(), 14);
   auto cfg = small_task(RoutingPolicy::kOldestNode, 40);
-  cfg.traffic = TrafficConfig{};
+  cfg.traffic = true;
   const auto result = run_routing_task(scenario, cfg, Rng(5));
   ASSERT_TRUE(result.traffic_stats.has_value());
-  const TrafficStats& ts = *result.traffic_stats;
+  const FlowTrafficStats& ts = *result.traffic_stats;
   EXPECT_GT(ts.generated, 0u);
   EXPECT_GT(ts.delivered, 0u);
   EXPECT_EQ(ts.generated, ts.delivered + ts.dropped() + ts.in_flight);
@@ -282,9 +282,9 @@ TEST(RoutingTaskTest, NoTrafficStatsByDefault) {
 TEST(RoutingTaskTest, DeliveryTracksConnectivity) {
   const RoutingScenario scenario(small_params(), 16);
   auto good = small_task(RoutingPolicy::kOldestNode, 50);
-  good.traffic = TrafficConfig{};
+  good.traffic = true;
   auto poor = small_task(RoutingPolicy::kOldestNode, 5);
-  poor.traffic = TrafficConfig{};
+  poor.traffic = true;
   double good_ratio = 0.0, poor_ratio = 0.0;
   for (std::uint64_t s = 0; s < 3; ++s) {
     good_ratio +=

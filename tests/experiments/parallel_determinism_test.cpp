@@ -92,6 +92,33 @@ TEST(ParallelDeterminismTest, RoutingBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// The routing task's traffic merges like TrafficSummary's: the summary is
+// the run-index-order sum of every run's own stats, at any thread count.
+TEST(ParallelDeterminismTest, RoutingTrafficIsTheRunOrderSum) {
+  const auto scenario = tiny_scenario();
+  RoutingTaskConfig task;
+  task.population = 15;
+  task.steps = 60;
+  task.measure_from = 30;
+  task.traffic = true;
+  const int runs = 4;
+  const std::uint64_t seed = 80;
+  FlowTrafficStats sum;
+  for (int r = 0; r < runs; ++r) {
+    const auto result = run_routing_task(
+        scenario, task, Rng(seed + static_cast<std::uint64_t>(r)));
+    ASSERT_TRUE(result.traffic_stats.has_value());
+    sum += *result.traffic_stats;
+  }
+  ASSERT_GT(sum.delivered, 0u);
+  for (int threads : {1, 7}) {
+    SCOPED_TRACE(threads);
+    const auto summary =
+        run_routing_experiment(scenario, task, runs, seed, threads);
+    EXPECT_EQ(summary.traffic, sum);
+  }
+}
+
 TEST(ParallelDeterminismTest, ThreadsEnvKnobDrivesDefaultPath) {
   const auto net = tiny_network();
   MappingTaskConfig task;

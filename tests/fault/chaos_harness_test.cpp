@@ -159,7 +159,7 @@ TEST(ChaosHarnessTest, ExtremeIntensityNeverThrows) {
           << "a storm this violent cannot complete the map";
     });
     RoutingTaskConfig routing = routing_task_at(intensity);
-    routing.traffic = TrafficConfig{};
+    routing.traffic = true;
     EXPECT_NO_THROW({
       const auto result = run_routing_task(scenario, routing, Rng(11));
       EXPECT_EQ(result.connectivity.size(), routing.steps);
@@ -233,7 +233,7 @@ TEST(ChaosHarnessTest, TrafficDeliveryDegradesUnderFaults) {
   const auto scenario = tiny_scenario();
   auto delivery_at = [&](double intensity) {
     RoutingTaskConfig task = routing_task_at(intensity);
-    task.traffic = TrafficConfig{};
+    task.traffic = true;
     double delivered = 0.0;
     for (std::uint64_t s = 0; s < 3; ++s) {
       const auto result = run_routing_task(scenario, task, Rng(70 + s));

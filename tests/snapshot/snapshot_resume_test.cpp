@@ -467,6 +467,58 @@ TEST(SnapshotResumeTest, ReplayingWorldsResumeLikeLiveOnes) {
   }
 }
 
+TEST(SnapshotResumeTest, RoutingWithTrafficResumeMatchesUninterrupted) {
+  // The routing task's flow data plane is checkpointed with the agents:
+  // a save at step 40 lands inside the traffic window (from step 20), with
+  // sessions open and packets queued, and the resumed sweep must match the
+  // uninterrupted one in summary, trace and metrics.
+  const RoutingScenario scenario = tiny_scenario();
+  RoutingTaskConfig task;
+  task.population = 12;
+  task.steps = 60;
+  task.measure_from = 20;
+  task.traffic = true;
+  task.faults = chaos_plan();
+  const int runs = 2;
+  const std::uint64_t seed = 909;
+  RoutingSummary summary;
+  const auto leg = [&](const std::string& tag, int threads) {
+    return run_leg(tag, [&](const obs::ObsConfig& config) {
+      summary =
+          run_routing_experiment(scenario, task, runs, seed, threads, config);
+    });
+  };
+
+  const Artefacts base = leg("rtf_base", 1);
+  const RoutingSummary base_summary = summary;
+  ASSERT_GT(base_summary.traffic.delivered, 0u);
+  const std::string ck = temp_path("rtf.snap");
+  {
+    EnvGuard save("AGENTNET_CHECKPOINT", ck);
+    EnvGuard every("AGENTNET_CHECKPOINT_EVERY", "40");
+    leg("rtf_save", 2);
+  }
+  for (const auto& [run, record] : snapshot::load_checkpoint(ck).runs)
+    EXPECT_EQ(record.step, 40u) << "run " << run;
+  for (const int threads : {1, 2}) {
+    EnvGuard resume("AGENTNET_RESUME", ck);
+    const Artefacts resumed =
+        leg("rtf_resume_t" + std::to_string(threads), threads);
+    EXPECT_EQ(summary.traffic, base_summary.traffic) << "threads=" << threads;
+    EXPECT_EQ(summary.mean_connectivity.mean(),
+              base_summary.mean_connectivity.mean());
+    EXPECT_EQ(summary.connectivity.mean(), base_summary.connectivity.mean());
+    EXPECT_EQ(resumed.trace, base.trace) << "threads=" << threads;
+    EXPECT_EQ(resumed.metrics, base.metrics) << "threads=" << threads;
+  }
+
+  // The traffic setting is part of the run state: resuming it with
+  // traffic off is refused.
+  task.traffic = false;
+  EnvGuard resume("AGENTNET_RESUME", ck);
+  EXPECT_THROW(leg("rtf_mismatch", 1), ConfigError);
+}
+
 TEST(SnapshotResumeTest, ResumeFromEarlierCheckpointAlsoIdentical) {
   // Any valid record is a correct restart point, not just the latest:
   // checkpoint at step 20 (period 20, budget 45 → last full save at 40),

@@ -113,19 +113,152 @@ TEST(FlowTrafficTest, DeliversOverRoutedLine) {
   EXPECT_EQ(s.generated, s.delivered + s.dropped() + s.in_flight);
 }
 
-TEST(FlowTrafficTest, ConservationHoldsEveryStep) {
-  LineWorld w;
+// One way to break the routed line, and the drop bucket it must fill.
+struct DropCase {
+  const char* name;
+  void (*damage)(LineWorld&);
   LinkQueueConfig queue;
-  queue.link_capacity = 1;
-  queue.queue_capacity = 4;  // tight queue: forces queue-full drops too
-  FlowTrafficSimulator sim(4, w.is_gateway, load_of(2.0), queue, Rng(3));
-  for (std::size_t t = 0; t < 80; ++t) {
-    sim.step(w.graph, w.tables, t);
-    const auto& s = sim.stats();
-    ASSERT_EQ(s.generated, s.delivered + s.dropped() + sim.queued())
-        << "packets must be conserved at step " << t;
+  std::uint64_t FlowTrafficStats::*bucket;
+};
+
+TEST(FlowTrafficTest, ConservationHoldsEveryStep) {
+  const DropCase cases[] = {
+      // Tight queues on a 1-packet link overflow.
+      {"queue full", [](LineWorld&) {},
+       {.link_capacity = 1, .queue_capacity = 4},
+       &FlowTrafficStats::dropped_queue_full},
+      // Node 3 never gets a route; its packets wait out their patience.
+      {"no route", [](LineWorld& w) { w.tables.clear(3); },
+       {.route_patience = 2}, &FlowTrafficStats::dropped_no_route},
+      // Node 1 has no route and patience 0: packets reaching it drop on
+      // the spot.
+      {"no route, patience 0", [](LineWorld& w) { w.tables.clear(1); },
+       {.route_patience = 0}, &FlowTrafficStats::dropped_no_route},
+      // Node 2's route points over a link that is gone.
+      {"dead link", [](LineWorld& w) { w.graph.remove_edge(2, 1); },
+       {.route_patience = 1}, &FlowTrafficStats::dropped_link_down},
+      // Nodes 2 and 3 route to each other; patience never fires, the hop
+      // budget does.
+      {"ttl",
+       [](LineWorld& w) {
+         w.tables.force(2, {3, 0, 1, 0});
+         w.tables.force(3, {2, 0, 1, 0});
+       },
+       {.ttl = 4, .route_patience = 100}, &FlowTrafficStats::dropped_ttl},
+  };
+  for (const DropCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    LineWorld w;
+    c.damage(w);
+    FlowTrafficSimulator sim(4, w.is_gateway, load_of(2.0), c.queue, Rng(3));
+    for (std::size_t t = 0; t < 80; ++t) {
+      sim.step(w.graph, w.tables, t);
+      const auto& s = sim.stats();
+      ASSERT_EQ(s.generated, s.delivered + s.dropped() + sim.queued())
+          << "packets must be conserved at step " << t;
+    }
+    EXPECT_GT(sim.stats().*c.bucket, 0u);
   }
-  EXPECT_GT(sim.stats().dropped_queue_full, 0u);
+}
+
+TEST(FlowTrafficTest, GeneratesAtNonGatewaysOnly) {
+  // With no routes and endless patience every packet stays where it was
+  // made, so the queues show the sources: the three ordinary nodes, never
+  // the gateway.
+  LineWorld w;
+  w.tables.clear_all();
+  FlowTrafficSimulator sim(4, w.is_gateway, load_of(4.0),
+                           {.queue_capacity = 100000, .route_patience = 1000},
+                           Rng(9));
+  for (std::size_t t = 0; t < 20; ++t) sim.step(w.graph, w.tables, t);
+  EXPECT_EQ(sim.stats().generated, sim.queued());
+  EXPECT_EQ(sim.hop_delays()[0], 1.0);
+  for (NodeId v = 1; v < 4; ++v) EXPECT_GT(sim.hop_delays()[v], 1.0) << v;
+
+  // An all-gateway network has no sources at all.
+  FlowTrafficSimulator sinks(4, std::vector<bool>(4, true), load_of(4.0), {},
+                             Rng(9));
+  for (std::size_t t = 0; t < 20; ++t) sinks.step(w.graph, w.tables, t);
+  EXPECT_EQ(sinks.stats().generated, 0u);
+  EXPECT_EQ(sinks.stats().flows_started, 0u);
+}
+
+TEST(FlowTrafficTest, LatencyAtLeastHopDistance) {
+  // Packets move one hop per step, so a packet made d hops from the
+  // gateway needs at least d steps. With links too wide to queue, the
+  // latencies are exactly the sources' distances 1, 2 and 3.
+  LineWorld w;
+  FlowTrafficSimulator wide(4, w.is_gateway, load_of(1.0),
+                            {.link_capacity = 1000, .queue_capacity = 100000},
+                            Rng(10));
+  for (std::size_t t = 0; t < 60; ++t) wide.step(w.graph, w.tables, t);
+  const auto& histogram = wide.stats().latency_histogram;
+  ASSERT_EQ(histogram.size(), 4u);
+  EXPECT_EQ(histogram[0], 0u);
+  for (std::size_t d = 1; d < 4; ++d) EXPECT_GT(histogram[d], 0u) << d;
+
+  // Queueing only adds delay: no latency drops below one step.
+  FlowTrafficSimulator narrow(4, w.is_gateway, load_of(1.0),
+                              {.link_capacity = 1, .queue_capacity = 100000},
+                              Rng(10));
+  for (std::size_t t = 0; t < 60; ++t) narrow.step(w.graph, w.tables, t);
+  ASSERT_GT(narrow.stats().delivered, 0u);
+  EXPECT_EQ(narrow.stats().latency_histogram[0], 0u);
+  EXPECT_GT(narrow.stats().mean_latency(), wide.stats().mean_latency());
+}
+
+TEST(FlowTrafficTest, NoRouteDropsExactlyAfterPatience) {
+  // A packet with no route waits route_patience steps and is dropped on
+  // the next one; with patience 0 it is dropped in the step it was made.
+  LineWorld w;
+  w.tables.clear_all();
+  FlowTrafficSimulator sim(4, w.is_gateway, load_of(2.0),
+                           {.route_patience = 2}, Rng(11));
+  sim.step(w.graph, w.tables, 0);
+  const std::uint64_t first_step = sim.stats().generated;
+  ASSERT_GT(first_step, 0u);
+  sim.step(w.graph, w.tables, 1);
+  EXPECT_EQ(sim.stats().dropped_no_route, 0u);
+  sim.step(w.graph, w.tables, 2);
+  EXPECT_EQ(sim.stats().dropped_no_route, first_step);
+
+  FlowTrafficSimulator impatient(4, w.is_gateway, load_of(2.0),
+                                 {.route_patience = 0}, Rng(11));
+  impatient.step(w.graph, w.tables, 0);
+  EXPECT_EQ(impatient.stats().dropped_no_route, first_step);
+  EXPECT_EQ(impatient.queued(), 0u);
+}
+
+TEST(FlowTrafficTest, LinkCapacityBoundsThroughput) {
+  // Everything reaches the gateway over the one link 1 -> 0, so at most
+  // link_capacity packets arrive per step, and a wider link carries more.
+  LineWorld w;
+  std::uint64_t delivered[2] = {};
+  const std::size_t capacities[2] = {1, 8};
+  for (int i = 0; i < 2; ++i) {
+    const std::size_t cap = capacities[i];
+    FlowTrafficSimulator sim(4, w.is_gateway, load_of(2.0),
+                             {.link_capacity = cap, .queue_capacity = 100000},
+                             Rng(12));
+    for (std::size_t t = 0; t < 30; ++t) {
+      sim.step(w.graph, w.tables, t);
+      ASSERT_LE(sim.gateway_deliveries()[0], cap) << "step " << t;
+    }
+    delivered[i] = sim.stats().delivered;
+  }
+  EXPECT_GT(delivered[1], delivered[0]);
+}
+
+TEST(FlowTrafficTest, SameSeedSameStats) {
+  LineWorld w;
+  const auto run = [&](std::uint64_t seed) {
+    FlowTrafficSimulator sim(4, w.is_gateway, load_of(0.8), {}, Rng(seed));
+    for (std::size_t t = 0; t < 50; ++t) sim.step(w.graph, w.tables, t);
+    sim.finish();
+    return sim.stats();
+  };
+  EXPECT_EQ(run(13), run(13));
+  EXPECT_NE(run(13), run(14));
 }
 
 TEST(FlowTrafficTest, ConservationHoldsAfterMidRunReset) {
@@ -179,6 +312,19 @@ TEST(FlowTrafficStatsTest, LatencyQuantileIsExact) {
   EXPECT_EQ(s.latency_quantile(1.0), 3u);
   EXPECT_EQ(s.latency_quantile(0.0), 1u);  // rank clamps to 1
   EXPECT_EQ(FlowTrafficStats{}.latency_quantile(0.99), 0u);
+}
+
+TEST(FlowTrafficStatsTest, DeliveryRatioEdgeCases) {
+  FlowTrafficStats s;
+  EXPECT_EQ(s.delivery_ratio(), 0.0);
+  s.generated = 4;
+  s.delivered = 3;
+  s.dropped_ttl = 1;
+  EXPECT_EQ(s.delivery_ratio(), 0.75);
+  // Packets still queued count against the ratio: it is carried/offered.
+  s.generated = 6;
+  s.in_flight = 2;
+  EXPECT_EQ(s.delivery_ratio(), 0.5);
 }
 
 TEST(FlowTrafficStatsTest, MergeIsExactAndOrderIndependent) {

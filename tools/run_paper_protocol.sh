@@ -14,12 +14,14 @@
 # instead builds the parallel determinism + telemetry suites under
 # ThreadSanitizer (-DAGENTNET_SANITIZE=thread, separate build-tsan/ tree),
 # runs them, then drives one traced mapping run and one traced routing run
-# (AGENTNET_TRACE, 7 threads) plus one chaos-harness run of each under the
+# with traffic on (AGENTNET_TRACE, 7 threads; trace_check --require proves
+# its flows started and ended) plus one chaos-harness run of each under the
 # AGENTNET_FAULT_* environment (docs/ROBUSTNESS.md), and validates the
 # JSONL event streams with tools/trace_check — including --require proofs
 # that the chaos runs actually crashed nodes and lost agents. It also runs
-# one traced+metered fault-injected routing run per thread count (1 and 2),
-# proves the metrics stream byte-identical across the two, and pushes it
+# one traced+metered fault-injected routing run with traffic on per thread
+# count (1 and 2), proves stdout (the merged traffic line included) and the
+# metrics stream byte-identical across the two, and pushes it
 # through trace_check --metrics and tools/metrics_report
 # (validate/summarize/diff; docs/OBSERVABILITY.md). An agent-engine leg
 # repeats that proof for AGENTNET_AGENT_THREADS (the intra-run fan-out,
@@ -32,7 +34,8 @@
 # suites at 7 threads. An ASan + UBSan leg (separate build-asan/ tree)
 # runs the graph, topology-upkeep, map-knowledge, edge-index and snapshot
 # suites, the shared movement-recording suites (mobility, scenario I/O,
-# routing task) and the work-claiming ParallelForTest cases. A fast
+# routing task), the flow data-plane suite and the work-claiming
+# ParallelForTest cases. A fast
 # data-race + memory-safety + schema check, not a bench sweep.
 set -eu
 
@@ -53,14 +56,16 @@ if [ "${1:-}" = "--smoke" ]; then
     population=4 runs=3
   AGENTNET_THREADS=7 AGENTNET_TRACE="$tmp/route.jsonl" \
     build-tsan/examples/agentnet_cli scenario=routing nodes=50 gateways=4 \
-    population=10 runs=2
+    population=10 runs=2 traffic=1
   # Loaded data plane (docs/TRAFFIC.md): delay-mode ants + gateway
   # balancing under traffic heavy enough that session, queue and drop
   # events all provably fire.
   AGENTNET_THREADS=7 AGENTNET_TRACE="$tmp/traffic.jsonl" \
     build-tsan/examples/agentnet_cli scenario=traffic nodes=50 gateways=4 \
     load=0.4 mode=delay balance=1 runs=2
-  build-tsan/tools/trace_check "$tmp/map.jsonl" "$tmp/route.jsonl"
+  build-tsan/tools/trace_check "$tmp/map.jsonl"
+  build-tsan/tools/trace_check --require=flow_start --require=flow_end \
+    "$tmp/route.jsonl"
   build-tsan/tools/trace_check --require=flow_start --require=flow_end \
     --require=packet_drop "$tmp/traffic.jsonl"
   echo "##### chaos runs (TSan + AGENTNET_FAULT_* + trace_check --require)"
@@ -78,8 +83,9 @@ if [ "${1:-}" = "--smoke" ]; then
   build-tsan/tools/trace_check --require=node_crash --require=node_recover \
     --require=lost "$tmp/map_chaos.jsonl" "$tmp/route_chaos.jsonl"
   echo "##### time-series metrics (TSan + metrics_report + thread diff)"
-  # One fault-injected routing run per thread count: stdout tables and the
-  # metrics stream must be byte-identical at threads=1 and threads=2
+  # One fault-injected routing run with traffic per thread count: stdout
+  # (the merged traffic line included) and the metrics stream must be
+  # byte-identical at threads=1 and threads=2
   # (docs/OBSERVABILITY.md determinism contract; manifests legitimately
   # differ — they record the thread count). The analyzer leg then proves
   # the stream is machine-readable end to end.
@@ -88,13 +94,13 @@ if [ "${1:-}" = "--smoke" ]; then
     AGENTNET_MANIFEST="$tmp/route_m1.manifest.json" \
     AGENTNET_FAULT_NODE_CRASH=0.05 \
     build-tsan/examples/agentnet_cli scenario=routing nodes=50 gateways=4 \
-    population=10 runs=2 > "$tmp/route_m1.out"
+    population=10 runs=2 traffic=1 > "$tmp/route_m1.out"
   AGENTNET_THREADS=2 AGENTNET_TRACE="$tmp/route_m2.trace.jsonl" \
     AGENTNET_METRICS="$tmp/route_m2.jsonl" AGENTNET_METRICS_EVERY=1 \
     AGENTNET_MANIFEST="$tmp/route_m2.manifest.json" \
     AGENTNET_FAULT_NODE_CRASH=0.05 \
     build-tsan/examples/agentnet_cli scenario=routing nodes=50 gateways=4 \
-    population=10 runs=2 > "$tmp/route_m2.out"
+    population=10 runs=2 traffic=1 > "$tmp/route_m2.out"
   diff "$tmp/route_m1.out" "$tmp/route_m2.out"
   diff "$tmp/route_m1.jsonl" "$tmp/route_m2.jsonl"
   echo "metrics streams at threads=1 and threads=2 are bit-identical"
@@ -215,7 +221,7 @@ if [ "${1:-}" = "--smoke" ]; then
   asan_suites="graph_test topology_test rebuild_equivalence_test
     sharded_world_test world_script_test map_knowledge_test edge_index_test
     snapshot_format_test snapshot_resume_test mobility_test scenario_io_test
-    routing_task_test"
+    routing_task_test flow_traffic_test"
   cmake --build build-asan --target $asan_suites parallel_determinism_test \
     -j"$(nproc)"
   for t in $asan_suites; do
