@@ -17,6 +17,7 @@
 #include "common/thread_pool.hpp"
 #include "experiments/mapping_experiments.hpp"
 #include "experiments/paper.hpp"
+#include "experiments/replicate.hpp"
 #include "experiments/routing_experiments.hpp"
 #include "obs/obs.hpp"
 
@@ -89,6 +90,33 @@ inline RoutingTaskConfig paper_routing_task() {
   task.steps = paper::kRoutingSteps;
   task.measure_from = paper::kRoutingMeasureFrom;
   return task;
+}
+
+/// Per-run results of `runs` mapping replications through the harness
+/// (experiments/replicate.hpp), each on its own `make_world()`.
+template <typename MakeWorld>
+std::vector<MappingTaskResult> mapping_runs(const MappingTaskConfig& task,
+                                            int runs, std::size_t node_count,
+                                            const MakeWorld& make_world) {
+  return replicate({"mapping", runs, paper::kRunSeedBase, node_count,
+                    task.max_steps},
+                   task, [&](const MappingTaskConfig& config, Rng rng) {
+                     World world = make_world();
+                     return run_mapping_task(world, config, rng);
+                   });
+}
+
+/// Per-run results of `runs` replications of a routing-family task (`kind`
+/// "routing" | "aco" | "dv") on the paper scenario through the harness.
+template <typename Task, typename RunTask>
+auto scenario_runs(const char* kind, const Task& task, int runs,
+                   RunTask run_task) {
+  const RoutingScenario& scenario = routing_scenario();
+  return replicate({kind, runs, paper::kRunSeedBase, scenario.node_count(),
+                    task.steps},
+                   task, [&](const Task& config, Rng rng) {
+                     return run_task(scenario, config, rng);
+                   });
 }
 
 /// Prints a result table and, when AGENTNET_CSV_DIR is set, also writes it

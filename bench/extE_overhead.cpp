@@ -38,11 +38,9 @@ int main() {
       task.agent = {v.policy, v.mode};
       task.record_series = false;
       RunningStats finish, megabytes, per_step;
-      for (int r = 0; r < runs; ++r) {
-        World world = World::frozen(net);
-        const auto result = run_mapping_task(
-            world, task,
-            Rng(paper::kRunSeedBase + static_cast<std::uint64_t>(r)));
+      for (const auto& result :
+           bench::mapping_runs(task, runs, net.graph.node_count(),
+                               [&] { return World::frozen(net); })) {
         if (!result.finished) continue;
         finish.add(static_cast<double>(result.finishing_time));
         const double mb =
@@ -58,7 +56,6 @@ int main() {
 
   std::cout << "\nrouting (250 nodes, population 100, 300 steps):\n";
   {
-    const auto& scenario = bench::routing_scenario();
     struct V {
       const char* label;
       std::size_t history;
@@ -80,10 +77,8 @@ int main() {
       task.agent.history_size = v.history;
       task.agent.stigmergy = v.mode;
       RunningStats conn, megabytes;
-      for (int r = 0; r < runs; ++r) {
-        const auto result = run_routing_task(
-            scenario, task,
-            Rng(paper::kRunSeedBase + static_cast<std::uint64_t>(r)));
+      for (const auto& result :
+           bench::scenario_runs("routing", task, runs, run_routing_task)) {
         conn.add(result.mean_connectivity);
         megabytes.add(static_cast<double>(result.migration_bytes) / 1e6);
       }

@@ -14,7 +14,6 @@ int main() {
       "pheromone routing is competitive but pays per-packet path sampling; "
       "mobile agents amortise state in the walker",
       runs);
-  const auto& scenario = bench::routing_scenario();
 
   Table table({"system", "connectivity", "ci95", "control MB"});
 
@@ -40,10 +39,8 @@ int main() {
     task.agent.history_size = 10;
     task.agent.stigmergy = row.mode;
     RunningStats conn, mb;
-    for (int r = 0; r < runs; ++r) {
-      const auto result = run_routing_task(
-          scenario, task,
-          Rng(paper::kRunSeedBase + static_cast<std::uint64_t>(r)));
+    for (const auto& result :
+         bench::scenario_runs("routing", task, runs, run_routing_task)) {
       conn.add(result.mean_connectivity);
       mb.add(static_cast<double>(result.migration_bytes) / 1e6);
     }
@@ -58,10 +55,8 @@ int main() {
     cfg.measure_from = paper::kRoutingMeasureFrom;
     cfg.ants.launch_probability = launch;
     RunningStats conn, mb;
-    for (int r = 0; r < runs; ++r) {
-      const auto result = run_ant_routing_task(
-          scenario, cfg,
-          Rng(paper::kRunSeedBase + static_cast<std::uint64_t>(r)));
+    for (const auto& result :
+         bench::scenario_runs("aco", cfg, runs, run_ant_routing_task)) {
       conn.add(result.mean_connectivity);
       mb.add(static_cast<double>(result.control_bytes) / 1e6);
     }

@@ -50,11 +50,9 @@ int main() {
     task.agent = {MappingPolicy::kConscientious, row.mode};
     task.record_series = false;
     RunningStats finish, mb;
-    for (int r = 0; r < runs; ++r) {
-      World world = World::frozen(net);
-      const auto result = run_mapping_task(
-          world, task,
-          Rng(paper::kRunSeedBase + static_cast<std::uint64_t>(r)));
+    for (const auto& result :
+         bench::mapping_runs(task, runs, net.graph.node_count(),
+                             [&] { return World::frozen(net); })) {
       if (!result.finished) continue;
       finish.add(static_cast<double>(result.finishing_time));
       mb.add(static_cast<double>(result.migration_bytes) / 1e6);

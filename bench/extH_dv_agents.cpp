@@ -14,7 +14,6 @@ int main() {
       "the paper claims rivals pay ~4x the overhead for similar "
       "performance",
       runs);
-  const auto& scenario = bench::routing_scenario();
 
   Table table({"agent design", "connectivity", "ci95", "MB moved",
                "conn per MB"});
@@ -26,10 +25,8 @@ int main() {
     task.agent.policy = RoutingPolicy::kOldestNode;
     task.agent.history_size = history;
     RunningStats conn, mb;
-    for (int r = 0; r < runs; ++r) {
-      const auto result = run_routing_task(
-          scenario, task,
-          Rng(paper::kRunSeedBase + static_cast<std::uint64_t>(r)));
+    for (const auto& result :
+         bench::scenario_runs("routing", task, runs, run_routing_task)) {
       conn.add(result.mean_connectivity);
       mb.add(static_cast<double>(result.migration_bytes) / 1e6);
     }
@@ -49,10 +46,8 @@ int main() {
     cfg.measure_from = paper::kRoutingMeasureFrom;
     cfg.agent.table_size = table_size;
     RunningStats conn, mb;
-    for (int r = 0; r < runs; ++r) {
-      const auto result = run_dv_routing_task(
-          scenario, cfg,
-          Rng(paper::kRunSeedBase + static_cast<std::uint64_t>(r)));
+    for (const auto& result :
+         bench::scenario_runs("dv", cfg, runs, run_dv_routing_task)) {
       conn.add(result.mean_connectivity);
       mb.add(static_cast<double>(result.migration_bytes) / 1e6);
     }

@@ -15,25 +15,25 @@ int main() {
       "graceful degradation under loss; respawn restores the population "
       "and most of the connectivity",
       runs);
-  const auto& scenario = bench::routing_scenario();
 
   Table table({"loss per migration", "no respawn", "final pop",
                "with respawn", "final pop (r)"});
   table.set_precision(3);
   for (double loss : {0.0, 0.002, 0.005, 0.01, 0.02}) {
     RunningStats plain_conn, plain_pop, heal_conn, heal_pop;
-    for (int r = 0; r < runs; ++r) {
-      auto task = bench::paper_routing_task();
-      task.population = 100;
-      task.agent.policy = RoutingPolicy::kOldestNode;
-      task.agent.history_size = 10;
-      task.faults.agent_loss_probability = loss;
-      const Rng seed(paper::kRunSeedBase + static_cast<std::uint64_t>(r));
-      const auto plain = run_routing_task(scenario, task, seed);
+    auto task = bench::paper_routing_task();
+    task.population = 100;
+    task.agent.policy = RoutingPolicy::kOldestNode;
+    task.agent.history_size = 10;
+    task.faults.agent_loss_probability = loss;
+    for (const auto& plain :
+         bench::scenario_runs("routing", task, runs, run_routing_task)) {
       plain_conn.add(plain.mean_connectivity);
       plain_pop.add(static_cast<double>(plain.final_population));
-      task.faults.gateway_respawn_probability = 0.25;
-      const auto healed = run_routing_task(scenario, task, seed);
+    }
+    task.faults.gateway_respawn_probability = 0.25;
+    for (const auto& healed :
+         bench::scenario_runs("routing", task, runs, run_routing_task)) {
       heal_conn.add(healed.mean_connectivity);
       heal_pop.add(static_cast<double>(healed.final_population));
     }

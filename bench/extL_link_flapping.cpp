@@ -23,25 +23,24 @@ int main() {
   Table table({"links down", "plain team", "stigmergic team", "stig gain"});
   for (double q : {0.0, 0.05, 0.1, 0.2, 0.3}) {
     RunningStats plain, stig;
-    for (int r = 0; r < runs; ++r) {
-      for (int variant = 0; variant < 2; ++variant) {
-        World world = World::frozen(net);
-        if (q > 0.0) world.set_link_flapper(LinkFlapper(q, 5, 99));
-        MappingTaskConfig cfg;
-        cfg.population = 15;
-        cfg.agent = {MappingPolicy::kConscientious,
-                     variant == 0 ? StigmergyMode::kOff
-                                  : StigmergyMode::kFilterFirst};
-        cfg.advance_world = true;
-        cfg.truth_edges_override = net.graph.edge_count();
-        cfg.record_series = false;
-        const auto result = run_mapping_task(
-            world, cfg,
-            Rng(paper::kRunSeedBase + static_cast<std::uint64_t>(r)));
-        if (!result.finished) continue;
-        (variant == 0 ? plain : stig)
-            .add(static_cast<double>(result.finishing_time));
-      }
+    for (int variant = 0; variant < 2; ++variant) {
+      MappingTaskConfig cfg;
+      cfg.population = 15;
+      cfg.agent = {MappingPolicy::kConscientious,
+                   variant == 0 ? StigmergyMode::kOff
+                                : StigmergyMode::kFilterFirst};
+      cfg.advance_world = true;
+      cfg.truth_edges_override = net.graph.edge_count();
+      cfg.record_series = false;
+      for (const auto& result :
+           bench::mapping_runs(cfg, runs, net.graph.node_count(), [&] {
+             World world = World::frozen(net);
+             if (q > 0.0) world.set_link_flapper(LinkFlapper(q, 5, 99));
+             return world;
+           }))
+        if (result.finished)
+          (variant == 0 ? plain : stig)
+              .add(static_cast<double>(result.finishing_time));
     }
     table.add_row({q, plain.mean(), stig.mean(),
                    plain.mean() / stig.mean()});

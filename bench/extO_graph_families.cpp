@@ -15,19 +15,16 @@ struct Family {
 
 double mean_finish(const Graph& graph, MappingPolicy policy,
                    StigmergyMode mode, int population, int runs) {
+  MappingTaskConfig cfg;
+  cfg.population = population;
+  cfg.agent = {policy, mode};
+  cfg.record_series = false;
+  cfg.max_steps = 500000;
   RunningStats finish;
-  for (int r = 0; r < runs; ++r) {
-    World world = World::fixed(graph);
-    MappingTaskConfig cfg;
-    cfg.population = population;
-    cfg.agent = {policy, mode};
-    cfg.record_series = false;
-    cfg.max_steps = 500000;
-    const auto result = run_mapping_task(
-        world, cfg, Rng(paper::kRunSeedBase + static_cast<std::uint64_t>(r)));
+  for (const auto& result : bench::mapping_runs(
+           cfg, runs, graph.node_count(), [&] { return World::fixed(graph); }))
     if (result.finished)
       finish.add(static_cast<double>(result.finishing_time));
-  }
   return finish.empty() ? -1.0 : finish.mean();
 }
 

@@ -23,7 +23,6 @@
 #include "agentnet.hpp"
 #include "common/atomic_file.hpp"
 #include "obs/obs.hpp"
-#include "snapshot/snapshot.hpp"
 
 using namespace agentnet;
 
@@ -230,30 +229,16 @@ int run_aco(Options& opts) {
   opts.finish();
 
   const RoutingScenario scenario(scenario_params, seed);
-  obs::RunObs run_obs;
-  obs::ObsConfig obs_config = obs::ObsConfig::from_env();
-  obs_config.sink = &run_obs;
-  std::vector<obs::RunObs> slots(static_cast<std::size_t>(runs));
-  obs::enable_slots(slots, obs_config);
-  const auto checkpointer = snapshot::ExperimentCheckpointer::from_env(
-      {"aco", static_cast<std::uint64_t>(runs), paper::kRunSeedBase,
-       scenario.node_count(), task.steps});
   RunningStats conn, mb;
-  for (int r = 0; r < runs; ++r) {
-    obs::ObsRunScope scope(slots[static_cast<std::size_t>(r)]);
-    AntRoutingTaskConfig run_config = task;
-    snapshot::RunCheckpointPort port;
-    if (checkpointer) {
-      port = checkpointer->port(static_cast<std::uint64_t>(r));
-      run_config.checkpoint = &port;
-    }
-    const auto result = run_ant_routing_task(
-        scenario, run_config,
-        Rng(paper::kRunSeedBase + static_cast<std::uint64_t>(r)));
+  for (const AntRoutingResult& result : replicate(
+           {"aco", runs, paper::kRunSeedBase, scenario.node_count(),
+            task.steps},
+           task, [&](const AntRoutingTaskConfig& config, Rng rng) {
+             return run_ant_routing_task(scenario, config, rng);
+           })) {
     conn.add(result.mean_connectivity);
     mb.add(static_cast<double>(result.control_bytes) / 1e6);
   }
-  obs::merge_and_write(slots, obs_config, paper::kRunSeedBase, runs, 1);
   std::printf(
       "ant colony (launch %.2f): connectivity %.3f ± %.3f, control %.2f MB "
       "over %d runs\n",
@@ -290,11 +275,8 @@ int run_traffic(Options& opts) {
   opts.finish();
 
   const RoutingScenario scenario(scenario_params, seed);
-  obs::RunObs run_obs;
-  obs::ObsConfig obs_config = obs::ObsConfig::from_env();
-  obs_config.sink = &run_obs;
-  const TrafficSummary summary = run_traffic_experiment(
-      scenario, task, runs, paper::kRunSeedBase, 0, obs_config);
+  const TrafficSummary summary =
+      run_traffic_experiment(scenario, task, runs, paper::kRunSeedBase);
   const FlowTrafficStats& ts = summary.traffic;
   std::printf(
       "ant routing (%s%s): offered %.3f, carried %.3f pkts/node/step, "
@@ -321,20 +303,13 @@ int run_dv(Options& opts) {
   opts.finish();
 
   const RoutingScenario scenario(scenario_params, seed);
-  const auto checkpointer = snapshot::ExperimentCheckpointer::from_env(
-      {"dv", static_cast<std::uint64_t>(runs), paper::kRunSeedBase,
-       scenario.node_count(), task.steps});
   RunningStats conn, mb;
-  for (int r = 0; r < runs; ++r) {
-    DvRoutingTaskConfig run_config = task;
-    snapshot::RunCheckpointPort port;
-    if (checkpointer) {
-      port = checkpointer->port(static_cast<std::uint64_t>(r));
-      run_config.checkpoint = &port;
-    }
-    const auto result = run_dv_routing_task(
-        scenario, run_config,
-        Rng(paper::kRunSeedBase + static_cast<std::uint64_t>(r)));
+  for (const DvRoutingTaskResult& result : replicate(
+           {"dv", runs, paper::kRunSeedBase, scenario.node_count(),
+            task.steps},
+           task, [&](const DvRoutingTaskConfig& config, Rng rng) {
+             return run_dv_routing_task(scenario, config, rng);
+           })) {
     conn.add(result.mean_connectivity);
     mb.add(static_cast<double>(result.migration_bytes) / 1e6);
   }

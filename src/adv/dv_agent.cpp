@@ -248,6 +248,11 @@ DvRoutingTaskResult run_dv_routing_task(const RoutingScenario& scenario,
       result.connectivity.push_back(
           conn_cache.measure(world, tables, is_gateway, 0, par).fraction());
     }
+    AGENTNET_OBS_GAUGE(kConnectivity, t, result.connectivity.back());
+    if (injector && plan.topology_faults() && AGENTNET_OBS_METRICS_WANT(t))
+      AGENTNET_OBS_GAUGE(kLiveFraction, t,
+                         injector->live_fraction(world.node_count()));
+    AGENTNET_OBS_METRICS_TICK(t);
   }
   result.final_population = agents.size();
   AGENTNET_OBS_PHASE(kSummarize);

@@ -47,6 +47,7 @@
 #include "energy/battery.hpp"
 #include "experiments/mapping_experiments.hpp"
 #include "experiments/paper.hpp"
+#include "experiments/replicate.hpp"
 #include "experiments/routing_experiments.hpp"
 #include "experiments/traffic_experiments.hpp"
 #include "fault/fault_injector.hpp"

@@ -5,9 +5,8 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/parallel_for.hpp"
+#include "experiments/replicate.hpp"
 #include "sim/world.hpp"
-#include "snapshot/snapshot.hpp"
 
 namespace agentnet {
 
@@ -16,43 +15,13 @@ MappingSummary run_mapping_experiment(const GeneratedNetwork& network,
                                       int runs, std::uint64_t run_seed_base,
                                       int threads, const ObsConfig& obs,
                                       const FaultConfig& faults) {
-  AGENTNET_REQUIRE(runs >= 1, "need at least one run");
-  AGENTNET_REQUIRE(threads >= 0, "threads must be >= 0");
-
-  // Environment-driven chaos: a non-inert plan overrides the task's own.
-  MappingTaskConfig effective = task;
-  if (!(faults == FaultPlan{})) effective.faults = faults;
-
-  // One telemetry slot per run: each replication counts and traces into its
-  // own shard, merged in run-index order below.
-  std::vector<obs::RunObs> slots(static_cast<std::size_t>(runs));
-  obs::enable_slots(slots, obs);
-
-  // Fan the replications out: run r is a pure function of (task, seed + r)
-  // and writes only its own slot, so execution order is irrelevant.
-  const auto checkpointer = snapshot::ExperimentCheckpointer::from_env(
-      {"mapping", static_cast<std::uint64_t>(runs), run_seed_base,
-       network.graph.node_count(), effective.max_steps});
-
-  std::vector<MappingTaskResult> results(static_cast<std::size_t>(runs));
-  parallel_for_claimed(
-      results.size(),
-      [&](std::size_t r) {
-        obs::ObsRunScope scope(slots[r]);
+  std::vector<MappingTaskResult> results = replicate(
+      {"mapping", runs, run_seed_base, network.graph.node_count(),
+       task.max_steps, threads, obs, faults},
+      task, [&](const MappingTaskConfig& config, Rng rng) {
         World world = World::frozen(network);
-        MappingTaskConfig run_config = effective;
-        snapshot::RunCheckpointPort port;
-        if (checkpointer) {
-          port = checkpointer->port(r);
-          run_config.checkpoint = &port;
-        }
-        results[r] = run_mapping_task(
-            world, run_config,
-            Rng(run_seed_base + static_cast<std::uint64_t>(r)));
-      },
-      static_cast<std::size_t>(threads));
-
-  obs::merge_and_write(slots, obs, run_seed_base, runs, threads);
+        return run_mapping_task(world, config, rng);
+      });
 
   // Combine in run-index order — the exact aggregation the serial loop
   // performed, so summaries are bit-identical at every thread count.

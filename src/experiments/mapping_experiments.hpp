@@ -1,6 +1,6 @@
-// Multi-run harness for mapping experiments: same network, `runs`
-// independent agent placements, aggregated finishing time and knowledge
-// curves (the paper's Figs. 1–6 protocol).
+// Mapping experiments: same network, `runs` independent agent placements
+// (replicated by experiments/replicate.hpp), aggregated finishing time and
+// knowledge curves (the paper's Figs. 1–6 protocol).
 #pragma once
 
 #include <cstdint>
@@ -25,17 +25,9 @@ struct MappingSummary {
   SeriesAccumulator knowledge;
 };
 
-/// Runs `runs` independent replications (run r is seeded run_seed_base + r)
-/// and aggregates them. Replications execute on a worker pool — `threads`
-/// 0 means AGENTNET_THREADS / hardware_concurrency, 1 the exact serial
-/// loop — but are always combined in run-index order, so the summary is
-/// bit-identical at every thread count. Each run gets its own telemetry
-/// slot (counters, phase timings, optional trace buffer), merged in run
-/// order into `obs.sink` (or the caller's current slot); with a trace path
-/// set the per-run event streams are appended to it (docs/OBSERVABILITY.md).
-/// A non-inert `faults` plan overrides `task.faults` for every run — the
-/// AGENTNET_FAULT_* environment drives chaos sweeps over unmodified benches
-/// exactly like AGENTNET_TRACE drives tracing (docs/ROBUSTNESS.md).
+/// `runs` replications through replicate() (experiments/replicate.hpp,
+/// which documents the seeding, threading, telemetry, fault-override and
+/// checkpoint contract), summarised in run-index order.
 MappingSummary run_mapping_experiment(const GeneratedNetwork& network,
                                       const MappingTaskConfig& task,
                                       int runs, std::uint64_t run_seed_base,

@@ -1,7 +1,7 @@
-// Multi-run harness for dynamic-routing experiments: one scenario (same
-// placement + movement script), `runs` independent agent placements,
-// aggregated connectivity traces and converged-window means (the paper's
-// Figs. 7–11 protocol).
+// Dynamic-routing experiments: one scenario (same placement + movement
+// script), `runs` independent agent placements (replicated by
+// experiments/replicate.hpp), aggregated connectivity traces and
+// converged-window means (the paper's Figs. 7–11 protocol).
 #pragma once
 
 #include <cstdint>
@@ -29,17 +29,9 @@ struct RoutingSummary {
   FlowTrafficStats traffic;
 };
 
-/// Runs `runs` independent replications (run r is seeded run_seed_base + r)
-/// and aggregates them. Replications execute on a worker pool — `threads`
-/// 0 means AGENTNET_THREADS / hardware_concurrency, 1 the exact serial
-/// loop — but are always combined in run-index order, so the summary is
-/// bit-identical at every thread count. Each run gets its own telemetry
-/// slot (counters, phase timings, optional trace buffer), merged in run
-/// order into `obs.sink` (or the caller's current slot); with a trace path
-/// set the per-run event streams are appended to it (docs/OBSERVABILITY.md).
-/// A non-inert `faults` plan overrides `task.faults` for every run — the
-/// AGENTNET_FAULT_* environment drives chaos sweeps over unmodified benches
-/// exactly like AGENTNET_TRACE drives tracing (docs/ROBUSTNESS.md).
+/// `runs` replications through replicate() (experiments/replicate.hpp,
+/// which documents the seeding, threading, telemetry, fault-override and
+/// checkpoint contract), summarised in run-index order.
 RoutingSummary run_routing_experiment(const RoutingScenario& scenario,
                                       const RoutingTaskConfig& task,
                                       int runs, std::uint64_t run_seed_base,

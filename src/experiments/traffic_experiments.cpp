@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/parallel_for.hpp"
+#include "experiments/replicate.hpp"
 #include "fault/fault_injector.hpp"
 #include "routing/connectivity.hpp"
 #include "snapshot/snapshot.hpp"
@@ -150,45 +150,18 @@ TrafficSummary run_traffic_experiment(const RoutingScenario& scenario,
                                       int runs, std::uint64_t run_seed_base,
                                       int threads, const ObsConfig& obs,
                                       const FaultConfig& faults) {
-  AGENTNET_REQUIRE(runs >= 1, "need at least one run");
-  AGENTNET_REQUIRE(threads >= 0, "threads must be >= 0");
-
-  TrafficTaskConfig effective = task;
-  if (!(faults == FaultPlan{})) effective.faults = faults;
-
-  std::vector<obs::RunObs> slots(static_cast<std::size_t>(runs));
-  obs::enable_slots(slots, obs);
-
-  const auto checkpointer = snapshot::ExperimentCheckpointer::from_env(
-      {"traffic", static_cast<std::uint64_t>(runs), run_seed_base,
-       scenario.node_count(), effective.steps});
-
   // Shared world script, as in run_routing_experiment (no oracle here).
   std::optional<ScenarioScript> script;
-  if (runs >= 2) {
-    obs::ObsRunScope scope(slots[0]);
-    obs::ScopedPhase setup(obs::Phase::kSetup);
-    effective.script = &script.emplace(scenario, effective.steps, false);
-  }
-
-  std::vector<TrafficTaskResult> results(static_cast<std::size_t>(runs));
-  parallel_for_claimed(
-      results.size(),
-      [&](std::size_t r) {
-        obs::ObsRunScope scope(slots[r]);
-        TrafficTaskConfig run_config = effective;
-        snapshot::RunCheckpointPort port;
-        if (checkpointer) {
-          port = checkpointer->port(r);
-          run_config.checkpoint = &port;
-        }
-        results[r] = run_traffic_task(
-            scenario, run_config,
-            Rng(run_seed_base + static_cast<std::uint64_t>(r)));
+  const std::vector<TrafficTaskResult> results = replicate(
+      {"traffic", runs, run_seed_base, scenario.node_count(), task.steps,
+       threads, obs, faults},
+      task,
+      [&](const TrafficTaskConfig& config, Rng rng) {
+        return run_traffic_task(scenario, config, rng);
       },
-      static_cast<std::size_t>(threads));
-
-  obs::merge_and_write(slots, obs, run_seed_base, runs, threads);
+      [&](TrafficTaskConfig& effective) {
+        effective.script = &script.emplace(scenario, effective.steps, false);
+      });
 
   // Run-index-order combination: integer stats merge exactly, so the
   // percentile read off the merged histogram is thread-count invariant.

@@ -4,11 +4,11 @@
 // scenario: forward ants sample routes, the flow data plane (see
 // docs/TRAFFIC.md) pushes session traffic over the snapshot tables, its
 // queue occupancies feed back into the ants' trip times (kDelay mode) and
-// the gateway balancer damps deposits through hot gateways. The multi-run
-// harness mirrors run_routing_experiment: forked per-run seeds, per-run
-// telemetry slots, run-index-order merging — every aggregate, including
-// the latency percentiles (exact integer histogram), is bit-identical at
-// any AGENTNET_THREADS setting.
+// the gateway balancer damps deposits through hot gateways.
+// run_traffic_experiment replicates it through replicate()
+// (experiments/replicate.hpp): every aggregate, including the latency
+// percentiles (exact integer histogram), is bit-identical at any
+// AGENTNET_THREADS setting.
 #pragma once
 
 #include <cstdint>
@@ -76,9 +76,9 @@ struct TrafficSummary {
   RunningStats carried_load;
 };
 
-/// `runs` independent replications (run r seeded run_seed_base + r) on a
-/// worker pool, combined in run-index order; see run_routing_experiment
-/// for the threading / telemetry / fault-override contract it mirrors.
+/// `runs` replications through replicate() (experiments/replicate.hpp,
+/// which documents the seeding, threading, telemetry, fault-override and
+/// checkpoint contract), summarised in run-index order.
 TrafficSummary run_traffic_experiment(const RoutingScenario& scenario,
                                       const TrafficTaskConfig& task,
                                       int runs, std::uint64_t run_seed_base,

@@ -3,6 +3,8 @@
 // accumulators must agree with their single-pass references.
 #include <atomic>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -10,11 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include "aco/ant_routing_task.hpp"
+#include "adv/dv_agent.hpp"
 #include "common/parallel_for.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 #include "experiments/mapping_experiments.hpp"
+#include "experiments/replicate.hpp"
 #include "experiments/routing_experiments.hpp"
 
 namespace agentnet {
@@ -117,6 +122,101 @@ TEST(ParallelDeterminismTest, RoutingTrafficIsTheRunOrderSum) {
         run_routing_experiment(scenario, task, runs, seed, threads);
     EXPECT_EQ(summary.traffic, sum);
   }
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream is(path);
+  EXPECT_TRUE(is.is_open()) << path;
+  std::ostringstream out;
+  out << is.rdbuf();
+  return out.str();
+}
+
+/// What one replicate() call of a routing-family baseline produced: every
+/// run's connectivity series and the trace and metrics streams.
+struct Replicated {
+  std::vector<std::vector<double>> connectivity;
+  std::string trace;
+  std::string metrics;
+};
+
+/// Replicates `task` five times on the tiny scenario through the harness,
+/// tracing and metering into files named by `kind` and `tag`.
+template <typename Task, typename RunTask>
+Replicated replicate_traced(const char* kind, const std::string& tag,
+                            const Task& task, int threads,
+                            const FaultConfig& faults, RunTask run_task) {
+  const auto scenario = tiny_scenario();
+  ObsConfig obs;
+  const std::string stem = ::testing::TempDir() + "/" + kind + "_" + tag;
+  obs.trace_path = stem + ".trace.jsonl";
+  obs.metrics_path = stem + ".metrics.jsonl";
+  Replicated out;
+  for (const auto& result :
+       replicate({kind, 5, 70, scenario.node_count(), task.steps, threads,
+                  obs, faults},
+                 task, [&](const Task& config, Rng rng) {
+                   return run_task(scenario, config, rng);
+                 }))
+    out.connectivity.push_back(result.connectivity);
+  out.trace = read_file(*obs.trace_path);
+  out.metrics = read_file(*obs.metrics_path);
+  return out;
+}
+
+// The ant-colony and DV baselines replicate through the same harness as
+// the paper's tasks: results, trace and metrics are bit-identical at
+// {1, 2, 7} threads, the fault override reaches every run, and a run
+// count below one is a ConfigError rather than an abort.
+template <typename Task, typename RunTask>
+void expect_replication_contract(const char* kind, const Task& task,
+                                 RunTask run_task) {
+  SCOPED_TRACE(kind);
+  FaultPlan chaos;
+  chaos.node_crash_probability = 0.2;
+  chaos.agent_loss_probability = 0.02;
+  const Replicated serial =
+      replicate_traced(kind, "t1", task, 1, chaos, run_task);
+#if AGENTNET_OBS_LEVEL >= 1
+  EXPECT_NE(serial.trace.find("\"node_crash\""), std::string::npos);
+  EXPECT_FALSE(serial.metrics.empty());
+#endif
+  for (int threads : {2, 7}) {
+    SCOPED_TRACE(threads);
+    const Replicated parallel = replicate_traced(
+        kind, "t" + std::to_string(threads), task, threads, chaos, run_task);
+    EXPECT_EQ(parallel.connectivity, serial.connectivity);
+    EXPECT_EQ(parallel.trace, serial.trace);
+    EXPECT_EQ(parallel.metrics, serial.metrics);
+  }
+  const Replicated calm =
+      replicate_traced(kind, "calm", task, 2, FaultConfig{}, run_task);
+  EXPECT_NE(calm.connectivity, serial.connectivity)
+      << "the fault plan did not reach the runs";
+
+  const auto scenario = tiny_scenario();
+  for (int runs : {0, -1}) {
+    EXPECT_THROW(replicate({kind, runs, 70, scenario.node_count(),
+                            task.steps, 1, ObsConfig{}, FaultConfig{}},
+                           task,
+                           [&](const Task& config, Rng rng) {
+                             return run_task(scenario, config, rng);
+                           }),
+                 ConfigError)
+        << "runs=" << runs;
+  }
+}
+
+TEST(ParallelDeterminismTest, ColonyAndDvBitIdenticalAcrossThreadCounts) {
+  AntRoutingTaskConfig colony;
+  colony.steps = 60;
+  colony.measure_from = 30;
+  expect_replication_contract("aco", colony, run_ant_routing_task);
+  DvRoutingTaskConfig dv;
+  dv.population = 15;
+  dv.steps = 60;
+  dv.measure_from = 30;
+  expect_replication_contract("dv", dv, run_dv_routing_task);
 }
 
 TEST(ParallelDeterminismTest, ThreadsEnvKnobDrivesDefaultPath) {

@@ -15,7 +15,9 @@
 #include <vector>
 
 #include "aco/ant_routing_task.hpp"
+#include "adv/dv_agent.hpp"
 #include "experiments/mapping_experiments.hpp"
+#include "experiments/replicate.hpp"
 #include "experiments/routing_experiments.hpp"
 #include "experiments/traffic_experiments.hpp"
 #include "net/generators.hpp"
@@ -326,50 +328,54 @@ TEST(SnapshotResumeTest, TrafficResumeByteIdentical) {
   }
 }
 
-TEST(SnapshotResumeTest, AntColonyResumeByteIdentical) {
-  // The ant-colony harness (agentnet_cli run_aco) is a serial loop with
-  // per-run ports; mirror that wiring here with an explicit checkpointer.
+/// Checkpoints a fault-injected replication of a routing-family baseline
+/// through the harness and resumes it at every thread count.
+template <typename Task, typename RunTask>
+void expect_baseline_resumes(const char* kind, Task task, RunTask run_task) {
   const RoutingScenario scenario = tiny_scenario();
-  AntRoutingTaskConfig task;
   task.steps = 60;
   task.measure_from = 30;
   task.faults = chaos_plan();
-  const int runs = 2;
-  const std::uint64_t seed = 31;
-  const snapshot::ExperimentIdentity identity{
-      "aco", static_cast<std::uint64_t>(runs), seed, scenario.node_count(),
-      task.steps};
-
-  const auto leg = [&](const std::string& tag,
-                       snapshot::ExperimentCheckpointer* checkpointer) {
+  const auto leg = [&](const std::string& tag, int threads) {
     return run_leg(tag, [&](const obs::ObsConfig& config) {
-      std::vector<obs::RunObs> slots(static_cast<std::size_t>(runs));
-      obs::enable_slots(slots, config);
-      for (int r = 0; r < runs; ++r) {
-        obs::ObsRunScope scope(slots[static_cast<std::size_t>(r)]);
-        AntRoutingTaskConfig run_config = task;
-        snapshot::RunCheckpointPort port;
-        if (checkpointer) {
-          port = checkpointer->port(static_cast<std::uint64_t>(r));
-          run_config.checkpoint = &port;
-        }
-        run_ant_routing_task(scenario, run_config,
-                             Rng(seed + static_cast<std::uint64_t>(r)));
-      }
-      obs::merge_and_write(slots, config, seed, runs, 1);
+      replicate({kind, 2, 31, scenario.node_count(), task.steps, threads,
+                 config},
+                task, [&](const Task& run_config, Rng rng) {
+                  return run_task(scenario, run_config, rng);
+                });
     });
   };
 
-  const Artefacts base = leg("aco_base", nullptr);
-  const std::string ck = temp_path("aco.snap");
-  snapshot::ExperimentCheckpointer saver(identity, ck, 20, "");
-  const Artefacts saving = leg("aco_save", &saver);
-  EXPECT_EQ(saving.trace, base.trace);
-  EXPECT_EQ(saving.metrics, base.metrics);
-  snapshot::ExperimentCheckpointer resumer(identity, "", 20, ck);
-  const Artefacts resumed = leg("aco_resume", &resumer);
-  EXPECT_EQ(resumed.trace, base.trace);
-  EXPECT_EQ(resumed.metrics, base.metrics);
+  const std::string stem = std::string(kind) + "_";
+  const Artefacts base = leg(stem + "base", 1);
+  const std::string ck = temp_path(stem + "ck.snap");
+  {
+    EnvGuard save("AGENTNET_CHECKPOINT", ck);
+    EnvGuard every("AGENTNET_CHECKPOINT_EVERY", "20");
+    const Artefacts saving = leg(stem + "save", 2);
+    EXPECT_EQ(saving.trace, base.trace);
+    EXPECT_EQ(saving.metrics, base.metrics);
+  }
+  for (const auto& [run, record] : snapshot::load_checkpoint(ck).runs)
+    EXPECT_EQ(record.step, 40u) << "run " << run;
+  for (const int threads : {1, 2, 7}) {
+    EnvGuard resume("AGENTNET_RESUME", ck);
+    const Artefacts resumed =
+        leg(stem + "resume_t" + std::to_string(threads), threads);
+    EXPECT_EQ(resumed.trace, base.trace) << "threads=" << threads;
+    EXPECT_EQ(resumed.metrics, base.metrics) << "threads=" << threads;
+  }
+}
+
+TEST(SnapshotResumeTest, AntColonyResumeByteIdentical) {
+  expect_baseline_resumes("aco", AntRoutingTaskConfig{},
+                          run_ant_routing_task);
+}
+
+TEST(SnapshotResumeTest, DvResumeByteIdentical) {
+  DvRoutingTaskConfig task;
+  task.population = 12;
+  expect_baseline_resumes("dv", task, run_dv_routing_task);
 }
 
 /// The harness loop without the shared world script: every run live, in

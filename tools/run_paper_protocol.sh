@@ -23,8 +23,10 @@
 # count (1 and 2), proves stdout (the merged traffic line included) and the
 # metrics stream byte-identical across the two, and pushes it
 # through trace_check --metrics and tools/metrics_report
-# (validate/summarize/diff; docs/OBSERVABILITY.md). An agent-engine leg
-# repeats that proof for AGENTNET_AGENT_THREADS (the intra-run fan-out,
+# (validate/summarize/diff; docs/OBSERVABILITY.md). The ant-colony and DV
+# scenarios get the same stdout/trace/metrics thread diff under
+# AGENTNET_FAULT_NODE_CRASH, with a --require=node_crash proof. An
+# agent-engine leg repeats that proof for AGENTNET_AGENT_THREADS (the intra-run fan-out,
 # docs/PERFORMANCE.md): mapping and routing runs at agent threads 1 and 2,
 # byte-diffed across stdout, trace and metrics. A checkpoint/restore
 # leg then snapshots a fault-injected routing run mid-flight, resumes it
@@ -110,6 +112,27 @@ if [ "${1:-}" = "--smoke" ]; then
     --gauge=connectivity --threshold=0.5
   build-tsan/tools/metrics_report diff "$tmp/route_m1.jsonl" \
     "$tmp/route_m2.jsonl"
+  # The ant-colony and DV baselines replicate through the same harness
+  # (experiments/replicate.hpp): under the fault environment their stdout,
+  # trace and metrics must be byte-identical at threads 1 and 2, and the
+  # injected crashes must show in the trace.
+  for scenario in aco dv; do
+    for t in 1 2; do
+      AGENTNET_THREADS="$t" \
+        AGENTNET_TRACE="$tmp/${scenario}_t${t}.trace.jsonl" \
+        AGENTNET_METRICS="$tmp/${scenario}_t${t}.jsonl" \
+        AGENTNET_METRICS_EVERY=1 AGENTNET_FAULT_NODE_CRASH=0.05 \
+        build-tsan/examples/agentnet_cli scenario="$scenario" nodes=50 \
+        gateways=4 runs=2 > "$tmp/${scenario}_t${t}.out"
+    done
+    diff "$tmp/${scenario}_t1.out" "$tmp/${scenario}_t2.out"
+    diff "$tmp/${scenario}_t1.trace.jsonl" "$tmp/${scenario}_t2.trace.jsonl"
+    diff "$tmp/${scenario}_t1.jsonl" "$tmp/${scenario}_t2.jsonl"
+    build-tsan/tools/trace_check --require=node_crash \
+      "$tmp/${scenario}_t1.trace.jsonl"
+    build-tsan/tools/trace_check --metrics "$tmp/${scenario}_t1.jsonl"
+  done
+  echo "aco and dv runs at threads=1 and threads=2 are bit-identical"
   echo "##### intra-run agent engine byte-identity (TSan, agent threads 1/2)"
   # The tentpole contract (docs/PERFORMANCE.md "Intra-run agent
   # parallelism"): AGENTNET_AGENT_THREADS fans the per-step agent phases
