@@ -30,22 +30,36 @@ GeneratedNetwork random_geometric_network(const GeometricNetworkParams& params,
 
 namespace {
 
-// Rebuilds the graph of `net` with all base ranges scaled by `scale`
-// relative to their unit draw. Keeps placement and per-node draws fixed so
-// the multiplier search is monotone.
+// Builds the network with all base ranges scaled by `multiplier` relative
+// to their unit draw. Keeps placement and per-node draws fixed so the
+// multiplier search is monotone.
 struct ScaledBuilder {
   const GeometricNetworkParams& params;
   std::vector<Vec2> positions;
   std::vector<double> unit_ranges;  // per-node uniform draws in (0, 1]
+  std::vector<double> ranges;       // unit_ranges × the last multiplier
+  Graph probe;  ///< Every bisection probe is built into this one graph.
 
-  GeneratedNetwork build(double multiplier) const {
+  void scale(double multiplier) {
+    ranges.resize(unit_ranges.size());
+    for (std::size_t i = 0; i < unit_ranges.size(); ++i)
+      ranges[i] = multiplier * unit_ranges[i];
+  }
+
+  std::size_t edges(double multiplier) {
+    scale(multiplier);
+    TopologyBuilder(params.bounds, multiplier, params.policy)
+        .build_into(probe, positions, ranges);
+    return probe.edge_count();
+  }
+
+  GeneratedNetwork build(double multiplier) {
     GeneratedNetwork net;
     net.bounds = params.bounds;
     net.policy = params.policy;
     net.positions = positions;
-    net.base_ranges.resize(unit_ranges.size());
-    for (std::size_t i = 0; i < unit_ranges.size(); ++i)
-      net.base_ranges[i] = multiplier * unit_ranges[i];
+    scale(multiplier);
+    net.base_ranges = ranges;
     TopologyBuilder builder(params.bounds, multiplier, params.policy);
     net.graph = builder.build(net.positions, net.base_ranges);
     return net;
@@ -73,35 +87,38 @@ GeneratedNetwork generate_target_edge_network(const TargetEdgeParams& params,
         params.geometry,
         random_positions(params.geometry.node_count, params.geometry.bounds,
                          rng),
-        {}};
+        {}, {}, {}};
     scaled.unit_ranges.resize(params.geometry.node_count);
     for (auto& r : scaled.unit_ranges)
       r = rng.uniform_real(params.geometry.min_range_factor, 1.0);
 
-    // Edge count grows monotonically with the multiplier: bisect.
+    // Edge count grows monotonically with the multiplier: bisect. The
+    // accepted multiplier is always `hi`; its network is built once, after
+    // the search.
+    const auto relative_error = [&](std::size_t edges) {
+      return std::abs(static_cast<double>(edges) -
+                      static_cast<double>(params.target_edges)) /
+             static_cast<double>(params.target_edges);
+    };
     double lo = arena_diag * 1e-4;
     double hi = arena_diag;
-    GeneratedNetwork best = scaled.build(hi);
-    if (best.graph.edge_count() < params.target_edges) continue;  // too sparse
+    std::size_t best_edges = scaled.edges(hi);
+    if (best_edges < params.target_edges) continue;  // too sparse
     for (int iter = 0; iter < 60; ++iter) {
       const double mid = 0.5 * (lo + hi);
-      GeneratedNetwork candidate = scaled.build(mid);
-      if (candidate.graph.edge_count() >= params.target_edges) {
+      const std::size_t edges = scaled.edges(mid);
+      if (edges >= params.target_edges) {
         hi = mid;
-        best = std::move(candidate);
+        best_edges = edges;
       } else {
         lo = mid;
       }
-      const double err =
-          std::abs(static_cast<double>(best.graph.edge_count()) -
-                   static_cast<double>(params.target_edges)) /
-          static_cast<double>(params.target_edges);
-      if (err <= params.tolerance && hi - lo < arena_diag * 1e-6) break;
+      if (relative_error(best_edges) <= params.tolerance &&
+          hi - lo < arena_diag * 1e-6)
+        break;
     }
-    const double err = std::abs(static_cast<double>(best.graph.edge_count()) -
-                                static_cast<double>(params.target_edges)) /
-                       static_cast<double>(params.target_edges);
-    if (err > params.tolerance) continue;
+    if (relative_error(best_edges) > params.tolerance) continue;
+    GeneratedNetwork best = scaled.build(hi);
     if (!connectivity_ok(best, params.require_strongly_connected)) {
       AGENTNET_DEBUG() << "attempt " << attempt
                        << ": edge target met but not connected, retrying";

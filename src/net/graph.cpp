@@ -163,6 +163,11 @@ bool operator==(const Graph& a, const Graph& b) {
   return true;
 }
 
+bool same_layout(const Graph& a, const Graph& b) {
+  return a == b && a.starts_ == b.starts_ && a.lens_ == b.lens_ &&
+         a.caps_ == b.caps_ && a.targets_.size() == b.targets_.size();
+}
+
 void Graph::save_state(snapshot::ByteWriter& w) const {
   w.size(node_count());
   for (NodeId u = 0; u < node_count(); ++u) {

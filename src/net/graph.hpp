@@ -95,6 +95,9 @@ class Graph {
   /// Logical equality: same node count and per-row neighbour sequences.
   /// Slot layout is invisible — a padded graph equals its dense twin.
   friend bool operator==(const Graph& a, const Graph& b);
+  /// Test oracle for the layout operator== ignores: equal graphs whose
+  /// rows sit in the same slots (starts, lens, caps, array length).
+  friend bool same_layout(const Graph& a, const Graph& b);
 
   /// Heap footprint of the arrays (bytes/node accounting).
   std::size_t heap_bytes() const {

@@ -1,6 +1,7 @@
 #include "net/topology.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/parallel_for.hpp"
@@ -22,17 +23,17 @@ Graph TopologyBuilder::build(const std::vector<Vec2>& positions,
   return graph;
 }
 
-void TopologyBuilder::gather_row_into(NodeId u,
-                                      const std::vector<Vec2>& positions,
-                                      const std::vector<double>& ranges,
-                                      std::vector<NodeId>& out) const {
+void TopologyBuilder::append_row(NodeId u, const std::vector<Vec2>& positions,
+                                 const std::vector<double>& ranges,
+                                 std::vector<NodeId>& out) const {
   AGENTNET_REQUIRE(ranges[u] <= max_range_ * (1.0 + 1e-12),
-                   "effective range exceeds builder max_range");
+                   "effective range of node " + std::to_string(u) +
+                       " exceeds builder max_range");
   // Query by this node's own reach; for symmetric policies the pair rule
   // is evaluated per candidate.
   const double query_radius =
       policy_ == LinkPolicy::kSymmetricOr ? max_range_ : ranges[u];
-  out.clear();
+  const std::size_t first = out.size();
   grid_.for_each_within(positions[u], query_radius, [&](std::size_t v) {
     if (v == u) return;
     const double d2 = distance2(positions[u], positions[v]);
@@ -52,7 +53,23 @@ void TopologyBuilder::gather_row_into(NodeId u,
   });
   // One sort per node replaces a per-edge insertion sort; the accepted set
   // has no duplicates (each point lives in exactly one grid cell).
-  std::sort(out.begin(), out.end());
+  std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end());
+}
+
+void TopologyBuilder::gather_block(std::size_t block,
+                                   const std::vector<Vec2>& positions,
+                                   const std::vector<double>& ranges,
+                                   BlockSlot& slot) const {
+  const std::size_t begin = block * kBuildBlockNodes;
+  const std::size_t end = std::min(positions.size(), begin + kBuildBlockNodes);
+  slot.targets.clear();
+  slot.lens.clear();
+  for (std::size_t u = begin; u < end; ++u) {
+    const std::size_t before = slot.targets.size();
+    append_row(static_cast<NodeId>(u), positions, ranges, slot.targets);
+    slot.lens.push_back(
+        static_cast<std::uint32_t>(slot.targets.size() - before));
+  }
 }
 
 void TopologyBuilder::build_into(Graph& graph,
@@ -60,12 +77,45 @@ void TopologyBuilder::build_into(Graph& graph,
                                  const std::vector<double>& ranges) {
   AGENTNET_REQUIRE(positions.size() == ranges.size(),
                    "positions/ranges size mismatch");
-  graph.reset(positions.size());
+  const std::size_t n = positions.size();
+  graph.reset(n);
   grid_.rebuild(positions);
-  for (std::size_t u = 0; u < positions.size(); ++u) {
-    gather_row(static_cast<NodeId>(u), positions, ranges);
-    graph.assign_out_edges(static_cast<NodeId>(u), scratch_);
+  // Every row is a pure function of the (grid, positions, ranges) snapshot,
+  // so blocks gather anywhere and commit in node order — the determinism
+  // contract's execute-anywhere / combine-in-order split. Resolving the
+  // worker count reads the environment, so one-block worlds skip it and a
+  // warm rebuild stays allocation-free.
+  const std::size_t blocks = (n + kBuildBlockNodes - 1) / kBuildBlockNodes;
+  const std::size_t wave =
+      blocks > 1 ? std::min(blocks, ThreadPool::default_threads()) : 1;
+  if (block_slots_.size() < wave) block_slots_.resize(wave);
+  const std::size_t block_nodes = std::min(n, kBuildBlockNodes);
+  for (std::size_t s = 0; s < wave; ++s) {
+    block_slots_[s].lens.reserve(block_nodes);
+    block_slots_[s].targets.reserve(block_nodes * kSlotReserveDegree);
   }
+  for (std::size_t first = 0; first < blocks; first += wave) {
+    const std::size_t count = std::min(wave, blocks - first);
+    parallel_for_claimed(
+        count,
+        [&](std::size_t s) {
+          gather_block(first + s, positions, ranges, block_slots_[s]);
+        },
+        wave);
+    for (std::size_t s = 0; s < count; ++s) {
+      const BlockSlot& slot = block_slots_[s];
+      auto u = static_cast<NodeId>((first + s) * kBuildBlockNodes);
+      const NodeId* row = slot.targets.data();
+      for (const std::uint32_t len : slot.lens) {
+        graph.assign_out_edges(u++, {row, len});
+        row += len;
+      }
+    }
+  }
+  // A multi-block build runs once per construction or restore, so its
+  // wave of slots is freed rather than held for the world's lifetime;
+  // a one-block slot is kept, so warm rebuilds stay allocation-free.
+  if (blocks > 1) block_slots_ = {};
 }
 
 bool TopologyBuilder::update_into(Graph& graph, std::span<const NodeId> dirty,
@@ -123,7 +173,7 @@ bool TopologyBuilder::update_into(Graph& graph, std::span<const NodeId> dirty,
   // (a) Out-rows of dirty nodes, exactly as a full build computes them.
   for (std::size_t i = 0; i < dirty.size(); ++i) {
     const NodeId u = dirty[i];
-    if (!pre_gather) gather_row(u, positions, ranges);
+    if (!pre_gather) gather_row_into(u, positions, ranges, scratch_);
     const std::vector<NodeId>& new_row = pre_gather ? row_slots_[i] : scratch_;
     const auto live_row = graph.out_neighbors(u);
     if (!std::equal(live_row.begin(), live_row.end(), new_row.begin(),
@@ -205,9 +255,13 @@ std::size_t TopologyBuilder::heap_bytes() const {
                       dirty_mask_.capacity() +
                       moved_.capacity() * sizeof(NodeId) +
                       pairs_.capacity() * sizeof(pairs_[0]) +
-                      row_slots_.capacity() * sizeof(row_slots_[0]);
+                      row_slots_.capacity() * sizeof(row_slots_[0]) +
+                      block_slots_.capacity() * sizeof(block_slots_[0]);
   for (const auto& slot : row_slots_)
     bytes += slot.capacity() * sizeof(NodeId);
+  for (const auto& slot : block_slots_)
+    bytes += slot.targets.capacity() * sizeof(NodeId) +
+             slot.lens.capacity() * sizeof(std::uint32_t);
   return bytes;
 }
 

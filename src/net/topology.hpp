@@ -1,6 +1,7 @@
 // Builds the live link graph from node positions and effective radio ranges.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -47,8 +48,18 @@ class TopologyBuilder {
   /// neighbours are gathered, sorted once and written append-only — no
   /// per-edge insertion sort. Produces a Graph identical (operator==) to
   /// build()'s.
+  ///
+  /// Rows are gathered in blocks of kBuildBlockNodes nodes, in waves of
+  /// ThreadPool::default_threads() workers (AGENTNET_THREADS), each block
+  /// into its own slot; after each wave the slots are assigned serially in
+  /// node order, so the layout (starts, caps, slack) is the serial one at
+  /// every thread count. A world of one block gathers on the calling
+  /// thread. An over-range node throws the lowest such node's ConfigError.
   void build_into(Graph& graph, const std::vector<Vec2>& positions,
                   const std::vector<double>& ranges);
+
+  /// Nodes per build_into() gather block.
+  static constexpr std::size_t kBuildBlockNodes = 16384;
 
   /// Incrementally patches `graph` — which must hold this builder's last
   /// build for the grid's current snapshot — to the new (positions, ranges)
@@ -87,14 +98,16 @@ class TopologyBuilder {
   std::size_t heap_bytes() const;
 
  private:
-  /// Fills `out` (sorted) with u's accepted out-neighbours at the grid's
+  /// Appends u's accepted out-neighbours, sorted, to `out` at the grid's
   /// current snapshot.
+  void append_row(NodeId u, const std::vector<Vec2>& positions,
+                  const std::vector<double>& ranges,
+                  std::vector<NodeId>& out) const;
   void gather_row_into(NodeId u, const std::vector<Vec2>& positions,
                        const std::vector<double>& ranges,
-                       std::vector<NodeId>& out) const;
-  void gather_row(NodeId u, const std::vector<Vec2>& positions,
-                  const std::vector<double>& ranges) {
-    gather_row_into(u, positions, ranges, scratch_);
+                       std::vector<NodeId>& out) const {
+    out.clear();
+    append_row(u, positions, ranges, out);
   }
 
   SpatialGrid grid_;
@@ -109,6 +122,20 @@ class TopologyBuilder {
   std::vector<NodeId> moved_;
   std::vector<std::pair<NodeId, NodeId>> pairs_;  ///< (source, dirty target).
   std::vector<std::vector<NodeId>> row_slots_;  ///< Parallel-gather slots.
+
+  /// One build_into() block's rows, back to back, and their lengths.
+  struct BlockSlot {
+    std::vector<NodeId> targets;
+    std::vector<std::uint32_t> lens;
+  };
+  /// Row entries per node a block slot reserves up front. Slots are
+  /// reserved on the calling thread (worker-grown buffers stay in glibc's
+  /// per-thread arenas); a denser block grows its slot on the worker.
+  static constexpr std::size_t kSlotReserveDegree = 8;
+  void gather_block(std::size_t block, const std::vector<Vec2>& positions,
+                    const std::vector<double>& ranges, BlockSlot& slot) const;
+  /// One per block of a wave; kept only after one-block builds.
+  std::vector<BlockSlot> block_slots_;
 };
 
 }  // namespace agentnet

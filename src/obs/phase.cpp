@@ -18,6 +18,7 @@ constexpr const char* kPhaseNames[] = {
     "commit",
     "measure",
     "world_advance",
+    "topo_build",
     "step",
     "merge",
     "summarize",

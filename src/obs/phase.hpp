@@ -29,6 +29,8 @@ enum class Phase : std::size_t {
                   ///< replay of per-slot results (parallel agent engine).
   kMeasure,       ///< Connectivity / knowledge measurement.
   kWorldAdvance,  ///< Mobility, battery drain, link rebuild (World::advance).
+  kTopoBuild,     ///< Cold topology build (World construction, restore,
+                  ///< script end); nests inside the phase that runs it.
   kStep,          ///< Whole-step granularity for baselines (aco/flooding).
   kMerge,         ///< Combining replication results in run-index order.
   kSummarize,     ///< Final statistics over the recorded series.

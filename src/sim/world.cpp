@@ -282,7 +282,10 @@ void World::rebuild_derived() {
   // between steps, so recomputing here reproduces the built state exactly.
   for (std::size_t i = 0; i < ranges_.size(); ++i)
     ranges_[i] = quantized_range(static_cast<NodeId>(i));
-  builder_.build_into(geo_graph_, positions_, ranges_);
+  {
+    AGENTNET_OBS_PHASE(kTopoBuild);
+    builder_.build_into(geo_graph_, positions_, ranges_);
+  }
   if (weather_active_) redraw_weather();
   const double tile =
       std::max(radio_.max_base_range() * kShardTileFactor, 1e-9);

@@ -13,10 +13,18 @@
 //      every system whose tables moved from std::map to FlatMap (routing
 //      with communication, ACO, DV, link-state flooding) and for the
 //      grid-accelerated radius-1 mapping meetings under fault injection.
+//   4. The block-parallel cold build (TopologyBuilder::build_into over
+//      fields of several blocks) equals the serial build in rows *and*
+//      slot layout at AGENTNET_THREADS {1, 2, 7}, for the builder, World
+//      restore and the generated networks, and fails the same way.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <map>
+#include <optional>
+#include <string>
 
 #include "aco/ant_routing_task.hpp"
 #include "fault/fault_injector.hpp"
@@ -24,13 +32,17 @@
 #include "common/flat_map.hpp"
 #include "core/mapping_task.hpp"
 #include "core/routing_task.hpp"
+#include "energy/battery.hpp"
 #include "flooding/link_state.hpp"
+#include "mobility/mobility.hpp"
 #include "net/generators.hpp"
 #include "net/link_noise.hpp"
 #include "net/metrics.hpp"
 #include "net/topology.hpp"
+#include "radio/range_model.hpp"
 #include "routing/connectivity.hpp"
 #include "sim/world.hpp"
+#include "snapshot/bytes.hpp"
 
 #include "../sim/topology_oracle.hpp"
 
@@ -476,6 +488,178 @@ TEST(GoldenEquivalenceTest, MappingRadius1MeetingsUnderFaults) {
   EXPECT_EQ(r.agents_lost, 0u);
   EXPECT_EQ(r.agents_respawned, 0u);
   EXPECT_EQ(r.final_population, 6u);
+}
+
+// ---------------------------------------------------------------------------
+// Layer 4: the block-parallel cold build.
+
+/// Sets AGENTNET_THREADS for its lifetime, then restores the old value.
+class ScopedThreads {
+ public:
+  explicit ScopedThreads(int threads) {
+    if (const char* old = std::getenv("AGENTNET_THREADS")) old_ = old;
+    EXPECT_EQ(
+        setenv("AGENTNET_THREADS", std::to_string(threads).c_str(), 1), 0);
+  }
+  ~ScopedThreads() {
+    if (old_)
+      setenv("AGENTNET_THREADS", old_->c_str(), 1);
+    else
+      unsetenv("AGENTNET_THREADS");
+  }
+  ScopedThreads(const ScopedThreads&) = delete;
+  ScopedThreads& operator=(const ScopedThreads&) = delete;
+
+ private:
+  std::optional<std::string> old_;
+};
+
+constexpr int kBuildThreads[] = {1, 2, 7};
+constexpr double kFieldMaxRange = 110.0;
+
+/// About 2.5 build blocks at extR's density (250 nodes per km²), so the
+/// third block is a partial one.
+struct BlockField {
+  Aabb bounds{};
+  std::vector<Vec2> positions;
+  std::vector<double> ranges;
+};
+
+BlockField block_field(std::uint64_t seed) {
+  const std::size_t n = TopologyBuilder::kBuildBlockNodes * 5 / 2;
+  const double side = 1000.0 * std::sqrt(static_cast<double>(n) / 250.0);
+  Rng rng(seed);
+  BlockField field;
+  field.bounds = {{0.0, 0.0}, {side, side}};
+  field.positions = random_positions(n, field.bounds, rng);
+  field.ranges = heterogeneous_ranges(n, 40.0, kFieldMaxRange, rng);
+  return field;
+}
+
+Graph build_field(const BlockField& field, LinkPolicy policy) {
+  Graph graph;
+  TopologyBuilder(field.bounds, kFieldMaxRange, policy)
+      .build_into(graph, field.positions, field.ranges);
+  return graph;
+}
+
+TEST(BlockBuildTest, MatchesSerialRowsAndLayoutAtAnyThreadCount) {
+  const BlockField field = block_field(21);
+  for (LinkPolicy policy : {LinkPolicy::kDirected, LinkPolicy::kSymmetricAnd,
+                            LinkPolicy::kSymmetricOr}) {
+    const std::string what =
+        "policy " + std::to_string(static_cast<int>(policy));
+    Graph serial;
+    {
+      const ScopedThreads one(1);
+      serial = build_field(field, policy);
+    }
+    ASSERT_GT(serial.edge_count(), field.positions.size()) << what;
+    // The serial build is the row-by-row layout: reset, then every row
+    // assigned in node order.
+    Graph row_by_row(field.positions.size());
+    for (NodeId u = 0; u < serial.node_count(); ++u) {
+      const auto row = serial.out_neighbors(u);
+      const std::vector<NodeId> copy(row.begin(), row.end());
+      row_by_row.assign_out_edges(u, copy);
+    }
+    ASSERT_TRUE(same_layout(serial, row_by_row)) << what;
+    for (int threads : kBuildThreads) {
+      const ScopedThreads scoped(threads);
+      TopologyBuilder builder(field.bounds, kFieldMaxRange, policy);
+      Graph built;
+      builder.build_into(built, field.positions, field.ranges);
+      EXPECT_TRUE(same_layout(built, serial)) << what << " threads " << threads;
+      // A warm builder rebuilding into recycled storage lays out the same.
+      builder.build_into(built, field.positions, field.ranges);
+      EXPECT_TRUE(same_layout(built, serial)) << what << " threads " << threads;
+    }
+  }
+}
+
+TEST(BlockBuildTest, OverRangeNodeInThirdBlockThrowsTheSerialError) {
+  BlockField field = block_field(22);
+  const std::size_t third = 2 * TopologyBuilder::kBuildBlockNodes;
+  ASSERT_LT(third + 900, field.positions.size());
+  // Two bad nodes in the third block: the lower one is the one reported.
+  field.ranges[third + 300] = 2.0 * kFieldMaxRange;
+  field.ranges[third + 900] = 2.0 * kFieldMaxRange;
+  const std::string expected = "requirement failed: effective range of node " +
+                               std::to_string(third + 300) +
+                               " exceeds builder max_range";
+  for (int threads : kBuildThreads) {
+    const ScopedThreads scoped(threads);
+    try {
+      build_field(field, LinkPolicy::kSymmetricAnd);
+      ADD_FAILURE() << "threads " << threads << ": no error";
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(std::string(e.what()), expected) << "threads " << threads;
+    }
+  }
+}
+
+/// The block field as a World: stationary mains-powered nodes plus a
+/// battery-powered 0.1% convoy, as in extR.
+World block_world() {
+  const BlockField field = block_field(23);
+  const std::size_t n = field.positions.size();
+  std::vector<bool> mobile(n, false);
+  for (std::size_t i = 0; i < n; i += 1000) mobile[i] = true;
+  auto mobility = std::make_unique<RandomDirectionMobility>(
+      field.bounds, mobile, RandomDirectionMobility::Params{0.5, 3.0, 0.05},
+      Rng(0x30B));
+  return World(field.bounds, field.positions,
+               RadioModel(field.ranges, RangeScaling{1.0}),
+               BatteryBank(n, mobile, BatteryParams{1.0, 0.001}),
+               std::move(mobility), LinkPolicy::kSymmetricAnd);
+}
+
+TEST(BlockBuildTest, WorldRestoreReserialisesAndContinuesAtAnyThreadCount) {
+  constexpr int kSteps = 50;
+  std::vector<std::uint8_t> saved;
+  std::optional<World> uninterrupted;
+  {
+    const ScopedThreads one(1);
+    uninterrupted.emplace(block_world());
+    for (int step = 0; step < 10; ++step) uninterrupted->advance();
+    snapshot::ByteWriter w;
+    uninterrupted->save_state(w);
+    saved = w.bytes();
+    const std::uint64_t saved_epoch = uninterrupted->epoch();
+    for (int step = 0; step < kSteps; ++step) uninterrupted->advance();
+    ASSERT_GT(uninterrupted->epoch(), saved_epoch) << "the convoy never moved";
+  }
+  std::optional<Graph> serial_restore;
+  for (int threads : kBuildThreads) {
+    const ScopedThreads scoped(threads);
+    World resumed = block_world();
+    snapshot::ByteReader r(saved);
+    resumed.load_state(r);
+    snapshot::ByteWriter again;
+    resumed.save_state(again);
+    EXPECT_EQ(again.bytes(), saved) << "threads " << threads;
+    if (!serial_restore)
+      serial_restore = resumed.graph();
+    else
+      EXPECT_TRUE(same_layout(resumed.graph(), *serial_restore))
+          << "threads " << threads;
+    for (int step = 0; step < kSteps; ++step) resumed.advance();
+    EXPECT_EQ(resumed.graph(), uninterrupted->graph()) << "threads " << threads;
+    EXPECT_EQ(resumed.epoch(), uninterrupted->epoch()) << "threads " << threads;
+    EXPECT_EQ(resumed.state_epoch(), uninterrupted->state_epoch())
+        << "threads " << threads;
+  }
+}
+
+TEST(BlockBuildTest, GeneratedNetworkIsOneFreshBuildOfTheAcceptedRanges) {
+  // The multiplier bisection probes into one scratch graph; the network it
+  // returns is a fresh build, laid out exactly as build() lays it out.
+  const GeneratedNetwork net = generate_target_edge_network({}, 2010);
+  const double max_range =
+      *std::max_element(net.base_ranges.begin(), net.base_ranges.end());
+  const Graph fresh = TopologyBuilder(net.bounds, max_range, net.policy)
+                          .build(net.positions, net.base_ranges);
+  EXPECT_TRUE(same_layout(net.graph, fresh));
 }
 
 }  // namespace

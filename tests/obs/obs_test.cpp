@@ -96,6 +96,17 @@ TEST(ObsScopeTest, TraceEventsIgnoredWhenDisabled) {
   EXPECT_EQ(slot.trace.events()[0].step, 3u);
 }
 
+TEST(ObsPhaseTest, GeometricWorldConstructionChargesOneTopoBuild) {
+  EXPECT_STREQ(obs::phase_name(obs::Phase::kTopoBuild), "topo_build");
+  const RoutingScenario scenario = tiny_scenario();
+  obs::RunObs slot;
+  obs::ObsRunScope scope(slot);
+  const World world = scenario.make_world();
+  EXPECT_EQ(slot.phases.calls(obs::Phase::kTopoBuild), 1u);
+  // Only the cold build is charged; per-step upkeep is world_advance.
+  EXPECT_EQ(slot.phases.calls(obs::Phase::kWorldAdvance), 0u);
+}
+
 TEST(ObsMetricsTest, BatteryDepletionCountsOnce) {
   obs::RunObs slot;
   obs::ObsRunScope scope(slot);

@@ -33,9 +33,10 @@
 # in a fresh process at a different thread count, and byte-diffs stdout,
 # metrics and traces against the uninterrupted run (docs/ROBUSTNESS.md).
 # The hot-path equivalence leg includes the shared-world-script replay
-# suites at 7 threads. An ASan + UBSan leg (separate build-asan/ tree)
-# runs the graph, topology-upkeep, map-knowledge, edge-index and snapshot
-# suites, the shared movement-recording suites (mobility, scenario I/O,
+# suites and the block-parallel cold-build suite at 7 threads. An ASan +
+# UBSan leg (separate build-asan/ tree) runs the graph, topology-upkeep
+# (rebuild-equivalence, sharded-world), map-knowledge, edge-index and
+# snapshot suites, the shared movement-recording suites (mobility, scenario I/O,
 # routing task), the flow data-plane suite and the work-claiming
 # ParallelForTest cases. A fast
 # data-race + memory-safety + schema check, not a bench sweep.
@@ -169,7 +170,10 @@ if [ "${1:-}" = "--smoke" ]; then
   cmake --build build-tsan --target rebuild_equivalence_test \
     sharded_world_test world_script_test replay_equivalence_test \
     -j"$(nproc)"
-  build-tsan/tests/rebuild_equivalence_test
+  # The cold topology build sizes its worker waves from AGENTNET_THREADS
+  # (docs/PERFORMANCE.md); the suite's multi-block fields pin {1, 2, 7}
+  # themselves, and 7 covers every other build in it.
+  AGENTNET_THREADS=7 build-tsan/tests/rebuild_equivalence_test
   build-tsan/tests/sharded_world_test
   # Shared world script (docs/PERFORMANCE.md): replicated experiments read
   # one recorded script from every worker, so replay-vs-live runs here at
