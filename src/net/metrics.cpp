@@ -210,47 +210,4 @@ std::vector<std::size_t> hop_histogram(const Graph& graph, NodeId src) {
   return hist;
 }
 
-double mean_shortest_path(const Graph& graph) {
-  std::size_t pairs = 0;
-  std::size_t total = 0;
-  for (NodeId u = 0; u < graph.node_count(); ++u) {
-    for (int d : bfs_distances(graph, u)) {
-      if (d > 0) {
-        ++pairs;
-        total += static_cast<std::size_t>(d);
-      }
-    }
-  }
-  if (pairs == 0) return -1.0;
-  return static_cast<double>(total) / static_cast<double>(pairs);
-}
-
-double mean_shortest_path(const Graph& graph, const AgentParallel& par) {
-  const std::size_t n = graph.node_count();
-  if (!par.active() || n < 2) return mean_shortest_path(graph);
-  // Per-root integer (pairs, total) slots summed in root order — exact
-  // integer sums, so the quotient matches the serial value bit for bit.
-  std::vector<std::size_t> pair_slots(n, 0);
-  std::vector<std::size_t> total_slots(n, 0);
-  par.for_each_scratch(
-      n, [] { return std::vector<int>(); },
-      [&](std::size_t u, std::vector<int>& dist) {
-        bfs_distances(graph, static_cast<NodeId>(u), dist);
-        for (int d : dist) {
-          if (d > 0) {
-            ++pair_slots[u];
-            total_slots[u] += static_cast<std::size_t>(d);
-          }
-        }
-      });
-  std::size_t pairs = 0;
-  std::size_t total = 0;
-  for (std::size_t u = 0; u < n; ++u) {
-    pairs += pair_slots[u];
-    total += total_slots[u];
-  }
-  if (pairs == 0) return -1.0;
-  return static_cast<double>(total) / static_cast<double>(pairs);
-}
-
 }  // namespace agentnet

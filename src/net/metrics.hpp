@@ -62,11 +62,4 @@ double clustering_coefficient(const Graph& graph);
 /// node count); unreachable nodes are excluded. hist[0] == 1 (src itself).
 std::vector<std::size_t> hop_histogram(const Graph& graph, NodeId src);
 
-/// Mean shortest-path length over all ordered reachable pairs; -1 when no
-/// pair is reachable. O(V·E).
-double mean_shortest_path(const Graph& graph);
-/// Parallel variant: per-root BFS fan-out with integer (pairs, total) slots
-/// summed in root order — bit-identical to the serial value.
-double mean_shortest_path(const Graph& graph, const AgentParallel& par);
-
 }  // namespace agentnet

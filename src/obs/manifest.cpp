@@ -288,16 +288,4 @@ void write_manifest(const std::string& path, const RunManifest& manifest) {
   file.commit();
 }
 
-void write_env_manifest(std::uint64_t seed, int runs, int threads) {
-#if AGENTNET_OBS_LEVEL >= 1
-  if (const auto path = env_string("AGENTNET_MANIFEST");
-      path && !path->empty())
-    write_manifest(*path, make_manifest(seed, runs, threads));
-#else
-  (void)seed;
-  (void)runs;
-  (void)threads;
-#endif
-}
-
 }  // namespace agentnet::obs

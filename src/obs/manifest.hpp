@@ -1,13 +1,13 @@
 // Run manifests: the provenance record attached to every telemetry
-// artefact (CSV, trace, metrics stream, bench JSON).
+// artefact (CSV, trace, metrics stream).
 //
 // A result file without its context — which seed, which AGENTNET_* knobs,
 // which build type, whether the telemetry layer was even compiled in — is
-// unreproducible and, for benchmarks, incomparable. The manifest is a
-// small JSON document the experiment harness (and the bench binaries, via
-// AGENTNET_MANIFEST) writes next to the data: deterministic field order,
-// no wall-clock timestamps, so two runs of the same configuration produce
-// byte-identical manifests and tools/bench_gate can diff them.
+// unreproducible and, for timings, incomparable. The manifest is a small
+// JSON document the experiment harness writes next to the data (to
+// AGENTNET_MANIFEST): deterministic field order, no wall-clock timestamps,
+// so two runs of the same configuration produce byte-identical manifests
+// that diff cleanly.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +25,7 @@ struct RunManifest {
   std::string build_type;       ///< "release" (NDEBUG) or "debug".
   /// Exact CMake flavor (AGENTNET_BUILD_TYPE, e.g. "Release" or
   /// "RelWithDebInfo"); distinguishes flavors NDEBUG lumps together, so
-  /// tools/bench_gate can key baselines per flavor.
+  /// a timing can be traced to the exact binary that produced it.
   std::string cmake_build_type;
   int obs_level = AGENTNET_OBS_LEVEL;
   std::uint64_t seed = 0;       ///< Run-seed base of the experiment.
@@ -55,10 +55,5 @@ std::optional<RunManifest> parse_manifest_json(const std::string& text,
 
 /// Writes manifest_json(manifest) to `path` (truncating).
 void write_manifest(const std::string& path, const RunManifest& manifest);
-
-/// Bench-binary hook: when AGENTNET_MANIFEST names a path, writes a
-/// manifest there (no-op otherwise, and at AGENTNET_OBS_LEVEL 0).
-void write_env_manifest(std::uint64_t seed = 0, int runs = 0,
-                        int threads = 0);
 
 }  // namespace agentnet::obs

@@ -186,15 +186,6 @@ TEST(HopHistogramTest, ExcludesUnreachable) {
   EXPECT_EQ(total, 2u);
 }
 
-TEST(MeanShortestPathTest, CycleValue) {
-  // Directed 4-cycle: distances 1,2,3 from each node → mean 2.
-  EXPECT_DOUBLE_EQ(mean_shortest_path(cycle(4)), 2.0);
-}
-
-TEST(MeanShortestPathTest, NoPairsGivesMinusOne) {
-  EXPECT_DOUBLE_EQ(mean_shortest_path(Graph(3)), -1.0);
-}
-
 TEST(ReversedTest, EdgesFlip) {
   Graph g(3);
   g.add_edge(0, 1);

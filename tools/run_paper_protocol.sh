@@ -33,16 +33,23 @@
 # in a fresh process at a different thread count, and byte-diffs stdout,
 # metrics and traces against the uninterrupted run (docs/ROBUSTNESS.md).
 # The hot-path equivalence leg includes the shared-world-script replay
-# suites and the block-parallel cold-build suite at 7 threads. An ASan +
+# suites, the block-parallel cold-build suite at 7 threads and the
+# per-step allocation budgets (alloc_budget_test). An ASan +
 # UBSan leg (separate build-asan/ tree) runs the graph, topology-upkeep
 # (rebuild-equivalence, sharded-world), map-knowledge, edge-index and
 # snapshot suites, the shared movement-recording suites (mobility, scenario I/O,
 # routing task), the flow data-plane suite and the work-claiming
 # ParallelForTest cases. A fast
-# data-race + memory-safety + schema check, not a bench sweep.
+# data-race + memory-safety + schema check, not a bench sweep. Run inside
+# a git checkout, it fails if it leaves `git status --porcelain` changed.
 set -eu
 
 if [ "${1:-}" = "--smoke" ]; then
+  in_git=0
+  if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    in_git=1
+    status_before="$(git status --porcelain)"
+  fi
   cmake -B build-tsan -S . -DAGENTNET_SANITIZE=thread
   cmake --build build-tsan \
     --target parallel_determinism_test obs_test agentnet_cli trace_check \
@@ -169,7 +176,7 @@ if [ "${1:-}" = "--smoke" ]; then
   echo "##### hot-path equivalence suite (TSan)"
   cmake --build build-tsan --target rebuild_equivalence_test \
     sharded_world_test world_script_test replay_equivalence_test \
-    -j"$(nproc)"
+    alloc_budget_test -j"$(nproc)"
   # The cold topology build sizes its worker waves from AGENTNET_THREADS
   # (docs/PERFORMANCE.md); the suite's multi-block fields pin {1, 2, 7}
   # themselves, and 7 covers every other build in it.
@@ -180,6 +187,9 @@ if [ "${1:-}" = "--smoke" ]; then
   # 7 threads.
   AGENTNET_THREADS=7 build-tsan/tests/world_script_test
   AGENTNET_THREADS=7 build-tsan/tests/replay_equivalence_test
+  # Exact allocation counts for warm build_into and World::advance
+  # (docs/PERFORMANCE.md, "Measuring performance").
+  build-tsan/tests/alloc_budget_test
   echo "##### topology upkeep thread-count diff (TSan, shard threads 1/7)"
   # World::advance() fans the tile-local dirty scan and the row gather over
   # AGENTNET_TOPO_SHARD_THREADS workers (docs/PERFORMANCE.md, "Topology
@@ -256,16 +266,12 @@ if [ "${1:-}" = "--smoke" ]; then
   done
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 AGENTNET_THREADS=7 \
     build-asan/tests/parallel_determinism_test --gtest_filter='ParallelForTest.*'
-  echo "##### bench gates (report-only; docs/PERFORMANCE.md)"
-  # Report-only: CI containers are 1-core and noisy, so the smoke leg
-  # records the numbers without enforcing; run tools/bench_gate directly
-  # (no flag) to enforce the thresholds on quiet hardware.
-  # --strict-build-type still hard-fails if the perf tree was configured
-  # Debug — timing noise is tolerated, measuring the wrong binary is not.
-  if [ -x build/bench/perf_micro ]; then
-    tools/bench_gate --no-fail --strict-build-type
-  else
-    echo "perf binaries not built (Release tree) — skipping bench gates" >&2
+  # The smoke run writes only to its own build trees and $tmp.
+  if [ "$in_git" = 1 ] &&
+    [ "$(git status --porcelain)" != "$status_before" ]; then
+    echo "smoke run changed the working tree:" >&2
+    git status --porcelain >&2
+    exit 1
   fi
   echo "TSan + ASan/UBSan + trace + chaos + perf smoke passed" >&2
   exit 0
