@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/error.hpp"
@@ -35,9 +36,10 @@ class Battery {
   const BatteryParams& params() const { return params_; }
 
   /// Checkpoint support: only the charge — params are config-derived and
-  /// already in place when a checkpoint is restored.
+  /// already in place when a checkpoint is restored. A charge that is not
+  /// a finite value in [0, capacity] (-0.0 included) is rejected.
   void save_state(snapshot::ByteWriter& w) const { w.f64(charge_); }
-  void load_state(snapshot::ByteReader& r) { charge_ = r.f64(); }
+  void load_state(snapshot::ByteReader& r);
 
  private:
   BatteryParams params_{};
@@ -45,7 +47,8 @@ class Battery {
 };
 
 /// Batteries for a whole network: a boolean mask selects which nodes are
-/// battery-powered (drain > 0); the rest are mains-powered and never decay.
+/// battery-powered (drain > 0); the rest are mains-powered and never decay,
+/// so step() touches only the battery-powered nodes.
 class BatteryBank {
  public:
   BatteryBank(std::size_t node_count, const std::vector<bool>& on_battery,
@@ -58,6 +61,9 @@ class BatteryBank {
   /// Remaining fraction for `node`; mains-powered nodes report 1.0 forever.
   double fraction(std::size_t node) const;
   const Battery& battery(std::size_t node) const;
+  /// Nodes whose fraction() is above zero: every mains-powered node plus
+  /// the live battery-powered ones. O(battery-powered nodes).
+  std::size_t alive_count() const;
 
   /// Checkpoint support: per-node charges and the step counter. The
   /// on-battery mask is config-derived and not carried. state_bytes() is
@@ -69,9 +75,7 @@ class BatteryBank {
     w.size(tick_);
   }
   void load_state(snapshot::ByteReader& r) {
-    const std::size_t n = r.counted(8);
-    AGENTNET_REQUIRE(n == batteries_.size(),
-                     "snapshot: battery count mismatch");
+    r.exact_count(batteries_.size(), "battery charges");
     for (Battery& b : batteries_) b.load_state(r);
     tick_ = r.size();
   }
@@ -79,6 +83,7 @@ class BatteryBank {
  private:
   std::vector<Battery> batteries_;
   std::vector<bool> on_battery_;
+  std::vector<std::uint32_t> battery_nodes_;  // on-battery ids, ascending
   std::size_t tick_ = 0;  ///< Steps advanced; timestamps depletion events.
 };
 

@@ -24,6 +24,15 @@ double wrap_angle(double a) {
   return a;
 }
 
+// The mobile nodes, ascending: step() walks only these, in the order the
+// per-node RNG draws have always been taken.
+std::vector<std::uint32_t> movers_of(const std::vector<bool>& mobile) {
+  std::vector<std::uint32_t> movers;
+  for (std::size_t i = 0; i < mobile.size(); ++i)
+    if (mobile[i]) movers.push_back(static_cast<std::uint32_t>(i));
+  return movers;
+}
+
 // Reflects `p` into `bounds`, flipping the matching heading component.
 // Handles a single overshoot per axis, which per-step speeds guarantee.
 void bounce(Aabb bounds, Vec2& p, Vec2& heading) {
@@ -50,6 +59,7 @@ RandomDirectionMobility::RandomDirectionMobility(Aabb bounds,
                                                  Params params, Rng rng)
     : bounds_(bounds),
       mobile_(std::move(mobile)),
+      movers_(movers_of(mobile_)),
       params_(params),
       rng_(rng) {
   AGENTNET_REQUIRE(params.min_speed >= 0.0 &&
@@ -60,8 +70,7 @@ RandomDirectionMobility::RandomDirectionMobility(Aabb bounds,
       "turn probability must be in [0,1]");
   speeds_.resize(mobile_.size(), 0.0);
   headings_.resize(mobile_.size());
-  for (std::size_t i = 0; i < mobile_.size(); ++i) {
-    if (!mobile_[i]) continue;
+  for (const std::uint32_t i : movers_) {
     speeds_[i] = rng_.uniform_real(params_.min_speed, params_.max_speed);
     headings_[i] = random_heading(rng_);
   }
@@ -70,8 +79,7 @@ RandomDirectionMobility::RandomDirectionMobility(Aabb bounds,
 void RandomDirectionMobility::step(std::vector<Vec2>& positions) {
   AGENTNET_REQUIRE(positions.size() == mobile_.size(),
                    "position count does not match mobility mask");
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    if (!mobile_[i]) continue;
+  for (const std::uint32_t i : movers_) {
     if (rng_.bernoulli(params_.turn_probability))
       headings_[i] = random_heading(rng_);
     Vec2 p = positions[i] + headings_[i] * speeds_[i];
@@ -95,6 +103,7 @@ RandomWaypointMobility::RandomWaypointMobility(Aabb bounds,
                                                Params params, Rng rng)
     : bounds_(bounds),
       mobile_(std::move(mobile)),
+      movers_(movers_of(mobile_)),
       params_(params),
       rng_(rng) {
   AGENTNET_REQUIRE(params.min_speed >= 0.0 &&
@@ -107,8 +116,7 @@ RandomWaypointMobility::RandomWaypointMobility(Aabb bounds,
 void RandomWaypointMobility::step(std::vector<Vec2>& positions) {
   AGENTNET_REQUIRE(positions.size() == mobile_.size(),
                    "position count does not match mobility mask");
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    if (!mobile_[i]) continue;
+  for (const std::uint32_t i : movers_) {
     Leg& leg = legs_[i];
     if (!leg.active) {
       if (leg.pause_left > 0) {
@@ -142,6 +150,7 @@ GaussMarkovMobility::GaussMarkovMobility(Aabb bounds,
                                          Params params, Rng rng)
     : bounds_(bounds),
       mobile_(std::move(mobile)),
+      movers_(movers_of(mobile_)),
       params_(params),
       rng_(rng) {
   AGENTNET_REQUIRE(params.mean_speed >= 0.0, "mean speed must be >= 0");
@@ -153,8 +162,7 @@ GaussMarkovMobility::GaussMarkovMobility(Aabb bounds,
   AGENTNET_REQUIRE(params.wall_margin >= 0.0, "wall margin must be >= 0");
   speeds_.resize(mobile_.size(), 0.0);
   headings_.resize(mobile_.size(), 0.0);
-  for (std::size_t i = 0; i < mobile_.size(); ++i) {
-    if (!mobile_[i]) continue;
+  for (const std::uint32_t i : movers_) {
     speeds_[i] = params_.mean_speed;
     headings_[i] = rng_.uniform_real(0.0, 2.0 * std::numbers::pi);
   }
@@ -165,8 +173,7 @@ void GaussMarkovMobility::step(std::vector<Vec2>& positions) {
                    "position count does not match mobility mask");
   const double a = params_.alpha;
   const double var_scale = std::sqrt(1.0 - a * a);
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    if (!mobile_[i]) continue;
+  for (const std::uint32_t i : movers_) {
     // Mean heading reverts to the current heading unless a wall is near,
     // in which case it points back toward the arena centre.
     double mean_heading = headings_[i];

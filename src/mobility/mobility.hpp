@@ -90,9 +90,8 @@ class RandomDirectionMobility final : public MobilityModel {
     w.boolean(initialised_);
   }
   void load_state(snapshot::ByteReader& r) override {
-    r.pod_vec(speeds_);
-    const std::size_t n = r.counted(16);
-    headings_.resize(n);
+    r.pod_vec(speeds_, mobile_.size(), "mobility speeds");
+    r.exact_count(mobile_.size(), "mobility headings");
     for (Vec2& h : headings_) {
       h.x = r.f64();
       h.y = r.f64();
@@ -104,6 +103,7 @@ class RandomDirectionMobility final : public MobilityModel {
  private:
   Aabb bounds_;
   std::vector<bool> mobile_;
+  std::vector<std::uint32_t> movers_;  // the mobile nodes, ascending
   std::vector<double> speeds_;
   std::vector<Vec2> headings_;  // unit vectors
   Params params_;
@@ -142,8 +142,7 @@ class RandomWaypointMobility final : public MobilityModel {
     rng_.save_state(w);
   }
   void load_state(snapshot::ByteReader& r) override {
-    const std::size_t n = r.counted(3 * 8 + 8 + 1);
-    legs_.resize(n);
+    r.exact_count(mobile_.size(), "waypoint legs");
     for (Leg& leg : legs_) {
       leg.target.x = r.f64();
       leg.target.y = r.f64();
@@ -164,6 +163,7 @@ class RandomWaypointMobility final : public MobilityModel {
 
   Aabb bounds_;
   std::vector<bool> mobile_;
+  std::vector<std::uint32_t> movers_;  // the mobile nodes, ascending
   std::vector<Leg> legs_;
   Params params_;
   Rng rng_;
@@ -199,14 +199,15 @@ class GaussMarkovMobility final : public MobilityModel {
     rng_.save_state(w);
   }
   void load_state(snapshot::ByteReader& r) override {
-    r.pod_vec(speeds_);
-    r.pod_vec(headings_);
+    r.pod_vec(speeds_, mobile_.size(), "mobility speeds");
+    r.pod_vec(headings_, mobile_.size(), "mobility headings");
     rng_.load_state(r);
   }
 
  private:
   Aabb bounds_;
   std::vector<bool> mobile_;
+  std::vector<std::uint32_t> movers_;  // the mobile nodes, ascending
   std::vector<double> speeds_;
   std::vector<double> headings_;  // radians
   Params params_;

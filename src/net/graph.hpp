@@ -80,6 +80,12 @@ class Graph {
   /// array's capacity — the rebuild-every-step entry point.
   void reset(std::size_t node_count);
 
+  /// Length of the targets array: live rows, their spare slots and dead
+  /// slots. reserve_targets(n) makes room for n entries, so rows assigned
+  /// later are appended without moving the array.
+  std::size_t targets_size() const { return targets_.size(); }
+  void reserve_targets(std::size_t n) { targets_.reserve(n); }
+
   /// Replaces u's out-list with `sorted_neighbors` (strictly ascending, no
   /// self-loop, not aliasing this graph's storage), in place when it fits
   /// u's slot. Pairs with reset(): rows assigned in node order after a

@@ -95,6 +95,13 @@ void TopologyBuilder::build_into(Graph& graph,
     block_slots_[s].targets.reserve(block_nodes * kSlotReserveDegree);
   }
   for (std::size_t first = 0; first < blocks; first += wave) {
+    // After the first wave, reserve the targets array for the whole build,
+    // projected from that wave plus a quarter for rows that later outgrow
+    // their slots. Growing it by doubling instead leaves freed copies of up
+    // to half its size in the heap, which glibc may keep resident.
+    if (first == wave)
+      graph.reserve_targets(graph.targets_size() * n /
+                            (first * kBuildBlockNodes) * 5 / 4);
     const std::size_t count = std::min(wave, blocks - first);
     parallel_for_claimed(
         count,

@@ -53,6 +53,10 @@ std::size_t WorldShards::tile_of_pos(Vec2 p) const {
 void WorldShards::insert_member(std::size_t tile, NodeId m, Vec2 pos,
                                 double range, bool battery) {
   Tile& t = tiles_[tile];
+  if (t.members.empty()) {
+    t.occupied_at = static_cast<std::uint32_t>(occupied_.size());
+    occupied_.push_back(static_cast<std::uint32_t>(tile));
+  }
   tile_of_[m] = static_cast<std::uint32_t>(tile);
   slot_of_[m] = static_cast<std::uint32_t>(t.members.size());
   t.members.push_back(m);
@@ -79,6 +83,12 @@ void WorldShards::remove_member(NodeId m) {
   t.built_y.pop_back();
   t.built_range.pop_back();
   t.on_battery.pop_back();
+  if (t.members.empty()) {
+    const std::uint32_t moved = occupied_.back();
+    occupied_[t.occupied_at] = moved;
+    tiles_[moved].occupied_at = t.occupied_at;
+    occupied_.pop_back();
+  }
   tile_of_[m] = kInvalidNode;
   slot_of_[m] = kInvalidNode;
 }
@@ -97,6 +107,7 @@ std::size_t WorldShards::heap_bytes() const {
                       tile_of_.capacity() * sizeof(std::uint32_t) +
                       slot_of_.capacity() * sizeof(std::uint32_t) +
                       dirty_words_.capacity() * sizeof(std::uint64_t) +
+                      occupied_.capacity() * sizeof(std::uint32_t) +
                       dirty_ids_.capacity() * sizeof(NodeId);
   for (const Tile& t : tiles_) {
     bytes += t.members.capacity() * sizeof(NodeId) +

@@ -4,12 +4,12 @@
 // WorldShards partitions the maybe-dirty node set into square tiles over the
 // arena and keeps each tile's built snapshot in SoA layout: built positions
 // (split x/y arrays), built quantized ranges and an on-battery flag per
-// member slot. The per-step dirty scan then runs tile-local — only tiles
-// that hold maybe-dirty members cost anything, mains-powered members skip
-// the range recomputation entirely (their effective range is a constant),
-// and no tile writes shared state, so the scan fans out over a ThreadPool
-// with no synchronisation. Per-tile dirty lists are merged into one
-// globally ascending id list — a pure function of the snapshot,
+// member slot. The per-step dirty scan then runs tile-local — it walks a
+// list of the occupied tiles, so empty tiles cost nothing; mains-powered
+// members skip the range recomputation entirely (their effective range is
+// a constant), and no tile writes shared state, so the scan fans out over
+// a ThreadPool with no synchronisation. Per-tile dirty lists are merged
+// into one globally ascending id list — a pure function of the snapshot,
 // independent of tiling and threads — so every downstream step
 // (TopologyBuilder::update_into, weather row filtering, epoch bumps)
 // consumes the same dirty set at any thread count. The tiles only *find*
@@ -80,20 +80,20 @@ class WorldShards {
       }
     };
     if (pool != nullptr && pool->size() > 1) {
-      parallel_for(*pool, tiles_.size(), scan_tile);
+      parallel_for(*pool, occupied_.size(),
+                   [&](std::size_t k) { scan_tile(occupied_[k]); });
     } else {
-      for (std::size_t t = 0; t < tiles_.size(); ++t) scan_tile(t);
+      for (const std::uint32_t t : occupied_) scan_tile(t);
     }
     // Deterministic serial merge: each dirty tile marks its members in a
     // per-node bitmap that is read out in ascending id order, so neither
-    // tile order nor thread count reaches the output. Migrations touch
-    // only member slots, never the per-tile dirty lists, so they run in
-    // the same pass.
+    // tile order nor thread count reaches the output.
     dirty_ids_.clear();
     last_tiles_dirty_ = 0;
     std::size_t lo = dirty_words_.size();
     std::size_t hi = 0;
-    for (Tile& tile : tiles_) {
+    for (const std::uint32_t t : occupied_) {
+      const Tile& tile = tiles_[t];
       if (tile.dirty.empty()) continue;
       ++last_tiles_dirty_;
       for (NodeId m : tile.dirty) {
@@ -102,8 +102,13 @@ class WorldShards {
         lo = std::min(lo, w);
         hi = std::max(hi, w + 1);
       }
-      for (NodeId m : tile.leaving) migrate(m, positions[m]);
     }
+    // Migrations edit occupied_: a tile that empties is swap-erased with
+    // the last entry and a newly occupied one is appended. Walking down
+    // from the end visits each scanned tile exactly once and never one
+    // appended here, whose leaving list is stale.
+    for (std::size_t k = occupied_.size(); k-- > 0;)
+      for (NodeId m : tiles_[occupied_[k]].leaving) migrate(m, positions[m]);
     for (std::size_t w = lo; w < hi; ++w) {
       for (std::uint64_t bits = dirty_words_[w]; bits != 0; bits &= bits - 1)
         dirty_ids_.push_back(
@@ -129,6 +134,7 @@ class WorldShards {
     std::vector<char> on_battery;     // 1 ⇒ range can drift per step
     std::vector<NodeId> dirty;        // scan output
     std::vector<NodeId> leaving;      // dirty members that left the tile
+    std::uint32_t occupied_at = 0;    // index in occupied_ while non-empty
   };
 
   std::size_t tile_of_pos(Vec2 p) const;
@@ -144,6 +150,7 @@ class WorldShards {
   int cols_ = 1;
   int rows_ = 1;
   std::vector<Tile> tiles_;
+  std::vector<std::uint32_t> occupied_;  // tiles with members, any order
   std::vector<std::uint32_t> tile_of_;  // per node; kInvalidNode ⇒ not a member
   std::vector<std::uint32_t> slot_of_;
   std::vector<std::uint64_t> dirty_words_;  // merge bitmap, zero between scans

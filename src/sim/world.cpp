@@ -77,14 +77,10 @@ void World::advance() {
   mobility_->step(positions_);
   batteries_.step();
   // Sampled at the pre-increment step, which is the task loop's current t.
-  if (AGENTNET_OBS_METRICS_WANT(step_) && batteries_.size() > 0) {
-    std::size_t alive = 0;
-    for (std::size_t i = 0; i < batteries_.size(); ++i)
-      if (batteries_.fraction(i) > 0.0) ++alive;
+  if (AGENTNET_OBS_METRICS_WANT(step_) && batteries_.size() > 0)
     AGENTNET_OBS_GAUGE(kBatteryAlive, step_,
-                       static_cast<double>(alive) /
+                       static_cast<double>(batteries_.alive_count()) /
                            static_cast<double>(batteries_.size()));
-  }
   ++step_;  // the refreshed graph (incl. link weather) belongs to the new step
   if (script_)
     replay_topology();

@@ -168,6 +168,12 @@ class ByteReader {
     v.reserve(n);
     for (std::size_t i = 0; i < n; ++i) v.push_back(scalar<T>());
   }
+  /// A pod_vec whose length must be exactly `n` (see exact_count).
+  template <typename T>
+  void pod_vec(std::vector<T>& v, std::size_t n, const char* what) {
+    v.resize(exact_count(n, what));
+    for (std::size_t i = 0; i < n; ++i) v[i] = scalar<T>();
+  }
 
   template <typename T>
   T scalar() {
@@ -194,6 +200,18 @@ class ByteReader {
         "snapshot: count " + std::to_string(v) +
             " overruns remaining bytes at byte " + std::to_string(pos_ - 8));
     return static_cast<std::size_t>(v);
+  }
+
+  /// A count that must equal `n`, a length the reader already knows from
+  /// config (such as the node count). A mismatch names `what` and the
+  /// byte offset, and is rejected before the caller overwrites anything.
+  std::size_t exact_count(std::size_t n, const char* what) {
+    const std::uint64_t v = u64();
+    AGENTNET_REQUIRE(v == n, std::string("snapshot: ") + what +
+                                 " of length " + std::to_string(v) +
+                                 ", expected " + std::to_string(n) +
+                                 " at byte " + std::to_string(pos_ - 8));
+    return n;
   }
 
   std::size_t position() const { return pos_; }

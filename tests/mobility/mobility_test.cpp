@@ -366,5 +366,59 @@ TEST(TraceMobilityTest, DefaultConstructedTraceIsEmptyAndSafe) {
   EXPECT_EQ(w.bytes().size(), trace.state_bytes());
 }
 
+// Pinned trajectories on a mixed mask: 2,000 nodes, every third one
+// mobile, 300 steps. The digest covers the final positions and the
+// model's save_state bytes, so a change to which nodes draw from the RNG,
+// or in what order, moves it; a pure speed-up must not. The values come
+// from glibc's libm on x86-64 (headings go through cos/sin/atan2).
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+constexpr std::size_t kGoldenNodes = 2000;
+const Aabb kGoldenField{{0.0, 0.0}, {1000.0, 1000.0}};
+
+std::vector<bool> every_third_mobile() {
+  std::vector<bool> mobile(kGoldenNodes, false);
+  for (std::size_t i = 0; i < kGoldenNodes; i += 3) mobile[i] = true;
+  return mobile;
+}
+
+std::uint64_t golden_digest(MobilityModel& model) {
+  Rng rng(0x6011);
+  std::vector<Vec2> pos = random_positions(kGoldenNodes, kGoldenField, rng);
+  for (int t = 0; t < 300; ++t) model.step(pos);
+  snapshot::ByteWriter w;
+  for (const Vec2& p : pos) {
+    w.f64(p.x);
+    w.f64(p.y);
+  }
+  model.save_state(w);
+  return fnv1a(w.bytes());
+}
+
+TEST(MobilityGoldenTest, RandomDirectionMixedMask) {
+  RandomDirectionMobility model(kGoldenField, every_third_mobile(),
+                                {0.5, 3.0, 0.05}, Rng(71));
+  EXPECT_EQ(golden_digest(model), 0xb010be31abf7495cull);
+}
+
+TEST(MobilityGoldenTest, RandomWaypointMixedMask) {
+  RandomWaypointMobility model(kGoldenField, every_third_mobile(),
+                               {0.5, 3.0, 4}, Rng(72));
+  EXPECT_EQ(golden_digest(model), 0x559c3dad4b44d1a2ull);
+}
+
+TEST(MobilityGoldenTest, GaussMarkovMixedMask) {
+  GaussMarkovMobility model(kGoldenField, every_third_mobile(), {},
+                            Rng(73));
+  EXPECT_EQ(golden_digest(model), 0xba11d9e3e8787be8ull);
+}
+
 }  // namespace
 }  // namespace agentnet

@@ -9,6 +9,8 @@
 // goldens for links that cross tile boundaries.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -268,6 +270,47 @@ TEST(ShardedWorldTest, HaloEdgeGoldenAcrossTileBoundary) {
   EXPECT_EQ(world.state_epoch(), state_epoch0 + 5);
 }
 
+TEST(ShardedWorldTest, OccupiedTilesEmptyAndRefill) {
+  // Arena 160×10, range 10 ⇒ 4×1 tiles of edge 40; every node is scripted.
+  // The scan walks only occupied tiles, kept by O(1) append/swap-erase.
+  // Node 0 leaves tile 0 on step 1 (emptying it: the last-listed tile 2
+  // is swapped into its place) while node 2 leaves tile 2 for tile 3 on
+  // the same step; both must migrate. Node 0 returns on step 3 (emptying
+  // tile 1, refilling tile 0), and tile 0 must be scanned again on step 4.
+  // Node 1 jitters in tile 3 throughout. A dirty node counts toward the
+  // tile it is registered in, so a missed migration shows in the count.
+  const Aabb bounds{{0.0, 0.0}, {160.0, 10.0}};
+  const std::vector<Vec2> start{{5.0, 5.0}, {125.0, 5.0}, {85.0, 5.0}};
+  const std::vector<std::vector<Vec2>> frames{
+      {{45.0, 5.0}, {126.0, 5.0}, {130.0, 5.0}},
+      {{45.0, 5.0}, {125.0, 5.0}, {131.0, 5.0}},
+      {{5.0, 5.0}, {126.0, 5.0}, {131.0, 5.0}},
+      {{6.0, 5.0}, {125.0, 5.0}, {131.0, 5.0}}};
+  World world(bounds, start,
+              RadioModel({10.0, 10.0, 10.0}, RangeScaling{1.0}),
+              BatteryBank(3, {false, false, false}, BatteryParams{}),
+              std::make_unique<ScriptedMobility>(
+                  frames, std::vector<bool>{true, true, true}),
+              LinkPolicy::kSymmetricAnd);
+  const std::uint64_t want_tiles[] = {3, 1, 2, 2};
+  const std::uint64_t want_dirty[] = {3, 2, 2, 2};
+  for (int step = 0; step < 4; ++step) {
+    obs::RunObs run;
+    {
+      obs::ObsRunScope scope(run);
+      world.advance();
+    }
+    EXPECT_EQ(run.counters.value(obs::Counter::kShardTilesDirty),
+              want_tiles[step])
+        << "step " << step + 1;
+    EXPECT_EQ(run.counters.value(obs::Counter::kTopoNodesDirty),
+              want_dirty[step])
+        << "step " << step + 1;
+    EXPECT_EQ(world.graph(), full_rebuild_oracle(world, 0.0))
+        << "step " << step + 1;
+  }
+}
+
 TEST(ShardedWorldTest, StaticWorldDoesZeroTopologyWork) {
   RoutingScenarioParams params;
   params.node_count = 40;
@@ -304,6 +347,69 @@ TEST(ShardedWorldTest, MemoryBytesCoversLiveStructures) {
   // The weather view is counted while a flapper is on.
   world.set_link_flapper(LinkFlapper(0.2, 3, 0xF00D));
   EXPECT_GT(world.memory_bytes(), plain);
+}
+
+// ---------------------------------------------------------------------------
+// Convoy golden: a 20k-node field with a clustered 1% battery-powered
+// RandomDirection convoy (extR's shape at a testable size), 300 steps.
+// The digest covers World::save_state and every sampled kBatteryAlive
+// gauge; the batteries die at step 200, so ranges drift and the gauge
+// moves mid-run. Shard threads must not reach either. The value comes
+// from glibc's libm on x86-64 (headings go through cos/sin).
+
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+World convoy_world() {
+  constexpr std::size_t kNodes = 20'000;
+  Rng rng(0xC0);
+  const double side = 1000.0 * std::sqrt(static_cast<double>(kNodes) / 250.0);
+  const Aabb bounds{{0.0, 0.0}, {side, side}};
+  std::vector<Vec2> positions = random_positions(kNodes, bounds, rng);
+  std::vector<double> ranges =
+      heterogeneous_ranges(kNodes, 110.0 * 0.85, 110.0 * 1.15, rng);
+  std::vector<bool> mobile(kNodes, false);
+  for (std::size_t i = 0; i < kNodes / 100; ++i) {
+    mobile[i] = true;
+    positions[i] = {rng.uniform_real(0.0, side / 8.0),
+                    rng.uniform_real(0.0, side / 8.0)};
+  }
+  auto mobility = std::make_unique<RandomDirectionMobility>(
+      bounds, mobile, RandomDirectionMobility::Params{0.5, 3.0, 0.05},
+      rng.fork(0x30B));
+  return World(bounds, std::move(positions),
+               RadioModel(std::move(ranges), RangeScaling{0.6}),
+               BatteryBank(kNodes, mobile, BatteryParams{1.0, 0.005}),
+               std::move(mobility), LinkPolicy::kSymmetricAnd);
+}
+
+TEST(ShardedWorldTest, ConvoyGoldenAtShardThreadsOneAndFour) {
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    obs::RunObs slot;
+    slot.metrics.enable(1);
+    obs::ObsRunScope scope(slot);
+    World world = convoy_world();
+    world.set_shard_threads(threads);
+    for (int t = 0; t < 300; ++t) world.advance();
+    snapshot::ByteWriter w;
+    world.save_state(w);
+    const auto alive = static_cast<std::size_t>(obs::Gauge::kBatteryAlive);
+    for (const obs::MetricsRow& row : slot.metrics.rows()) {
+      ASSERT_TRUE(row.has_gauge[alive]) << "step " << row.step;
+      w.u64(row.step);
+      w.f64(row.gauges[alive]);
+    }
+    ASSERT_EQ(slot.metrics.rows().size(), 300u);
+    EXPECT_EQ(slot.metrics.rows().front().gauges[alive], 1.0);
+    EXPECT_EQ(slot.metrics.rows().back().gauges[alive], 0.99);
+    EXPECT_EQ(fnv1a(w.bytes()), 0x497b459be04e6ef7ull) << "threads " << threads;
+  }
 }
 
 }  // namespace

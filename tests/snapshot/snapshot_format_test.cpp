@@ -1,13 +1,16 @@
 // Checkpoint container format: byte-stream round-trips, corruption
 // rejection (CRC, truncation, bad magic, wrong version, giant counts) and
 // the temp-then-rename atomicity contract (docs/ROBUSTNESS.md), plus the
-// ant colony's and mapping knowledge's tampered-state rejection.
+// tampered-state rejection of the ant colony, mapping knowledge, mobility
+// models and battery bank.
 #include "snapshot/snapshot.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -16,6 +19,8 @@
 #include "common/error.hpp"
 #include "core/map_knowledge.hpp"
 #include "common/rng.hpp"
+#include "energy/battery.hpp"
+#include "mobility/mobility.hpp"
 #include "net/graph.hpp"
 #include "snapshot/bytes.hpp"
 
@@ -608,6 +613,116 @@ TEST(MapKnowledgeSnapshotTest, FirstHandOutsideCombinedRejected) {
   expect_knowledge_rejected(
       knowledge_bytes(k),
       "first-hand knowledge outside the combined map");
+}
+
+// Per-node state is indexed by node id on every step, so a restored array
+// of the wrong length, or a charge outside what stepping can produce, is
+// rejected with its byte offset.
+
+void put_u64(std::vector<std::uint8_t>& bytes, std::size_t at,
+             std::uint64_t v) {
+  for (int i = 0; i < 8; ++i)
+    bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+template <class State>
+void expect_state_rejected(State& state,
+                           const std::vector<std::uint8_t>& bytes,
+                           const std::string& what) {
+  ByteReader r(bytes);
+  try {
+    state.load_state(r);
+    FAIL() << "tampered state accepted; expected: " << what;
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+template <class State>
+std::vector<std::uint8_t> state_bytes(const State& state) {
+  ByteWriter w;
+  state.save_state(w);
+  return w.bytes();
+}
+
+constexpr std::size_t kMobilityNodes = 4;
+const Aabb kMobilityArena{{0.0, 0.0}, {50.0, 50.0}};
+const std::vector<bool> kMobilityMask{true, false, true, false};
+
+TEST(MobilitySnapshotTest, RandomDirectionWrongLengthsRejected) {
+  RandomDirectionMobility model(kMobilityArena, kMobilityMask, {}, Rng(5));
+  const std::vector<std::uint8_t> valid = state_bytes(model);
+  std::vector<std::uint8_t> bytes = valid;
+  put_u64(bytes, 0, kMobilityNodes - 1);
+  expect_state_rejected(model, bytes,
+                        "mobility speeds of length 3, expected 4 at byte 0");
+  bytes = valid;
+  const std::size_t headings_at = 8 + 8 * kMobilityNodes;
+  put_u64(bytes, headings_at, kMobilityNodes + 1);
+  expect_state_rejected(model, bytes,
+                        "mobility headings of length 5, expected 4 at byte " +
+                            std::to_string(headings_at));
+  ByteReader r(valid);
+  model.load_state(r);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(state_bytes(model), valid);
+}
+
+TEST(MobilitySnapshotTest, RandomWaypointWrongLengthRejected) {
+  RandomWaypointMobility model(kMobilityArena, kMobilityMask, {}, Rng(6));
+  std::vector<std::uint8_t> bytes = state_bytes(model);
+  put_u64(bytes, 0, kMobilityNodes - 1);
+  expect_state_rejected(model, bytes,
+                        "waypoint legs of length 3, expected 4 at byte 0");
+}
+
+TEST(MobilitySnapshotTest, GaussMarkovWrongLengthsRejected) {
+  GaussMarkovMobility model(kMobilityArena, kMobilityMask, {}, Rng(7));
+  const std::vector<std::uint8_t> valid = state_bytes(model);
+  std::vector<std::uint8_t> bytes = valid;
+  put_u64(bytes, 0, 0);
+  expect_state_rejected(model, bytes,
+                        "mobility speeds of length 0, expected 4 at byte 0");
+  bytes = valid;
+  const std::size_t headings_at = 8 + 8 * kMobilityNodes;
+  put_u64(bytes, headings_at, kMobilityNodes - 1);
+  expect_state_rejected(model, bytes,
+                        "mobility headings of length 3, expected 4 at byte " +
+                            std::to_string(headings_at));
+}
+
+TEST(BatterySnapshotTest, WrongChargeCountRejected) {
+  BatteryBank bank(kMobilityNodes, kMobilityMask, {2.0, 0.5});
+  std::vector<std::uint8_t> bytes = state_bytes(bank);
+  put_u64(bytes, 0, kMobilityNodes + 1);
+  expect_state_rejected(bank, bytes,
+                        "battery charges of length 5, expected 4 at byte 0");
+}
+
+TEST(BatterySnapshotTest, ChargeOutsideCapacityRejected) {
+  // Node 1 is mains-powered: its charge is restored but never stepped
+  // again, so a value stepping could not produce would stick.
+  BatteryBank bank(kMobilityNodes, kMobilityMask, {2.0, 0.5});
+  const std::vector<std::uint8_t> valid = state_bytes(bank);
+  constexpr std::size_t kChargeAt = 8 + 8 * 1;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), -1.0,
+                           -0.0, 2.5}) {
+    std::vector<std::uint8_t> bytes = valid;
+    put_u64(bytes, kChargeAt, std::bit_cast<std::uint64_t>(bad));
+    expect_state_rejected(
+        bank, bytes,
+        "outside [0, capacity] at byte " + std::to_string(kChargeAt));
+  }
+  for (const double edge : {0.0, 2.0}) {
+    std::vector<std::uint8_t> bytes = valid;
+    put_u64(bytes, kChargeAt, std::bit_cast<std::uint64_t>(edge));
+    ByteReader r(bytes);
+    bank.load_state(r);
+    EXPECT_EQ(bank.battery(1).charge(), edge);
+    EXPECT_EQ(state_bytes(bank), bytes);
+  }
 }
 
 TEST(CheckpointerTest, IdentityMismatchRejectedAtConstruction) {

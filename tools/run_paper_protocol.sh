@@ -36,12 +36,12 @@
 # suites, the block-parallel cold-build suite at 7 threads and the
 # per-step allocation budgets (alloc_budget_test). An ASan +
 # UBSan leg (separate build-asan/ tree) runs the graph, topology-upkeep
-# (rebuild-equivalence, sharded-world), map-knowledge, edge-index and
-# snapshot suites, the shared movement-recording suites (mobility, scenario I/O,
-# routing task), the flow data-plane suite and the work-claiming
-# ParallelForTest cases. A fast
-# data-race + memory-safety + schema check, not a bench sweep. Run inside
-# a git checkout, it fails if it leaves `git status --porcelain` changed.
+# (rebuild-equivalence, sharded-world, world), map-knowledge, edge-index,
+# battery and snapshot suites, the shared movement-recording suites
+# (mobility, scenario I/O, routing task), the flow data-plane suite and the
+# work-claiming ParallelForTest cases. A fast data-race + memory-safety +
+# schema check, not a bench sweep. Run inside a git checkout, it fails if
+# it leaves `git status --porcelain` changed.
 set -eu
 
 if [ "${1:-}" = "--smoke" ]; then
@@ -256,9 +256,9 @@ if [ "${1:-}" = "--smoke" ]; then
   echo "##### graph + upkeep + knowledge + snapshot + mobility suites (ASan + UBSan)"
   cmake -B build-asan -S . -DAGENTNET_SANITIZE=address,undefined
   asan_suites="graph_test topology_test rebuild_equivalence_test
-    sharded_world_test world_script_test map_knowledge_test edge_index_test
-    snapshot_format_test snapshot_resume_test mobility_test scenario_io_test
-    routing_task_test flow_traffic_test"
+    sharded_world_test world_test world_script_test map_knowledge_test
+    edge_index_test snapshot_format_test snapshot_resume_test mobility_test
+    battery_test scenario_io_test routing_task_test flow_traffic_test"
   cmake --build build-asan --target $asan_suites parallel_determinism_test \
     -j"$(nproc)"
   for t in $asan_suites; do
