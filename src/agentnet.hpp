@@ -30,6 +30,7 @@
 #include "common/dense_bitset.hpp"
 #include "common/env.hpp"
 #include "common/error.hpp"
+#include "common/fork_join.hpp"
 #include "common/log.hpp"
 #include "common/options.hpp"
 #include "common/parallel_for.hpp"
@@ -67,7 +68,6 @@
 #include "radio/range_model.hpp"
 #include "routing/connectivity.hpp"
 #include "routing/gateway_balancer.hpp"
-#include "routing/route_metrics.hpp"
 #include "routing/routing_table.hpp"
 #include "sim/world.hpp"
 #include "traffic/flow_traffic.hpp"

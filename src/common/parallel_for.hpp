@@ -1,5 +1,6 @@
-// Parallel index dispatch over a ThreadPool: static contiguous chunks
-// (parallel_for) or work claiming (parallel_for_claimed).
+// Parallel index dispatch by work claiming (parallel_for_claimed) over a
+// transient ThreadPool. The per-step world upkeep uses the static-chunk
+// ForkJoin team instead (common/fork_join.hpp).
 //
 // The experiment harness's determinism contract (docs/ARCHITECTURE.md,
 // "Determinism & parallelism") only needs indices to be *executed* in any
@@ -19,35 +20,6 @@
 #include "common/thread_pool.hpp"
 
 namespace agentnet {
-
-/// Runs fn(i) for every i in [0, n), splitting the range into one
-/// contiguous, statically assigned chunk per pool worker. Blocks until all
-/// chunks finish, then rethrows the first failing chunk's exception (in
-/// chunk order).
-template <typename Fn>
-void parallel_for(ThreadPool& pool, std::size_t n, Fn&& fn) {
-  if (n == 0) return;
-  const std::size_t chunks = std::min(pool.size(), n);
-  if (chunks <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  const std::size_t base = n / chunks;
-  const std::size_t extra = n % chunks;
-  std::vector<std::future<void>> done;
-  done.reserve(chunks);
-  std::size_t begin = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t end = begin + base + (c < extra ? 1 : 0);
-    done.push_back(pool.submit([&fn, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-    }));
-    begin = end;
-  }
-  // Wait for everything first so fn stays alive, then surface failures.
-  for (auto& f : done) f.wait();
-  for (auto& f : done) f.get();
-}
 
 /// Runs fn(i) for every i in [0, n) on a transient pool whose workers each
 /// claim the next unstarted index from a shared counter, so a few long

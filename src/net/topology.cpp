@@ -4,6 +4,7 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "common/fork_join.hpp"
 #include "common/parallel_for.hpp"
 
 namespace agentnet {
@@ -162,17 +163,18 @@ bool TopologyBuilder::update_into(Graph& graph, std::span<const NodeId> dirty,
   // Bring the grid to the new snapshot, then gather against it.
   for (NodeId u : moved_) grid_.move(u, positions[u]);
 
-  // Optionally pre-gather every dirty row in parallel: each index writes
-  // its own slot and the grid/positions/ranges snapshot is frozen for the
-  // whole phase, so the rows are bit-identical to a serial gather. The
-  // apply loop below then runs serially in ascending dirty order either
-  // way — the determinism contract's execute-anywhere / combine-in-order
-  // split (docs/ARCHITECTURE.md).
+  // Above the grain, pre-gather every dirty row over the team: each index
+  // writes its own slot and the grid/positions/ranges snapshot is frozen
+  // for the whole phase, so the rows are bit-identical to a serial gather,
+  // and an over-range node throws the lowest such node's error either way.
+  // The apply loop below then runs serially in ascending dirty order —
+  // the determinism contract's execute-anywhere / combine-in-order split
+  // (docs/ARCHITECTURE.md).
   const bool pre_gather =
-      options.pool != nullptr && options.pool->size() > 1 && dirty.size() > 1;
+      options.team != nullptr && dirty.size() > kGatherGrain;
   if (pre_gather) {
     if (row_slots_.size() < dirty.size()) row_slots_.resize(dirty.size());
-    parallel_for(*options.pool, dirty.size(), [&](std::size_t i) {
+    options.team->run(dirty.size(), [&](std::size_t i) {
       gather_row_into(dirty[i], positions, ranges, row_slots_[i]);
     });
   }

@@ -11,7 +11,7 @@
 
 namespace agentnet {
 
-class ThreadPool;
+class ForkJoin;
 
 /// How a one-way radio reach (u hears within range(u)) becomes a link.
 enum class LinkPolicy {
@@ -60,6 +60,10 @@ class TopologyBuilder {
 
   /// Nodes per build_into() gather block.
   static constexpr std::size_t kBuildBlockNodes = 16384;
+  /// Dirty rows an update_into() must gather before it fans out over
+  /// UpdateOptions::team: below it one thread gathers them faster than a
+  /// team round trip (docs/PERFORMANCE.md, "The upkeep team").
+  static constexpr std::size_t kGatherGrain = 512;
 
   /// Incrementally patches `graph` — which must hold this builder's last
   /// build for the grid's current snapshot — to the new (positions, ranges)
@@ -78,11 +82,12 @@ class TopologyBuilder {
   /// Optional behaviours for update_into(); default-constructed options
   /// gather serially and report no rows.
   struct UpdateOptions {
-    /// When set, dirty rows are gathered in parallel over this pool (one
-    /// pre-allocated slot per dirty index) and applied serially in index
-    /// order — bit-identical to the serial gather because each row is a
-    /// pure function of the (grid, positions, ranges) snapshot.
-    ThreadPool* pool = nullptr;
+    /// When set and more than kGatherGrain rows are dirty, dirty rows are
+    /// gathered in parallel over this team (one pre-allocated slot per
+    /// dirty index) and applied serially in index order — bit-identical to
+    /// the serial gather because each row is a pure function of the
+    /// (grid, positions, ranges) snapshot.
+    ForkJoin* team = nullptr;
     /// When set, receives the sorted, deduplicated ids of every row whose
     /// stored adjacency this call modified: dirty rows that changed plus
     /// clean "halo" rows fixed up by mirror diffs / directed in-edge

@@ -7,14 +7,14 @@
 // member slot. The per-step dirty scan then runs tile-local — it walks a
 // list of the occupied tiles, so empty tiles cost nothing; mains-powered
 // members skip the range recomputation entirely (their effective range is
-// a constant), and no tile writes shared state, so the scan fans out over
-// a ThreadPool with no synchronisation. Per-tile dirty lists are merged
-// into one globally ascending id list — a pure function of the snapshot,
-// independent of tiling and threads — so every downstream step
-// (TopologyBuilder::update_into, weather row filtering, epoch bumps)
-// consumes the same dirty set at any thread count. The tiles only *find*
-// the dirty nodes; what is done with them is the same incremental patch
-// whose result equals a full rebuild.
+// a constant). The scan is serial: at the member counts the benchmark
+// runs it costs less than a team round trip (docs/PERFORMANCE.md, "The
+// upkeep team"). Per-tile dirty lists are merged into one globally
+// ascending id list — a pure function of the snapshot, independent of
+// tiling — so every downstream step (TopologyBuilder::update_into, weather
+// row filtering, epoch bumps) consumes the same dirty set at any shard
+// thread count. The tiles only *find* the dirty nodes; what is done with
+// them is the same incremental patch whose result equals a full rebuild.
 #pragma once
 
 #include <algorithm>
@@ -23,7 +23,6 @@
 #include <span>
 #include <vector>
 
-#include "common/parallel_for.hpp"
 #include "energy/battery.hpp"
 #include "geom/vec2.hpp"
 #include "net/graph.hpp"
@@ -53,13 +52,12 @@ class WorldShards {
   /// members are asked). A dirty member's new range goes to `ranges[m]`
   /// and its built snapshot takes the scanned values at once; members
   /// whose new position left their tile migrate after the scan. Fills
-  /// dirty_ids() — globally ascending, independent of tiling and thread
-  /// count — and last_tiles_dirty(). Safe to fan out: each tile writes
-  /// only its own slots and its own members' `ranges` entries.
+  /// dirty_ids() — globally ascending, independent of tiling — and
+  /// last_tiles_dirty().
   template <class RangeFn>
   void scan(const std::vector<Vec2>& positions, RangeFn&& range_of,
-            std::vector<double>& ranges, ThreadPool* pool) {
-    auto scan_tile = [&](std::size_t t) {
+            std::vector<double>& ranges) {
+    for (const std::uint32_t t : occupied_) {
       Tile& tile = tiles_[t];
       tile.dirty.clear();
       tile.leaving.clear();
@@ -78,16 +76,10 @@ class WorldShards {
         tile.built_range[s] = r;
         if (tile_of_pos(p) != t) tile.leaving.push_back(m);
       }
-    };
-    if (pool != nullptr && pool->size() > 1) {
-      parallel_for(*pool, occupied_.size(),
-                   [&](std::size_t k) { scan_tile(occupied_[k]); });
-    } else {
-      for (const std::uint32_t t : occupied_) scan_tile(t);
     }
-    // Deterministic serial merge: each dirty tile marks its members in a
-    // per-node bitmap that is read out in ascending id order, so neither
-    // tile order nor thread count reaches the output.
+    // Deterministic merge: each dirty tile marks its members in a per-node
+    // bitmap that is read out in ascending id order, so tile order never
+    // reaches the output.
     dirty_ids_.clear();
     last_tiles_dirty_ = 0;
     std::size_t lo = dirty_words_.size();

@@ -5,6 +5,7 @@
 
 #include "common/env.hpp"
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "obs/obs.hpp"
 
 namespace agentnet {
@@ -133,8 +134,8 @@ void World::refresh_topology() {
   // no tile members, so it skips the scan and its dirty set stays empty.
   if (!maybe_dirty_.empty())
     shards_->scan(
-        positions_, [this](NodeId m) { return quantized_range(m); }, ranges_,
-        shard_pool());
+        positions_, [this](NodeId m) { return quantized_range(m); },
+        ranges_);
   const std::vector<NodeId>& dirty = shards_->dirty_ids();
   bool geo_changed = false;
   touched_rows_.clear();
@@ -143,7 +144,7 @@ void World::refresh_topology() {
     AGENTNET_COUNT_N(kTopoNodesDirty, dirty.size());
     AGENTNET_COUNT_N(kShardTilesDirty, shards_->last_tiles_dirty());
     TopologyBuilder::UpdateOptions opts;
-    opts.pool = shard_pool();
+    opts.team = team();
     opts.touched_rows = &touched_rows_;
     geo_changed =
         builder_.update_into(geo_graph_, dirty, positions_, ranges_, opts);
@@ -216,14 +217,13 @@ bool World::redraw_weather() {
 
 void World::set_shard_threads(std::size_t threads) {
   shard_threads_ = threads == 0 ? ThreadPool::default_threads() : threads;
-  if (shard_pool_ && shard_pool_->size() != shard_threads_)
-    shard_pool_.reset();
+  if (team_ && team_->size() != shard_threads_) team_.reset();
 }
 
-ThreadPool* World::shard_pool() {
+ForkJoin* World::team() {
   if (shard_threads_ <= 1) return nullptr;
-  if (!shard_pool_) shard_pool_ = std::make_unique<ThreadPool>(shard_threads_);
-  return shard_pool_.get();
+  if (!team_) team_ = std::make_unique<ForkJoin>(shard_threads_);
+  return team_.get();
 }
 
 std::size_t World::memory_bytes() const {

@@ -11,12 +11,12 @@
 // Only nodes that can move or discharge can ever dirty the graph; they live
 // in spatial tiles with SoA built state (sim/shard.hpp). Each advance()
 // scans those tiles for nodes whose position or quantized range changed
-// (the scan can fan out over a thread pool) and patches exactly the
-// affected rows of the one graph (a padded CSR) in place. The result equals
-// a full rebuild from the current snapshot at any thread count; the tests
-// hold that full rebuild as their oracle. epoch() counts the steps where
-// the edge set actually changed, so derived-state consumers can memoise
-// on it.
+// and patches exactly the affected rows of the one graph (a padded CSR) in
+// place; many dirty rows are gathered over a fork-join team. The result
+// equals a full rebuild from the current snapshot at any thread count; the
+// tests hold that full rebuild as their oracle. epoch() counts the steps
+// where the edge set actually changed, so derived-state consumers can
+// memoise on it.
 //
 // A world attached to a WorldScript (sim/world_script.hpp) replays a
 // recorded run's topology instead: mobility and batteries still step live,
@@ -29,6 +29,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/fork_join.hpp"
 #include "energy/battery.hpp"
 #include "geom/vec2.hpp"
 #include "mobility/mobility.hpp"
@@ -96,10 +97,12 @@ class World {
     return radio_.effective_range(node, batteries_.fraction(node));
   }
 
-  /// Worker threads for the tile-local dirty scan and row gather; 1 (the
-  /// default, or AGENTNET_TOPO_SHARD_THREADS) is the exact serial path and
-  /// every setting is bit-identical — threads only redistribute tile-local
-  /// work (0 resolves AGENTNET_THREADS / hardware concurrency).
+  /// Team size for the dirty-row gather; 1 (the default, or
+  /// AGENTNET_TOPO_SHARD_THREADS) is the exact serial path and every
+  /// setting is bit-identical — threads only redistribute row gathering,
+  /// and only once the dirty rows exceed a fixed grain (0 resolves
+  /// AGENTNET_THREADS / hardware concurrency). Changing it drops the team;
+  /// the next advance() that needs one builds it.
   void set_shard_threads(std::size_t threads);
   std::size_t shard_threads() const { return shard_threads_; }
 
@@ -158,7 +161,9 @@ class World {
   /// Re-filters u's weather row from geo_graph_, rewriting it when it
   /// differs (returns true then), and updates the drop counts.
   bool refilter_row(NodeId u);
-  ThreadPool* shard_pool();
+  /// The upkeep team (shard_threads() − 1 helpers), built on first use;
+  /// null at shard threads 1.
+  ForkJoin* team();
 
   Aabb bounds_;
   std::vector<Vec2> positions_;
@@ -180,7 +185,7 @@ class World {
   // Shard tiles are derived state: checkpoints never serialize them,
   // load_state rebuilds them. Null only on fixed() worlds.
   std::unique_ptr<WorldShards> shards_;
-  std::unique_ptr<ThreadPool> shard_pool_;
+  std::unique_ptr<ForkJoin> team_;
   std::vector<NodeId> touched_rows_;  ///< update_into() modified-row output.
   std::vector<std::uint32_t> flap_row_drops_;  ///< Weather drops per row.
   std::size_t shard_threads_ = 1;

@@ -2,22 +2,25 @@
 // summaries must be bit-identical at every thread count, and the mergeable
 // accumulators must agree with their single-pass references.
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "aco/ant_routing_task.hpp"
 #include "adv/dv_agent.hpp"
+#include "common/fork_join.hpp"
 #include "common/parallel_for.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
 #include "experiments/mapping_experiments.hpp"
 #include "experiments/replicate.hpp"
 #include "experiments/routing_experiments.hpp"
@@ -232,20 +235,86 @@ TEST(ParallelDeterminismTest, ThreadsEnvKnobDrivesDefaultPath) {
   expect_identical(via_env.knowledge, serial.knowledge);
 }
 
-TEST(ParallelForTest, RunsEveryIndexExactlyOnce) {
-  std::vector<int> hits(1000, 0);
-  ThreadPool pool(5);
-  parallel_for(pool, hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i], 1);
+TEST(ForkJoinTest, RunsEveryIndexExactlyOnce) {
+  ForkJoin team(5);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3},
+                              std::size_t{1000}}) {
+    std::vector<int> hits(n, 0);
+    team.run(n, [&](std::size_t i) { ++hits[i]; });
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(hits[i], 1) << "n=" << n << " i=" << i;
+  }
 }
 
-TEST(ParallelForTest, PropagatesWorkerExceptions) {
-  ThreadPool pool(3);
-  EXPECT_THROW(parallel_for(pool, 100,
-                            [](std::size_t i) {
-                              if (i == 57) throw std::runtime_error("boom");
-                            }),
-               std::runtime_error);
+// Every fourth job waits out the spin budget first, so the helpers park
+// and must be woken; the rest follow back to back.
+TEST(ForkJoinTest, BackToBackJobsParkAndWake) {
+  ForkJoin team(4);
+  std::vector<std::uint64_t> slot(64, 0);
+  for (std::uint64_t job = 0; job < 10'000; ++job) {
+    if (job % 4 == 0)
+      std::this_thread::sleep_for(ForkJoin::kSpin +
+                                  std::chrono::microseconds(50));
+    team.run(slot.size(), [&](std::size_t i) { slot[i] += job + i; });
+  }
+  constexpr std::uint64_t kJobSum = 10'000ull * 9'999 / 2;
+  for (std::size_t i = 0; i < slot.size(); ++i)
+    EXPECT_EQ(slot[i], kJobSum + 10'000 * i) << "i=" << i;
+}
+
+// Chunks of 100 over a team of 4. The lowest failing chunk's exception
+// surfaces, and only after every chunk has finished, including a slow one
+// above it.
+TEST(ForkJoinTest, RethrowsLowestChunkAfterAllChunksFinish) {
+  ForkJoin team(4);
+  for (const auto& [first, second, expected] :
+       {std::tuple{150, 350, "150"}, std::tuple{50, 250, "50"}}) {
+    std::atomic<int> done{0};
+    try {
+      team.run(400, [&, first = first, second = second](std::size_t i) {
+        if (static_cast<int>(i) == first || static_cast<int>(i) == second)
+          throw std::runtime_error(std::to_string(i));
+        if (i == 399)
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        done.fetch_add(1);
+      });
+      ADD_FAILURE() << "no exception propagated";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), expected);
+    }
+    // Each failing chunk stops at its throw; every other index ran.
+    EXPECT_EQ(done.load(), 400 - (100 - first % 100) - (100 - second % 100));
+  }
+  // The team is clean afterwards.
+  std::vector<int> hits(400, 0);
+  team.run(hits.size(), [&](std::size_t i) { ++hits[i]; });
+  for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+// A helper still waking from a park holds up no job: the caller, done
+// with its own tiny chunk, runs the chunks nobody has claimed yet.
+TEST(ForkJoinTest, CallerRunsChunksOfLateHelpers) {
+  ForkJoin team(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  int caller_ran_helper_chunk = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    std::this_thread::sleep_for(2 * ForkJoin::kSpin);  // helpers park
+    std::vector<std::thread::id> ran_on(4);
+    team.run(ran_on.size(),
+             [&](std::size_t i) { ran_on[i] = std::this_thread::get_id(); });
+    for (std::size_t i = 1; i < ran_on.size(); ++i)
+      caller_ran_helper_chunk += ran_on[i] == caller;
+  }
+  EXPECT_GT(caller_ran_helper_chunk, 0);
+}
+
+TEST(ForkJoinTest, DestroysWithParkedHelpers) {
+  { ForkJoin never_used(4); }
+  ForkJoin team(4);
+  std::vector<int> hits(100, 0);
+  team.run(hits.size(), [&](std::size_t i) { ++hits[i]; });
+  std::this_thread::sleep_for(10 * ForkJoin::kSpin);
+  for (int h : hits) EXPECT_EQ(h, 1);
 }
 
 TEST(ParallelForTest, ClaimingRunsEveryIndexExactlyOnce) {

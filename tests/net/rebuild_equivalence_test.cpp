@@ -16,7 +16,8 @@
 //   4. The block-parallel cold build (TopologyBuilder::build_into over
 //      fields of several blocks) equals the serial build in rows *and*
 //      slot layout at AGENTNET_THREADS {1, 2, 7}, for the builder, World
-//      restore and the generated networks, and fails the same way.
+//      restore and the generated networks, and fails the same way; so
+//      does update_into's row gather over a ForkJoin team.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,6 +31,7 @@
 #include "fault/fault_injector.hpp"
 #include "adv/dv_agent.hpp"
 #include "common/flat_map.hpp"
+#include "common/fork_join.hpp"
 #include "core/mapping_task.hpp"
 #include "core/routing_task.hpp"
 #include "energy/battery.hpp"
@@ -594,6 +596,40 @@ TEST(BlockBuildTest, OverRangeNodeInThirdBlockThrowsTheSerialError) {
       ADD_FAILURE() << "threads " << threads << ": no error";
     } catch (const ConfigError& e) {
       EXPECT_EQ(std::string(e.what()), expected) << "threads " << threads;
+    }
+  }
+}
+
+// update_into's parallel pre-gather fails like the serial gather: with two
+// over-range dirty nodes in different team chunks, the lower one is named.
+TEST(BlockBuildTest, OverRangeDirtyRowsThrowTheSerialErrorThroughTheTeam) {
+  const BlockField field = block_field(24);
+  constexpr std::size_t kDirty = 2000;  // four chunks of 500 over the team
+  static_assert(kDirty > TopologyBuilder::kGatherGrain);
+  std::vector<NodeId> dirty(kDirty);
+  for (std::size_t i = 0; i < kDirty; ++i)
+    dirty[i] = static_cast<NodeId>(i * 16);
+  ASSERT_LT(dirty.back(), field.positions.size());
+  std::vector<double> ranges = field.ranges;
+  ranges[dirty[700]] = 2.0 * kFieldMaxRange;   // chunk 1
+  ranges[dirty[1700]] = 2.0 * kFieldMaxRange;  // chunk 3
+  const std::string expected = "requirement failed: effective range of node " +
+                               std::to_string(dirty[700]) +
+                               " exceeds builder max_range";
+  ForkJoin team(4);
+  for (ForkJoin* via : {static_cast<ForkJoin*>(nullptr), &team}) {
+    TopologyBuilder builder(field.bounds, kFieldMaxRange,
+                            LinkPolicy::kSymmetricAnd);
+    Graph graph;
+    builder.build_into(graph, field.positions, field.ranges);
+    TopologyBuilder::UpdateOptions opts;
+    opts.team = via;
+    const std::string what = via ? "team" : "serial";
+    try {
+      builder.update_into(graph, dirty, field.positions, ranges, opts);
+      ADD_FAILURE() << what << ": no error";
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(std::string(e.what()), expected) << what;
     }
   }
 }

@@ -1,4 +1,4 @@
-// Allocation budgets for the two per-step hot paths (ctest label: perf).
+// Allocation budgets for the per-step hot paths (ctest label: perf).
 //
 // This binary replaces the global operator new / new[] with counting
 // versions, so the allocation claims in docs/PERFORMANCE.md are exact
@@ -7,7 +7,8 @@
 //     allocates nothing;
 //   * World::advance() on the paper routing scenario stays within a pinned
 //     budget while its recorded trace still moves nodes, and allocates
-//     nothing once the trace has frozen.
+//     nothing once the trace has frozen;
+//   * a warm ForkJoin job — the upkeep team's fan-out — allocates nothing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +16,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
+#include "common/fork_join.hpp"
 #include "core/routing_task.hpp"
 #include "net/generators.hpp"
 #include "net/topology.hpp"
@@ -108,6 +111,17 @@ TEST(AllocBudgetTest, WorldAdvanceStaysWithinBudget) {
   before = allocations();
   for (std::size_t i = 0; i < trace_steps; ++i) world.advance();
   EXPECT_EQ(allocations() - before, 0u);
+}
+
+TEST(AllocBudgetTest, WarmTeamJobAllocatesNothing) {
+  ForkJoin team(4);
+  std::vector<std::uint64_t> slot(1000, 0);
+  const auto job = [&](std::size_t i) { slot[i] += i; };
+  team.run(slot.size(), job);  // warm
+  const std::size_t before = allocations();
+  for (int i = 0; i < 64; ++i) team.run(slot.size(), job);
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(slot[999], 65u * 999);
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 // frozen from it and epoch() moving exactly when the edge set does — across
 // link policies, mobility, link weather, range quantization, fault plans,
 // checkpoint/restore and shard thread counts {1, 2, 7}; plus halo-edge
-// goldens for links that cross tile boundaries.
+// goldens for links that cross tile boundaries, and a crowd large enough
+// that the row gather really fans out over the team.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -389,27 +390,98 @@ World convoy_world() {
                std::move(mobility), LinkPolicy::kSymmetricAnd);
 }
 
-TEST(ShardedWorldTest, ConvoyGoldenAtShardThreadsOneAndFour) {
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    obs::RunObs slot;
-    slot.metrics.enable(1);
-    obs::ObsRunScope scope(slot);
-    World world = convoy_world();
-    world.set_shard_threads(threads);
-    for (int t = 0; t < 300; ++t) world.advance();
-    snapshot::ByteWriter w;
-    world.save_state(w);
-    const auto alive = static_cast<std::size_t>(obs::Gauge::kBatteryAlive);
-    for (const obs::MetricsRow& row : slot.metrics.rows()) {
-      ASSERT_TRUE(row.has_gauge[alive]) << "step " << row.step;
-      w.u64(row.step);
-      w.f64(row.gauges[alive]);
-    }
-    ASSERT_EQ(slot.metrics.rows().size(), 300u);
+/// The convoy's digest after 300 steps, with shard threads
+/// `threads_at(step)` set before each step.
+template <class ThreadsAt>
+std::uint64_t convoy_digest(ThreadsAt threads_at) {
+  obs::RunObs slot;
+  slot.metrics.enable(1);
+  obs::ObsRunScope scope(slot);
+  World world = convoy_world();
+  for (int t = 0; t < 300; ++t) {
+    world.set_shard_threads(threads_at(t));
+    world.advance();
+  }
+  snapshot::ByteWriter w;
+  world.save_state(w);
+  const auto alive = static_cast<std::size_t>(obs::Gauge::kBatteryAlive);
+  for (const obs::MetricsRow& row : slot.metrics.rows()) {
+    EXPECT_TRUE(row.has_gauge[alive]) << "step " << row.step;
+    w.u64(row.step);
+    w.f64(row.gauges[alive]);
+  }
+  EXPECT_EQ(slot.metrics.rows().size(), 300u);
+  if (slot.metrics.rows().size() == 300u) {
     EXPECT_EQ(slot.metrics.rows().front().gauges[alive], 1.0);
     EXPECT_EQ(slot.metrics.rows().back().gauges[alive], 0.99);
-    EXPECT_EQ(fnv1a(w.bytes()), 0x497b459be04e6ef7ull) << "threads " << threads;
   }
+  return fnv1a(w.bytes());
+}
+
+constexpr std::uint64_t kConvoyGolden = 0x497b459be04e6ef7ull;
+
+TEST(ShardedWorldTest, ConvoyGoldenAtShardThreadsOneAndFour) {
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    EXPECT_EQ(convoy_digest([threads](int) { return threads; }), kConvoyGolden)
+        << "threads " << threads;
+  }
+}
+
+// Shard threads 4 → 2 → 1 → 4 mid-run: each change drops the team and the
+// next advance() builds one of the new size; the run stays on the golden.
+TEST(ShardedWorldTest, ConvoyGoldenAcrossShardThreadChanges) {
+  constexpr std::size_t kPlan[] = {4, 2, 1, 4};
+  EXPECT_EQ(convoy_digest([&](int t) { return kPlan[t / 75]; }),
+            kConvoyGolden);
+}
+
+/// A crowd above the gather grain: half of 4,000 nodes move on battery, so
+/// every step gathers more than TopologyBuilder::kGatherGrain dirty rows.
+World crowd_world() {
+  constexpr std::size_t kNodes = 4'000;
+  Rng rng(0xC1);
+  const double side = 1000.0 * std::sqrt(static_cast<double>(kNodes) / 250.0);
+  const Aabb bounds{{0.0, 0.0}, {side, side}};
+  std::vector<Vec2> positions = random_positions(kNodes, bounds, rng);
+  std::vector<double> ranges =
+      heterogeneous_ranges(kNodes, 110.0 * 0.85, 110.0 * 1.15, rng);
+  std::vector<bool> mobile(kNodes, false);
+  for (std::size_t i = 0; i < kNodes; i += 2) mobile[i] = true;
+  auto mobility = std::make_unique<RandomDirectionMobility>(
+      bounds, mobile, RandomDirectionMobility::Params{0.5, 3.0, 0.05},
+      rng.fork(0x30B));
+  return World(bounds, std::move(positions),
+               RadioModel(std::move(ranges), RangeScaling{0.6}),
+               BatteryBank(kNodes, mobile, BatteryParams{1.0, 0.005}),
+               std::move(mobility), LinkPolicy::kSymmetricAnd);
+}
+
+// The fanned-out row gather, with the team rebuilt at every shard-thread
+// change, tracks the serial world step by step.
+TEST(ShardedWorldTest, CrowdFansOutAndMatchesSerialAcrossTeamRebuilds) {
+  constexpr std::size_t kPlan[] = {4, 2, 7, 1, 4};
+  constexpr int kStepsPerSetting = 4;
+  World serial = crowd_world();
+  serial.set_shard_threads(1);
+  World teamed = crowd_world();
+  for (int t = 0; t < kStepsPerSetting * 5; ++t) {
+    teamed.set_shard_threads(kPlan[t / kStepsPerSetting]);
+    const std::vector<Vec2> before_pos = teamed.positions();
+    const std::vector<double> before_ranges = quantized_ranges(teamed, 0.0);
+    serial.advance();
+    teamed.advance();
+    EXPECT_GT(changed_nodes(before_pos, before_ranges, teamed),
+              TopologyBuilder::kGatherGrain)
+        << "step " << t;
+    ASSERT_EQ(teamed.graph(), serial.graph()) << "step " << t;
+    ASSERT_EQ(teamed.epoch(), serial.epoch()) << "step " << t;
+  }
+  EXPECT_EQ(teamed.graph(), full_rebuild_oracle(teamed, 0.0));
+  snapshot::ByteWriter a;
+  snapshot::ByteWriter b;
+  serial.save_state(a);
+  teamed.save_state(b);
+  EXPECT_EQ(a.bytes(), b.bytes());
 }
 
 }  // namespace

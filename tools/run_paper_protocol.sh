@@ -38,8 +38,9 @@
 # UBSan leg (separate build-asan/ tree) runs the graph, topology-upkeep
 # (rebuild-equivalence, sharded-world, world), map-knowledge, edge-index,
 # battery and snapshot suites, the shared movement-recording suites
-# (mobility, scenario I/O, routing task), the flow data-plane suite and the
-# work-claiming ParallelForTest cases. A fast data-race + memory-safety +
+# (mobility, scenario I/O, routing task), the flow data-plane suite, the
+# work-claiming ParallelForTest cases and the upkeep team's ForkJoinTest
+# cases. A fast data-race + memory-safety +
 # schema check, not a bench sweep. Run inside a git checkout, it fails if
 # it leaves `git status --porcelain` changed.
 set -eu
@@ -187,16 +188,23 @@ if [ "${1:-}" = "--smoke" ]; then
   # 7 threads.
   AGENTNET_THREADS=7 build-tsan/tests/world_script_test
   AGENTNET_THREADS=7 build-tsan/tests/replay_equivalence_test
-  # Exact allocation counts for warm build_into and World::advance
-  # (docs/PERFORMANCE.md, "Measuring performance").
+  # The upkeep team (common/fork_join.hpp) that World::advance fans its
+  # scan and row gather over: spin, park, wake, error order, teardown.
+  # Repeated for more interleavings than the one run at the top.
+  build-tsan/tests/parallel_determinism_test --gtest_filter='ForkJoinTest.*' \
+    --gtest_repeat=3
+  # Exact allocation counts for warm build_into, World::advance and a warm
+  # team job (docs/PERFORMANCE.md, "Measuring performance").
   build-tsan/tests/alloc_budget_test
   echo "##### topology upkeep thread-count diff (TSan, shard threads 1/7)"
-  # World::advance() fans the tile-local dirty scan and the row gather over
-  # AGENTNET_TOPO_SHARD_THREADS workers (docs/PERFORMANCE.md, "Topology
-  # upkeep"). One traced routing run per shard thread count: stdout tables
-  # and the JSONL event stream must be byte-identical, under TSan so a race
-  # in the fan-out fails the leg outright. runs=1 keeps the world on the
-  # live upkeep path instead of a replayed script.
+  # World::advance() fans the row gather over a team of
+  # AGENTNET_TOPO_SHARD_THREADS threads above a grain of dirty rows
+  # (docs/PERFORMANCE.md, "The upkeep team"). One traced routing run per
+  # shard thread count: stdout tables and the JSONL event stream must be
+  # byte-identical. runs=1 keeps the world on the live upkeep path instead
+  # of a replayed script. A 50-node world builds the team but stays below
+  # the grain; the fanned-out path runs under TSan in sharded_world_test
+  # (CrowdFansOutAndMatchesSerialAcrossTeamRebuilds) above.
   for st in 1 7; do
     AGENTNET_THREADS=2 AGENTNET_TOPO_SHARD_THREADS="$st" \
       AGENTNET_TRACE="$tmp/route_st${st}.jsonl" \
@@ -265,7 +273,8 @@ if [ "${1:-}" = "--smoke" ]; then
     UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 build-asan/tests/"$t"
   done
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 AGENTNET_THREADS=7 \
-    build-asan/tests/parallel_determinism_test --gtest_filter='ParallelForTest.*'
+    build-asan/tests/parallel_determinism_test \
+    --gtest_filter='ParallelForTest.*:ForkJoinTest.*'
   # The smoke run writes only to its own build trees and $tmp.
   if [ "$in_git" = 1 ] &&
     [ "$(git status --porcelain)" != "$status_before" ]; then
