@@ -80,8 +80,8 @@ int main() {
               carried.traffic.delivery_ratio());
 
   // --- Stats types ------------------------------------------------------------
-  // RunningStats and SeriesAccumulator are mergeable (Chan/Welford): combine
-  // accumulators you built elsewhere, e.g. across your own worker shards.
+  // RunningStats is mergeable (Chan/Welford): combine accumulators you
+  // built elsewhere, e.g. across your own worker shards.
   RunningStats shard_a, shard_b;
   shard_a.add(1.0);
   shard_a.add(2.0);

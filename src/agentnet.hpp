@@ -3,12 +3,11 @@
 //   #include "agentnet.hpp"
 //
 // Layering (each header can also be included individually):
-//   common/   rng, stats, tables, options, env, logging, errors
+//   common/   rng, stats, tables, options, env, errors
 //   geom/     2-D vectors, spatial hash grid
 //   energy/   battery models
 //   radio/    range models (heterogeneous, battery-scaled)
-//   mobility/ stationary, random-direction, random-waypoint, Gauss-Markov,
-//             recorded traces
+//   mobility/ stationary, random-direction, recorded traces
 //   net/      directed graph, topology builder, generators, metrics
 //   sim/      the simulated World
 //   fault/    deterministic fault injection + resilience (watchdog)
@@ -19,7 +18,7 @@
 //   aco/      ant-colony routing baseline (AntHocNet-style, ref [9])
 //   adv/      distance-vector-carrying agent baseline (refs [10][11])
 //   flooding/ link-state flooding baseline for mapping
-//   io/       save/load, DOT and CSV export, run recording
+//   io/       save/load, DOT and CSV export
 //   experiments/ multi-run harness and paper constants
 #pragma once
 
@@ -31,7 +30,6 @@
 #include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/fork_join.hpp"
-#include "common/log.hpp"
 #include "common/options.hpp"
 #include "common/parallel_for.hpp"
 #include "common/rng.hpp"

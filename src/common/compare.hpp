@@ -19,9 +19,6 @@ struct Comparison {
   double p_value = 1.0;
   /// Cohen's d with pooled standard deviation.
   double effect_size = 0.0;
-
-  /// Convention used by the benches: significant at 5%.
-  bool significant() const { return p_value < 0.05; }
 };
 
 /// Welch's unequal-variance t-test between two independent samples. Both

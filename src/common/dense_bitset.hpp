@@ -103,11 +103,6 @@ class DenseBitset {
     count_ = 0;
   }
 
-  /// Heap footprint of the word array.
-  std::size_t heap_bytes() const {
-    return words_.capacity() * sizeof(std::uint64_t);
-  }
-
   friend bool operator==(const DenseBitset&, const DenseBitset&) = default;
 
   /// Checkpoint support. load_state recomputes the popcount rather than

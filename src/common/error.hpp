@@ -25,13 +25,6 @@ class ConfigError : public Error {
   explicit ConfigError(const std::string& what) : Error(what) {}
 };
 
-/// Thrown when an operation is attempted on an object in the wrong state
-/// (e.g. querying results of an experiment that has not run).
-class StateError : public Error {
- public:
-  explicit StateError(const std::string& what) : Error(what) {}
-};
-
 namespace detail {
 [[noreturn]] inline void assert_fail(const char* expr, const char* file,
                                      int line, const char* msg) {

@@ -21,14 +21,6 @@ std::uint64_t Rng::uniform(std::uint64_t bound) {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  AGENTNET_ASSERT(lo <= hi);
-  const auto span =
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
-  if (span == 0) return static_cast<std::int64_t>((*this)());  // full range
-  return lo + static_cast<std::int64_t>(uniform(span));
-}
-
 double Rng::normal(double mean, double stddev) {
   if (have_spare_normal_) {
     have_spare_normal_ = false;
@@ -44,15 +36,6 @@ double Rng::normal(double mean, double stddev) {
   spare_normal_ = v * factor;
   have_spare_normal_ = true;
   return mean + stddev * u * factor;
-}
-
-double Rng::exponential(double rate) {
-  AGENTNET_ASSERT(rate > 0.0);
-  double u;
-  do {
-    u = uniform01();
-  } while (u <= 0.0);
-  return -std::log(u) / rate;
 }
 
 std::uint64_t Rng::poisson(double mean) {

@@ -41,14 +41,6 @@ class Rng {
   /// Seeds the four state words from SplitMix64(seed).
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) { reseed(seed); }
 
-  void reseed(std::uint64_t seed) {
-    SplitMix64 sm(seed);
-    for (auto& w : s_) w = sm.next();
-    // All-zero state is the one invalid state; SplitMix64 cannot emit four
-    // zeros in a row from any seed, but guard anyway.
-    if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-  }
-
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() {
     return std::numeric_limits<result_type>::max();
@@ -77,9 +69,6 @@ class Rng {
   /// Uniform integer in [0, bound) via Lemire's method. bound must be > 0.
   std::uint64_t uniform(std::uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-
   /// Uniform double in [0, 1).
   double uniform01() {
     return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
@@ -95,9 +84,6 @@ class Rng {
 
   /// Standard normal via the polar (Marsaglia) method; deterministic.
   double normal(double mean = 0.0, double stddev = 1.0);
-
-  /// Exponential with the given rate (lambda > 0).
-  double exponential(double rate);
 
   /// Poisson-distributed count with the given mean (>= 0). Used for
   /// session arrivals in the traffic workload generator; deterministic
@@ -147,6 +133,14 @@ class Rng {
   }
 
  private:
+  void reseed(std::uint64_t seed) {
+    SplitMix64 sm(seed);
+    for (auto& w : s_) w = sm.next();
+    // All-zero state is the one invalid state; SplitMix64 cannot emit four
+    // zeros in a row from any seed, but guard anyway.
+    if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
+  }
+
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }

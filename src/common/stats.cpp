@@ -120,26 +120,6 @@ void SeriesAccumulator::add(const std::vector<double>& series) {
   ++runs_;
 }
 
-void SeriesAccumulator::merge(const SeriesAccumulator& other) {
-  if (other.runs_ == 0) return;
-  if (runs_ == 0 && cells_.empty()) {
-    *this = other;
-    return;
-  }
-  AGENTNET_REQUIRE(!cells_.empty() && !other.cells_.empty(),
-                   "cannot merge a zero-length SeriesAccumulator");
-  if (cells_.size() < other.cells_.size()) {
-    // Padded tail: cell L-1 already aggregates each run's final value, so
-    // replicating it is exactly what adding the padded series would do.
-    cells_.resize(other.cells_.size(), cells_.back());
-  }
-  for (std::size_t i = 0; i < other.cells_.size(); ++i)
-    cells_[i].merge(other.cells_[i]);
-  for (std::size_t i = other.cells_.size(); i < cells_.size(); ++i)
-    cells_[i].merge(other.cells_.back());
-  runs_ += other.runs_;
-}
-
 std::vector<double> SeriesAccumulator::mean() const {
   std::vector<double> out(cells_.size());
   for (std::size_t i = 0; i < cells_.size(); ++i) out[i] = cells_[i].mean();
@@ -149,18 +129,6 @@ std::vector<double> SeriesAccumulator::mean() const {
 std::vector<double> SeriesAccumulator::stddev() const {
   std::vector<double> out(cells_.size());
   for (std::size_t i = 0; i < cells_.size(); ++i) out[i] = cells_[i].stddev();
-  return out;
-}
-
-std::vector<double> SeriesAccumulator::min() const {
-  std::vector<double> out(cells_.size());
-  for (std::size_t i = 0; i < cells_.size(); ++i) out[i] = cells_[i].min();
-  return out;
-}
-
-std::vector<double> SeriesAccumulator::max() const {
-  std::vector<double> out(cells_.size());
-  for (std::size_t i = 0; i < cells_.size(); ++i) out[i] = cells_[i].max();
   return out;
 }
 

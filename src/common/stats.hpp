@@ -63,8 +63,9 @@ double confidence_halfwidth(const RunningStats& stats, double level = 0.95);
 double quantile(std::vector<double> samples, double q);
 
 /// Element-wise accumulator for equal-length time series: feed one series
-/// per run, read back per-step mean / stddev / min / max. Series shorter
-/// than the longest seen are an error (experiments produce fixed lengths).
+/// per run, read back per-step mean / stddev, or a step's full stats via
+/// at(). Series shorter than the longest seen are an error (experiments
+/// produce fixed lengths).
 class SeriesAccumulator {
  public:
   SeriesAccumulator() = default;
@@ -72,19 +73,10 @@ class SeriesAccumulator {
 
   void add(const std::vector<double>& series);
 
-  /// Folds another accumulator in, per step. Accumulators of different
-  /// lengths combine with padded-tail semantics: the shorter side behaves
-  /// as if every series it saw had been extended with its final value (the
-  /// same padding the mapping harness applies to finished runs), i.e. its
-  /// last cell stands in for the missing tail cells.
-  void merge(const SeriesAccumulator& other);
-
   std::size_t length() const { return cells_.size(); }
   std::size_t runs() const { return runs_; }
   std::vector<double> mean() const;
   std::vector<double> stddev() const;
-  std::vector<double> min() const;
-  std::vector<double> max() const;
   const RunningStats& at(std::size_t step) const;
 
  private:

@@ -91,16 +91,4 @@ void Table::write_csv(std::ostream& os) const {
   }
 }
 
-std::string Table::to_string() const {
-  std::ostringstream os;
-  print(os);
-  return os.str();
-}
-
-std::string Table::to_csv() const {
-  std::ostringstream os;
-  write_csv(os);
-  return os.str();
-}
-
 }  // namespace agentnet

@@ -31,8 +31,6 @@ class Table {
   void print(std::ostream& os) const;
   /// RFC-4180-ish CSV (quotes cells containing comma/quote/newline).
   void write_csv(std::ostream& os) const;
-  std::string to_string() const;
-  std::string to_csv() const;
 
  private:
   std::string format_cell(const Cell& cell) const;

@@ -5,8 +5,6 @@
 
 namespace agentnet {
 
-EdgeIndex::EdgeIndex(std::size_t node_count) : rows_(node_count) {}
-
 EdgeIndex::EdgeIndex(const Graph& seed) : rows_(seed.node_count()) {
   for (NodeId u = 0; u < rows_.size(); ++u) {
     const auto targets = seed.out_neighbors(u);

@@ -31,8 +31,6 @@ class EdgeIndex {
   /// find()'s answer for a pair that was never registered.
   static constexpr EdgeId kMiss = std::numeric_limits<EdgeId>::max();
 
-  /// An index over `node_count` nodes with no arcs registered.
-  explicit EdgeIndex(std::size_t node_count);
   /// Registers every arc of `seed`, numbered in row order.
   explicit EdgeIndex(const Graph& seed);
 

@@ -146,16 +146,6 @@ std::size_t MapKnowledge::known_edge_count_in(const Graph& truth) const {
   return n;
 }
 
-std::size_t MapKnowledge::heap_bytes() const {
-  const auto bytes = [](const std::vector<std::int64_t>& v) {
-    return v.capacity() * sizeof(std::int64_t);
-  };
-  return first_hand_.heap_bytes() + combined_.heap_bytes() +
-         second_recent_.heap_bytes() + bytes(first_hand_visit_) +
-         bytes(any_visit_) + bytes(learned_visit_prev_) +
-         bytes(learned_visit_recent_);
-}
-
 void MapKnowledge::save_state(snapshot::ByteWriter& w) const {
   w.size(node_count_);
   index_->save_pairs(first_hand_, w);

@@ -94,9 +94,6 @@ class MapKnowledge {
   /// reference edges that no longer exist.
   std::size_t known_edge_count_in(const Graph& truth) const;
 
-  /// Heap bytes the store occupies (edge sets, visit times, expiry state).
-  std::size_t heap_bytes() const;
-
   std::int64_t last_visit_first_hand(NodeId node) const;
   /// Includes visit times learned from peers (what super-conscientious
   /// movement consults).

@@ -9,7 +9,6 @@
 #include "common/dense_bitset.hpp"
 #include "core/colocation.hpp"
 #include "geom/spatial_grid.hpp"
-#include "common/log.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/watchdog.hpp"
 #include "obs/obs.hpp"
@@ -585,8 +584,6 @@ MappingTaskResult run_mapping_task(World& world,
     AGENTNET_OBS_METRICS_TICK(t);
   }
 
-  AGENTNET_INFO() << "mapping task hit max_steps=" << config.max_steps
-                  << " without finishing";
   result.final_population = agents.size();
   return result;
 }

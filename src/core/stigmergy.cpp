@@ -58,8 +58,4 @@ std::size_t StigmergyBoard::footprint_count(NodeId at, std::size_t now) const {
                     [&](const Footprint& fp) { return !expired(fp, now); }));
 }
 
-void StigmergyBoard::clear() {
-  for (auto& b : boards_) b.clear();
-}
-
 }  // namespace agentnet

@@ -43,8 +43,6 @@ class StigmergyBoard {
   /// Unexpired footprints currently stored at `at`.
   std::size_t footprint_count(NodeId at, std::size_t now) const;
 
-  void clear();
-
   /// Checkpoint support: every node's footprint list, in stored order
   /// (eviction order matters — the oldest footprint goes first).
   void save_state(snapshot::ByteWriter& w) const {

@@ -75,12 +75,6 @@ bool SpatialGrid::move(std::size_t i, Vec2 p) {
   return true;
 }
 
-std::vector<std::size_t> SpatialGrid::query(Vec2 point, double radius) const {
-  std::vector<std::size_t> out;
-  query(point, radius, out);
-  return out;
-}
-
 void SpatialGrid::query(Vec2 point, double radius,
                         std::vector<std::size_t>& out) const {
   out.clear();

@@ -68,11 +68,8 @@ class SpatialGrid {
     }
   }
 
-  /// Convenience: indices within radius of `point`, ascending order.
-  std::vector<std::size_t> query(Vec2 point, double radius) const;
-
-  /// As above, reusing caller storage (`out` is cleared first) — the
-  /// zero-allocation form for per-step callers.
+  /// Indices within radius of `point`, ascending, into caller storage
+  /// (`out` is cleared first) — allocation-free once `out` is warm.
   void query(Vec2 point, double radius, std::vector<std::size_t>& out) const;
 
   /// Heap footprint: positions, bucket headers and bucket capacity

@@ -233,25 +233,4 @@ void write_series_csv(std::ostream& os,
   }
 }
 
-void RunRecorder::frame(std::size_t step,
-                        const std::vector<Vec2>& node_positions,
-                        const std::vector<NodeId>& agent_locations) {
-  for (std::size_t i = 0; i < node_positions.size(); ++i)
-    rows_.push_back({step, 'n', i, node_positions[i]});
-  for (std::size_t a = 0; a < agent_locations.size(); ++a) {
-    AGENTNET_REQUIRE(agent_locations[a] < node_positions.size(),
-                     "agent location out of range");
-    rows_.push_back({step, 'a', a, node_positions[agent_locations[a]]});
-  }
-  ++frames_;
-}
-
-void RunRecorder::write_csv(std::ostream& os) const {
-  os << "step,kind,id,x,y\n";
-  os << std::setprecision(12);
-  for (const Row& row : rows_)
-    os << row.step << ',' << (row.kind == 'n' ? "node" : "agent") << ','
-       << row.id << ',' << row.position.x << ',' << row.position.y << '\n';
-}
-
 }  // namespace agentnet

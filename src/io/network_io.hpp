@@ -4,9 +4,7 @@
 // * save/load of generated networks (exact reproducibility across machines
 //   without re-running the generator search),
 // * Graphviz DOT export for figures,
-// * CSV export of named time series for external plotting,
-// * a run recorder that captures node positions and agent locations per
-//   step for animation tooling.
+// * CSV export of named time series for external plotting.
 #pragma once
 
 #include <iosfwd>
@@ -48,28 +46,5 @@ std::string to_dot(const GeneratedNetwork& net, const DotOptions& options = {});
 void write_series_csv(std::ostream& os,
                       const std::vector<std::string>& names,
                       const std::vector<std::vector<double>>& series);
-
-/// Captures per-step world and agent state for animation/analysis.
-/// Columns: step,kind,id,x,y (kind ∈ {node, agent}; agents take the
-/// position of the node they sit on).
-class RunRecorder {
- public:
-  /// Records one frame. `agent_locations[i]` is agent i's node.
-  void frame(std::size_t step, const std::vector<Vec2>& node_positions,
-             const std::vector<NodeId>& agent_locations);
-
-  std::size_t frames() const { return frames_; }
-  void write_csv(std::ostream& os) const;
-
- private:
-  struct Row {
-    std::size_t step;
-    char kind;  // 'n' or 'a'
-    std::size_t id;
-    Vec2 position;
-  };
-  std::vector<Row> rows_;
-  std::size_t frames_ = 0;
-};
 
 }  // namespace agentnet

@@ -16,14 +16,6 @@ Vec2 random_heading(Rng& rng) {
   return {std::cos(theta), std::sin(theta)};
 }
 
-// Wraps an angle difference into (-pi, pi] so AR(1) heading updates steer
-// the short way around instead of jumping at the wrap.
-double wrap_angle(double a) {
-  while (a > std::numbers::pi) a -= 2.0 * std::numbers::pi;
-  while (a <= -std::numbers::pi) a += 2.0 * std::numbers::pi;
-  return a;
-}
-
 // The mobile nodes, ascending: step() walks only these, in the order the
 // per-node RNG draws have always been taken.
 std::vector<std::uint32_t> movers_of(const std::vector<bool>& mobile) {
@@ -96,111 +88,6 @@ bool RandomDirectionMobility::is_stationary(std::size_t node) const {
 double RandomDirectionMobility::speed(std::size_t node) const {
   AGENTNET_ASSERT(node < speeds_.size());
   return speeds_[node];
-}
-
-RandomWaypointMobility::RandomWaypointMobility(Aabb bounds,
-                                               std::vector<bool> mobile,
-                                               Params params, Rng rng)
-    : bounds_(bounds),
-      mobile_(std::move(mobile)),
-      movers_(movers_of(mobile_)),
-      params_(params),
-      rng_(rng) {
-  AGENTNET_REQUIRE(params.min_speed >= 0.0 &&
-                       params.max_speed >= params.min_speed,
-                   "need 0 <= min_speed <= max_speed");
-  AGENTNET_REQUIRE(params.pause_steps >= 0, "pause_steps must be >= 0");
-  legs_.resize(mobile_.size());
-}
-
-void RandomWaypointMobility::step(std::vector<Vec2>& positions) {
-  AGENTNET_REQUIRE(positions.size() == mobile_.size(),
-                   "position count does not match mobility mask");
-  for (const std::uint32_t i : movers_) {
-    Leg& leg = legs_[i];
-    if (!leg.active) {
-      if (leg.pause_left > 0) {
-        --leg.pause_left;
-        continue;
-      }
-      leg.target = {rng_.uniform_real(bounds_.lo.x, bounds_.hi.x),
-                    rng_.uniform_real(bounds_.lo.y, bounds_.hi.y)};
-      leg.speed = rng_.uniform_real(params_.min_speed, params_.max_speed);
-      leg.active = true;
-    }
-    const Vec2 delta = leg.target - positions[i];
-    const double dist = delta.norm();
-    if (dist <= leg.speed) {
-      positions[i] = leg.target;
-      leg.active = false;
-      leg.pause_left = params_.pause_steps;
-    } else {
-      positions[i] += delta * (leg.speed / dist);
-    }
-  }
-}
-
-bool RandomWaypointMobility::is_stationary(std::size_t node) const {
-  AGENTNET_ASSERT(node < mobile_.size());
-  return !mobile_[node];
-}
-
-GaussMarkovMobility::GaussMarkovMobility(Aabb bounds,
-                                         std::vector<bool> mobile,
-                                         Params params, Rng rng)
-    : bounds_(bounds),
-      mobile_(std::move(mobile)),
-      movers_(movers_of(mobile_)),
-      params_(params),
-      rng_(rng) {
-  AGENTNET_REQUIRE(params.mean_speed >= 0.0, "mean speed must be >= 0");
-  AGENTNET_REQUIRE(params.speed_stddev >= 0.0, "speed stddev must be >= 0");
-  AGENTNET_REQUIRE(params.heading_stddev >= 0.0,
-                   "heading stddev must be >= 0");
-  AGENTNET_REQUIRE(params.alpha >= 0.0 && params.alpha <= 1.0,
-                   "alpha must be in [0,1]");
-  AGENTNET_REQUIRE(params.wall_margin >= 0.0, "wall margin must be >= 0");
-  speeds_.resize(mobile_.size(), 0.0);
-  headings_.resize(mobile_.size(), 0.0);
-  for (const std::uint32_t i : movers_) {
-    speeds_[i] = params_.mean_speed;
-    headings_[i] = rng_.uniform_real(0.0, 2.0 * std::numbers::pi);
-  }
-}
-
-void GaussMarkovMobility::step(std::vector<Vec2>& positions) {
-  AGENTNET_REQUIRE(positions.size() == mobile_.size(),
-                   "position count does not match mobility mask");
-  const double a = params_.alpha;
-  const double var_scale = std::sqrt(1.0 - a * a);
-  for (const std::uint32_t i : movers_) {
-    // Mean heading reverts to the current heading unless a wall is near,
-    // in which case it points back toward the arena centre.
-    double mean_heading = headings_[i];
-    const Vec2 p = positions[i];
-    const bool near_wall = p.x < bounds_.lo.x + params_.wall_margin ||
-                           p.x > bounds_.hi.x - params_.wall_margin ||
-                           p.y < bounds_.lo.y + params_.wall_margin ||
-                           p.y > bounds_.hi.y - params_.wall_margin;
-    if (near_wall) {
-      const Vec2 centre = (bounds_.lo + bounds_.hi) * 0.5;
-      mean_heading = std::atan2(centre.y - p.y, centre.x - p.x);
-    }
-    speeds_[i] = a * speeds_[i] + (1.0 - a) * params_.mean_speed +
-                 var_scale * rng_.normal(0.0, params_.speed_stddev);
-    if (speeds_[i] < 0.0) speeds_[i] = 0.0;
-    headings_[i] = wrap_angle(
-        headings_[i] + (1.0 - a) * wrap_angle(mean_heading - headings_[i]) +
-        var_scale * rng_.normal(0.0, params_.heading_stddev));
-    Vec2 next = p + Vec2{std::cos(headings_[i]), std::sin(headings_[i])} *
-                        speeds_[i];
-    positions[i] = bounds_.clamp(next);
-  }
-}
-
-bool GaussMarkovMobility::is_stationary(std::size_t node) const {
-  AGENTNET_ASSERT(node < mobile_.size());
-  return !mobile_[node];
 }
 
 TraceMobility TraceMobility::record(MobilityModel& model,

@@ -111,109 +111,6 @@ class RandomDirectionMobility final : public MobilityModel {
   bool initialised_ = false;
 };
 
-/// Random-waypoint model: move toward a waypoint at a per-leg speed drawn
-/// from [min_speed, max_speed], pause, pick a new waypoint.
-class RandomWaypointMobility final : public MobilityModel {
- public:
-  struct Params {
-    double min_speed = 0.5;
-    double max_speed = 2.0;
-    int pause_steps = 3;
-  };
-
-  RandomWaypointMobility(Aabb bounds, std::vector<bool> mobile, Params params,
-                         Rng rng);
-
-  void step(std::vector<Vec2>& positions) override;
-  bool is_stationary(std::size_t node) const override;
-
-  std::size_t state_bytes() const override {
-    return 8 + (3 * 8 + 8 + 1) * legs_.size() + Rng::kStateBytes;
-  }
-  void save_state(snapshot::ByteWriter& w) const override {
-    w.size(legs_.size());
-    for (const Leg& leg : legs_) {
-      w.f64(leg.target.x);
-      w.f64(leg.target.y);
-      w.f64(leg.speed);
-      w.scalar(leg.pause_left);
-      w.boolean(leg.active);
-    }
-    rng_.save_state(w);
-  }
-  void load_state(snapshot::ByteReader& r) override {
-    r.exact_count(mobile_.size(), "waypoint legs");
-    for (Leg& leg : legs_) {
-      leg.target.x = r.f64();
-      leg.target.y = r.f64();
-      leg.speed = r.f64();
-      leg.pause_left = r.scalar<int>();
-      leg.active = r.boolean();
-    }
-    rng_.load_state(r);
-  }
-
- private:
-  struct Leg {
-    Vec2 target{};
-    double speed = 0.0;
-    int pause_left = 0;
-    bool active = false;
-  };
-
-  Aabb bounds_;
-  std::vector<bool> mobile_;
-  std::vector<std::uint32_t> movers_;  // the mobile nodes, ascending
-  std::vector<Leg> legs_;
-  Params params_;
-  Rng rng_;
-};
-
-/// Gauss–Markov model: speed and heading evolve as mean-reverting AR(1)
-/// processes, producing smooth, temporally correlated paths — a common
-/// MANET evaluation model that avoids random-waypoint's sharp turns.
-/// Near an arena wall the mean heading is steered back toward the centre.
-class GaussMarkovMobility final : public MobilityModel {
- public:
-  struct Params {
-    double mean_speed = 1.5;
-    double speed_stddev = 0.5;
-    double heading_stddev = 0.4;  ///< Radians.
-    double alpha = 0.75;          ///< Memory level in [0, 1].
-    /// Distance from a wall at which the mean heading turns inward.
-    double wall_margin = 25.0;
-  };
-
-  GaussMarkovMobility(Aabb bounds, std::vector<bool> mobile, Params params,
-                      Rng rng);
-
-  void step(std::vector<Vec2>& positions) override;
-  bool is_stationary(std::size_t node) const override;
-
-  std::size_t state_bytes() const override {
-    return 16 + 8 * (speeds_.size() + headings_.size()) + Rng::kStateBytes;
-  }
-  void save_state(snapshot::ByteWriter& w) const override {
-    w.pod_vec(speeds_);
-    w.pod_vec(headings_);
-    rng_.save_state(w);
-  }
-  void load_state(snapshot::ByteReader& r) override {
-    r.pod_vec(speeds_, mobile_.size(), "mobility speeds");
-    r.pod_vec(headings_, mobile_.size(), "mobility headings");
-    rng_.load_state(r);
-  }
-
- private:
-  Aabb bounds_;
-  std::vector<bool> mobile_;
-  std::vector<std::uint32_t> movers_;  // the mobile nodes, ascending
-  std::vector<double> speeds_;
-  std::vector<double> headings_;  // radians
-  Params params_;
-  Rng rng_;
-};
-
 /// Replays a pre-recorded movement script. Construct via `record`, which
 /// runs `model` for `steps` steps from `initial` and stores each frame's
 /// mobile-node positions; replaying past the end holds the final frame

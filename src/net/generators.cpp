@@ -3,30 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/log.hpp"
 #include "mobility/mobility.hpp"
 #include "net/metrics.hpp"
 
 namespace agentnet {
-
-GeneratedNetwork random_geometric_network(const GeometricNetworkParams& params,
-                                          double range_multiplier, Rng& rng) {
-  AGENTNET_REQUIRE(params.node_count >= 2, "need at least two nodes");
-  AGENTNET_REQUIRE(range_multiplier > 0.0, "range multiplier must be > 0");
-  AGENTNET_REQUIRE(
-      params.min_range_factor > 0.0 && params.min_range_factor <= 1.0,
-      "min_range_factor must be in (0, 1]");
-  GeneratedNetwork net;
-  net.bounds = params.bounds;
-  net.policy = params.policy;
-  net.positions = random_positions(params.node_count, params.bounds, rng);
-  net.base_ranges.resize(params.node_count);
-  for (auto& r : net.base_ranges)
-    r = range_multiplier * rng.uniform_real(params.min_range_factor, 1.0);
-  TopologyBuilder builder(params.bounds, range_multiplier, params.policy);
-  net.graph = builder.build(net.positions, net.base_ranges);
-  return net;
-}
 
 namespace {
 
@@ -119,15 +99,7 @@ GeneratedNetwork generate_target_edge_network(const TargetEdgeParams& params,
     }
     if (relative_error(best_edges) > params.tolerance) continue;
     GeneratedNetwork best = scaled.build(hi);
-    if (!connectivity_ok(best, params.require_strongly_connected)) {
-      AGENTNET_DEBUG() << "attempt " << attempt
-                       << ": edge target met but not connected, retrying";
-      continue;
-    }
-    AGENTNET_INFO() << "generated network: " << best.graph.node_count()
-                    << " nodes, " << best.graph.edge_count()
-                    << " edges (target " << params.target_edges << ") after "
-                    << (attempt + 1) << " attempt(s)";
+    if (!connectivity_ok(best, params.require_strongly_connected)) continue;
     return best;
   }
   throw ConfigError(

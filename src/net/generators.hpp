@@ -36,11 +36,6 @@ struct GeometricNetworkParams {
   LinkPolicy policy = LinkPolicy::kDirected;
 };
 
-/// One placement with the given absolute range multiplier; no connectivity
-/// guarantee.
-GeneratedNetwork random_geometric_network(const GeometricNetworkParams& params,
-                                          double range_multiplier, Rng& rng);
-
 struct TargetEdgeParams {
   GeometricNetworkParams geometry{};
   std::size_t target_edges = 2164;

@@ -95,11 +95,6 @@ std::vector<Edge> Graph::edges() const {
   return out;
 }
 
-void Graph::clear_edges() {
-  std::fill(lens_.begin(), lens_.end(), 0);
-  edge_count_ = 0;
-}
-
 void Graph::reset(std::size_t node_count) {
   starts_.assign(node_count, 0);
   lens_.assign(node_count, 0);

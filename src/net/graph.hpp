@@ -73,9 +73,6 @@ class Graph {
   /// All edges in (from, to) lexicographic order.
   std::vector<Edge> edges() const;
 
-  /// Drops all edges, keeps the node set and every row's slot.
-  void clear_edges();
-
   /// Resizes to `node_count` nodes with no edges, keeping the targets
   /// array's capacity — the rebuild-every-step entry point.
   void reset(std::size_t node_count);

@@ -14,9 +14,9 @@ std::size_t count_reached(const std::vector<int>& dist) {
 
 }  // namespace
 
-void bfs_distances(const Graph& graph, NodeId src, std::vector<int>& dist) {
-  dist.assign(graph.node_count(), -1);
+std::vector<int> bfs_distances(const Graph& graph, NodeId src) {
   AGENTNET_REQUIRE(src < graph.node_count(), "bfs source out of range");
+  std::vector<int> dist(graph.node_count(), -1);
   std::queue<NodeId> frontier;
   dist[src] = 0;
   frontier.push(src);
@@ -30,11 +30,6 @@ void bfs_distances(const Graph& graph, NodeId src, std::vector<int>& dist) {
       }
     }
   }
-}
-
-std::vector<int> bfs_distances(const Graph& graph, NodeId src) {
-  std::vector<int> dist;
-  bfs_distances(graph, src, dist);
   return dist;
 }
 
@@ -56,55 +51,6 @@ bool is_weakly_connected(const Graph& graph) {
   return reachable_count(undirected, 0) == graph.node_count();
 }
 
-std::vector<int> strongly_connected_components(const Graph& graph) {
-  const std::size_t n = graph.node_count();
-  // Kosaraju with explicit stacks (no recursion: graphs can be long chains).
-  std::vector<int> order;
-  order.reserve(n);
-  std::vector<char> visited(n, 0);
-  for (NodeId start = 0; start < n; ++start) {
-    if (visited[start]) continue;
-    // Iterative post-order DFS.
-    std::vector<std::pair<NodeId, std::size_t>> stack{{start, 0}};
-    visited[start] = 1;
-    while (!stack.empty()) {
-      auto& [u, next] = stack.back();
-      const auto neighbors = graph.out_neighbors(u);
-      if (next < neighbors.size()) {
-        const NodeId v = neighbors[next++];
-        if (!visited[v]) {
-          visited[v] = 1;
-          stack.push_back({v, 0});
-        }
-      } else {
-        order.push_back(static_cast<int>(u));
-        stack.pop_back();
-      }
-    }
-  }
-  const Graph rev = reversed(graph);
-  std::vector<int> component(n, -1);
-  int comp_id = 0;
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const NodeId root = static_cast<NodeId>(*it);
-    if (component[root] != -1) continue;
-    std::vector<NodeId> stack{root};
-    component[root] = comp_id;
-    while (!stack.empty()) {
-      const NodeId u = stack.back();
-      stack.pop_back();
-      for (NodeId v : rev.out_neighbors(u)) {
-        if (component[v] == -1) {
-          component[v] = comp_id;
-          stack.push_back(v);
-        }
-      }
-    }
-    ++comp_id;
-  }
-  return component;
-}
-
 int diameter(const Graph& graph) {
   int best = 0;
   for (NodeId u = 0; u < graph.node_count(); ++u) {
@@ -113,34 +59,6 @@ int diameter(const Graph& graph) {
       if (d < 0) return -1;
       best = std::max(best, d);
     }
-  }
-  return best;
-}
-
-int diameter(const Graph& graph, const AgentParallel& par) {
-  const std::size_t n = graph.node_count();
-  if (!par.active() || n < 2) return diameter(graph);
-  // Per-root eccentricity slots (-1 = some pair unreachable), reduced in
-  // root order; integer max, so identical at any thread count.
-  std::vector<int> ecc(n, 0);
-  par.for_each_scratch(
-      n, [] { return std::vector<int>(); },
-      [&](std::size_t u, std::vector<int>& dist) {
-        bfs_distances(graph, static_cast<NodeId>(u), dist);
-        int best = 0;
-        for (int d : dist) {
-          if (d < 0) {
-            best = -1;
-            break;
-          }
-          best = std::max(best, d);
-        }
-        ecc[u] = best;
-      });
-  int best = 0;
-  for (int e : ecc) {
-    if (e < 0) return -1;
-    best = std::max(best, e);
   }
   return best;
 }
@@ -177,37 +95,6 @@ Graph reversed(const Graph& graph) {
   Graph rev;
   graph.transposed_into(rev);
   return rev;
-}
-
-double clustering_coefficient(const Graph& graph) {
-  const std::size_t n = graph.node_count();
-  // Undirected view.
-  Graph und(n);
-  for (const Edge& e : graph.edges()) und.add_undirected_edge(e.from, e.to);
-  std::size_t closed_triplets = 0;  // counts each triangle 6 times
-  std::size_t triplets = 0;         // ordered neighbour pairs per centre
-  for (NodeId v = 0; v < n; ++v) {
-    const auto nbrs = und.out_neighbors(v);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      for (std::size_t j = i + 1; j < nbrs.size(); ++j) {
-        ++triplets;
-        if (und.has_edge(nbrs[i], nbrs[j])) ++closed_triplets;
-      }
-    }
-  }
-  if (triplets == 0) return 0.0;
-  return static_cast<double>(closed_triplets) /
-         static_cast<double>(triplets);
-}
-
-std::vector<std::size_t> hop_histogram(const Graph& graph, NodeId src) {
-  const auto dist = bfs_distances(graph, src);
-  int max_d = 0;
-  for (int d : dist) max_d = std::max(max_d, d);
-  std::vector<std::size_t> hist(static_cast<std::size_t>(max_d) + 1, 0);
-  for (int d : dist)
-    if (d >= 0) ++hist[static_cast<std::size_t>(d)];
-  return hist;
 }
 
 }  // namespace agentnet

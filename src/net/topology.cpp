@@ -24,12 +24,18 @@ Graph TopologyBuilder::build(const std::vector<Vec2>& positions,
   return graph;
 }
 
-void TopologyBuilder::append_row(NodeId u, const std::vector<Vec2>& positions,
-                                 const std::vector<double>& ranges,
-                                 std::vector<NodeId>& out) const {
+// Inline: append_row runs it once per row of every build.
+inline void TopologyBuilder::require_in_range(
+    NodeId u, const std::vector<double>& ranges) const {
   AGENTNET_REQUIRE(ranges[u] <= max_range_ * (1.0 + 1e-12),
                    "effective range of node " + std::to_string(u) +
                        " exceeds builder max_range");
+}
+
+void TopologyBuilder::append_row(NodeId u, const std::vector<Vec2>& positions,
+                                 const std::vector<double>& ranges,
+                                 std::vector<NodeId>& out) const {
+  require_in_range(u, ranges);
   // Query by this node's own reach; for symmetric policies the pair rule
   // is evaluated per candidate.
   const double query_radius =
@@ -135,13 +141,17 @@ bool TopologyBuilder::update_into(Graph& graph, std::span<const NodeId> dirty,
                    "positions/ranges size mismatch");
   AGENTNET_REQUIRE(graph.node_count() == n && grid_.size() == n,
                    "update_into needs the previously built graph/grid");
+  // Reject an over-range dirty node before the mask, the grid or the
+  // graph change, so a builder that threw here stays usable. The first
+  // such node in dirty order is named, as the gather below would.
+  for (NodeId u : dirty) {
+    AGENTNET_ASSERT(u < n);
+    require_in_range(u, ranges);
+  }
   bool changed = false;
   if (options.touched_rows) options.touched_rows->clear();
   if (dirty_mask_.size() < n) dirty_mask_.resize(n, 0);
-  for (NodeId u : dirty) {
-    AGENTNET_ASSERT(u < n);
-    dirty_mask_[u] = 1;
-  }
+  for (NodeId u : dirty) dirty_mask_[u] = 1;
 
   // In-edge candidates around each moved node's *old* position must be
   // collected before the grid forgets it. Only the directed policy needs
@@ -165,8 +175,7 @@ bool TopologyBuilder::update_into(Graph& graph, std::span<const NodeId> dirty,
 
   // Above the grain, pre-gather every dirty row over the team: each index
   // writes its own slot and the grid/positions/ranges snapshot is frozen
-  // for the whole phase, so the rows are bit-identical to a serial gather,
-  // and an over-range node throws the lowest such node's error either way.
+  // for the whole phase, so the rows are bit-identical to a serial gather.
   // The apply loop below then runs serially in ascending dirty order —
   // the determinism contract's execute-anywhere / combine-in-order split
   // (docs/ARCHITECTURE.md).

@@ -77,7 +77,9 @@ class TopologyBuilder {
   /// each moved node's old and new position. The result is bit-identical
   /// (operator==, neighbour iteration order included) to a full rebuild.
   ///
-  /// Returns true when the edge set actually changed.
+  /// Returns true when the edge set actually changed. An over-range dirty
+  /// node throws the first such node's ConfigError before anything is
+  /// touched, so the builder and `graph` stay usable.
   ///
   /// Optional behaviours for update_into(); default-constructed options
   /// gather serially and report no rows.
@@ -103,6 +105,8 @@ class TopologyBuilder {
   std::size_t heap_bytes() const;
 
  private:
+  /// Throws ConfigError if node u's effective range exceeds max_range.
+  void require_in_range(NodeId u, const std::vector<double>& ranges) const;
   /// Appends u's accepted out-neighbours, sorted, to `out` at the grid's
   /// current snapshot.
   void append_row(NodeId u, const std::vector<Vec2>& positions,

@@ -127,12 +127,6 @@ void MetricsBuffer::sample_latency(std::uint64_t step,
   last_latency_.assign(histogram.begin(), histogram.end());
 }
 
-void MetricsBuffer::clear() {
-  rows_.clear();
-  last_counters_ = MetricsSnapshot{};
-  last_latency_.clear();
-}
-
 void MetricsBuffer::save_state(snapshot::ByteWriter& w) const {
   w.size(rows_.size());
   for (const MetricsRow& row : rows_) {

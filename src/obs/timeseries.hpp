@@ -115,7 +115,6 @@ class MetricsBuffer {
                       std::span<const std::uint64_t> histogram);
 
   const std::vector<MetricsRow>& rows() const { return rows_; }
-  void clear();
 
   /// Checkpoint support: serializes / restores the sampling state (rows,
   /// last-counter snapshot, latency window baseline) so a resumed run's

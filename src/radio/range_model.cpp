@@ -6,11 +6,6 @@
 
 namespace agentnet {
 
-std::vector<double> fixed_ranges(std::size_t node_count, double range) {
-  AGENTNET_REQUIRE(range > 0.0, "radio range must be > 0");
-  return std::vector<double>(node_count, range);
-}
-
 std::vector<double> heterogeneous_ranges(std::size_t node_count,
                                          double min_range, double max_range,
                                          Rng& rng) {

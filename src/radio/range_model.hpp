@@ -17,10 +17,6 @@
 
 namespace agentnet {
 
-/// All nodes share one radio range (Minar et al.'s assumption; produces a
-/// symmetric topology when batteries are off).
-std::vector<double> fixed_ranges(std::size_t node_count, double range);
-
 /// Per-node range drawn uniformly from [min_range, max_range] — the
 /// asymmetry source in the paper's environment.
 std::vector<double> heterogeneous_ranges(std::size_t node_count,

@@ -50,8 +50,4 @@ void RoutingTables::clear(NodeId node) {
   entries_[node] = RouteEntry{};
 }
 
-void RoutingTables::clear_all() {
-  for (auto& e : entries_) e = RouteEntry{};
-}
-
 }  // namespace agentnet

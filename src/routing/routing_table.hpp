@@ -53,7 +53,6 @@ class RoutingTables {
   /// Unconditionally installs (tests / oracle seeding).
   void force(NodeId node, const RouteEntry& entry);
   void clear(NodeId node);
-  void clear_all();
 
   bool is_stale(const RouteEntry& entry, std::size_t now) const {
     return !entry.valid() || now - entry.installed_at > policy_.freshness_window;

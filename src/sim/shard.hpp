@@ -44,7 +44,6 @@ class WorldShards {
               const std::vector<double>& built_ranges,
               const BatteryBank& batteries);
 
-  std::size_t tile_count() const { return tiles_.size(); }
   double tile_size() const { return tile_size_; }
 
   /// Per-tile dirty scan against `positions`; `range_of(node)` must return

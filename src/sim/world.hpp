@@ -104,7 +104,6 @@ class World {
   /// AGENTNET_THREADS / hardware concurrency). Changing it drops the team;
   /// the next advance() that needs one builds it.
   void set_shard_threads(std::size_t threads);
-  std::size_t shard_threads() const { return shard_threads_; }
 
   /// Approximate heap footprint of the world's live structures — node
   /// state, graphs, builder grid, shard tiles. The scale benches
@@ -161,7 +160,7 @@ class World {
   /// Re-filters u's weather row from geo_graph_, rewriting it when it
   /// differs (returns true then), and updates the drop counts.
   bool refilter_row(NodeId u);
-  /// The upkeep team (shard_threads() − 1 helpers), built on first use;
+  /// The upkeep team (shard threads − 1 helpers), built on first use;
   /// null at shard threads 1.
   ForkJoin* team();
 
@@ -195,17 +194,6 @@ class World {
   bool fixed_topology_ = false;
   std::size_t step_ = 0;
   const WorldScript* script_ = nullptr;
-};
-
-/// Per-step scalar recorder: collects one named series over a run.
-class SeriesRecorder {
- public:
-  void record(double value) { values_.push_back(value); }
-  const std::vector<double>& values() const { return values_; }
-  std::size_t size() const { return values_.size(); }
-
- private:
-  std::vector<double> values_;
 };
 
 }  // namespace agentnet

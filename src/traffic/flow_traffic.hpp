@@ -172,7 +172,6 @@ class FlowTrafficSimulator {
 
   const FlowTrafficStats& stats() const { return stats_; }
   const FlowWorkloadConfig& workload() const { return workload_; }
-  const LinkQueueConfig& queue_config() const { return queue_; }
 
   /// Packets currently queued anywhere in the network.
   std::uint64_t queued() const { return total_queued_; }

@@ -35,7 +35,7 @@ TEST(CompareTest, ClearlySeparatedSamplesAreSignificant) {
   const auto b = sample(rng, 13.0, 1.0, 30);
   const auto cmp = compare_samples(a, b);
   EXPECT_LT(cmp.difference, 0.0 + -2.0);  // mean_a - mean_b ≈ -3
-  EXPECT_TRUE(cmp.significant());
+  EXPECT_LT(cmp.p_value, 0.05);
   EXPECT_LT(cmp.p_value, 1e-6);
   EXPECT_LT(cmp.effect_size, -2.0);
 }
@@ -46,7 +46,7 @@ TEST(CompareTest, IdenticalDistributionsUsuallyNotSignificant) {
   for (int trial = 0; trial < 100; ++trial) {
     const auto a = sample(rng, 5.0, 2.0, 25);
     const auto b = sample(rng, 5.0, 2.0, 25);
-    if (compare_samples(a, b).significant()) ++significant;
+    if (compare_samples(a, b).p_value < 0.05) ++significant;
   }
   // 5% nominal false-positive rate; allow generous slack.
   EXPECT_LT(significant, 15);
@@ -75,7 +75,7 @@ TEST(CompareTest, DegenerateZeroVariance) {
   for (int i = 0; i < 5; ++i) c.add(9.0);
   const auto diff = compare_samples(a, c);
   EXPECT_DOUBLE_EQ(diff.p_value, 0.0);
-  EXPECT_TRUE(diff.significant());
+  EXPECT_LT(diff.p_value, 0.05);
 }
 
 TEST(CompareTest, WelchHandlesUnequalVariances) {

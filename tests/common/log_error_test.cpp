@@ -1,81 +1,12 @@
-#include <cstdlib>
-
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
-#include "common/log.hpp"
 
 namespace agentnet {
 namespace {
 
-class LogLevelGuard {
- public:
-  LogLevelGuard() : saved_(log_level()) {}
-  ~LogLevelGuard() { set_log_level(saved_); }
-
- private:
-  LogLevel saved_;
-};
-
-TEST(LogTest, DefaultLevelIsWarn) {
-  // The library must not chatter by default.
-  LogLevelGuard guard;
-  EXPECT_EQ(log_level(), LogLevel::kWarn);
-}
-
-TEST(LogTest, SetAndGetRoundTrip) {
-  LogLevelGuard guard;
-  for (LogLevel level : {LogLevel::kDebug, LogLevel::kInfo, LogLevel::kWarn,
-                         LogLevel::kError, LogLevel::kOff}) {
-    set_log_level(level);
-    EXPECT_EQ(log_level(), level);
-  }
-}
-
-TEST(LogTest, StreamingMacroCompilesAndRuns) {
-  LogLevelGuard guard;
-  set_log_level(LogLevel::kOff);
-  // Must be safe to call with arbitrary streamed types even when disabled.
-  AGENTNET_DEBUG() << "value " << 42 << " and " << 3.14;
-  AGENTNET_INFO() << "info";
-  AGENTNET_WARN() << "warn";
-  AGENTNET_ERROR() << "error";
-}
-
-TEST(LogTest, ParseLogLevelAcceptsNamesAndNumbers) {
-  EXPECT_EQ(parse_log_level("debug"), LogLevel::kDebug);
-  EXPECT_EQ(parse_log_level("INFO"), LogLevel::kInfo);
-  EXPECT_EQ(parse_log_level("Warn"), LogLevel::kWarn);
-  EXPECT_EQ(parse_log_level("error"), LogLevel::kError);
-  EXPECT_EQ(parse_log_level("off"), LogLevel::kOff);
-  EXPECT_EQ(parse_log_level("0"), LogLevel::kDebug);
-  EXPECT_EQ(parse_log_level("4"), LogLevel::kOff);
-  EXPECT_THROW(parse_log_level("verbose"), ConfigError);
-  EXPECT_THROW(parse_log_level("5"), ConfigError);
-  EXPECT_THROW(parse_log_level(""), ConfigError);
-}
-
-TEST(LogTest, EnvLogLevelReadsVariable) {
-  ASSERT_EQ(setenv("AGENTNET_LOG_LEVEL", "debug", 1), 0);
-  EXPECT_EQ(env_log_level(LogLevel::kWarn), LogLevel::kDebug);
-  ASSERT_EQ(setenv("AGENTNET_LOG_LEVEL", "nonsense", 1), 0);
-  EXPECT_THROW(env_log_level(LogLevel::kWarn), ConfigError);
-  unsetenv("AGENTNET_LOG_LEVEL");
-  EXPECT_EQ(env_log_level(LogLevel::kWarn), LogLevel::kWarn);
-}
-
-TEST(LogTest, OffSuppressesEverything) {
-  LogLevelGuard guard;
-  set_log_level(LogLevel::kOff);
-  // log_message must be a no-op (nothing observable to assert beyond "does
-  // not crash"; the behaviour contract is covered by code review of the
-  // level check, this guards the call path).
-  log_message(LogLevel::kError, "should be suppressed");
-}
-
 TEST(ErrorTest, HierarchyIsCatchable) {
   EXPECT_THROW(throw ConfigError("x"), Error);
-  EXPECT_THROW(throw StateError("y"), Error);
   EXPECT_THROW(throw Error("z"), std::runtime_error);
 }
 

@@ -32,14 +32,6 @@ TEST(RngTest, DifferentSeedsDiverge) {
   EXPECT_GT(differing, 90);
 }
 
-TEST(RngTest, ReseedRestartsSequence) {
-  Rng a(7);
-  std::vector<std::uint64_t> first;
-  for (int i = 0; i < 10; ++i) first.push_back(a());
-  a.reseed(7);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(a(), first[i]);
-}
-
 TEST(RngTest, UniformRespectsBound) {
   Rng rng(3);
   for (int i = 0; i < 10000; ++i) EXPECT_LT(rng.uniform(17), 17u);
@@ -66,20 +58,6 @@ TEST(RngTest, UniformIsApproximatelyUniform) {
     EXPECT_GT(c, samples / 10 - 600);
     EXPECT_LT(c, samples / 10 + 600);
   }
-}
-
-TEST(RngTest, UniformIntInclusiveEndpoints) {
-  Rng rng(17);
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 10000; ++i) {
-    const auto v = rng.uniform_int(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    saw_lo |= v == -3;
-    saw_hi |= v == 3;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
 }
 
 TEST(RngTest, Uniform01InHalfOpenInterval) {
@@ -129,14 +107,6 @@ TEST(RngTest, NormalMomentsMatch) {
   const double var = sum2 / samples - mean * mean;
   EXPECT_NEAR(mean, 5.0, 0.05);
   EXPECT_NEAR(std::sqrt(var), 2.0, 0.05);
-}
-
-TEST(RngTest, ExponentialMeanIsInverseRate) {
-  Rng rng(41);
-  double sum = 0.0;
-  const int samples = 200000;
-  for (int i = 0; i < samples; ++i) sum += rng.exponential(0.5);
-  EXPECT_NEAR(sum / samples, 2.0, 0.05);
 }
 
 TEST(RngTest, PoissonZeroMeanDrawsNothing) {

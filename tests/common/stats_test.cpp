@@ -133,16 +133,6 @@ TEST(SeriesAccumulatorTest, MeanOfTwoSeries) {
   EXPECT_DOUBLE_EQ(mean[2], 4.0);
 }
 
-TEST(SeriesAccumulatorTest, MinMaxEnvelope) {
-  SeriesAccumulator acc;
-  acc.add({1.0, 5.0});
-  acc.add({2.0, 3.0});
-  EXPECT_DOUBLE_EQ(acc.min()[0], 1.0);
-  EXPECT_DOUBLE_EQ(acc.max()[0], 2.0);
-  EXPECT_DOUBLE_EQ(acc.min()[1], 3.0);
-  EXPECT_DOUBLE_EQ(acc.max()[1], 5.0);
-}
-
 TEST(SeriesAccumulatorTest, RejectsLengthMismatch) {
   SeriesAccumulator acc;
   acc.add({1.0, 2.0});

@@ -3,11 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
 
 #include "common/error.hpp"
 
 namespace agentnet {
 namespace {
+
+std::string text_of(const Table& t) {
+  std::ostringstream os;
+  t.print(os);
+  return os.str();
+}
 
 TEST(TableTest, RejectsEmptyHeaders) {
   EXPECT_THROW(Table({}), ConfigError);
@@ -32,7 +39,7 @@ TEST(TableTest, StoresCells) {
 TEST(TableTest, PrettyPrintAlignsColumns) {
   Table t({"x", "longheader"});
   t.add_row({std::int64_t{1}, std::int64_t{2}});
-  const std::string out = t.to_string();
+  const std::string out = text_of(t);
   EXPECT_NE(out.find("longheader"), std::string::npos);
   EXPECT_NE(out.find("---"), std::string::npos);
   // One header line, one rule line, one data line.
@@ -43,26 +50,32 @@ TEST(TableTest, DoublePrecisionRespected) {
   Table t({"v"});
   t.set_precision(1);
   t.add_row({3.14159});
-  EXPECT_NE(t.to_string().find("3.1"), std::string::npos);
-  EXPECT_EQ(t.to_string().find("3.14"), std::string::npos);
+  EXPECT_NE(text_of(t).find("3.1"), std::string::npos);
+  EXPECT_EQ(text_of(t).find("3.14"), std::string::npos);
+}
+
+std::string csv_of(const Table& t) {
+  std::ostringstream os;
+  t.write_csv(os);
+  return os.str();
 }
 
 TEST(TableTest, CsvBasic) {
   Table t({"a", "b"});
   t.add_row({std::string("x"), std::int64_t{2}});
-  EXPECT_EQ(t.to_csv(), "a,b\nx,2\n");
+  EXPECT_EQ(csv_of(t), "a,b\nx,2\n");
 }
 
 TEST(TableTest, CsvEscapesSpecials) {
   Table t({"a"});
   t.add_row({std::string("he said \"hi\", twice")});
-  EXPECT_EQ(t.to_csv(), "a\n\"he said \"\"hi\"\", twice\"\n");
+  EXPECT_EQ(csv_of(t), "a\n\"he said \"\"hi\"\", twice\"\n");
 }
 
 TEST(TableTest, CsvEscapesNewlines) {
   Table t({"a"});
   t.add_row({std::string("two\nlines")});
-  EXPECT_EQ(t.to_csv(), "a\n\"two\nlines\"\n");
+  EXPECT_EQ(csv_of(t), "a\n\"two\nlines\"\n");
 }
 
 TEST(TableTest, PrecisionBoundsEnforced) {

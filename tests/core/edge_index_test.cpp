@@ -68,7 +68,7 @@ TEST(EdgeIndexTest, RegistrationIsAppendOnly) {
 // The checkpoint encoding is the node-pair layout: an index that numbered
 // the arcs differently writes the same bytes for the same arc set.
 TEST(EdgeIndexTest, PairEncodingIgnoresIdOrder) {
-  EdgeIndex forward(3), backward(3);
+  EdgeIndex forward{Graph(3)}, backward{Graph(3)};
   const std::vector<NodeId> a{1}, b{0, 2};
   forward.add_row(0, a);
   forward.add_row(2, b);
@@ -84,7 +84,7 @@ TEST(EdgeIndexTest, PairEncodingIgnoresIdOrder) {
   backward.save_pairs(in_backward, wb);
   EXPECT_EQ(wf.bytes(), wb.bytes());
 
-  EdgeIndex fresh(3);  // registers what the stream names
+  EdgeIndex fresh{Graph(3)};  // registers what the stream names
   snapshot::ByteReader r(wf.bytes());
   const DenseBitset loaded = fresh.load_pairs(r);
   EXPECT_EQ(fresh.size(), 2u);
@@ -96,7 +96,7 @@ TEST(EdgeIndexTest, PairEncodingIgnoresIdOrder) {
 TEST(EdgeIndexTest, PairEncodingOfWrongSizeRejected) {
   snapshot::ByteWriter w;
   DenseBitset(10).save_state(w);
-  EdgeIndex index(3);
+  EdgeIndex index{Graph(3)};
   snapshot::ByteReader r(w.bytes());
   EXPECT_THROW(index.load_pairs(r), ConfigError);
 }

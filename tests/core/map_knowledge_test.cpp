@@ -18,7 +18,7 @@ namespace {
 /// An index with every ordered pair registered (self-loops included), so
 /// hand-written observations need no registration step.
 EdgeIndex all_pairs(std::size_t n) {
-  EdgeIndex index(n);
+  EdgeIndex index{Graph(n)};
   std::vector<NodeId> all(n);
   std::iota(all.begin(), all.end(), NodeId{0});
   for (NodeId u = 0; u < n; ++u) index.add_row(u, all);
@@ -239,7 +239,7 @@ TEST(MapKnowledgeAdoptionTest, SizeSurvivesLoadState) {
   const std::vector<MapKnowledge> stores = random_stores(index, 3, 4, rng);
   for (const MapKnowledge& k : stores) {
     const std::vector<std::uint8_t> bytes = state_bytes(k);
-    EdgeIndex fresh(29);  // registers the pairs in load order
+    EdgeIndex fresh{Graph(29)};  // registers the pairs in load order
     MapKnowledge loaded(fresh);
     snapshot::ByteReader r(bytes.data(), bytes.size());
     loaded.load_state(r, fresh);
@@ -296,7 +296,7 @@ TEST(MapKnowledgeTest, SizeMismatchThrows) {
 }
 
 TEST(MapKnowledgeTest, RejectsZeroNodes) {
-  const EdgeIndex empty(0);
+  const EdgeIndex empty{Graph(0)};
   EXPECT_THROW(MapKnowledge{empty}, ConfigError);
 }
 
@@ -435,7 +435,7 @@ std::size_t drive_against_oracle(World& world, bool dynamic,
   }
   // A resumed run's index registers the arcs in load order, not in the
   // order they were sensed; the restored maps must not notice.
-  EdgeIndex resumed(n);
+  EdgeIndex resumed{Graph(n)};
   for (std::size_t a = 0; a < kAgents; ++a) {
     const std::vector<std::uint8_t> bytes = state_bytes(stores[a]);
     MapKnowledge loaded(resumed);
@@ -467,8 +467,9 @@ TEST(MapKnowledgeEquivalenceTest, MobileWorldMatchesPairOracle) {
     }
     World world(arena, positions, RadioModel(std::vector<double>(kNodes, 20.0), RangeScaling{1.0}),
                 BatteryBank(kNodes, std::vector<bool>(kNodes, false), {}),
-                std::make_unique<RandomWaypointMobility>(
-                    arena, mobile, RandomWaypointMobility::Params{2.0, 5.0, 1},
+                std::make_unique<RandomDirectionMobility>(
+                    arena, mobile,
+                    RandomDirectionMobility::Params{2.0, 5.0, 0.05},
                     rng.fork(1)),
                 LinkPolicy::kDirected);
     EXPECT_GT(drive_against_oracle(world, true, seed), 0u)

@@ -20,7 +20,7 @@ Graph star_graph() {
 /// Every ordered pair of the 4 nodes, so agents can sense any test graph.
 const EdgeIndex& pair_index() {
   static const EdgeIndex index = [] {
-    EdgeIndex all(4);
+    EdgeIndex all{Graph(4)};
     const std::vector<NodeId> nodes{0, 1, 2, 3};
     for (NodeId u = 0; u < 4; ++u) all.add_row(u, nodes);
     return all;

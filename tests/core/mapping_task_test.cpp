@@ -195,7 +195,7 @@ TEST(MappingTaskTest, StigmergyCostsNoExtraMigrationBytes) {
   // agent's serialized size — hence bytes for the steps both runs share —
   // must not carry any footprint payload. We verify the accounting uses
   // only knowledge size: a fresh agent's size is the 64-byte stub.
-  const EdgeIndex index(10);
+  const EdgeIndex index{Graph(10)};
   MappingAgent agent(0, 0, index, {}, Rng(1));
   EXPECT_EQ(agent.state_size_bytes(), 64u);
 }
@@ -325,7 +325,7 @@ TEST(MappingTaskTest, CommRadiusValidated) {
 }
 
 TEST(MappingAgentConfigTest, RejectsBadRandomness) {
-  const EdgeIndex index(4);
+  const EdgeIndex index{Graph(4)};
   EXPECT_THROW(MappingAgent(0, 0, index,
                             {MappingPolicy::kRandom, StigmergyMode::kOff,
                              1.5},

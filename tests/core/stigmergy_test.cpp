@@ -83,15 +83,6 @@ TEST(StigmergyTest, ExpiredSlotReusedBeforeEviction) {
   EXPECT_TRUE(board.marked(0, 3, 8));
 }
 
-TEST(StigmergyTest, ClearRemovesEverything) {
-  StigmergyBoard board(4);
-  board.stamp(0, 1, 0);
-  board.stamp(2, 3, 0);
-  board.clear();
-  EXPECT_FALSE(board.marked(0, 1, 0));
-  EXPECT_FALSE(board.marked(2, 3, 0));
-}
-
 TEST(StigmergyTest, RejectsZeroCapacity) {
   EXPECT_THROW(StigmergyBoard(4, 0, 0), ConfigError);
 }

@@ -390,75 +390,5 @@ TEST(RunningStatsMergeTest, EmptySidesAreIdentity) {
   EXPECT_DOUBLE_EQ(empty.variance(), stats.variance());
 }
 
-TEST(SeriesAccumulatorMergeTest, EqualLengthMatchesSinglePass) {
-  const std::vector<std::vector<double>> series = {
-      {1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}, {7.0, 8.0, 9.0}, {2.0, 2.0, 2.0}};
-  SeriesAccumulator reference;
-  for (const auto& s : series) reference.add(s);
-
-  SeriesAccumulator left, right;
-  left.add(series[0]);
-  left.add(series[1]);
-  right.add(series[2]);
-  right.add(series[3]);
-  left.merge(right);
-
-  ASSERT_EQ(left.length(), reference.length());
-  ASSERT_EQ(left.runs(), reference.runs());
-  for (std::size_t i = 0; i < left.length(); ++i) {
-    EXPECT_NEAR(left.at(i).mean(), reference.at(i).mean(), 1e-12);
-    EXPECT_NEAR(left.at(i).variance(), reference.at(i).variance(), 1e-12);
-  }
-}
-
-TEST(SeriesAccumulatorMergeTest, PaddedTailMatchesSerialPadding) {
-  // The mapping harness pads a finished run's series with its final value;
-  // merging accumulators of different lengths must agree with that.
-  std::vector<double> long_run = {0.1, 0.4, 0.8, 0.9, 1.0};
-  std::vector<double> short_run = {0.2, 0.7, 1.0};
-
-  SeriesAccumulator reference;
-  reference.add(long_run);
-  std::vector<double> padded = short_run;
-  padded.resize(long_run.size(), short_run.back());
-  reference.add(padded);
-
-  SeriesAccumulator merged, shorter;
-  merged.add(long_run);
-  shorter.add(short_run);
-  merged.merge(shorter);
-
-  ASSERT_EQ(merged.length(), reference.length());
-  ASSERT_EQ(merged.runs(), reference.runs());
-  for (std::size_t i = 0; i < merged.length(); ++i) {
-    EXPECT_NEAR(merged.at(i).mean(), reference.at(i).mean(), 1e-12);
-    EXPECT_NEAR(merged.at(i).variance(), reference.at(i).variance(), 1e-12);
-    EXPECT_EQ(merged.at(i).min(), reference.at(i).min());
-    EXPECT_EQ(merged.at(i).max(), reference.at(i).max());
-  }
-
-  // Symmetric case: the longer accumulator arrives second.
-  SeriesAccumulator other;
-  other.add(short_run);
-  other.merge([&] {
-    SeriesAccumulator longer;
-    longer.add(long_run);
-    return longer;
-  }());
-  ASSERT_EQ(other.length(), reference.length());
-  for (std::size_t i = 0; i < other.length(); ++i)
-    EXPECT_NEAR(other.at(i).mean(), reference.at(i).mean(), 1e-12);
-}
-
-TEST(SeriesAccumulatorMergeTest, MergeIntoEmptyCopies) {
-  SeriesAccumulator filled;
-  filled.add({1.0, 2.0});
-  SeriesAccumulator empty;
-  empty.merge(filled);
-  ASSERT_EQ(empty.length(), 2u);
-  EXPECT_EQ(empty.runs(), 1u);
-  EXPECT_DOUBLE_EQ(empty.at(1).mean(), 2.0);
-}
-
 }  // namespace
 }  // namespace agentnet

@@ -15,6 +15,13 @@ namespace {
 
 const Aabb kArena{{0.0, 0.0}, {100.0, 100.0}};
 
+std::vector<std::size_t> query(const SpatialGrid& grid, Vec2 point,
+                               double radius) {
+  std::vector<std::size_t> out;
+  grid.query(point, radius, out);
+  return out;
+}
+
 TEST(SpatialGridTest, RejectsBadConstruction) {
   EXPECT_THROW(SpatialGrid(kArena, 0.0), ConfigError);
   EXPECT_THROW(SpatialGrid({{0.0, 0.0}, {0.0, 10.0}}, 1.0), ConfigError);
@@ -23,13 +30,13 @@ TEST(SpatialGridTest, RejectsBadConstruction) {
 TEST(SpatialGridTest, EmptyGridQueriesNothing) {
   SpatialGrid grid(kArena, 10.0);
   grid.rebuild({});
-  EXPECT_TRUE(grid.query({50.0, 50.0}, 100.0).empty());
+  EXPECT_TRUE(query(grid, {50.0, 50.0}, 100.0).empty());
 }
 
 TEST(SpatialGridTest, FindsSelf) {
   SpatialGrid grid(kArena, 10.0);
   grid.rebuild({{50.0, 50.0}});
-  const auto hits = grid.query({50.0, 50.0}, 0.0);
+  const auto hits = query(grid, {50.0, 50.0}, 0.0);
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0], 0u);
 }
@@ -37,14 +44,14 @@ TEST(SpatialGridTest, FindsSelf) {
 TEST(SpatialGridTest, RadiusBoundaryInclusive) {
   SpatialGrid grid(kArena, 10.0);
   grid.rebuild({{10.0, 10.0}, {13.0, 14.0}});  // distance exactly 5
-  EXPECT_EQ(grid.query({10.0, 10.0}, 5.0).size(), 2u);
-  EXPECT_EQ(grid.query({10.0, 10.0}, 4.999).size(), 1u);
+  EXPECT_EQ(query(grid, {10.0, 10.0}, 5.0).size(), 2u);
+  EXPECT_EQ(query(grid, {10.0, 10.0}, 4.999).size(), 1u);
 }
 
 TEST(SpatialGridTest, QueryCrossesCellBoundaries) {
   SpatialGrid grid(kArena, 5.0);
   grid.rebuild({{4.9, 4.9}, {5.1, 5.1}});
-  EXPECT_EQ(grid.query({4.9, 4.9}, 1.0).size(), 2u);
+  EXPECT_EQ(query(grid, {4.9, 4.9}, 1.0).size(), 2u);
 }
 
 TEST(SpatialGridTest, MatchesBruteForceOnRandomPoints) {
@@ -58,7 +65,7 @@ TEST(SpatialGridTest, MatchesBruteForceOnRandomPoints) {
     std::vector<std::size_t> expected;
     for (std::size_t i = 0; i < points.size(); ++i)
       if (distance(q, points[i]) <= radius) expected.push_back(i);
-    EXPECT_EQ(grid.query(q, radius), expected);
+    EXPECT_EQ(query(grid, q, radius), expected);
   }
 }
 
@@ -72,7 +79,7 @@ TEST(SpatialGridTest, RadiusLargerThanCellSizeWorks) {
   std::vector<std::size_t> expected;
   for (std::size_t i = 0; i < points.size(); ++i)
     if (distance(q, points[i]) <= radius) expected.push_back(i);
-  EXPECT_EQ(grid.query(q, radius), expected);
+  EXPECT_EQ(query(grid, q, radius), expected);
 }
 
 TEST(SpatialGridTest, PointsOutsideBoundsClampIntoEdgeCells) {
@@ -80,22 +87,22 @@ TEST(SpatialGridTest, PointsOutsideBoundsClampIntoEdgeCells) {
   grid.rebuild({{150.0, 150.0}});  // clamped to the corner cell
   // The stored position is kept verbatim; only the cell is clamped, so a
   // query near the true position must still find it.
-  EXPECT_EQ(grid.query({150.0, 150.0}, 1.0).size(), 1u);
+  EXPECT_EQ(query(grid, {150.0, 150.0}, 1.0).size(), 1u);
 }
 
 TEST(SpatialGridTest, RebuildReplacesContents) {
   SpatialGrid grid(kArena, 10.0);
   grid.rebuild({{10.0, 10.0}});
   grid.rebuild({{90.0, 90.0}});
-  EXPECT_TRUE(grid.query({10.0, 10.0}, 5.0).empty());
-  EXPECT_EQ(grid.query({90.0, 90.0}, 5.0).size(), 1u);
+  EXPECT_TRUE(query(grid, {10.0, 10.0}, 5.0).empty());
+  EXPECT_EQ(query(grid, {90.0, 90.0}, 5.0).size(), 1u);
   EXPECT_EQ(grid.size(), 1u);
 }
 
 TEST(SpatialGridTest, NegativeRadiusFindsNothing) {
   SpatialGrid grid(kArena, 10.0);
   grid.rebuild({{50.0, 50.0}});
-  EXPECT_TRUE(grid.query({50.0, 50.0}, -1.0).empty());
+  EXPECT_TRUE(query(grid, {50.0, 50.0}, -1.0).empty());
 }
 
 TEST(SpatialGridTest, MoveAcrossCellBoundaryMatchesFreshRebuild) {
@@ -112,7 +119,7 @@ TEST(SpatialGridTest, MoveAcrossCellBoundaryMatchesFreshRebuild) {
     Rng rng(static_cast<std::uint64_t>(trial) + 1);
     const Vec2 q{rng.uniform_real(0.0, 100.0), rng.uniform_real(0.0, 100.0)};
     const double radius = rng.uniform_real(0.0, 60.0);
-    EXPECT_EQ(moved.query(q, radius), fresh.query(q, radius))
+    EXPECT_EQ(query(moved, q, radius), query(fresh, q, radius))
         << "trial " << trial;
   }
 }
@@ -124,8 +131,8 @@ TEST(SpatialGridTest, MoveWithinCellReturnsFalseButUpdatesPosition) {
   // queries resolve against exact positions, not cells.
   EXPECT_FALSE(grid.move(0, {17.0, 18.0}));
   EXPECT_EQ(grid.position(0), (Vec2{17.0, 18.0}));
-  EXPECT_TRUE(grid.query({12.0, 12.0}, 1.0).empty());
-  EXPECT_EQ(grid.query({17.0, 18.0}, 1.0).size(), 1u);
+  EXPECT_TRUE(query(grid, {12.0, 12.0}, 1.0).empty());
+  EXPECT_EQ(query(grid, {17.0, 18.0}, 1.0).size(), 1u);
 }
 
 TEST(SpatialGridTest, NoOpMoveIsClean) {
@@ -133,7 +140,7 @@ TEST(SpatialGridTest, NoOpMoveIsClean) {
   grid.rebuild({{33.0, 66.0}});
   EXPECT_FALSE(grid.move(0, {33.0, 66.0}));
   EXPECT_EQ(grid.position(0), (Vec2{33.0, 66.0}));
-  EXPECT_EQ(grid.query({33.0, 66.0}, 0.5).size(), 1u);
+  EXPECT_EQ(query(grid, {33.0, 66.0}, 0.5).size(), 1u);
 }
 
 TEST(SpatialGridTest, ManyRandomMovesMatchFreshRebuild) {
@@ -151,7 +158,7 @@ TEST(SpatialGridTest, ManyRandomMovesMatchFreshRebuild) {
   for (int trial = 0; trial < 30; ++trial) {
     const Vec2 q{rng.uniform_real(0.0, 100.0), rng.uniform_real(0.0, 100.0)};
     const double radius = rng.uniform_real(0.0, 25.0);
-    EXPECT_EQ(moved.query(q, radius), fresh.query(q, radius))
+    EXPECT_EQ(query(moved, q, radius), query(fresh, q, radius))
         << "trial " << trial;
   }
 }
@@ -190,9 +197,9 @@ TEST(SpatialGridTest, HugeBoundsCoarsenCellSizeInsteadOfOverflowing) {
   EXPECT_LE(cols * cols, static_cast<double>(SpatialGrid::kMaxCells));
   // Queries still work and stay exact on the coarse grid.
   grid.rebuild({{1.0, 1.0}, {5e8, 5e8}, {999999999.0, 1.0}});
-  EXPECT_EQ(grid.query({1.0, 1.0}, 10.0), (std::vector<std::size_t>{0}));
-  EXPECT_EQ(grid.query({5e8, 5e8}, 1.0), (std::vector<std::size_t>{1}));
-  EXPECT_EQ(grid.query({0.0, 0.0}, 2e9).size(), 3u);
+  EXPECT_EQ(query(grid, {1.0, 1.0}, 10.0), (std::vector<std::size_t>{0}));
+  EXPECT_EQ(query(grid, {5e8, 5e8}, 1.0), (std::vector<std::size_t>{1}));
+  EXPECT_EQ(query(grid, {0.0, 0.0}, 2e9).size(), 3u);
 }
 
 TEST(SpatialGridTest, ExtremeAspectRatioStaysWithinCap) {
@@ -202,8 +209,8 @@ TEST(SpatialGridTest, ExtremeAspectRatioStaysWithinCap) {
   const double cols = std::ceil(1e12 / grid.cell_size());
   EXPECT_LE(cols, static_cast<double>(SpatialGrid::kMaxCells));
   grid.rebuild({{0.5, 0.5}, {1e12 - 0.5, 0.5}});
-  EXPECT_EQ(grid.query({0.0, 0.5}, 1.0), (std::vector<std::size_t>{0}));
-  EXPECT_EQ(grid.query({1e12, 0.5}, 1.0), (std::vector<std::size_t>{1}));
+  EXPECT_EQ(query(grid, {0.0, 0.5}, 1.0), (std::vector<std::size_t>{0}));
+  EXPECT_EQ(query(grid, {1e12, 0.5}, 1.0), (std::vector<std::size_t>{1}));
 }
 
 TEST(SpatialGridTest, CoarsenedGridMatchesBruteForce) {
@@ -221,7 +228,7 @@ TEST(SpatialGridTest, CoarsenedGridMatchesBruteForce) {
     std::vector<std::size_t> expected;
     for (std::size_t i = 0; i < points.size(); ++i)
       if (distance(q, points[i]) <= radius) expected.push_back(i);
-    EXPECT_EQ(grid.query(q, radius), expected);
+    EXPECT_EQ(query(grid, q, radius), expected);
   }
 }
 

@@ -290,24 +290,5 @@ TEST(SeriesCsvTest, NameCountMismatchThrows) {
   EXPECT_THROW(write_series_csv(os, {"a"}, {{1.0}, {2.0}}), ConfigError);
 }
 
-TEST(RunRecorderTest, CountsFramesAndRows) {
-  RunRecorder rec;
-  rec.frame(0, {{1.0, 2.0}, {3.0, 4.0}}, {1});
-  rec.frame(1, {{1.0, 2.0}, {3.5, 4.0}}, {0});
-  EXPECT_EQ(rec.frames(), 2u);
-  std::ostringstream os;
-  rec.write_csv(os);
-  const std::string csv = os.str();
-  EXPECT_NE(csv.find("step,kind,id,x,y"), std::string::npos);
-  EXPECT_NE(csv.find("0,agent,0,3,4"), std::string::npos)
-      << "agent rides node 1 at frame 0";
-  EXPECT_NE(csv.find("1,agent,0,1,2"), std::string::npos);
-}
-
-TEST(RunRecorderTest, RejectsBadAgentLocation) {
-  RunRecorder rec;
-  EXPECT_THROW(rec.frame(0, {{1.0, 2.0}}, {5}), ConfigError);
-}
-
 }  // namespace
 }  // namespace agentnet

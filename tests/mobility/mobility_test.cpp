@@ -95,117 +95,6 @@ TEST(RandomDirectionTest, PositionCountMismatchThrows) {
   EXPECT_THROW(model.step(pos), ConfigError);
 }
 
-TEST(RandomWaypointTest, ReachesWaypointsAndKeepsMoving) {
-  Rng rng(8);
-  RandomWaypointMobility model(kArena, {true}, {5.0, 5.0, 0}, rng.fork(1));
-  std::vector<Vec2> pos{{50.0, 50.0}};
-  Vec2 prev = pos[0];
-  double total = 0.0;
-  for (int t = 0; t < 200; ++t) {
-    model.step(pos);
-    EXPECT_TRUE(kArena.contains(pos[0]));
-    total += distance(prev, pos[0]);
-    prev = pos[0];
-  }
-  // Moving at speed 5 for 200 steps with no pauses covers real distance.
-  EXPECT_GT(total, 500.0);
-}
-
-TEST(RandomWaypointTest, PausesAtWaypoint) {
-  Rng rng(9);
-  RandomWaypointMobility model(kArena, {true}, {100.0, 100.0, 5},
-                               rng.fork(1));
-  // Speed 100 in a 100x100 arena: every leg completes in one step, so the
-  // node must then sit still for 5 steps.
-  std::vector<Vec2> pos{{50.0, 50.0}};
-  model.step(pos);  // arrives at first waypoint
-  const Vec2 at = pos[0];
-  for (int i = 0; i < 5; ++i) {
-    model.step(pos);
-    EXPECT_EQ(pos[0], at) << "should pause at waypoint, step " << i;
-  }
-  model.step(pos);
-  EXPECT_NE(pos[0], at);
-}
-
-TEST(GaussMarkovTest, StaysInBoundsUnderLongRun) {
-  Rng rng(20);
-  GaussMarkovMobility model(kArena, std::vector<bool>(10, true), {},
-                            rng.fork(1));
-  auto pos = random_positions(10, kArena, rng);
-  for (int t = 0; t < 3000; ++t) {
-    model.step(pos);
-    for (const auto& p : pos) ASSERT_TRUE(kArena.contains(p));
-  }
-}
-
-TEST(GaussMarkovTest, OnlyMobileNodesMove) {
-  Rng rng(21);
-  GaussMarkovMobility model(kArena, {false, true},
-                            {2.0, 0.1, 0.1, 0.75, 10.0}, rng.fork(1));
-  std::vector<Vec2> pos{{50.0, 50.0}, {60.0, 60.0}};
-  model.step(pos);
-  EXPECT_EQ(pos[0], Vec2(50.0, 50.0));
-  EXPECT_NE(pos[1], Vec2(60.0, 60.0));
-  EXPECT_TRUE(model.is_stationary(0));
-  EXPECT_FALSE(model.is_stationary(1));
-}
-
-TEST(GaussMarkovTest, PathsAreSmoother_ThanRandomDirection) {
-  // Temporal correlation: with high alpha, consecutive displacement
-  // vectors should mostly point the same way (positive mean dot product).
-  // A roomy arena keeps wall steering out of the statistic.
-  const Aabb roomy{{0.0, 0.0}, {2000.0, 2000.0}};
-  Rng rng(22);
-  GaussMarkovMobility model(roomy, {true}, {2.0, 0.2, 0.15, 0.9, 25.0},
-                            rng.fork(1));
-  std::vector<Vec2> pos{{1000.0, 1000.0}};
-  Vec2 prev = pos[0];
-  Vec2 prev_step{};
-  double dot_sum = 0.0;
-  int samples = 0;
-  for (int t = 0; t < 500; ++t) {
-    model.step(pos);
-    const Vec2 step_vec = pos[0] - prev;
-    if (t > 0 && prev_step.norm() > 0 && step_vec.norm() > 0) {
-      dot_sum += step_vec.normalized().dot(prev_step.normalized());
-      ++samples;
-    }
-    prev_step = step_vec;
-    prev = pos[0];
-  }
-  EXPECT_GT(dot_sum / samples, 0.5);
-}
-
-TEST(GaussMarkovTest, SpeedRevertsToMean) {
-  const Aabb roomy{{0.0, 0.0}, {2000.0, 2000.0}};
-  Rng rng(23);
-  const double mean_speed = 3.0;
-  GaussMarkovMobility model(roomy, {true},
-                            {mean_speed, 0.3, 0.2, 0.8, 25.0}, rng.fork(1));
-  std::vector<Vec2> pos{{1000.0, 1000.0}};
-  Vec2 prev = pos[0];
-  double total = 0.0;
-  const int steps = 2000;
-  for (int t = 0; t < steps; ++t) {
-    model.step(pos);
-    total += distance(prev, pos[0]);
-    prev = pos[0];
-  }
-  // Wall steering shortens some steps; allow a generous band around mean.
-  EXPECT_NEAR(total / steps, mean_speed, 1.0);
-}
-
-TEST(GaussMarkovTest, RejectsBadParams) {
-  Rng rng(24);
-  EXPECT_THROW(GaussMarkovMobility(kArena, {true},
-                                   {-1.0, 0.1, 0.1, 0.5, 10.0}, rng.fork(1)),
-               ConfigError);
-  EXPECT_THROW(GaussMarkovMobility(kArena, {true},
-                                   {1.0, 0.1, 0.1, 1.5, 10.0}, rng.fork(2)),
-               ConfigError);
-}
-
 TEST(TraceMobilityTest, ReplayMatchesRecording) {
   Rng rng(10);
   RandomDirectionMobility model(kArena, std::vector<bool>(5, true),
@@ -370,7 +259,7 @@ TEST(TraceMobilityTest, DefaultConstructedTraceIsEmptyAndSafe) {
 // mobile, 300 steps. The digest covers the final positions and the
 // model's save_state bytes, so a change to which nodes draw from the RNG,
 // or in what order, moves it; a pure speed-up must not. The values come
-// from glibc's libm on x86-64 (headings go through cos/sin/atan2).
+// from glibc's libm on x86-64 (headings go through cos/sin).
 std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
   std::uint64_t h = 0xcbf29ce484222325ull;
   for (const std::uint8_t b : bytes) {
@@ -406,18 +295,6 @@ TEST(MobilityGoldenTest, RandomDirectionMixedMask) {
   RandomDirectionMobility model(kGoldenField, every_third_mobile(),
                                 {0.5, 3.0, 0.05}, Rng(71));
   EXPECT_EQ(golden_digest(model), 0xb010be31abf7495cull);
-}
-
-TEST(MobilityGoldenTest, RandomWaypointMixedMask) {
-  RandomWaypointMobility model(kGoldenField, every_third_mobile(),
-                               {0.5, 3.0, 4}, Rng(72));
-  EXPECT_EQ(golden_digest(model), 0x559c3dad4b44d1a2ull);
-}
-
-TEST(MobilityGoldenTest, GaussMarkovMixedMask) {
-  GaussMarkovMobility model(kGoldenField, every_third_mobile(), {},
-                            Rng(73));
-  EXPECT_EQ(golden_digest(model), 0xba11d9e3e8787be8ull);
 }
 
 }  // namespace

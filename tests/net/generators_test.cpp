@@ -1,5 +1,7 @@
 #include "net/generators.hpp"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
@@ -8,39 +10,36 @@
 namespace agentnet {
 namespace {
 
-TEST(RandomGeometricTest, BasicShape) {
-  Rng rng(1);
-  GeometricNetworkParams params;
-  params.node_count = 100;
-  const auto net = random_geometric_network(params, 120.0, rng);
+TEST(TargetEdgeTest, BasicShape) {
+  TargetEdgeParams params;
+  params.geometry.node_count = 100;
+  params.target_edges = 600;
+  params.tolerance = 0.05;
+  const auto net = generate_target_edge_network(params, 1);
   EXPECT_EQ(net.positions.size(), 100u);
   EXPECT_EQ(net.base_ranges.size(), 100u);
   EXPECT_EQ(net.graph.node_count(), 100u);
-  for (const auto& p : net.positions) EXPECT_TRUE(params.bounds.contains(p));
-  for (double r : net.base_ranges) {
-    EXPECT_GE(r, 120.0 * params.min_range_factor - 1e-9);
-    EXPECT_LE(r, 120.0 + 1e-9);
-  }
+  for (const auto& p : net.positions)
+    EXPECT_TRUE(params.geometry.bounds.contains(p));
+  // Every range is multiplier × uniform[min_range_factor, 1].
+  const auto [lo, hi] =
+      std::minmax_element(net.base_ranges.begin(), net.base_ranges.end());
+  EXPECT_GT(*lo, 0.0);
+  EXPECT_GE(*lo, params.geometry.min_range_factor * *hi - 1e-9);
 }
 
-TEST(RandomGeometricTest, LargerMultiplierMoreEdges) {
-  GeometricNetworkParams params;
-  params.node_count = 100;
-  Rng rng_a(2), rng_b(2);  // identical draws
-  const auto sparse = random_geometric_network(params, 80.0, rng_a);
-  const auto dense = random_geometric_network(params, 160.0, rng_b);
-  EXPECT_GT(dense.graph.edge_count(), sparse.graph.edge_count());
-}
-
-TEST(RandomGeometricTest, RejectsBadParams) {
-  Rng rng(3);
-  GeometricNetworkParams params;
-  params.node_count = 1;
-  EXPECT_THROW(random_geometric_network(params, 10.0, rng), ConfigError);
-  params.node_count = 10;
-  EXPECT_THROW(random_geometric_network(params, 0.0, rng), ConfigError);
-  params.min_range_factor = 0.0;
-  EXPECT_THROW(random_geometric_network(params, 10.0, rng), ConfigError);
+TEST(TargetEdgeTest, RejectsBadParams) {
+  TargetEdgeParams params;
+  params.geometry.node_count = 1;  // no edge can ever be drawn
+  params.target_edges = 10;
+  params.max_attempts = 2;
+  EXPECT_THROW(generate_target_edge_network(params, 3), ConfigError);
+  params = {};
+  params.target_edges = 0;
+  EXPECT_THROW(generate_target_edge_network(params, 3), ConfigError);
+  params = {};
+  params.tolerance = 0.0;
+  EXPECT_THROW(generate_target_edge_network(params, 3), ConfigError);
 }
 
 TEST(TargetEdgeTest, HitsTargetWithinTolerance) {

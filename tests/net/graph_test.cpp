@@ -91,15 +91,6 @@ TEST(GraphTest, EdgesLexicographic) {
   EXPECT_EQ(edges[2], (Edge{2, 0}));
 }
 
-TEST(GraphTest, ClearEdgesKeepsNodes) {
-  Graph g(3);
-  g.add_edge(0, 1);
-  g.clear_edges();
-  EXPECT_EQ(g.node_count(), 3u);
-  EXPECT_EQ(g.edge_count(), 0u);
-  EXPECT_FALSE(g.has_edge(0, 1));
-}
-
 TEST(GraphTest, EqualityComparesStructure) {
   Graph a(3), b(3);
   a.add_edge(0, 1);

@@ -600,8 +600,8 @@ TEST(BlockBuildTest, OverRangeNodeInThirdBlockThrowsTheSerialError) {
   }
 }
 
-// update_into's parallel pre-gather fails like the serial gather: with two
-// over-range dirty nodes in different team chunks, the lower one is named.
+// update_into fails the same serial and on a team: with two over-range
+// dirty nodes in different team chunks, the lower one is named.
 TEST(BlockBuildTest, OverRangeDirtyRowsThrowTheSerialErrorThroughTheTeam) {
   const BlockField field = block_field(24);
   constexpr std::size_t kDirty = 2000;  // four chunks of 500 over the team
@@ -630,6 +630,55 @@ TEST(BlockBuildTest, OverRangeDirtyRowsThrowTheSerialErrorThroughTheTeam) {
       ADD_FAILURE() << what << ": no error";
     } catch (const ConfigError& e) {
       EXPECT_EQ(std::string(e.what()), expected) << what;
+    }
+  }
+}
+
+// A builder whose update_into threw stays usable: the range check runs
+// before the dirty mask, the grid or the graph change, so the next valid
+// update through the same builder and graph gives a fresh builder's rows
+// and layout, serial and on a team.
+TEST(BlockBuildTest, OverRangeUpdateLeavesBuilderAndGraphReusable) {
+  const BlockField field = block_field(24);
+  constexpr std::size_t kDirty = 2000;
+  std::vector<NodeId> dirty(kDirty);
+  for (std::size_t i = 0; i < kDirty; ++i)
+    dirty[i] = static_cast<NodeId>(i * 16);
+  // The failed update moves every dirty node and puts one out of range; the
+  // valid one moves every other dirty node, still above the gather grain.
+  std::vector<Vec2> moved = field.positions;
+  for (NodeId u : dirty)
+    moved[u] = field.bounds.clamp(moved[u] + Vec2{7.0, -5.0});
+  std::vector<double> over_range = field.ranges;
+  over_range[dirty[700]] = 2.0 * kFieldMaxRange;
+  std::vector<NodeId> half;
+  std::vector<Vec2> half_moved = field.positions;
+  for (std::size_t i = 0; i < kDirty; i += 2) {
+    half.push_back(dirty[i]);
+    half_moved[dirty[i]] = moved[dirty[i]];
+  }
+  static_assert(kDirty / 2 > TopologyBuilder::kGatherGrain);
+  ForkJoin team(4);
+  for (LinkPolicy policy : {LinkPolicy::kDirected, LinkPolicy::kSymmetricAnd}) {
+    for (ForkJoin* via : {static_cast<ForkJoin*>(nullptr), &team}) {
+      const std::string what =
+          "policy " + std::to_string(static_cast<int>(policy)) +
+          (via ? " team" : " serial");
+      TopologyBuilder::UpdateOptions opts;
+      opts.team = via;
+      TopologyBuilder fresh(field.bounds, kFieldMaxRange, policy);
+      Graph expected;
+      fresh.build_into(expected, field.positions, field.ranges);
+      fresh.update_into(expected, half, half_moved, field.ranges, opts);
+      TopologyBuilder reused(field.bounds, kFieldMaxRange, policy);
+      Graph graph;
+      reused.build_into(graph, field.positions, field.ranges);
+      EXPECT_THROW(reused.update_into(graph, dirty, moved, over_range, opts),
+                   ConfigError)
+          << what;
+      reused.update_into(graph, half, half_moved, field.ranges, opts);
+      EXPECT_EQ(graph, expected) << what;
+      EXPECT_TRUE(same_layout(graph, expected)) << what;
     }
   }
 }

@@ -8,16 +8,6 @@
 namespace agentnet {
 namespace {
 
-TEST(RangeHelpersTest, FixedRangesUniform) {
-  const auto r = fixed_ranges(5, 30.0);
-  ASSERT_EQ(r.size(), 5u);
-  for (double x : r) EXPECT_DOUBLE_EQ(x, 30.0);
-}
-
-TEST(RangeHelpersTest, FixedRejectsNonPositive) {
-  EXPECT_THROW(fixed_ranges(3, 0.0), ConfigError);
-}
-
 TEST(RangeHelpersTest, HeterogeneousWithinBounds) {
   Rng rng(1);
   const auto r = heterogeneous_ranges(1000, 10.0, 20.0, rng);

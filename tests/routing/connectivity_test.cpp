@@ -108,7 +108,7 @@ TEST(ConnectivityTest, MemoisedWalkMatchesNaiveOnRandomInputs) {
   for (int trial = 0; trial < 40; ++trial) {
     const std::size_t n = 30;
     Graph g(n);
-    const int edges = static_cast<int>(rng.uniform_int(20, 120));
+    const int edges = 20 + static_cast<int>(rng.index(101));
     for (int e = 0; e < edges; ++e)
       g.add_edge(static_cast<NodeId>(rng.index(n)),
                  static_cast<NodeId>(rng.index(n)));

@@ -86,14 +86,6 @@ TEST(RoutingTablesTest, ForceAndClear) {
   EXPECT_FALSE(t.entry(1).valid());
 }
 
-TEST(RoutingTablesTest, ClearAll) {
-  RoutingTables t(3);
-  t.force(0, route(1, 1, 0));
-  t.force(2, route(1, 1, 0));
-  t.clear_all();
-  for (NodeId n = 0; n < 3; ++n) EXPECT_FALSE(t.entry(n).valid());
-}
-
 TEST(RoutingTablesTest, RejectsZeroFreshnessWindow) {
   EXPECT_THROW(RoutingTables(1, RoutePolicy{0}), ConfigError);
 }

@@ -190,11 +190,7 @@ TEST(WorldTest, SaveStateReservesExactlyItsEncodedSize) {
   models.push_back(std::make_unique<StationaryMobility>());
   models.push_back(std::make_unique<RandomDirectionMobility>(
       kArena, mobile, RandomDirectionMobility::Params{}, rng.fork(1)));
-  models.push_back(std::make_unique<RandomWaypointMobility>(
-      kArena, mobile, RandomWaypointMobility::Params{}, rng.fork(2)));
-  models.push_back(std::make_unique<GaussMarkovMobility>(
-      kArena, mobile, GaussMarkovMobility::Params{}, rng.fork(3)));
-  RandomWaypointMobility recorded(kArena, mobile, {}, rng.fork(4));
+  RandomDirectionMobility recorded(kArena, mobile, {}, rng.fork(4));
   models.push_back(std::make_unique<TraceMobility>(
       TraceMobility::record(recorded, positions, 5)));
   for (std::size_t m = 0; m < models.size(); ++m) {
@@ -210,14 +206,6 @@ TEST(WorldTest, SaveStateReservesExactlyItsEncodedSize) {
       world.advance();
     }
   }
-}
-
-TEST(SeriesRecorderTest, CollectsValues) {
-  SeriesRecorder rec;
-  rec.record(1.0);
-  rec.record(2.0);
-  EXPECT_EQ(rec.size(), 2u);
-  EXPECT_DOUBLE_EQ(rec.values()[1], 2.0);
 }
 
 }  // namespace

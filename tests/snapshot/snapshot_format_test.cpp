@@ -533,7 +533,7 @@ std::vector<std::uint8_t> knowledge_bytes(const KnowledgeRecord& k) {
 
 void expect_knowledge_rejected(const std::vector<std::uint8_t>& bytes,
                                const std::string& what) {
-  EdgeIndex index(kKnowledgeNodes);
+  EdgeIndex index{Graph(kKnowledgeNodes)};
   MapKnowledge knowledge(index);
   ByteReader r(bytes);
   try {
@@ -549,7 +549,7 @@ void expect_knowledge_rejected(const std::vector<std::uint8_t>& bytes,
 
 TEST(MapKnowledgeSnapshotTest, ValidStreamRoundTrips) {
   const std::vector<std::uint8_t> bytes = knowledge_bytes({});
-  EdgeIndex index(kKnowledgeNodes);
+  EdgeIndex index{Graph(kKnowledgeNodes)};
   MapKnowledge knowledge(index);
   ByteReader r(bytes);
   knowledge.load_state(r, index);
@@ -588,7 +588,7 @@ TEST(MapKnowledgeSnapshotTest, EpochArraysWithoutExpiryRejected) {
   k.prev_visit.clear();
   k.recent_visit.clear();
   const std::vector<std::uint8_t> valid = knowledge_bytes(k);
-  EdgeIndex index(kKnowledgeNodes);
+  EdgeIndex index{Graph(kKnowledgeNodes)};
   MapKnowledge knowledge(index);
   ByteReader r(valid);
   EXPECT_NO_THROW(knowledge.load_state(r, index));
@@ -667,29 +667,6 @@ TEST(MobilitySnapshotTest, RandomDirectionWrongLengthsRejected) {
   model.load_state(r);
   EXPECT_TRUE(r.done());
   EXPECT_EQ(state_bytes(model), valid);
-}
-
-TEST(MobilitySnapshotTest, RandomWaypointWrongLengthRejected) {
-  RandomWaypointMobility model(kMobilityArena, kMobilityMask, {}, Rng(6));
-  std::vector<std::uint8_t> bytes = state_bytes(model);
-  put_u64(bytes, 0, kMobilityNodes - 1);
-  expect_state_rejected(model, bytes,
-                        "waypoint legs of length 3, expected 4 at byte 0");
-}
-
-TEST(MobilitySnapshotTest, GaussMarkovWrongLengthsRejected) {
-  GaussMarkovMobility model(kMobilityArena, kMobilityMask, {}, Rng(7));
-  const std::vector<std::uint8_t> valid = state_bytes(model);
-  std::vector<std::uint8_t> bytes = valid;
-  put_u64(bytes, 0, 0);
-  expect_state_rejected(model, bytes,
-                        "mobility speeds of length 0, expected 4 at byte 0");
-  bytes = valid;
-  const std::size_t headings_at = 8 + 8 * kMobilityNodes;
-  put_u64(bytes, headings_at, kMobilityNodes - 1);
-  expect_state_rejected(model, bytes,
-                        "mobility headings of length 3, expected 4 at byte " +
-                            std::to_string(headings_at));
 }
 
 TEST(BatterySnapshotTest, WrongChargeCountRejected) {

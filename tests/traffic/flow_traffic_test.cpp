@@ -166,7 +166,7 @@ TEST(FlowTrafficTest, GeneratesAtNonGatewaysOnly) {
   // made, so the queues show the sources: the three ordinary nodes, never
   // the gateway.
   LineWorld w;
-  w.tables.clear_all();
+  w.tables = RoutingTables(4);
   FlowTrafficSimulator sim(4, w.is_gateway, load_of(4.0),
                            {.queue_capacity = 100000, .route_patience = 1000},
                            Rng(9));
@@ -211,7 +211,7 @@ TEST(FlowTrafficTest, NoRouteDropsExactlyAfterPatience) {
   // A packet with no route waits route_patience steps and is dropped on
   // the next one; with patience 0 it is dropped in the step it was made.
   LineWorld w;
-  w.tables.clear_all();
+  w.tables = RoutingTables(4);
   FlowTrafficSimulator sim(4, w.is_gateway, load_of(2.0),
                            {.route_patience = 2}, Rng(11));
   sim.step(w.graph, w.tables, 0);

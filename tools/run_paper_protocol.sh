@@ -40,9 +40,11 @@
 # battery and snapshot suites, the shared movement-recording suites
 # (mobility, scenario I/O, routing task), the flow data-plane suite, the
 # work-claiming ParallelForTest cases and the upkeep team's ForkJoinTest
-# cases. A fast data-race + memory-safety +
-# schema check, not a bench sweep. Run inside a git checkout, it fails if
-# it leaves `git status --porcelain` changed.
+# cases. Last, it builds the benchmark program and runs
+# `python3 benchmark/run.py --smoke` (all five workloads at toy sizes,
+# invariants only) with no inherited AGENTNET_* variables. A fast
+# data-race + memory-safety + schema check, not a bench sweep. Run inside
+# a git checkout, it fails if it leaves `git status --porcelain` changed.
 set -eu
 
 if [ "${1:-}" = "--smoke" ]; then
@@ -275,6 +277,12 @@ if [ "${1:-}" = "--smoke" ]; then
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 AGENTNET_THREADS=7 \
     build-asan/tests/parallel_determinism_test \
     --gtest_filter='ParallelForTest.*:ForkJoinTest.*'
+  echo "##### benchmark program (benchmark/run.py --smoke)"
+  # agentnet_bench builds against the library in this checkout, so
+  # a library change that breaks it fails here rather than in a timed
+  # run. run.py refuses inherited AGENTNET_* variables; drop them all.
+  env $(env | sed -n 's/^\(AGENTNET_[A-Za-z0-9_]*\)=.*/-u \1/p') \
+    python3 benchmark/run.py --smoke
   # The smoke run writes only to its own build trees and $tmp.
   if [ "$in_git" = 1 ] &&
     [ "$(git status --porcelain)" != "$status_before" ]; then
