@@ -1,8 +1,9 @@
 // The compilable companion to docs/API.md: every snippet in the reference
-// is lifted from here. Covers network generation, a single mapping task, a
-// parallel multi-run mapping experiment, a routing experiment, flow traffic
-// with delay-reinforced ants, and the stats types — the whole public
-// surface a typical consumer touches.
+// is lifted from here. Covers network generation, a single mapping task,
+// the run context every task config inherits, a parallel multi-run mapping
+// experiment, a routing experiment, flow traffic with delay-reinforced
+// ants, and the stats types — the whole public surface a typical consumer
+// touches.
 #include <cstdio>
 
 #include "agentnet.hpp"
@@ -26,6 +27,21 @@ int main() {
   MappingTaskResult one = run_mapping_task(world, task, Rng(7));
   std::printf("single run: finished=%d at step %zu\n", one.finished,
               one.finishing_time);
+
+  // --- The run context every task config inherits ---------------------------
+  // RunContext holds the fault plan, the intra-run agent engine and the
+  // checkpoint port; MappingTaskConfig, RoutingTaskConfig,
+  // AntRoutingTaskConfig, DvRoutingTaskConfig and TrafficTaskConfig all
+  // derive from it, so these three are set the same way on any task.
+  MappingTaskConfig stormy = task;
+  RunContext& context = stormy;
+  context.faults.agent_loss_probability = 0.01;  // lost in transit
+  context.faults.watchdog_ttl = 30;              // relaunch silent slots
+  context.agent_parallel.threads = 2;  // bit-identical to the serial path
+  MappingTaskResult faulted = run_mapping_task(world, stormy, Rng(7));
+  std::printf("under faults: finished=%d, %zu agents lost, %zu "
+              "relaunched\n",
+              faulted.finished, faulted.agents_lost, faulted.agents_respawned);
 
   // --- A multi-run experiment (parallel, bit-reproducible) -------------------
   // 12 replications seeded 1000+r, fanned out across AGENTNET_THREADS

@@ -1,30 +1,22 @@
-// Runs the ant-colony baseline on the paper's routing scenario with the
-// identical measurement protocol as run_routing_task, so bench extF can
-// compare the two systems line for line.
+// Runs the ant-colony baseline on the paper's routing scenario through the
+// same task loop (core/task_loop.hpp) as run_routing_task, so bench extF
+// can compare the two systems line for line.
 #pragma once
 
 #include "aco/ant_routing.hpp"
 #include "core/routing_task.hpp"
+#include "core/task_loop.hpp"
 
 namespace agentnet {
 
-struct AntRoutingTaskConfig {
+/// Topology faults mask the graph the ants walk and the measurement sees;
+/// the plan's agent_loss_probability maps onto ant loss unless `ants` sets
+/// its own. The agent engine fans evaporation rows, the entropy gauge, the
+/// snapshot argmax and the connectivity walks.
+struct AntRoutingTaskConfig : RunContext {
   AntRoutingConfig ants{};
   std::size_t steps = 300;
   std::size_t measure_from = 150;
-  /// The unified fault model (fault/fault_plan.hpp): topology faults mask
-  /// the graph the ants walk and the measurement sees; the plan's
-  /// agent_loss_probability maps onto ant loss unless `ants` sets its own.
-  FaultPlan faults;
-  /// Intra-run agent parallelism (AGENTNET_AGENT_THREADS): evaporation
-  /// rows, the entropy gauge, the snapshot argmax and the per-root
-  /// connectivity walks fan over the shared agent pool. Bit-identical at
-  /// every thread count; threads = 1 (the default) is the exact serial
-  /// path.
-  AgentParallelConfig agent_parallel = AgentParallelConfig::from_env();
-  /// Checkpoint/restore handle for this run (nullptr = disabled). Owned by
-  /// the caller; see snapshot/snapshot.hpp and docs/ROBUSTNESS.md.
-  snapshot::RunCheckpointPort* checkpoint = nullptr;
 };
 
 AntRoutingResult run_ant_routing_task(const RoutingScenario& scenario,

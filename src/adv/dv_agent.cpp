@@ -1,14 +1,9 @@
 #include "adv/dv_agent.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/error.hpp"
-#include "common/stats.hpp"
-#include "fault/fault_injector.hpp"
 #include "obs/obs.hpp"
-#include "routing/connectivity.hpp"
-#include "snapshot/snapshot.hpp"
 
 namespace agentnet {
 
@@ -112,9 +107,7 @@ DvRoutingTaskResult run_dv_routing_task(const RoutingScenario& scenario,
   AGENTNET_REQUIRE(config.population >= 1, "population must be >= 1");
   AGENTNET_REQUIRE(config.measure_from < config.steps,
                    "measure_from must precede steps");
-  const FaultPlan& plan = config.faults;
-  plan.validate();
-  obs::ScopedPhase setup_phase(obs::Phase::kSetup);
+  TaskLoop loop(config);
   World world = scenario.make_world();
   const std::size_t n = world.node_count();
   const auto& is_gateway = scenario.is_gateway();
@@ -125,25 +118,11 @@ DvRoutingTaskResult run_dv_routing_task(const RoutingScenario& scenario,
   for (int a = 0; a < config.population; ++a)
     agents.emplace_back(a, static_cast<NodeId>(rng.index(n)), config.agent,
                         rng.fork(static_cast<std::uint64_t>(a) + 1));
-
-  // Fork only when faults are live so an inert plan keeps the fault-free
-  // baseline on exactly its historical RNG sequence.
-  std::optional<FaultInjector> injector;
-  if (plan.any()) {
-    Rng fault_stream = rng.fork(0xFA11);
-    injector.emplace(plan, fault_stream);
-  }
-
-  // Intra-run parallelism: each DV agent owns its table and RNG, so arrive
-  // and decide fan over the agent engine. Inactive (the default) = exact
-  // serial loops.
-  const AgentParallel par(config.agent_parallel);
+  loop.fork_faults(rng);
+  const AgentParallel& par = loop.par();
 
   DvRoutingTaskResult result;
   result.connectivity.reserve(config.steps);
-  // Keyed on (world epoch, table contents): skips the walk when neither
-  // the edge set nor the tables changed since the last measurement.
-  ConnectivityCache conn_cache;
 
   // Checkpoint/restore: agents are homogeneous (config.agent, no respawn
   // path), so only their evolving state is carried. The run RNG is not —
@@ -151,11 +130,10 @@ DvRoutingTaskResult run_dv_routing_task(const RoutingScenario& scenario,
   const auto save_run = [&](snapshot::ByteWriter& w) {
     world.save_state(w);
     tables.save_state(w);
-    w.boolean(injector.has_value());
-    if (injector) injector->save_state(w);
+    loop.save_faults(w);
     w.size(agents.size());
     for (const DvAgent& agent : agents) agent.save_state(w);
-    conn_cache.save_state(w);
+    loop.save_cache(w);
     w.pod_vec(result.connectivity);
     w.size(result.migration_bytes);
     w.size(result.agents_lost);
@@ -163,9 +141,7 @@ DvRoutingTaskResult run_dv_routing_task(const RoutingScenario& scenario,
   const auto load_run = [&](snapshot::ByteReader& r) {
     world.load_state(r);
     tables.load_state(r);
-    AGENTNET_REQUIRE(r.boolean() == injector.has_value(),
-                     "snapshot: fault plan mismatch");
-    if (injector) injector->load_state(r);
+    loop.load_faults(r);
     const std::size_t live = r.counted(8);
     AGENTNET_REQUIRE(live <= static_cast<std::size_t>(config.population),
                      "snapshot: population exceeds configuration");
@@ -175,22 +151,15 @@ DvRoutingTaskResult run_dv_routing_task(const RoutingScenario& scenario,
       agents.emplace_back(0, NodeId{0}, config.agent, Rng(0));
       agents.back().load_state(r);
     }
-    conn_cache.load_state(r);
+    loop.load_cache(r);
     r.pod_vec(result.connectivity);
     result.migration_bytes = r.size();
     result.agents_lost = r.size();
   };
 
-  setup_phase.stop();
-  std::size_t resume_at = 0;
-  if (config.checkpoint && config.checkpoint->resuming())
-    resume_at = config.checkpoint->restore(load_run);
-  for (std::size_t t = resume_at; t < config.steps; ++t) {
-    if (config.checkpoint && config.checkpoint->save_due(t))
-      config.checkpoint->save(t, save_run);
+  loop.run(world, config.steps, save_run, load_run, [&](std::size_t t) {
     AGENTNET_OBS_PHASE(kStep);
-    const Graph& live =
-        injector ? injector->live_graph(world, world.step()) : world.graph();
+    const Graph& live = loop.live_graph(world, world.step());
     {
       AGENTNET_OBS_PHASE(kSense);
       par.for_each(agents.size(), [&](std::size_t i) {
@@ -210,8 +179,7 @@ DvRoutingTaskResult run_dv_routing_task(const RoutingScenario& scenario,
       bool any_lost = false;
       for (std::size_t i = 0; i < agents.size(); ++i) {
         if (targets[i] != agents[i].location()) {
-          if (injector && plan.agent_loss_probability > 0.0 &&
-              injector->lose_in_transit()) {
+          if (loop.lose_in_transit()) {
             if (lost.empty()) lost.assign(agents.size(), 0);
             lost[i] = 1;
             any_lost = true;
@@ -225,40 +193,17 @@ DvRoutingTaskResult run_dv_routing_task(const RoutingScenario& scenario,
         agents[i].move_to(targets[i]);
         agents[i].install(live, tables, is_gateway, t);
       }
-      if (any_lost) {
-        std::size_t keep = 0;
-        for (std::size_t i = 0; i < agents.size(); ++i)
-          if (!lost[i]) {
-            if (keep != i) agents[keep] = std::move(agents[i]);
-            ++keep;
-          }
-        agents.erase(agents.begin() + static_cast<std::ptrdiff_t>(keep),
-                     agents.end());
-      }
+      if (any_lost) erase_flagged(agents, lost);
     }
     world.advance();
     AGENTNET_OBS_PHASE(kMeasure);
-    if (injector && plan.topology_faults()) {
-      const Graph& measured = injector->live_graph(world, world.step());
-      result.connectivity.push_back(
-          measure_connectivity(measured, tables, is_gateway, 0, par)
-              .fraction());
-    } else {
-      // Fault-free topology: the epoch-keyed cache walks world.graph().
-      result.connectivity.push_back(
-          conn_cache.measure(world, tables, is_gateway, 0, par).fraction());
-    }
-    AGENTNET_OBS_GAUGE(kConnectivity, t, result.connectivity.back());
-    if (injector && plan.topology_faults() && AGENTNET_OBS_METRICS_WANT(t))
-      AGENTNET_OBS_GAUGE(kLiveFraction, t,
-                         injector->live_fraction(world.node_count()));
-    AGENTNET_OBS_METRICS_TICK(t);
-  }
+    result.connectivity.push_back(
+        loop.connectivity(t, world, tables, is_gateway));
+  });
   result.final_population = agents.size();
   AGENTNET_OBS_PHASE(kSummarize);
-  RunningStats window;
-  for (std::size_t t = config.measure_from; t < config.steps; ++t)
-    window.add(result.connectivity[t]);
+  const RunningStats window =
+      window_stats(result.connectivity, config.measure_from);
   result.mean_connectivity = window.mean();
   result.stddev_connectivity = window.stddev();
   return result;

@@ -15,11 +15,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/agent_parallel.hpp"
 #include "common/flat_map.hpp"
 #include "common/rng.hpp"
 #include "core/routing_task.hpp"
 #include "core/selection.hpp"
+#include "core/task_loop.hpp"
 #include "net/graph.hpp"
 #include "routing/routing_table.hpp"
 #include "snapshot/bytes.hpp"
@@ -107,26 +107,17 @@ class DvAgent {
   Rng rng_;
 };
 
-struct DvRoutingTaskConfig {
+/// Topology faults mask the graph agents walk and the measurement sees;
+/// agent_loss_probability kills migrating DV agents in transit. Each DV
+/// agent owns its table and RNG, so the agent engine fans arrive
+/// (relaxation), decide and the connectivity walks; move/install stay
+/// serial (shared tables, fault draws).
+struct DvRoutingTaskConfig : RunContext {
   int population = 100;
   DvAgentConfig agent{};
   std::size_t steps = 300;
   std::size_t measure_from = 150;
   RoutePolicy route_policy{30};
-  /// The unified fault model (fault/fault_plan.hpp): topology faults mask
-  /// the graph agents walk and the measurement sees; agent_loss_probability
-  /// kills migrating DV agents in transit.
-  FaultPlan faults;
-  /// Intra-run agent parallelism (AGENTNET_AGENT_THREADS): arrive
-  /// (relaxation), decide and the per-root connectivity walks fan over the
-  /// shared agent pool — each DV agent owns its table and RNG, so the
-  /// phases are embarrassingly parallel. Move/install stay serial (shared
-  /// tables, fault draws). Bit-identical at every thread count; threads =
-  /// 1 (the default) is the exact serial path.
-  AgentParallelConfig agent_parallel = AgentParallelConfig::from_env();
-  /// Checkpoint/restore handle for this run (nullptr = disabled). Owned by
-  /// the caller; see snapshot/snapshot.hpp and docs/ROBUSTNESS.md.
-  snapshot::RunCheckpointPort* checkpoint = nullptr;
 };
 
 struct DvRoutingTaskResult {
@@ -139,7 +130,7 @@ struct DvRoutingTaskResult {
   std::size_t final_population = 0;
 };
 
-/// Same loop shape and measurement protocol as run_routing_task.
+/// Runs on the TaskLoop (core/task_loop.hpp), like run_routing_task.
 DvRoutingTaskResult run_dv_routing_task(const RoutingScenario& scenario,
                                         const DvRoutingTaskConfig& config,
                                         Rng rng);

@@ -1,4 +1,5 @@
-// Co-location grouping shared by the task loops.
+// Co-location grouping and the meeting commit pass shared by the task
+// loops.
 //
 // Meetings happen between agents standing on the same node. The grouping
 // is the load-bearing input of the group-parallel exchange phase
@@ -15,8 +16,12 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <numeric>
 #include <vector>
+
+#include "net/graph.hpp"
+#include "obs/obs.hpp"
 
 namespace agentnet {
 
@@ -45,6 +50,43 @@ std::vector<std::vector<std::size_t>> colocated_groups(
     i = j;
   }
   return groups;
+}
+
+/// One planned meeting: the serial plan pass fixes membership, venue and
+/// the corruption draw (group-order RNG); pooling then runs
+/// group-parallel and commit_meetings replays counters/events.
+struct MeetingPlan {
+  std::vector<std::size_t> talkers;
+  NodeId venue = 0;
+  bool corrupted = false;
+};
+
+/// The commit pass (serial): each meeting's counters and trace events at
+/// step `t`, replayed in group order — the per-meeting sequence of a
+/// single-pass loop, so traces stay byte-identical at any thread count.
+/// `merge_agent(idx)` is the agent field of each talker's kMerge event.
+template <typename Agent, typename MergeAgent>
+void commit_meetings(const std::vector<MeetingPlan>& meetings,
+                     const std::vector<Agent>& agents, std::size_t t,
+                     [[maybe_unused]] MergeAgent&& merge_agent) {
+  obs::ScopedPhase commit_phase(obs::Phase::kCommit);
+  for (const MeetingPlan& meeting : meetings) {
+    if (meeting.corrupted) {
+      AGENTNET_COUNT(kExchangesCorrupted);
+      AGENTNET_OBS_EVENT(kExchangeCorrupted, t, -1,
+                         static_cast<std::int64_t>(meeting.venue),
+                         static_cast<std::int64_t>(meeting.talkers.size()));
+      continue;
+    }
+    AGENTNET_COUNT(kAgentMeetings);
+    AGENTNET_OBS_EVENT(kMeet, t, -1, static_cast<std::int64_t>(meeting.venue),
+                       static_cast<std::int64_t>(meeting.talkers.size()));
+    for (std::size_t idx : meeting.talkers) {
+      AGENTNET_COUNT(kKnowledgeMerges);
+      AGENTNET_OBS_EVENT(kMerge, t, merge_agent(idx),
+                         static_cast<std::int64_t>(agents[idx].location()));
+    }
+  }
 }
 
 }  // namespace agentnet

@@ -58,21 +58,6 @@ void MapKnowledge::observe_node(NodeId node,
   }
 }
 
-void MapKnowledge::learn_from(const MapKnowledge& peer) {
-  AGENTNET_REQUIRE(peer.index_ == index_,
-                   "knowledge built over different edge indexes");
-  combined_.merge(peer.combined_);
-  for (std::size_t i = 0; i < node_count_; ++i)
-    any_visit_[i] = std::max(any_visit_[i], peer.any_visit_[i]);
-  recount_visited();
-  if (expiry_enabled_) {
-    second_recent_.merge(peer.combined_);
-    for (std::size_t i = 0; i < node_count_; ++i)
-      learned_visit_recent_[i] =
-          std::max(learned_visit_recent_[i], peer.any_visit_[i]);
-  }
-}
-
 void MapKnowledge::adopt(const KnowledgePool& pool) {
   AGENTNET_ASSERT(pool.index_ == index_ &&
                   pool.edges_.count() >= combined_.count() &&

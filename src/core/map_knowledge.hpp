@@ -55,15 +55,13 @@ class MapKnowledge {
   void observe_node(NodeId node, std::span<const NodeId> out_neighbors,
                     std::size_t now);
 
-  /// Direct communication with one peer: absorbs everything `peer` knows
-  /// (both hands) as hearsay. The pairwise form of adopt(). Throws
-  /// ConfigError when the peer's map uses a different edge index.
-  void learn_from(const MapKnowledge& peer);
-
   /// Direct communication in a co-located group (see MappingTask): takes
   /// the meeting's pool as the full map. Precondition: the pool holds this
   /// agent's knowledge (add() was called with it), so merging it would
   /// yield the pool itself; only the O(1) count consequence is asserted.
+  /// Under expiry the whole pool, this agent's own map included, counts
+  /// as hearsay of the current epoch. Throws ConfigError (from add())
+  /// when the talkers' maps use different edge indexes.
   void adopt(const KnowledgePool& pool);
 
   /// Resilience policy (fault subsystem): forgets second-hand knowledge

@@ -76,11 +76,6 @@ class MappingAgent {
     return 64 + knowledge_.serialized_size_bytes();
   }
 
-  /// Test hook: direct peer-to-peer learning.
-  void learn_from(const MappingAgent& peer) {
-    knowledge_.learn_from(peer.knowledge_);
-  }
-
   /// Checkpoint support: id, location, knowledge and RNG; the config is
   /// reconstructed from the task config on resume. Loading registers in
   /// `index` (the agent's own) any arc the knowledge names that it lacks.

@@ -1,22 +1,21 @@
 #include "core/mapping_task.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <string>
 
-#include "common/agent_parallel.hpp"
 #include "common/dense_bitset.hpp"
 #include "core/colocation.hpp"
 #include "geom/spatial_grid.hpp"
-#include "fault/fault_injector.hpp"
-#include "fault/watchdog.hpp"
 #include "obs/obs.hpp"
-#include "snapshot/snapshot.hpp"
 
 namespace agentnet {
 
 namespace {
+
+constexpr std::size_t kNoStepBudget = std::numeric_limits<std::size_t>::max();
 
 /// Union-find for radius-1 meetings: agents on the same node or on nodes
 /// joined by a link (either direction carries the exchange) share a group,
@@ -44,15 +43,6 @@ struct MeetingScratch {
   std::optional<SpatialGrid> grid;
   std::vector<Vec2> positions;       ///< Agent positions, index = agent idx.
   std::vector<std::size_t> nearby;   ///< Grid query output, ascending.
-};
-
-/// One planned meeting: the serial plan pass fixes membership, venue and
-/// the corruption draw (group-order RNG); pooling then runs group-parallel
-/// and the commit pass replays counters/events in group order.
-struct MeetingPlan {
-  std::vector<std::size_t> talkers;
-  NodeId venue = 0;
-  bool corrupted = false;
 };
 
 std::vector<std::vector<std::size_t>> in_range_groups(
@@ -122,9 +112,8 @@ MappingTaskResult run_mapping_task(World& world,
   AGENTNET_REQUIRE(config.comm_radius <= 1, "comm_radius must be 0 or 1");
   AGENTNET_REQUIRE(config.stigmergy_capacity >= 1,
                    "stigmergy capacity must be >= 1");
-  const FaultPlan& plan = config.faults;
-  plan.validate();
-  obs::ScopedPhase setup_phase(obs::Phase::kSetup);
+  TaskLoop loop(config);
+  const FaultPlan& plan = loop.plan();
   const std::size_t n = world.node_count();
   MappingTaskResult result;
   result.truth_edges = config.truth_edges_override
@@ -157,7 +146,7 @@ MappingTaskResult run_mapping_task(World& world,
   // `roster`, so whether any agent is stigmergic is a run constant — the
   // decide phase needs it: stigmergic agents must see footprints stamped
   // earlier in the same step, which forces the serial decide order.
-  const AgentParallel par(config.agent_parallel);
+  const AgentParallel& par = loop.par();
   const bool stigmergic_roster =
       std::any_of(roster.begin(), roster.end(),
                   [](const MappingAgentConfig& member) {
@@ -175,33 +164,8 @@ MappingTaskResult run_mapping_task(World& world,
   std::iota(decide_order.begin(), decide_order.end(), 0);
   MeetingScratch meeting_scratch;
 
-  // The fault injector exists only when the plan does something: an inert
-  // plan must not even fork the fault stream, because the fork advances
-  // the parent RNG and would perturb every fault-free sequence downstream.
-  std::optional<FaultInjector> injector;
-  if (plan.any()) {
-    Rng fault_stream = rng.fork(0xFA11);
-    injector.emplace(plan, fault_stream);
-  }
-  AgentWatchdog watchdog(plan.watchdog_ttl, roster.size());
-  // Roster slot of each live agent (parallel to `agents`).
-  std::vector<std::size_t> slot_of(agents.size());
-  std::iota(slot_of.begin(), slot_of.end(), 0);
-  int next_agent_id = static_cast<int>(roster.size());
-  const auto compact_agents = [&](const std::vector<char>& dead) {
-    std::size_t write = 0;
-    for (std::size_t idx = 0; idx < agents.size(); ++idx)
-      if (!dead[idx]) {
-        if (write != idx) {
-          agents[write] = std::move(agents[idx]);
-          slot_of[write] = slot_of[idx];
-        }
-        ++write;
-      }
-    agents.erase(agents.begin() + static_cast<std::ptrdiff_t>(write),
-                 agents.end());
-    slot_of.resize(write);
-  };
+  loop.fork_faults(rng);
+  AgentSlots slots(roster.size(), plan.watchdog_ttl);
 
   // Knowledge is measured against the step-0 truth; with advance_world the
   // per-step truth is used instead (stale knowledge stops counting).
@@ -219,18 +183,15 @@ MappingTaskResult run_mapping_task(World& world,
   };
 
   // Checkpoint/restore. Mapping agents are reconstructed from the roster
-  // (every recovery path uses roster[slot], so slot_of determines each
-  // agent's config); the decide-order permutation is carried because it is
-  // persistent — reshuffled in place, not rebuilt per step.
+  // (every recovery path uses roster[slot], so the slot map determines
+  // each agent's config); the decide-order permutation is carried because
+  // it is persistent — reshuffled in place, not rebuilt per step.
   const auto save_run = [&](snapshot::ByteWriter& w) {
     rng.save_state(w);
     world.save_state(w);
     board.save_state(w);
-    w.boolean(injector.has_value());
-    if (injector) injector->save_state(w);
-    watchdog.save_state(w);
-    w.pod_vec(slot_of);
-    w.scalar(next_agent_id);
+    loop.save_faults(w);
+    slots.save_state(w);
     w.pod_vec(decide_order);
     w.size(agents.size());
     for (const MappingAgent& agent : agents) agent.save_state(w);
@@ -251,22 +212,16 @@ MappingTaskResult run_mapping_task(World& world,
     rng.load_state(r);
     world.load_state(r);
     board.load_state(r);
-    AGENTNET_REQUIRE(r.boolean() == injector.has_value(),
-                     "snapshot: fault plan mismatch");
-    if (injector) injector->load_state(r);
-    watchdog.load_state(r);
-    r.pod_vec(slot_of);
-    next_agent_id = r.scalar<int>();
+    loop.load_faults(r);
+    slots.load_state(r);
     r.pod_vec(decide_order);
     const std::size_t live = r.counted(8);
-    AGENTNET_REQUIRE(live == slot_of.size(),
+    AGENTNET_REQUIRE(live == slots.slots().size(),
                      "snapshot: roster slot map size mismatch");
     agents.clear();
     agents.reserve(live);
     for (std::size_t i = 0; i < live; ++i) {
-      AGENTNET_REQUIRE(slot_of[i] < roster.size(),
-                       "snapshot: roster slot out of range");
-      agents.emplace_back(0, NodeId{0}, index, roster[slot_of[i]], Rng(0));
+      agents.emplace_back(0, NodeId{0}, index, roster[slots.slot(i)], Rng(0));
       agents.back().load_state(r, index);
     }
     if (config.monitor_node) {
@@ -288,62 +243,36 @@ MappingTaskResult run_mapping_task(World& world,
     result.agents_respawned = r.size();
   };
 
-  setup_phase.stop();
-  std::size_t resume_at = 0;
-  if (config.checkpoint && config.checkpoint->resuming())
-    resume_at = config.checkpoint->restore(load_run);
-  for (std::size_t t = resume_at; t <= config.max_steps; ++t) {
-    if (config.checkpoint && config.checkpoint->save_due(t))
-      config.checkpoint->save(t, save_run);
+  // Steps 0..max_steps; a budget of the largest size_t (max_steps=-1 on
+  // the CLI) must not wrap to an empty loop.
+  const std::size_t end =
+      config.max_steps + (config.max_steps < kNoStepBudget ? 1 : 0);
+  loop.run(world, end, save_run, load_run, [&](std::size_t t) {
     AGENTNET_OBS_PHASE(kStep);
     // The fault-masked view of this step's topology. Frozen mapping worlds
     // never advance their own clock, so the weather keys on the task step.
-    const Graph& live =
-        injector ? injector->live_graph(world, t) : world.graph();
+    const Graph& live = loop.live_graph(world, t);
 
     // Phase 0: watchdog recovery — roster slots silent for more than the
     // TTL are declared dead; any agent still occupying one is scrapped
     // (wedged or stranded) and a fresh replacement starts over on a
     // random live node.
-    if (injector && watchdog.enabled()) {
-      constexpr std::size_t kNoAgent = static_cast<std::size_t>(-1);
-      std::vector<std::size_t> slot_agent(roster.size(), kNoAgent);
-      for (std::size_t i = 0; i < agents.size(); ++i)
-        slot_agent[slot_of[i]] = i;
-      std::vector<std::size_t> dead_slots;
-      std::vector<char> scrapped(agents.size(), 0);
-      bool any_scrapped = false;
-      for (std::size_t slot = 0; slot < roster.size(); ++slot) {
-        if (!watchdog.expired(slot, t)) continue;
-        dead_slots.push_back(slot);
-        const std::size_t idx = slot_agent[slot];
-        if (idx != kNoAgent) {
-          scrapped[idx] = 1;
-          any_scrapped = true;
-          ++result.agents_lost;
-          AGENTNET_COUNT(kAgentsLost);
-          AGENTNET_OBS_EVENT(kLost, t, agents[idx].id());
-        }
-      }
-      if (any_scrapped) compact_agents(scrapped);
-      if (!dead_slots.empty()) {
-        std::vector<NodeId> live_nodes;
-        for (NodeId v = 0; v < static_cast<NodeId>(n); ++v)
-          if (!injector->down(v)) live_nodes.push_back(v);
-        for (std::size_t slot : dead_slots) {
-          if (live_nodes.empty()) break;  // total blackout: retry later
-          const NodeId at = live_nodes[injector->pick(live_nodes.size())];
-          agents.emplace_back(
-              next_agent_id, at, index, roster[slot],
-              rng.fork(static_cast<std::uint64_t>(next_agent_id) + 1));
-          slot_of.push_back(slot);
-          watchdog.beat(slot, t);
-          ++result.agents_respawned;
-          AGENTNET_COUNT(kWatchdogRespawns);
-          AGENTNET_OBS_EVENT(kWatchdogRespawn, t, next_agent_id,
-                             static_cast<std::int64_t>(at));
-          ++next_agent_id;
-        }
+    const std::vector<std::size_t> dead_slots =
+        slots.reap_expired(agents, t, result.agents_lost);
+    if (!dead_slots.empty()) {
+      std::vector<NodeId> live_nodes;
+      for (NodeId v = 0; v < static_cast<NodeId>(n); ++v)
+        if (!loop.down(v)) live_nodes.push_back(v);
+      for (std::size_t slot : dead_slots) {
+        if (live_nodes.empty()) break;  // total blackout: retry later
+        const NodeId at = live_nodes[loop.injector()->pick(live_nodes.size())];
+        const int id = slots.launch(slot, t);
+        agents.emplace_back(id, at, index, roster[slot],
+                            rng.fork(static_cast<std::uint64_t>(id) + 1));
+        ++result.agents_respawned;
+        AGENTNET_COUNT(kWatchdogRespawns);
+        AGENTNET_OBS_EVENT(kWatchdogRespawn, t, id,
+                           static_cast<std::int64_t>(at));
       }
     }
 
@@ -359,12 +288,12 @@ MappingTaskResult run_mapping_task(World& world,
       // Masks and weather on a frozen world only remove seeded arcs.
       if (config.advance_world)
         for (const MappingAgent& agent : agents)
-          if (!(injector && injector->down(agent.location())))
+          if (!loop.down(agent.location()))
             index.add_row(agent.location(),
                           live.out_neighbors(agent.location()));
       par.for_each(agents.size(), [&](std::size_t i) {
         MappingAgent& agent = agents[i];
-        if (injector && injector->down(agent.location())) return;
+        if (loop.down(agent.location())) return;
         agent.sense(live, t);
       });
     }
@@ -391,18 +320,16 @@ MappingTaskResult run_mapping_task(World& world,
           // corrupted exchange (drawn once per meeting) discards the
           // whole payload.
           MeetingPlan meeting;
-          if (injector && plan.topology_faults()) {
+          if (loop.topology_faults()) {
             for (std::size_t idx : group)
-              if (!injector->down(agents[idx].location()))
+              if (!loop.down(agents[idx].location()))
                 meeting.talkers.push_back(idx);
           } else {
             meeting.talkers.assign(group.begin(), group.end());
           }
           if (meeting.talkers.size() < 2) continue;
           meeting.venue = agents[meeting.talkers[0]].location();
-          meeting.corrupted = injector &&
-                              plan.exchange_failure_probability > 0.0 &&
-                              injector->corrupt_exchange();
+          meeting.corrupted = loop.corrupt_exchange();
           meetings.push_back(std::move(meeting));
         }
       }
@@ -420,32 +347,9 @@ MappingTaskResult run_mapping_task(World& world,
               pool.add(agents[idx].knowledge());
             for (std::size_t idx : meeting.talkers) agents[idx].adopt(pool);
           });
-      // Commit pass (serial): counters and trace events replayed in group
-      // order — the same per-meeting sequence the single-pass loop
-      // emitted, so traces stay byte-identical at any thread count.
-      {
-        obs::ScopedPhase commit_phase(obs::Phase::kCommit);
-        for (const MeetingPlan& meeting : meetings) {
-          if (meeting.corrupted) {
-            AGENTNET_COUNT(kExchangesCorrupted);
-            AGENTNET_OBS_EVENT(
-                kExchangeCorrupted, t, -1,
-                static_cast<std::int64_t>(meeting.venue),
-                static_cast<std::int64_t>(meeting.talkers.size()));
-            continue;
-          }
-          AGENTNET_COUNT(kAgentMeetings);
-          AGENTNET_OBS_EVENT(kMeet, t, -1,
-                             static_cast<std::int64_t>(meeting.venue),
-                             static_cast<std::int64_t>(meeting.talkers.size()));
-          for (std::size_t idx : meeting.talkers) {
-            AGENTNET_COUNT(kKnowledgeMerges);
-            AGENTNET_OBS_EVENT(
-                kMerge, t, static_cast<std::int64_t>(idx),
-                static_cast<std::int64_t>(agents[idx].location()));
-          }
-        }
-      }
+      commit_meetings(meetings, agents, t, [](std::size_t idx) {
+        return static_cast<std::int64_t>(idx);
+      });
     }
 
     // Resilience: hearsay expires after the configured TTL — a crashed
@@ -458,8 +362,7 @@ MappingTaskResult run_mapping_task(World& world,
 
     // Monitor upload: every agent standing on the monitoring entity's node
     // hands over its full map (nothing uploads while the monitor is down).
-    if (config.monitor_node &&
-        !(injector && injector->down(*config.monitor_node))) {
+    if (config.monitor_node && !loop.down(*config.monitor_node)) {
       for (const auto& agent : agents)
         if (agent.location() == *config.monitor_node)
           monitor_map.merge(agent.knowledge().combined_edges());
@@ -501,15 +404,12 @@ MappingTaskResult run_mapping_task(World& world,
           kKnowledge, t,
           agents.empty() ? 0.0
                          : sum_fraction / static_cast<double>(agents.size()));
-      if (AGENTNET_OBS_METRICS_WANT(t) && injector && plan.topology_faults())
-        AGENTNET_OBS_GAUGE(kLiveFraction, t,
-                           injector->live_fraction(world.node_count()));
       if (!agents.empty() && min_fraction >= 1.0) {
         result.finished = true;
         result.finishing_time = t;
         result.final_population = agents.size();
         AGENTNET_OBS_EVENT(kFinish, t);
-        return result;
+        return true;
       }
     }
 
@@ -518,72 +418,32 @@ MappingTaskResult run_mapping_task(World& world,
     // step — this is what disperses co-located identical-knowledge agents
     // (see DESIGN.md). Non-stigmergic agents ignore the board entirely, so
     // the ordering does not affect them.
-    std::vector<NodeId> targets(agents.size());
+    std::vector<NodeId> targets;
     {
       AGENTNET_OBS_PHASE(kDecide);
       // The permutation is persistent and reshuffled in place; it is only
       // rebuilt when faults changed the population (rebuilding every step
-      // would perturb the fault-free shuffle sequence).
+      // would perturb the fault-free shuffle sequence). A team that never
+      // reads the board fans out and ignores it, yet the shuffle still
+      // consumes the same run-RNG draws.
       if (decide_order.size() != agents.size()) {
         decide_order.resize(agents.size());
         std::iota(decide_order.begin(), decide_order.end(), 0);
       }
       rng.shuffle(std::span<std::size_t>(decide_order));
-      // Non-stigmergic teams never read the board, so their decisions are
-      // independent given the frozen live graph and each agent's own
-      // forked RNG stream: the engine fans them per agent (iteration
-      // order is then irrelevant — the shuffle above still consumes the
-      // same run-RNG draws, keeping fault-free sequences unperturbed).
-      // Stigmergic teams keep the exact serial decide order: same-step
-      // footprint visibility is the dispersion mechanism.
-      if (par.active() && !stigmergic_roster) {
-        par.for_each(agents.size(), [&](std::size_t i) {
-          targets[i] = agents[i].decide(live, board, t);
-        });
-      } else {
-        for (std::size_t idx : decide_order) {
-          MappingAgent& agent = agents[idx];
-          const NodeId target = agent.decide(live, board, t);
-          targets[idx] = target;
-          if (agent.stigmergic() && target != agent.location())
-            board.stamp(agent.location(), target, t);
-        }
-      }
+      targets = decide_targets(agents, decide_order, live, board, t, par,
+                               stigmergic_roster);
     }
     {
+      // Failure injection: a migrating agent can be lost on any hop — it
+      // never arrives, and its carried map is gone.
       AGENTNET_OBS_PHASE(kMove);
-      std::vector<char> lost(agents.size(), 0);
-      bool any_lost = false;
-      for (std::size_t idx = 0; idx < agents.size(); ++idx) {
-        if (targets[idx] != agents[idx].location()) {
-          // Failure injection: a migrating agent can be lost on any hop —
-          // it never arrives, and its carried map is gone.
-          if (injector && plan.agent_loss_probability > 0.0 &&
-              injector->lose_in_transit()) {
-            lost[idx] = 1;
-            any_lost = true;
-            ++result.agents_lost;
-            AGENTNET_COUNT(kAgentsLost);
-            AGENTNET_OBS_EVENT(kLost, t, agents[idx].id());
-            continue;
-          }
-          result.migration_bytes += agents[idx].state_size_bytes();
-          watchdog.beat(slot_of[idx], t);
-          AGENTNET_COUNT(kAgentHops);
-          AGENTNET_OBS_EVENT(
-              kMove, t, static_cast<std::int64_t>(agents[idx].id()),
-              static_cast<std::int64_t>(agents[idx].location()),
-              static_cast<std::int64_t>(targets[idx]));
-        }
-        agents[idx].move_to(targets[idx]);
-      }
-      if (any_lost) compact_agents(lost);
+      slots.migrate(agents, targets, loop, t, result, [](std::size_t) {});
     }
 
     if (config.advance_world) world.advance();
-    AGENTNET_OBS_METRICS_TICK(t);
-  }
-
+    return false;
+  });
   result.final_population = agents.size();
   return result;
 }

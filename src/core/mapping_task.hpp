@@ -9,20 +9,17 @@
 #include <optional>
 #include <vector>
 
-#include "common/agent_parallel.hpp"
 #include "common/rng.hpp"
 #include "core/mapping_agent.hpp"
 #include "core/stigmergy.hpp"
-#include "fault/fault_plan.hpp"
+#include "core/task_loop.hpp"
 #include "sim/world.hpp"
 
 namespace agentnet {
 
-namespace snapshot {
-class RunCheckpointPort;
-}
-
-struct MappingTaskConfig {
+/// The agent engine fans sense, group exchanges, measurement and — for
+/// non-stigmergic teams — decide.
+struct MappingTaskConfig : RunContext {
   int population = 1;
   MappingAgentConfig agent;
   /// Heterogeneous team support (Minar et al. studied agent *diversity* —
@@ -63,20 +60,6 @@ struct MappingTaskConfig {
   /// topology — the "deliver the map to an operator" completion criterion,
   /// as opposed to the paper's "every agent knows everything".
   std::optional<NodeId> monitor_node;
-  /// The unified fault model: crash windows, blackouts, burst outages,
-  /// in-transit agent loss, exchange corruption and the resilience
-  /// policies (watchdog respawn, knowledge expiry). An inert plan keeps
-  /// the task on exactly its historical fault-free path — it draws nothing
-  /// extra from the run RNG. See fault/fault_plan.hpp, docs/ROBUSTNESS.md.
-  FaultPlan faults;
-  /// Intra-run agent parallelism (AGENTNET_AGENT_THREADS): sense, group
-  /// exchanges, measurement and — for non-stigmergic teams — decide fan
-  /// over the shared agent pool. Bit-identical at every thread count;
-  /// threads = 1 (the default) is the exact serial path.
-  AgentParallelConfig agent_parallel = AgentParallelConfig::from_env();
-  /// Checkpoint/restore handle for this run (nullptr = disabled). Owned by
-  /// the caller; see snapshot/snapshot.hpp and docs/ROBUSTNESS.md.
-  snapshot::RunCheckpointPort* checkpoint = nullptr;
 };
 
 struct MappingTaskResult {

@@ -5,12 +5,8 @@
 #include <memory>
 #include <numeric>
 
-#include "common/stats.hpp"
 #include "core/colocation.hpp"
-#include "fault/fault_injector.hpp"
-#include "fault/watchdog.hpp"
 #include "obs/obs.hpp"
-#include "snapshot/snapshot.hpp"
 
 namespace agentnet {
 
@@ -225,16 +221,6 @@ ScenarioScript::ScenarioScript(const RoutingScenario& scenario,
 
 namespace {
 
-/// One planned meeting: the serial plan pass fixes membership, venue and
-/// the corruption draw (group-order RNG); pooling and adoption then run
-/// group-parallel and the commit pass replays counters/events in group
-/// order.
-struct MeetingPlan {
-  std::vector<std::size_t> talkers;
-  NodeId venue = 0;
-  bool corrupted = false;
-};
-
 /// Checkpoint tag in front of the traffic state; 0 = traffic off. Tag 1
 /// marked the state of the Bernoulli simulator the flow plane replaced, so
 /// the flow plane's state takes a new tag: an old traffic-on checkpoint is
@@ -248,7 +234,7 @@ RoutingTaskResult run_routing_task(const RoutingScenario& scenario,
   AGENTNET_REQUIRE(config.population >= 1, "population must be >= 1");
   AGENTNET_REQUIRE(config.measure_from < config.steps,
                    "measure_from must precede steps");
-  obs::ScopedPhase setup_phase(obs::Phase::kSetup);
+  TaskLoop loop(config);
   World world =
       scenario.make_world(config.script ? &config.script->world : nullptr);
   const std::size_t n = world.node_count();
@@ -278,8 +264,7 @@ RoutingTaskResult run_routing_task(const RoutingScenario& scenario,
     return false;
   }();
 
-  const FaultPlan& plan = config.faults;
-  plan.validate();
+  const FaultPlan& plan = loop.plan();
 
   RoutingTaskResult result;
   result.connectivity.reserve(config.steps);
@@ -291,7 +276,7 @@ RoutingTaskResult run_routing_task(const RoutingScenario& scenario,
   // configs (watchdog uses the roster, gateway respawn the homogeneous
   // template), so the stigmergy gate for the decide phase checks the live
   // team each step.
-  const AgentParallel par(config.agent_parallel);
+  const AgentParallel& par = loop.par();
   std::vector<MeetingPlan> meetings;
 
   std::optional<FlowTrafficSimulator> traffic;
@@ -299,41 +284,19 @@ RoutingTaskResult run_routing_task(const RoutingScenario& scenario,
     traffic.emplace(n, is_gateway, FlowWorkloadConfig{}, LinkQueueConfig{},
                     rng.fork(0x7AFF1C));
 
-  // The fault stream is forked here unconditionally (it predates the
-  // FaultPlan), which is what keeps fault-free configurations on their
-  // exact historical sequences.
-  FaultInjector injector(plan, rng.fork(0xFA11));
-  // Epoch-keyed measurement caches: when neither the edge set (world epoch)
-  // nor the tables changed since the last step, the walk is skipped and the
-  // stored result re-emitted bit-identically.
-  ConnectivityCache conn_cache;
+  loop.fork_faults(rng, FaultFork::kAlways);
+  FaultInjector& injector = *loop.injector();
+  // Epoch-keyed oracle cache: when the edge set (world epoch) did not
+  // change since the last step, the walk is skipped and the stored result
+  // re-emitted bit-identically.
   OracleConnectivityCache oracle_cache;
-  AgentWatchdog watchdog(plan.watchdog_ttl, roster.size());
-  // Roster slot of each live agent (parallel to `agents`); every recovery
-  // path fills a vacant slot, so occupancy stays a bijection.
-  std::vector<std::size_t> slot_of(agents.size());
-  std::iota(slot_of.begin(), slot_of.end(), 0);
-  const auto compact_agents = [&](const std::vector<char>& dead) {
-    std::size_t write = 0;
-    for (std::size_t idx = 0; idx < agents.size(); ++idx)
-      if (!dead[idx]) {
-        if (write != idx) {
-          agents[write] = std::move(agents[idx]);
-          slot_of[write] = slot_of[idx];
-        }
-        ++write;
-      }
-    agents.erase(agents.begin() + static_cast<std::ptrdiff_t>(write),
-                 agents.end());
-    slot_of.resize(write);
-  };
+  AgentSlots slots(roster.size(), plan.watchdog_ttl);
   std::vector<NodeId> gateway_nodes;
   for (NodeId v = 0; v < n; ++v)
     if (is_gateway[v]) gateway_nodes.push_back(v);
   // Respawned replacements use the homogeneous template (config.agent);
   // the population target is the initial team size.
   const std::size_t target_population = roster.size();
-  int next_agent_id = static_cast<int>(target_population);
 
   // Checkpoint/restore: everything the loop evolves, in a fixed order.
   // Config-derived data (scenario, roster, gateway masks) is rebuilt by the
@@ -344,12 +307,10 @@ RoutingTaskResult run_routing_task(const RoutingScenario& scenario,
     world.save_state(w);
     tables.save_state(w);
     board.save_state(w);
-    injector.save_state(w);
-    conn_cache.save_state(w);
+    loop.save_faults(w);
+    loop.save_cache(w);
     oracle_cache.save_state(w);
-    watchdog.save_state(w);
-    w.pod_vec(slot_of);
-    w.scalar(next_agent_id);
+    slots.save_state(w);
     w.size(agents.size());
     for (const RoutingAgent& agent : agents) {
       const RoutingAgentConfig& ac = agent.config();
@@ -372,13 +333,13 @@ RoutingTaskResult run_routing_task(const RoutingScenario& scenario,
     world.load_state(r);
     tables.load_state(r);
     board.load_state(r);
-    injector.load_state(r);
-    conn_cache.load_state(r);
+    loop.load_faults(r);
+    loop.load_cache(r);
     oracle_cache.load_state(r);
-    watchdog.load_state(r);
-    r.pod_vec(slot_of);
-    next_agent_id = r.scalar<int>();
+    slots.load_state(r);
     const std::size_t live = r.counted(8);
+    AGENTNET_REQUIRE(live == slots.slots().size(),
+                     "snapshot: roster slot map size mismatch");
     agents.clear();
     agents.reserve(live);
     for (std::size_t i = 0; i < live; ++i) {
@@ -394,8 +355,6 @@ RoutingTaskResult run_routing_task(const RoutingScenario& scenario,
       agents.emplace_back(0, NodeId{0}, ac, Rng(0));
       agents.back().load_state(r);
     }
-    AGENTNET_REQUIRE(slot_of.size() == agents.size(),
-                     "snapshot: roster slot map size mismatch");
     AGENTNET_REQUIRE(r.u8() == (traffic ? kFlowTrafficTag : 0),
                      "snapshot: traffic configuration mismatch");
     if (traffic) traffic->load_state(r);
@@ -406,63 +365,33 @@ RoutingTaskResult run_routing_task(const RoutingScenario& scenario,
     result.agents_respawned = r.size();
   };
 
-  setup_phase.stop();
-  std::size_t resume_at = 0;
-  if (config.checkpoint && config.checkpoint->resuming())
-    resume_at = config.checkpoint->restore(load_run);
-  for (std::size_t t = resume_at; t < config.steps; ++t) {
-    if (config.checkpoint && config.checkpoint->save_due(t))
-      config.checkpoint->save(t, save_run);
+  loop.run(world, config.steps, save_run, load_run, [&](std::size_t t) {
     AGENTNET_OBS_PHASE(kStep);
     // Refresh the topology-fault mask for this step. Without topology
     // faults this returns immediately; with them it is cached, so the
     // decide phase below reuses the same mask.
-    injector.live_graph(world, world.step());
+    const Graph& live = loop.live_graph(world, world.step());
 
     // Phase 0a: watchdog recovery — roster slots silent for more than the
     // TTL are declared dead; any agent still occupying one is scrapped
     // (it is wedged or stranded) and a replacement launches at a live
-    // gateway. Skipped entirely when the watchdog is off.
-    if (watchdog.enabled()) {
-      constexpr std::size_t kNoAgent = static_cast<std::size_t>(-1);
-      std::vector<std::size_t> slot_agent(roster.size(), kNoAgent);
-      for (std::size_t i = 0; i < agents.size(); ++i)
-        slot_agent[slot_of[i]] = i;
-      std::vector<std::size_t> dead_slots;
-      std::vector<char> scrapped(agents.size(), 0);
-      bool any_scrapped = false;
-      for (std::size_t slot = 0; slot < roster.size(); ++slot) {
-        if (!watchdog.expired(slot, t)) continue;
-        dead_slots.push_back(slot);
-        const std::size_t idx = slot_agent[slot];
-        if (idx != kNoAgent) {
-          scrapped[idx] = 1;
-          any_scrapped = true;
-          ++result.agents_lost;
-          AGENTNET_COUNT(kAgentsLost);
-          AGENTNET_OBS_EVENT(kLost, t, agents[idx].id());
-        }
-      }
-      if (any_scrapped) compact_agents(scrapped);
-      if (!dead_slots.empty()) {
-        std::vector<NodeId> live_gateways;
-        for (NodeId gw : gateway_nodes)
-          if (!injector.down(gw)) live_gateways.push_back(gw);
-        for (std::size_t slot : dead_slots) {
-          if (live_gateways.empty()) break;  // every gateway down: retry
-          const NodeId at =
-              live_gateways[injector.pick(live_gateways.size())];
-          agents.emplace_back(
-              next_agent_id, at, roster[slot],
-              rng.fork(static_cast<std::uint64_t>(next_agent_id) + 1));
-          slot_of.push_back(slot);
-          watchdog.beat(slot, t);
-          AGENTNET_COUNT(kWatchdogRespawns);
-          AGENTNET_OBS_EVENT(kWatchdogRespawn, t, next_agent_id,
-                             static_cast<std::int64_t>(at));
-          ++next_agent_id;
-          ++result.agents_respawned;
-        }
+    // gateway.
+    const std::vector<std::size_t> dead_slots =
+        slots.reap_expired(agents, t, result.agents_lost);
+    if (!dead_slots.empty()) {
+      std::vector<NodeId> live_gateways;
+      for (NodeId gw : gateway_nodes)
+        if (!injector.down(gw)) live_gateways.push_back(gw);
+      for (std::size_t slot : dead_slots) {
+        if (live_gateways.empty()) break;  // every gateway down: retry
+        const NodeId at = live_gateways[injector.pick(live_gateways.size())];
+        const int id = slots.launch(slot, t);
+        agents.emplace_back(id, at, roster[slot],
+                            rng.fork(static_cast<std::uint64_t>(id) + 1));
+        AGENTNET_COUNT(kWatchdogRespawns);
+        AGENTNET_OBS_EVENT(kWatchdogRespawn, t, id,
+                           static_cast<std::int64_t>(at));
+        ++result.agents_respawned;
       }
     }
 
@@ -475,19 +404,15 @@ RoutingTaskResult run_routing_task(const RoutingScenario& scenario,
         if (injector.down(gw)) continue;
         if (injector.respawn_due()) {
           std::vector<char> occupied(roster.size(), 0);
-          for (std::size_t s : slot_of) occupied[s] = 1;
+          for (std::size_t s : slots.slots()) occupied[s] = 1;
           std::size_t vacant = 0;
           while (vacant < roster.size() && occupied[vacant]) ++vacant;
           AGENTNET_ASSERT(vacant < roster.size());
-          agents.emplace_back(
-              next_agent_id, gw, config.agent,
-              rng.fork(static_cast<std::uint64_t>(next_agent_id) + 1));
-          slot_of.push_back(vacant);
-          watchdog.beat(vacant, t);
+          const int id = slots.launch(vacant, t);
+          agents.emplace_back(id, gw, config.agent,
+                              rng.fork(static_cast<std::uint64_t>(id) + 1));
           AGENTNET_COUNT(kAgentsRespawned);
-          AGENTNET_OBS_EVENT(kRespawn, t, next_agent_id,
-                             static_cast<std::int64_t>(gw));
-          ++next_agent_id;
+          AGENTNET_OBS_EVENT(kRespawn, t, id, static_cast<std::int64_t>(gw));
           ++result.agents_respawned;
         }
       }
@@ -503,37 +428,19 @@ RoutingTaskResult run_routing_task(const RoutingScenario& scenario,
 
     // Phase 2: decide on the live graph. Paper order: the movement decision
     // precedes the meeting exchange. Stigmergic agents stamp immediately so
-    // later deciders this step disperse away from them.
-    std::vector<NodeId> targets(agents.size());
+    // later deciders this step disperse away from them. A crashed node has
+    // no out-links in the live graph, so agents on it hold position.
+    std::vector<NodeId> targets;
     {
       AGENTNET_OBS_PHASE(kDecide);
-      // The fault-masked view of this step's topology (cached above); a
-      // crashed node has no out-links, so agents on it hold position.
-      const Graph& live = injector.live_graph(world, world.step());
       decide_order.resize(agents.size());
       std::iota(decide_order.begin(), decide_order.end(), 0);
       rng.shuffle(std::span<std::size_t>(decide_order));
-      // Non-stigmergic teams never read the board, so decisions depend
-      // only on the frozen live graph and each agent's own forked RNG
-      // stream — the engine fans them per agent (the shuffle above still
-      // consumes the same run-RNG draws). Stigmergic teams keep the exact
-      // serial order: same-step footprints are the dispersion mechanism.
       const bool any_stigmergic =
           std::any_of(agents.begin(), agents.end(),
                       [](const RoutingAgent& a) { return a.stigmergic(); });
-      if (par.active() && !any_stigmergic) {
-        par.for_each(agents.size(), [&](std::size_t i) {
-          targets[i] = agents[i].decide(live, board, t);
-        });
-      } else {
-        for (std::size_t idx : decide_order) {
-          RoutingAgent& agent = agents[idx];
-          const NodeId target = agent.decide(live, board, t);
-          targets[idx] = target;
-          if (agent.stigmergic() && target != agent.location())
-            board.stamp(agent.location(), target, t);
-        }
-      }
+      targets = decide_targets(agents, decide_order, live, board, t, par,
+                               any_stigmergic);
     }
 
     // Phase 3: meetings — co-located *communicating* agents adopt the
@@ -559,8 +466,7 @@ RoutingTaskResult run_routing_task(const RoutingScenario& scenario,
           // drawn per meeting — the payload is discarded, nobody learns.
           meeting.venue = agents[meeting.talkers[0]].location();
           if (injector.down(meeting.venue)) continue;
-          meeting.corrupted = plan.exchange_failure_probability > 0.0 &&
-                              injector.corrupt_exchange();
+          meeting.corrupted = loop.corrupt_exchange();
           meetings.push_back(std::move(meeting));
         }
       }
@@ -597,62 +503,17 @@ RoutingTaskResult run_routing_task(const RoutingScenario& scenario,
         for (const MeetingPlan& meeting : meetings)
           if (!meeting.corrupted) pool_meeting(meeting, pooled);
       }
-      // Commit pass (serial): counters and trace events replayed in group
-      // order — the same per-meeting sequence the single-pass loop
-      // emitted, so traces stay byte-identical at any thread count.
-      {
-        obs::ScopedPhase commit_phase(obs::Phase::kCommit);
-        for (const MeetingPlan& meeting : meetings) {
-          if (meeting.corrupted) {
-            AGENTNET_COUNT(kExchangesCorrupted);
-            AGENTNET_OBS_EVENT(
-                kExchangeCorrupted, t, -1,
-                static_cast<std::int64_t>(meeting.venue),
-                static_cast<std::int64_t>(meeting.talkers.size()));
-            continue;
-          }
-          AGENTNET_COUNT(kAgentMeetings);
-          AGENTNET_OBS_EVENT(kMeet, t, -1,
-                             static_cast<std::int64_t>(meeting.venue),
-                             static_cast<std::int64_t>(meeting.talkers.size()));
-          for (std::size_t idx : meeting.talkers) {
-            AGENTNET_COUNT(kKnowledgeMerges);
-            AGENTNET_OBS_EVENT(
-                kMerge, t, agents[idx].id(),
-                static_cast<std::int64_t>(agents[idx].location()));
-          }
-        }
-      }
+      commit_meetings(meetings, agents, t,
+                      [&](std::size_t idx) { return agents[idx].id(); });
     }
 
     // Phase 4: move (the decision's link is still live — the world has not
     // advanced) and update the routing table of the node now occupied.
     // With failure injection, a migrating agent can be lost in transit —
     // it neither arrives nor installs, and its state is gone.
-    std::vector<char> lost(agents.size(), 0);
-    bool any_lost = false;
     {
       AGENTNET_OBS_PHASE(kMove);
-      for (std::size_t idx = 0; idx < agents.size(); ++idx) {
-        if (targets[idx] != agents[idx].location()) {
-          if (plan.agent_loss_probability > 0.0 &&
-              injector.lose_in_transit()) {
-            lost[idx] = 1;
-            any_lost = true;
-            ++result.agents_lost;
-            AGENTNET_COUNT(kAgentsLost);
-            AGENTNET_OBS_EVENT(kLost, t, agents[idx].id());
-            continue;
-          }
-          result.migration_bytes += agents[idx].state_size_bytes();
-          watchdog.beat(slot_of[idx], t);
-          AGENTNET_COUNT(kAgentHops);
-          AGENTNET_OBS_EVENT(
-              kMove, t, agents[idx].id(),
-              static_cast<std::int64_t>(agents[idx].location()),
-              static_cast<std::int64_t>(targets[idx]));
-        }
-        agents[idx].move_to(targets[idx]);
+      slots.migrate(agents, targets, loop, t, result, [&](std::size_t idx) {
         // A crashed host accepts no route installs.
         if (!injector.down(agents[idx].location()) &&
             agents[idx].install(tables, is_gateway, t)) {
@@ -660,61 +521,47 @@ RoutingTaskResult run_routing_task(const RoutingScenario& scenario,
               kRouteUpdate, t, agents[idx].id(),
               static_cast<std::int64_t>(agents[idx].location()));
         }
-      }
+      });
     }
-    if (any_lost) compact_agents(lost);
 
     // Environment advances; connectivity is measured on the new topology,
     // so freshly installed routes immediately face link churn.
     world.advance();
-    {
-      AGENTNET_OBS_PHASE(kMeasure);
-      const Graph& measured = injector.live_graph(world, world.step());
-      // Resilience: age out routing entries whose next hop is currently
-      // crashed — they cannot validate anyway, and clearing frees the
-      // table slot for fresh offers instead of waiting out the freshness
-      // window.
-      if (plan.age_crashed_routes && plan.topology_faults()) {
-        for (NodeId v = 0; v < n; ++v) {
-          const RouteEntry& entry = tables.entry(v);
-          if (entry.valid() && injector.down(entry.next_hop)) {
-            tables.clear(v);
-            AGENTNET_COUNT(kRoutesAged);
-          }
+    AGENTNET_OBS_PHASE(kMeasure);
+    const Graph& measured = loop.live_graph(world, world.step());
+    // Resilience: age out routing entries whose next hop is currently
+    // crashed — they cannot validate anyway, and clearing frees the table
+    // slot for fresh offers instead of waiting out the freshness window.
+    if (plan.age_crashed_routes && plan.topology_faults()) {
+      for (NodeId v = 0; v < n; ++v) {
+        const RouteEntry& entry = tables.entry(v);
+        if (entry.valid() && injector.down(entry.next_hop)) {
+          tables.clear(v);
+          AGENTNET_COUNT(kRoutesAged);
         }
       }
-      // Without topology faults `measured` IS world.graph(), so the cache
-      // keyed on the world's epoch measures the same topology.
-      result.connectivity.push_back(
-          plan.topology_faults()
-              ? measure_connectivity(measured, tables, is_gateway, 0, par)
-                    .fraction()
-              : conn_cache.measure(world, tables, is_gateway, 0, par)
-                    .fraction());
-      AGENTNET_OBS_GAUGE(kConnectivity, t, result.connectivity.back());
-      if (config.record_oracle) {
-        // A fault-masked view is not the world's own graph: no epoch key,
-        // no recorded result — the BFS runs.
-        const bool masked = plan.topology_faults();
-        result.oracle.push_back(
-            oracle_cache
-                .measure(masked ? kNoCacheEpoch : world.epoch(), measured,
-                         is_gateway,
-                         masked || !config.script
-                             ? nullptr
-                             : config.script->oracle_at(world.step()))
-                .fraction());
-        AGENTNET_OBS_GAUGE(kOracleConnectivity, t, result.oracle.back());
-      }
-      if (AGENTNET_OBS_METRICS_WANT(t) && plan.topology_faults())
-        AGENTNET_OBS_GAUGE(kLiveFraction, t, injector.live_fraction(n));
-      // Traffic flows over the converged window only, so delivery measures
-      // the steady state rather than the cold start.
-      if (traffic && t >= config.measure_from)
-        traffic->step(measured, tables, t);
     }
-    AGENTNET_OBS_METRICS_TICK(t);
-  }
+    result.connectivity.push_back(
+        loop.connectivity(t, world, tables, is_gateway));
+    if (config.record_oracle) {
+      // A fault-masked view is not the world's own graph: no epoch key,
+      // no recorded result — the BFS runs.
+      const bool masked = plan.topology_faults();
+      result.oracle.push_back(
+          oracle_cache
+              .measure(masked ? kNoCacheEpoch : world.epoch(), measured,
+                       is_gateway,
+                       masked || !config.script
+                           ? nullptr
+                           : config.script->oracle_at(world.step()))
+              .fraction());
+      AGENTNET_OBS_GAUGE(kOracleConnectivity, t, result.oracle.back());
+    }
+    // Traffic flows over the converged window only, so delivery measures
+    // the steady state rather than the cold start.
+    if (traffic && t >= config.measure_from)
+      traffic->step(measured, tables, t);
+  });
   if (traffic) {
     traffic->finish();
     result.traffic_stats = traffic->stats();
@@ -722,9 +569,8 @@ RoutingTaskResult run_routing_task(const RoutingScenario& scenario,
 
   AGENTNET_OBS_PHASE(kSummarize);
   result.final_population = agents.size();
-  RunningStats window;
-  for (std::size_t t = config.measure_from; t < config.steps; ++t)
-    window.add(result.connectivity[t]);
+  const RunningStats window =
+      window_stats(result.connectivity, config.measure_from);
   result.mean_connectivity = window.mean();
   result.stddev_connectivity = window.stddev();
   return result;

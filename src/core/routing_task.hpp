@@ -17,21 +17,16 @@
 #include <optional>
 #include <vector>
 
-#include "common/agent_parallel.hpp"
 #include "common/rng.hpp"
 #include "core/routing_agent.hpp"
 #include "core/stigmergy.hpp"
-#include "fault/fault_plan.hpp"
+#include "core/task_loop.hpp"
 #include "routing/connectivity.hpp"
 #include "routing/routing_table.hpp"
 #include "sim/world.hpp"
 #include "traffic/flow_traffic.hpp"
 
 namespace agentnet {
-
-namespace snapshot {
-class RunCheckpointPort;
-}
 
 /// Where the stationary, high-capability gateways sit.
 enum class GatewayPlacement {
@@ -130,7 +125,9 @@ struct ScenarioScript {
   }
 };
 
-struct RoutingTaskConfig {
+/// The agent engine fans arrive, group exchanges, the connectivity walks
+/// and — for non-stigmergic teams — decide over the shared agent pool.
+struct RoutingTaskConfig : RunContext {
   int population = 100;
   RoutingAgentConfig agent;
   /// Heterogeneous team support: when non-empty, this roster overrides
@@ -154,19 +151,6 @@ struct RoutingTaskConfig {
   /// delivery statistics are reported. The plane only reads the tables,
   /// so the agents behave exactly as with traffic off.
   bool traffic = false;
-  /// The unified fault model: crash windows, blackouts, burst outages,
-  /// transit loss, exchange corruption and the resilience policies (see
-  /// fault/fault_plan.hpp and docs/ROBUSTNESS.md).
-  FaultPlan faults;
-  /// Intra-run agent parallelism (AGENTNET_AGENT_THREADS): arrive, group
-  /// exchanges, per-root connectivity walks and — for non-stigmergic
-  /// teams — decide fan over the shared agent pool. Bit-identical at
-  /// every thread count; threads = 1 (the default) is the exact serial
-  /// path.
-  AgentParallelConfig agent_parallel = AgentParallelConfig::from_env();
-  /// Checkpoint/restore handle for this run (nullptr = disabled). Owned by
-  /// the caller; see snapshot/snapshot.hpp and docs/ROBUSTNESS.md.
-  snapshot::RunCheckpointPort* checkpoint = nullptr;
   /// Recorded world of this run's scenario (nullptr = live upkeep). Owned
   /// by the caller and shared read-only across runs; the experiment
   /// harnesses set it when they run two or more replications.

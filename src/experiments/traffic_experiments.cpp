@@ -5,9 +5,6 @@
 
 #include "common/error.hpp"
 #include "experiments/replicate.hpp"
-#include "fault/fault_injector.hpp"
-#include "routing/connectivity.hpp"
-#include "snapshot/snapshot.hpp"
 
 namespace agentnet {
 
@@ -15,20 +12,13 @@ TrafficTaskResult run_traffic_task(const RoutingScenario& scenario,
                                    const TrafficTaskConfig& config, Rng rng) {
   AGENTNET_REQUIRE(config.measure_from < config.steps,
                    "measure_from must precede steps");
-  const FaultPlan& plan = config.faults;
-  plan.validate();
-  obs::ScopedPhase setup_phase(obs::Phase::kSetup);
+  TaskLoop loop(config);
   World world =
       scenario.make_world(config.script ? &config.script->world : nullptr);
-  std::optional<FaultInjector> injector;
-  if (plan.any()) {
-    Rng fault_stream = rng.fork(0xFA11);
-    injector.emplace(plan, fault_stream);
-  }
+  loop.fork_faults(rng);
   AntRoutingConfig ant_config = config.ants;
-  if (plan.agent_loss_probability > 0.0 &&
-      ant_config.ant_loss_probability == 0.0)
-    ant_config.ant_loss_probability = plan.agent_loss_probability;
+  ant_config.ant_loss_probability =
+      loop.agent_loss(ant_config.ant_loss_probability);
   // The data plane gets its own stream so adding traffic never perturbs
   // the ants' draw sequence (the zero-load golden-equivalence anchor).
   Rng traffic_stream = rng.fork(0xF10A);
@@ -36,12 +26,10 @@ TrafficTaskResult run_traffic_task(const RoutingScenario& scenario,
                         rng);
   FlowTrafficSimulator traffic(world.node_count(), scenario.is_gateway(),
                                config.workload, config.queue, traffic_stream);
-  const AgentParallel par(config.agent_parallel);
-  ants.set_parallel(par);
-  traffic.set_parallel(par);
+  ants.set_parallel(loop.par());
+  traffic.set_parallel(loop.par());
   GatewayBalancer balancer(world.node_count(), scenario.is_gateway(),
                            config.balancer);
-  ConnectivityCache conn_cache;
   RunningStats window;
 
   // Checkpoint/restore: both planes, the balancer feedback, the fault mask
@@ -49,36 +37,26 @@ TrafficTaskResult run_traffic_task(const RoutingScenario& scenario,
   // the measure_from stats reset, so a resume at that step still resets.
   const auto save_run = [&](snapshot::ByteWriter& w) {
     world.save_state(w);
-    w.boolean(injector.has_value());
-    if (injector) injector->save_state(w);
+    loop.save_faults(w);
     ants.save_state(w);
     traffic.save_state(w);
     balancer.save_state(w);
-    conn_cache.save_state(w);
+    loop.save_cache(w);
     window.save_state(w);
   };
   const auto load_run = [&](snapshot::ByteReader& r) {
     world.load_state(r);
-    AGENTNET_REQUIRE(r.boolean() == injector.has_value(),
-                     "snapshot: fault plan mismatch");
-    if (injector) injector->load_state(r);
+    loop.load_faults(r);
     ants.load_state(r);
     traffic.load_state(r);
     balancer.load_state(r);
-    conn_cache.load_state(r);
+    loop.load_cache(r);
     window.load_state(r);
   };
 
-  setup_phase.stop();
-  std::size_t resume_at = 0;
-  if (config.checkpoint && config.checkpoint->resuming())
-    resume_at = config.checkpoint->restore(load_run);
-  for (std::size_t t = resume_at; t < config.steps; ++t) {
-    if (config.checkpoint && config.checkpoint->save_due(t))
-      config.checkpoint->save(t, save_run);
+  loop.run(world, config.steps, save_run, load_run, [&](std::size_t t) {
     if (t == config.measure_from) traffic.reset_stats();
-    const Graph& live =
-        injector ? injector->live_graph(world, world.step()) : world.graph();
+    const Graph& live = loop.live_graph(world, world.step());
     {
       AGENTNET_OBS_PHASE(kStep);
       // Control plane first: ants sample over the queues the data plane
@@ -97,31 +75,19 @@ TrafficTaskResult run_traffic_task(const RoutingScenario& scenario,
     }
     {
       AGENTNET_OBS_PHASE(kMeasure);
-      if (t >= config.measure_from) {
-        const double fraction =
-            injector && plan.topology_faults()
-                ? measure_connectivity(live, tables, scenario.is_gateway(), 0,
-                                       par)
-                      .fraction()
-                : conn_cache.measure(world, tables, scenario.is_gateway(), 0,
-                                     par)
-                      .fraction();
-        window.add(fraction);
-        AGENTNET_OBS_GAUGE(kConnectivity, t, fraction);
-      }
+      // Measured before the world advances: the live graph above.
+      if (t >= config.measure_from)
+        window.add(
+            loop.connectivity(t, world, tables, scenario.is_gateway()));
       if (AGENTNET_OBS_METRICS_WANT(t)) {
         AGENTNET_OBS_GAUGE(kQueueDepth, t,
                            static_cast<double>(traffic.queued()));
         AGENTNET_OBS_GAUGE(kPheromoneEntropy, t, ants.pheromone_entropy());
-        if (injector && plan.topology_faults())
-          AGENTNET_OBS_GAUGE(kLiveFraction, t,
-                             injector->live_fraction(world.node_count()));
         AGENTNET_OBS_LATENCY_WINDOW(t, traffic.stats().latency_histogram);
       }
     }
     world.advance();
-    AGENTNET_OBS_METRICS_TICK(t);
-  }
+  });
   AGENTNET_OBS_PHASE(kSummarize);
   traffic.finish();
   TrafficTaskResult result;

@@ -16,6 +16,7 @@
 #include "aco/ant_routing.hpp"
 #include "common/stats.hpp"
 #include "core/routing_task.hpp"
+#include "core/task_loop.hpp"
 #include "fault/fault_plan.hpp"
 #include "obs/obs.hpp"
 #include "routing/gateway_balancer.hpp"
@@ -23,7 +24,10 @@
 
 namespace agentnet {
 
-struct TrafficTaskConfig {
+/// Faults mask the graph both planes see. The agent engine is threaded
+/// into both planes: ant evaporation/entropy/snapshot, per-node queue
+/// service and the connectivity walks fan over the shared agent pool.
+struct TrafficTaskConfig : RunContext {
   AntRoutingConfig ants{};
   FlowWorkloadConfig workload{};
   LinkQueueConfig queue{};
@@ -34,17 +38,6 @@ struct TrafficTaskConfig {
   /// Traffic statistics restart here (warm-up excluded); connectivity is
   /// averaged over the same converged window.
   std::size_t measure_from = 150;
-  /// Unified fault model, masking the graph both planes see.
-  FaultPlan faults;
-  /// Intra-run agent parallelism (AGENTNET_AGENT_THREADS), threaded into
-  /// both planes: ant evaporation/entropy/snapshot, per-node queue service
-  /// and the per-root connectivity walks fan over the shared agent pool.
-  /// Bit-identical at every thread count; threads = 1 (the default) is the
-  /// exact serial path. Nested runs x agent batches share the pool.
-  AgentParallelConfig agent_parallel = AgentParallelConfig::from_env();
-  /// Checkpoint/restore handle for this run (nullptr = disabled). Owned by
-  /// the caller; see snapshot/snapshot.hpp and docs/ROBUSTNESS.md.
-  snapshot::RunCheckpointPort* checkpoint = nullptr;
   /// Recorded world of this run's scenario (nullptr = live upkeep); see
   /// RoutingTaskConfig::script.
   const ScenarioScript* script = nullptr;

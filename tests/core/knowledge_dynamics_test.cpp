@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/mapping_task.hpp"
+#include "map_knowledge_oracle.hpp"
 #include "net/generators.hpp"
 
 namespace agentnet {
@@ -18,6 +19,15 @@ Graph ring(std::size_t n) {
   for (NodeId i = 0; i < n; ++i)
     g.add_undirected_edge(i, static_cast<NodeId>((i + 1) % n));
   return g;
+}
+
+/// A two-agent meeting as the mapping task runs it: both adopt one pool.
+void meet_both(MappingAgent& a, MappingAgent& b) {
+  KnowledgePool pool;
+  pool.add(a.knowledge());
+  pool.add(b.knowledge());
+  a.adopt(pool);
+  b.adopt(pool);
 }
 
 TEST(KnowledgeDynamicsTest, LockstepOfIdenticalSuperAgents) {
@@ -35,8 +45,7 @@ TEST(KnowledgeDynamicsTest, LockstepOfIdenticalSuperAgents) {
   for (std::size_t t = 0; t < 40; ++t) {
     a.sense(g, t);
     b.sense(g, t);
-    a.learn_from(b);
-    b.learn_from(a);
+    meet_both(a, b);
     const NodeId ta = a.decide(g, board, t);
     const NodeId tb = b.decide(g, board, t);
     ASSERT_EQ(ta, tb) << "identical deciders diverged at step " << t;
@@ -59,8 +68,7 @@ TEST(KnowledgeDynamicsTest, StigmergyBreaksTheLockstep) {
                  Rng(2));
   a.sense(g, 0);
   b.sense(g, 0);
-  a.learn_from(b);
-  b.learn_from(a);
+  meet_both(a, b);
   const NodeId ta = a.decide(g, board, 0);
   board.stamp(a.location(), ta, 0);
   const NodeId tb = b.decide(g, board, 0);
@@ -76,8 +84,8 @@ TEST(KnowledgeDynamicsTest, GossipReachesEveryoneThroughChains) {
   MappingAgent b(1, 0, index, {}, Rng(2));
   MappingAgent c(2, 0, index, {}, Rng(3));
   a.sense(g, 0);  // a learns ring edges at node 0
-  b.learn_from(a);
-  c.learn_from(b);
+  meet(b, a);
+  meet(c, b);
   EXPECT_TRUE(c.knowledge().knows_edge(0, 1));
   EXPECT_TRUE(c.knowledge().knows_edge(0, 9));
   EXPECT_FALSE(c.knowledge().knows_edge_first_hand(0, 1));

@@ -7,6 +7,10 @@
 // save_state bytes are the snapshot format, so the equivalence suite can
 // compare counts, edge queries, visit times, sizes and checkpoint bytes
 // after every operation.
+//
+// meet() is the pairwise merge for tests: one agent adopts the pool of
+// itself and one peer, the only merge the mapping task has (KnowledgePool
+// + adopt()), over either layout.
 #pragma once
 
 #include <algorithm>
@@ -15,6 +19,8 @@
 #include <vector>
 
 #include "common/dense_bitset.hpp"
+#include "core/map_knowledge.hpp"
+#include "core/mapping_agent.hpp"
 #include "core/selection.hpp"
 #include "net/graph.hpp"
 #include "snapshot/bytes.hpp"
@@ -54,19 +60,6 @@ class PairMapKnowledge {
     for (NodeId v : out) {
       first_hand_.set(bit(node, v));
       combined_.set(bit(node, v));
-    }
-  }
-
-  void learn_from(const PairMapKnowledge& peer) {
-    combined_.merge(peer.combined_);
-    for (std::size_t i = 0; i < n_; ++i)
-      any_visit_[i] = std::max(any_visit_[i], peer.any_visit_[i]);
-    recount_visited();
-    if (expiry_enabled_) {
-      second_recent_.merge(peer.combined_);
-      for (std::size_t i = 0; i < n_; ++i)
-        learned_visit_recent_[i] =
-            std::max(learned_visit_recent_[i], peer.any_visit_[i]);
     }
   }
 
@@ -178,6 +171,28 @@ void PairKnowledgePool::add(const PairMapKnowledge& member) {
                 member.any_visit_[i] != kNeverVisited;
     visits_[i] = std::max(visits_[i], member.any_visit_[i]);
   }
+}
+
+/// `agent` adopts the pool of itself and `peer` (the task's meeting of two).
+inline void meet(MapKnowledge& agent, const MapKnowledge& peer) {
+  KnowledgePool pool;
+  pool.add(agent);
+  pool.add(peer);
+  agent.adopt(pool);
+}
+
+inline void meet(MappingAgent& agent, const MappingAgent& peer) {
+  KnowledgePool pool;
+  pool.add(agent.knowledge());
+  pool.add(peer.knowledge());
+  agent.adopt(pool);
+}
+
+inline void meet(PairMapKnowledge& agent, const PairMapKnowledge& peer) {
+  PairKnowledgePool pool;
+  pool.add(agent);
+  pool.add(peer);
+  agent.adopt(pool);
 }
 
 }  // namespace agentnet

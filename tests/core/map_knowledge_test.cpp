@@ -59,11 +59,11 @@ TEST(MapKnowledgeTest, RepeatObservationDoesNotDoubleCount) {
   EXPECT_EQ(k.last_visit_first_hand(0), 5);
 }
 
-TEST(MapKnowledgeTest, LearnFromKeepsHandsSeparate) {
+TEST(MapKnowledgeTest, MeetingKeepsHandsSeparate) {
   MapKnowledge a(kPairs4), b(kPairs4);
   const std::vector<NodeId> out_b{2};
   b.observe_node(1, out_b, 3);
-  a.learn_from(b);
+  meet(a, b);
   EXPECT_TRUE(a.knows_edge(1, 2));
   EXPECT_FALSE(a.knows_edge_first_hand(1, 2))
       << "peer knowledge must land in the second-hand store";
@@ -71,21 +71,21 @@ TEST(MapKnowledgeTest, LearnFromKeepsHandsSeparate) {
   EXPECT_EQ(a.known_edge_count(), 1u);
 }
 
-TEST(MapKnowledgeTest, LearnFromPropagatesVisitTimes) {
+TEST(MapKnowledgeTest, MeetingPropagatesVisitTimes) {
   MapKnowledge a(kPairs4), b(kPairs4);
   const std::vector<NodeId> none{};
   b.observe_node(2, none, 9);
-  a.learn_from(b);
+  meet(a, b);
   EXPECT_EQ(a.last_visit_any(2), 9);
   EXPECT_EQ(a.last_visit_first_hand(2), kNeverVisited);
 }
 
-TEST(MapKnowledgeTest, LearnFromTakesMaxVisitTime) {
+TEST(MapKnowledgeTest, MeetingTakesMaxVisitTime) {
   MapKnowledge a(kPairs4), b(kPairs4);
   const std::vector<NodeId> none{};
   a.observe_node(2, none, 10);
   b.observe_node(2, none, 4);
-  a.learn_from(b);
+  meet(a, b);
   EXPECT_EQ(a.last_visit_any(2), 10);
 }
 
@@ -94,28 +94,32 @@ TEST(MapKnowledgeTest, TransitiveSecondHandSpreads) {
   MapKnowledge a(kPairs4), b(kPairs4), c(kPairs4);
   const std::vector<NodeId> out{0};
   c.observe_node(3, out, 1);
-  b.learn_from(c);
-  a.learn_from(b);
+  meet(b, c);
+  meet(a, b);
   EXPECT_TRUE(a.knows_edge(3, 0));
 }
 
-TEST(MapKnowledgeTest, AdoptMatchesLearnFrom) {
-  MapKnowledge a1(kPairs4), a2(kPairs4), b(kPairs4);
+TEST(MapKnowledgeTest, AdoptMatchesPairOracle) {
+  MapKnowledge a(kPairs4), b(kPairs4);
+  PairMapKnowledge a_pairs(4), b_pairs(4);
   const std::vector<NodeId> out{1, 2};
   b.observe_node(0, out, 6);
+  b_pairs.observe_node(0, out, 6);
   const std::vector<NodeId> own{3};
-  a1.observe_node(2, own, 1);
-  a2.observe_node(2, own, 1);
-  a1.learn_from(b);
-  KnowledgePool pool;
-  pool.add(a2);
-  pool.add(b);
-  a2.adopt(pool);
-  EXPECT_EQ(a1.combined_edges(), a2.combined_edges());
-  EXPECT_EQ(a1.last_visit_any(0), a2.last_visit_any(0));
-  EXPECT_EQ(a1.last_visit_any(2), a2.last_visit_any(2));
-  EXPECT_FALSE(a2.knows_edge_first_hand(0, 1));
-  EXPECT_EQ(a1.serialized_size_bytes(), a2.serialized_size_bytes());
+  a.observe_node(2, own, 1);
+  a_pairs.observe_node(2, own, 1);
+  meet(a, b);
+  meet(a_pairs, b_pairs);
+  for (NodeId u = 0; u < 4; ++u) {
+    EXPECT_EQ(a.last_visit_any(u), a_pairs.last_visit_any(u));
+    for (NodeId v = 0; v < 4; ++v) {
+      EXPECT_EQ(a.knows_edge(u, v), a_pairs.knows_edge(u, v));
+      EXPECT_EQ(a.knows_edge_first_hand(u, v),
+                a_pairs.knows_edge_first_hand(u, v));
+    }
+  }
+  EXPECT_FALSE(a.knows_edge_first_hand(0, 1));
+  EXPECT_EQ(a.serialized_size_bytes(), a_pairs.serialized_size_bytes());
 }
 
 // The adoption precondition: the pool must already hold the adopter's
@@ -165,7 +169,7 @@ std::vector<MapKnowledge> random_stores(const EdgeIndex& index,
         EXPECT_EQ(k.serialized_size_bytes(), recounted_size(k));
       }
       if (rng.bernoulli(0.2)) {
-        k.learn_from(stores[rng.index(agents)]);
+        meet(k, stores[rng.index(agents)]);
         EXPECT_EQ(k.serialized_size_bytes(), recounted_size(k));
       }
       k.expire_second_hand(t, ttl);
@@ -175,12 +179,11 @@ std::vector<MapKnowledge> random_stores(const EdgeIndex& index,
   return stores;
 }
 
-// Pool + adopt must leave every member exactly where the per-member union
-// (merge the pool into each member, pool included its own knowledge) left
+// Pool + adopt must leave every member exactly where a chain of pairwise
+// meetings with every member's pre-meeting state (own included) leaves
 // it: combined words and count, visit times, first-hand state, expiry
-// bookkeeping and the migration size. The reference replays that union as
-// learn_from over every member's pre-meeting state, own included.
-TEST(MapKnowledgeAdoptionTest, PoolAndAdoptEqualsPerMemberUnion) {
+// bookkeeping and the migration size.
+TEST(MapKnowledgeAdoptionTest, PoolAndAdoptEqualsPairwiseMeetings) {
   constexpr std::size_t kNodes = 37;  // n² not a multiple of 64
   const EdgeIndex index = all_pairs(kNodes);
   KnowledgePool pool;  // reused across meetings, as in the task
@@ -198,7 +201,7 @@ TEST(MapKnowledgeAdoptionTest, PoolAndAdoptEqualsPerMemberUnion) {
         for (MapKnowledge& k : adopted) k.adopt(pool);
         std::vector<MapKnowledge> references = before;
         for (MapKnowledge& reference : references)
-          for (const MapKnowledge& peer : before) reference.learn_from(peer);
+          for (const MapKnowledge& peer : before) meet(reference, peer);
         for (std::size_t m = 0; m < group; ++m) {
           const MapKnowledge& reference = references[m];
           const MapKnowledge& got = adopted[m];
@@ -278,7 +281,7 @@ TEST(MapKnowledgeTest, SerializedSizeTracksContents) {
   MapKnowledge peer(kPairs6);
   const std::vector<NodeId> peer_out{0};
   peer.observe_node(4, peer_out, 1);
-  k.learn_from(peer);
+  meet(k, peer);
   EXPECT_EQ(k.serialized_size_bytes(), 4u * 8 + 2 * 12);
 }
 
@@ -286,13 +289,10 @@ TEST(MapKnowledgeTest, SerializedSizeTracksContents) {
 // differ in size or the indexes merely number the same network apart.
 TEST(MapKnowledgeTest, SizeMismatchThrows) {
   MapKnowledge a(kPairs3), b(kPairs4);
-  EXPECT_THROW(a.learn_from(b), ConfigError);
+  EXPECT_THROW(meet(a, b), ConfigError);
   const EdgeIndex other = all_pairs(4);
   MapKnowledge c(kPairs4), d(other);
-  EXPECT_THROW(c.learn_from(d), ConfigError);
-  KnowledgePool pool;
-  pool.add(c);
-  EXPECT_THROW(pool.add(d), ConfigError);
+  EXPECT_THROW(meet(c, d), ConfigError);
 }
 
 TEST(MapKnowledgeTest, RejectsZeroNodes) {
@@ -309,7 +309,7 @@ TEST(MapKnowledgeExpiryTest, HearsayExpiresAfterTwoRotations) {
   const std::vector<NodeId> peer_out{4};
   peer.observe_node(3, peer_out, 2);
   k.expire_second_hand(0, 10);  // first call activates the epoch clock
-  k.learn_from(peer);           // hearsay learned inside epoch [0, 10)
+  meet(k, peer);                // hearsay learned inside epoch [0, 10)
   const std::vector<NodeId> own_out{1};
   k.observe_node(0, own_out, 1);  // first-hand
   EXPECT_EQ(k.known_edge_count(), 2u);
@@ -329,12 +329,34 @@ TEST(MapKnowledgeExpiryTest, RefreshedHearsayStaysAlive) {
   const std::vector<NodeId> peer_out{4};
   peer.observe_node(3, peer_out, 2);
   k.expire_second_hand(0, 10);
-  k.learn_from(peer);
+  meet(k, peer);
   k.expire_second_hand(10, 10);  // rotation 1
-  k.learn_from(peer);            // re-heard in the new epoch
+  meet(k, peer);                 // re-heard in the new epoch
   k.expire_second_hand(20, 10);  // rotation 2: refreshed copy survives
   EXPECT_EQ(k.known_edge_count(), 1u);
   k.expire_second_hand(40, 10);  // no refresh since: gone
+  EXPECT_EQ(k.known_edge_count(), 0u);
+}
+
+// adopt() takes the whole pool as hearsay of the current epoch, the
+// adopter's own map included: a meeting refreshes hearsay the adopter
+// already held, even from a peer who knows nothing.
+TEST(MapKnowledgeExpiryTest, AnyMeetingRefreshesOwnHearsay) {
+  MapKnowledge k(kPairs5);
+  MapKnowledge peer(kPairs5);
+  const MapKnowledge empty(kPairs5);
+  const std::vector<NodeId> peer_out{4};
+  peer.observe_node(3, peer_out, 2);
+  k.expire_second_hand(0, 10);
+  meet(k, peer);                 // hearsay learned inside epoch [0, 10)
+  k.expire_second_hand(10, 10);  // rotation 1
+  MapKnowledge unrefreshed = k;
+  meet(k, empty);                // re-marks k's own hearsay as recent
+  k.expire_second_hand(20, 10);
+  unrefreshed.expire_second_hand(20, 10);
+  EXPECT_EQ(k.known_edge_count(), 1u);
+  EXPECT_EQ(unrefreshed.known_edge_count(), 0u);
+  k.expire_second_hand(30, 10);  // no meeting since: gone
   EXPECT_EQ(k.known_edge_count(), 0u);
 }
 
@@ -343,14 +365,14 @@ TEST(MapKnowledgeExpiryTest, ZeroTtlDisablesExpiry) {
   MapKnowledge peer(kPairs5);
   const std::vector<NodeId> peer_out{4};
   peer.observe_node(3, peer_out, 2);
-  k.learn_from(peer);
+  meet(k, peer);
   k.expire_second_hand(1000, 0);
   EXPECT_EQ(k.known_edge_count(), 1u) << "ttl 0 must be a no-op";
 }
 
 // ---- Equivalence with the node-pair oracle --------------------------------
 //
-// Seeded random sequences of observe_node, learn_from, pool + adopt and
+// Seeded random sequences of observe_node, pairwise meetings, pool + adopt and
 // expire_second_hand, applied in lockstep to edge-indexed stores and to
 // PairMapKnowledge (the layout they replaced). A dynamic world registers the
 // arcs an agent is about to sense first, serially, exactly as the mapping
@@ -408,8 +430,8 @@ std::size_t drive_against_oracle(World& world, bool dynamic,
     if (rng.bernoulli(0.3)) {
       const std::size_t a = rng.index(kAgents);
       const std::size_t b = rng.index(kAgents);
-      stores[a].learn_from(stores[b]);
-      oracles[a].learn_from(oracles[b]);
+      meet(stores[a], stores[b]);
+      meet(oracles[a], oracles[b]);
     }
     if (rng.bernoulli(0.4)) {
       std::vector<std::size_t> members;

@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "map_knowledge_oracle.hpp"
+
 namespace agentnet {
 namespace {
 
@@ -105,7 +107,7 @@ TEST(MappingAgentTest, ConscientiousIgnoresSecondHandVisits) {
     b.move_to(v);
     b.sense(g, v);
   }
-  a.learn_from(b);
+  meet(a, b);
   // Conscientious a still treats 1..3 as unvisited (first-hand view), so
   // its decision is a shared-hash pick over the full 3-way tie — stable
   // across calls with the same (node, step, tie set). A super-conscientious
@@ -127,7 +129,7 @@ TEST(MappingAgentTest, SuperConscientiousUsesSecondHandVisits) {
   b.sense(g, 1);
   b.move_to(2);
   b.sense(g, 2);
-  a.learn_from(b);
+  meet(a, b);
   // a should now prefer 3 (never visited by either agent).
   for (int i = 0; i < 50; ++i) EXPECT_EQ(a.decide(g, board, 5), 3u);
 }

@@ -9,18 +9,27 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "aco/ant_routing.hpp"
+#include "aco/ant_routing_task.hpp"
+#include "adv/dv_agent.hpp"
 #include "common/dense_bitset.hpp"
 #include "common/error.hpp"
 #include "core/map_knowledge.hpp"
 #include "common/rng.hpp"
+#include "core/mapping_task.hpp"
+#include "core/routing_task.hpp"
 #include "energy/battery.hpp"
+#include "experiments/replicate.hpp"
+#include "experiments/traffic_experiments.hpp"
 #include "mobility/mobility.hpp"
+#include "net/generators.hpp"
 #include "net/graph.hpp"
 #include "snapshot/bytes.hpp"
 
@@ -739,6 +748,160 @@ TEST(CheckpointerTest, SaveDueHonoursPeriodAndResumePoint) {
   EXPECT_FALSE(rport.save_due(25)) << "that state is already on disk";
   EXPECT_TRUE(rport.save_due(50));
 }
+
+// What each task family writes into a checkpoint, pinned as an FNV-1a
+// digest of every run record's payload (task state, then telemetry) at
+// step 40 of a 60-step, two-run replication checkpointing every 20 steps.
+// The resume suites only compare a resumed run with an uninterrupted one
+// of the same build; these digests catch a change of field order or
+// content that both legs would share. A deliberate format change re-pins
+// them and says so.
+
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+FaultPlan golden_chaos_plan() {
+  FaultPlan plan;
+  plan.node_crash_probability = 0.04;
+  plan.crash_persistence = 5;
+  plan.burst_drop_probability = 0.05;
+  plan.agent_loss_probability = 0.02;
+  plan.gateway_respawn_probability = 0.05;
+  plan.watchdog_ttl = 20;
+  return plan;
+}
+
+RoutingScenario golden_scenario() {
+  RoutingScenarioParams params;
+  params.node_count = 50;
+  params.gateway_count = 4;
+  params.bounds = {{0.0, 0.0}, {350.0, 350.0}};
+  params.trace_steps = 70;
+  return RoutingScenario(params, 17);
+}
+
+/// Replicates `task` twice under AGENTNET_CHECKPOINT_EVERY=20 and returns
+/// "<digest run 0> <digest run 1>" of the records on disk, which must all
+/// sit at step 40.
+template <typename Task, typename RunOne>
+std::string payload_digests(const char* kind, std::size_t nodes,
+                            std::size_t steps, Task task, bool faults,
+                            RunOne run_one) {
+  task.faults = faults ? golden_chaos_plan() : FaultPlan{};
+  const std::string path =
+      temp_path(std::string("golden_") + kind + (faults ? "_f" : "") +
+                ".snap");
+  ::setenv("AGENTNET_CHECKPOINT", path.c_str(), 1);
+  ::setenv("AGENTNET_CHECKPOINT_EVERY", "20", 1);
+  replicate({kind, 2, 31, nodes, steps, 1, obs::ObsConfig{}, FaultConfig{}},
+            task, run_one);
+  ::unsetenv("AGENTNET_CHECKPOINT");
+  ::unsetenv("AGENTNET_CHECKPOINT_EVERY");
+  std::string out;
+  for (const auto& [run, record] : load_checkpoint(path).runs) {
+    EXPECT_EQ(record.step, 40u) << kind << " run " << run;
+    out += (out.empty() ? "" : " ") + hex(fnv1a(record.payload));
+  }
+  return out;
+}
+
+#if AGENTNET_OBS_LEVEL >= 1
+
+TEST(CheckpointGoldenTest, RoutingPayloadsPinned) {
+  const RoutingScenario scenario = golden_scenario();
+  RoutingTaskConfig task;
+  task.population = 12;
+  task.steps = 60;
+  task.measure_from = 30;
+  task.record_oracle = true;
+  task.traffic = true;
+  task.agent.communicate = true;
+  const auto run = [&](const RoutingTaskConfig& config, Rng rng) {
+    return run_routing_task(scenario, config, rng);
+  };
+  EXPECT_EQ(payload_digests("routing", 50, 60, task, false, run),
+            "61e29cdacfccb8fc 6dac98ac44a59b25");
+  EXPECT_EQ(payload_digests("routing", 50, 60, task, true, run),
+            "171a45ec2ea66baa 1daed33a74e5cb22");
+}
+
+TEST(CheckpointGoldenTest, MappingPayloadsPinned) {
+  TargetEdgeParams params;
+  params.geometry.node_count = 40;
+  params.target_edges = 240;
+  params.tolerance = 0.05;
+  const GeneratedNetwork network = generate_target_edge_network(params, 5);
+  MappingTaskConfig task;
+  task.population = 4;
+  task.max_steps = 50;  // steps 0..50: the last save is at 40
+  const auto run = [&](const MappingTaskConfig& config, Rng rng) {
+    World world = World::frozen(network);
+    return run_mapping_task(world, config, rng);
+  };
+  EXPECT_EQ(payload_digests("mapping", 40, 50, task, false, run),
+            "d3cd525b8da6ab93 ae5269201dbad5d4");
+  EXPECT_EQ(payload_digests("mapping", 40, 50, task, true, run),
+            "6d0d13f526520653 008ead68f03695c8");
+}
+
+TEST(CheckpointGoldenTest, TrafficPayloadsPinned) {
+  const RoutingScenario scenario = golden_scenario();
+  TrafficTaskConfig task;
+  task.steps = 60;
+  task.measure_from = 30;
+  task.workload.offered_load = 0.4;
+  const auto run = [&](const TrafficTaskConfig& config, Rng rng) {
+    return run_traffic_task(scenario, config, rng);
+  };
+  EXPECT_EQ(payload_digests("traffic", 50, 60, task, false, run),
+            "d52c9b177813c96e a15589a6a2fe002d");
+  EXPECT_EQ(payload_digests("traffic", 50, 60, task, true, run),
+            "9d8974e5fc9f6958 df855b309a5d2e29");
+}
+
+TEST(CheckpointGoldenTest, AntColonyPayloadsPinned) {
+  const RoutingScenario scenario = golden_scenario();
+  AntRoutingTaskConfig task;
+  task.steps = 60;
+  task.measure_from = 30;
+  const auto run = [&](const AntRoutingTaskConfig& config, Rng rng) {
+    return run_ant_routing_task(scenario, config, rng);
+  };
+  EXPECT_EQ(payload_digests("aco", 50, 60, task, false, run),
+            "9c273534a124c7e3 fb5cba8c410f92d8");
+  EXPECT_EQ(payload_digests("aco", 50, 60, task, true, run),
+            "f0647e60ced88f88 2b8b3629e0368420");
+}
+
+TEST(CheckpointGoldenTest, DvPayloadsPinned) {
+  const RoutingScenario scenario = golden_scenario();
+  DvRoutingTaskConfig task;
+  task.population = 12;
+  task.steps = 60;
+  task.measure_from = 30;
+  const auto run = [&](const DvRoutingTaskConfig& config, Rng rng) {
+    return run_dv_routing_task(scenario, config, rng);
+  };
+  EXPECT_EQ(payload_digests("dv", 50, 60, task, false, run),
+            "b6d5534f7c863a00 901dc93f27485275");
+  EXPECT_EQ(payload_digests("dv", 50, 60, task, true, run),
+            "977e2200ae79005a 08c804a0ea8c3785");
+}
+
+#endif  // AGENTNET_OBS_LEVEL >= 1
 
 }  // namespace
 }  // namespace agentnet::snapshot
