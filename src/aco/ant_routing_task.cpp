@@ -11,6 +11,7 @@ AntRoutingResult run_ant_routing_task(const RoutingScenario& scenario,
                    "measure_from must precede steps");
   TaskLoop loop(config);
   World world = scenario.make_world();
+  world.set_team(loop.par().team());
   loop.fork_faults(rng);
   AntRoutingConfig ant_config = config.ants;
   ant_config.ant_loss_probability =

@@ -109,6 +109,7 @@ DvRoutingTaskResult run_dv_routing_task(const RoutingScenario& scenario,
                    "measure_from must precede steps");
   TaskLoop loop(config);
   World world = scenario.make_world();
+  world.set_team(loop.par().team());
   const std::size_t n = world.node_count();
   const auto& is_gateway = scenario.is_gateway();
   RoutingTables tables(n, config.route_policy);

@@ -7,30 +7,28 @@
 
 namespace agentnet {
 
-namespace detail {
+namespace {
 
+/// 0 → hardware concurrency; anything else unchanged.
 std::size_t resolve_agent_threads(std::size_t threads) {
   if (threads != 0) return threads;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
-ThreadPool& agent_pool(std::size_t threads) {
-  // One pool per process, sized by the first activation: runs × agent
-  // batches queue into the same workers (no oversubscription by nesting).
-  static ThreadPool pool(resolve_agent_threads(threads));
-  return pool;
-}
+}  // namespace
 
-}  // namespace detail
+AgentParallel::AgentParallel(const AgentParallelConfig& config) {
+  const std::size_t threads = resolve_agent_threads(config.threads);
+  if (threads > 1) team_ = std::make_shared<ForkJoin>(threads);
+}
 
 AgentParallelConfig AgentParallelConfig::from_env() {
   AgentParallelConfig config;
   const std::int64_t raw = env_int("AGENTNET_AGENT_THREADS", 1);
   if (raw < 0)
     throw ConfigError("AGENTNET_AGENT_THREADS must be >= 0");
-  config.threads = detail::resolve_agent_threads(
-      static_cast<std::size_t>(raw));
+  config.threads = resolve_agent_threads(static_cast<std::size_t>(raw));
   return config;
 }
 

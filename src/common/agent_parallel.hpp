@@ -2,12 +2,14 @@
 //
 // AgentParallel fans the per-step agent phases — sense, decide,
 // group-disjoint exchanges, per-root measurement walks, per-node traffic
-// service — over a single process-shared worker pool. It is the intra-run
-// counterpart of the per-run engine (common/parallel_for.hpp) and obeys
-// the same contract (docs/ARCHITECTURE.md, "Determinism & parallelism"):
+// service — over the run's one fork-join team (common/fork_join.hpp). The
+// same team does the run's world upkeep (World::set_team), so a run's
+// thread count is one set of threads. It is the intra-run counterpart of
+// the per-run engine (common/parallel_for.hpp) and obeys the same contract
+// (docs/ARCHITECTURE.md, "Determinism & parallelism"):
 //
 //   * threads <= 1 (the default) runs the *exact* serial loop on the
-//     caller's thread — no pool, no wrappers — so `AGENTNET_AGENT_THREADS`
+//     caller's thread — no team, no wrappers — so `AGENTNET_AGENT_THREADS`
 //     unset reproduces pre-engine behaviour bit for bit.
 //   * Parallel bodies follow a two-phase read/commit step: fn(i) reads
 //     frozen pre-step state (the graph, stigmergy stamps, pheromone rows)
@@ -15,30 +17,28 @@
 //     index order afterwards. No shared RNG draws and no trace events
 //     inside fn — task loops pre-draw fault decisions and replay events
 //     serially, so every output byte is identical at any thread count.
-//   * Worker chunks run under the caller's RunObs slot (ObsRunScope), so
+//   * Team chunks run under the caller's RunObs slot (ObsRunScope), so
 //     relaxed-atomic counter bumps land in the right replication no matter
-//     which pool thread executes them.
+//     which team thread executes them.
 //
-// All runs share one agent pool (sized on first use): nested parallelism
-// — AGENTNET_THREADS runs × AGENTNET_AGENT_THREADS agent batches — queues
-// into the same fixed set of workers instead of multiplying thread counts.
+// Copies share the team, and a team runs one job at a time, so one run's
+// copies are used from that run's thread only. Concurrent runs each build
+// their own team: R runs (AGENTNET_THREADS) × T agent threads.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <future>
-#include <utility>
-#include <vector>
+#include <memory>
 
-#include "common/thread_pool.hpp"
+#include "common/fork_join.hpp"
 #include "obs/obs_level.hpp"
 #include "obs/scope.hpp"
 
 namespace agentnet {
 
 struct AgentParallelConfig {
-  /// Worker threads for intra-run agent phases. 1 = the exact serial
-  /// path; 0 = one per hardware thread.
+  /// Threads of the run's one team: agent phases, connectivity walks and
+  /// world upkeep. 1 = the exact serial path; 0 = one per hardware thread.
   std::size_t threads = 1;
 
   /// Reads AGENTNET_AGENT_THREADS: unset/empty → 1 (serial), 0 → one per
@@ -47,26 +47,17 @@ struct AgentParallelConfig {
   static AgentParallelConfig from_env();
 };
 
-namespace detail {
-/// The process-shared agent pool, created on first use with `threads`
-/// workers (later callers reuse it whatever they ask for).
-ThreadPool& agent_pool(std::size_t threads);
-/// 0 → hardware concurrency; anything else unchanged.
-std::size_t resolve_agent_threads(std::size_t threads);
-}  // namespace detail
-
 class AgentParallel {
  public:
   /// Inactive engine: every for_each is the plain serial loop.
   AgentParallel() = default;
-  explicit AgentParallel(const AgentParallelConfig& config)
-      : threads_(detail::resolve_agent_threads(config.threads)) {
-    if (threads_ > 1) pool_ = &detail::agent_pool(threads_);
-  }
+  /// Builds the run's team when the config asks for more than one thread.
+  explicit AgentParallel(const AgentParallelConfig& config);
 
-  std::size_t threads() const { return threads_; }
   /// False selects the exact serial loop in the for_each variants.
-  bool active() const { return pool_ != nullptr; }
+  bool active() const { return team_ != nullptr; }
+  /// The run's team (null when inactive), for World::set_team.
+  const std::shared_ptr<ForkJoin>& team() const { return team_; }
 
   /// Runs fn(i) for every i in [0, n). fn must be safe to call
   /// concurrently for distinct i — each index writes only its own slot.
@@ -100,42 +91,29 @@ class AgentParallel {
   }
 
  private:
-  /// Static contiguous chunking (same shape as parallel_for), each chunk
-  /// running under the dispatching thread's RunObs slot. Blocks until all
-  /// chunks finish, then rethrows the first failure in chunk order.
+  /// Static contiguous chunking (same shape as parallel_for), one chunk
+  /// per team member, each running under the dispatching thread's RunObs
+  /// slot. Returns once all chunks finish, then rethrows the first failure
+  /// in chunk order.
   template <typename Body>
   void dispatch(std::size_t n, Body&& body) const {
 #if AGENTNET_OBS_LEVEL >= 1
     obs::count(obs::Counter::kAgentParallelBatches);
     obs::RunObs& slot = obs::current_obs();
 #endif
-    const std::size_t chunks = std::min(threads_, n);
+    const std::size_t chunks = std::min(team_->size(), n);
     const std::size_t base = n / chunks;
     const std::size_t extra = n % chunks;
-    std::vector<std::future<void>> done;
-    done.reserve(chunks);
-    std::size_t begin = 0;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t end = begin + base + (c < extra ? 1 : 0);
-      done.push_back(pool_->submit([&body, begin, end
+    team_->run(chunks, [&](std::size_t c) {
 #if AGENTNET_OBS_LEVEL >= 1
-                                    ,
-                                    &slot
+      obs::ObsRunScope scope(slot);
 #endif
-      ] {
-#if AGENTNET_OBS_LEVEL >= 1
-        obs::ObsRunScope scope(slot);
-#endif
-        body(begin, end);
-      }));
-      begin = end;
-    }
-    for (auto& f : done) f.wait();
-    for (auto& f : done) f.get();
+      const std::size_t begin = c * base + std::min(c, extra);
+      body(begin, begin + base + (c < extra ? 1 : 0));
+    });
   }
 
-  ThreadPool* pool_ = nullptr;
-  std::size_t threads_ = 1;
+  std::shared_ptr<ForkJoin> team_;
 };
 
 }  // namespace agentnet

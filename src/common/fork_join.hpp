@@ -1,6 +1,6 @@
-// A fixed fork-join team for the per-step world upkeep (docs/PERFORMANCE.md,
-// "The upkeep team"): one index range at a time, split into static
-// contiguous chunks, one per team member.
+// A fixed fork-join team, one per run, shared by the agent engine and the
+// world upkeep (docs/PERFORMANCE.md, "The run's team"): one index range at
+// a time, split into static contiguous chunks, one per team member.
 //
 // The calling thread runs chunk 0 itself and helper h claims chunk h. A job
 // is published by bumping an atomic generation counter; after each job the

@@ -64,11 +64,10 @@ struct MeetingPlan {
 /// The commit pass (serial): each meeting's counters and trace events at
 /// step `t`, replayed in group order — the per-meeting sequence of a
 /// single-pass loop, so traces stay byte-identical at any thread count.
-/// `merge_agent(idx)` is the agent field of each talker's kMerge event.
-template <typename Agent, typename MergeAgent>
+/// Each talker's kMerge event names the agent by its id, as kMove does.
+template <typename Agent>
 void commit_meetings(const std::vector<MeetingPlan>& meetings,
-                     const std::vector<Agent>& agents, std::size_t t,
-                     [[maybe_unused]] MergeAgent&& merge_agent) {
+                     const std::vector<Agent>& agents, std::size_t t) {
   obs::ScopedPhase commit_phase(obs::Phase::kCommit);
   for (const MeetingPlan& meeting : meetings) {
     if (meeting.corrupted) {
@@ -83,7 +82,7 @@ void commit_meetings(const std::vector<MeetingPlan>& meetings,
                        static_cast<std::int64_t>(meeting.talkers.size()));
     for (std::size_t idx : meeting.talkers) {
       AGENTNET_COUNT(kKnowledgeMerges);
-      AGENTNET_OBS_EVENT(kMerge, t, merge_agent(idx),
+      AGENTNET_OBS_EVENT(kMerge, t, agents[idx].id(),
                          static_cast<std::int64_t>(agents[idx].location()));
     }
   }

@@ -347,9 +347,7 @@ MappingTaskResult run_mapping_task(World& world,
               pool.add(agents[idx].knowledge());
             for (std::size_t idx : meeting.talkers) agents[idx].adopt(pool);
           });
-      commit_meetings(meetings, agents, t, [](std::size_t idx) {
-        return static_cast<std::int64_t>(idx);
-      });
+      commit_meetings(meetings, agents, t);
     }
 
     // Resilience: hearsay expires after the configured TTL — a crashed

@@ -237,6 +237,7 @@ RoutingTaskResult run_routing_task(const RoutingScenario& scenario,
   TaskLoop loop(config);
   World world =
       scenario.make_world(config.script ? &config.script->world : nullptr);
+  world.set_team(loop.par().team());
   const std::size_t n = world.node_count();
   const auto& is_gateway = scenario.is_gateway();
 
@@ -503,8 +504,7 @@ RoutingTaskResult run_routing_task(const RoutingScenario& scenario,
         for (const MeetingPlan& meeting : meetings)
           if (!meeting.corrupted) pool_meeting(meeting, pooled);
       }
-      commit_meetings(meetings, agents, t,
-                      [&](std::size_t idx) { return agents[idx].id(); });
+      commit_meetings(meetings, agents, t);
     }
 
     // Phase 4: move (the decision's link is still live — the world has not

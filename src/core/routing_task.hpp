@@ -126,7 +126,8 @@ struct ScenarioScript {
 };
 
 /// The agent engine fans arrive, group exchanges, the connectivity walks
-/// and — for non-stigmergic teams — decide over the shared agent pool.
+/// and — for non-stigmergic teams — decide over the run's team, which
+/// also runs the world upkeep.
 struct RoutingTaskConfig : RunContext {
   int population = 100;
   RoutingAgentConfig agent;

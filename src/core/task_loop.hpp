@@ -38,10 +38,10 @@ struct RunContext {
   /// policies. An inert plan keeps a task on exactly its fault-free path.
   /// See fault/fault_plan.hpp and docs/ROBUSTNESS.md.
   FaultPlan faults;
-  /// Intra-run agent parallelism (AGENTNET_AGENT_THREADS): the per-agent
-  /// phases each task config names and the connectivity walks fan over the
-  /// shared agent pool. Bit-identical at every thread count; threads = 1
-  /// (the default) is the exact serial path.
+  /// Intra-run parallelism (AGENTNET_AGENT_THREADS): the per-agent phases
+  /// each task config names, the connectivity walks and a live world's
+  /// upkeep fan over the run's one team. Bit-identical at every thread
+  /// count; threads = 1 (the default) is the exact serial path.
   AgentParallelConfig agent_parallel = AgentParallelConfig::from_env();
   /// Checkpoint/restore handle for this run (nullptr = disabled). Owned by
   /// the caller; see snapshot/snapshot.hpp and docs/ROBUSTNESS.md.
@@ -65,7 +65,8 @@ class TaskLoop {
   explicit TaskLoop(const RunContext& context);
 
   const FaultPlan& plan() const { return plan_; }
-  /// The intra-run agent engine, built once per run.
+  /// The intra-run agent engine and its team, built once per run; a task
+  /// hands the team to its live world (World::set_team).
   const AgentParallel& par() const { return par_; }
 
   /// Forks the fault stream from `rng`; call where the task always has.

@@ -15,6 +15,7 @@ TrafficTaskResult run_traffic_task(const RoutingScenario& scenario,
   TaskLoop loop(config);
   World world =
       scenario.make_world(config.script ? &config.script->world : nullptr);
+  world.set_team(loop.par().team());
   loop.fork_faults(rng);
   AntRoutingConfig ant_config = config.ants;
   ant_config.ant_loss_probability =

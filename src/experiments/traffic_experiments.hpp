@@ -26,7 +26,8 @@ namespace agentnet {
 
 /// Faults mask the graph both planes see. The agent engine is threaded
 /// into both planes: ant evaporation/entropy/snapshot, per-node queue
-/// service and the connectivity walks fan over the shared agent pool.
+/// service, the connectivity walks and the world upkeep fan over the
+/// run's team.
 struct TrafficTaskConfig : RunContext {
   AntRoutingConfig ants{};
   FlowWorkloadConfig workload{};

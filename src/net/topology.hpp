@@ -62,7 +62,7 @@ class TopologyBuilder {
   static constexpr std::size_t kBuildBlockNodes = 16384;
   /// Dirty rows an update_into() must gather before it fans out over
   /// UpdateOptions::team: below it one thread gathers them faster than a
-  /// team round trip (docs/PERFORMANCE.md, "The upkeep team").
+  /// team round trip (docs/PERFORMANCE.md, "The run's team").
   static constexpr std::size_t kGatherGrain = 512;
 
   /// Incrementally patches `graph` — which must hold this builder's last

@@ -9,7 +9,7 @@
 // members skip the range recomputation entirely (their effective range is
 // a constant). The scan is serial: at the member counts the benchmark
 // runs it costs less than a team round trip (docs/PERFORMANCE.md, "The
-// upkeep team"). Per-tile dirty lists are merged into one globally
+// run's team"). Per-tile dirty lists are merged into one globally
 // ascending id list — a pure function of the snapshot, independent of
 // tiling — so every downstream step (TopologyBuilder::update_into, weather
 // row filtering, epoch bumps) consumes the same dirty set at any shard

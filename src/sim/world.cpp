@@ -26,11 +26,6 @@ World::World(Aabb bounds, std::vector<Vec2> initial_positions,
   AGENTNET_REQUIRE(mobility_ != nullptr, "world needs a mobility model");
   quantum_ = env_double("AGENTNET_TOPO_RANGE_QUANTUM", 0.0);
   AGENTNET_REQUIRE(quantum_ >= 0.0, "range quantum must be >= 0");
-  const auto threads_knob = env_int("AGENTNET_TOPO_SHARD_THREADS", 1);
-  AGENTNET_REQUIRE(threads_knob >= 0, "shard threads must be >= 0");
-  shard_threads_ = threads_knob == 0
-                       ? ThreadPool::default_threads()
-                       : static_cast<std::size_t>(threads_knob);
   // Only nodes that can move or discharge can ever dirty the topology;
   // stationary mains-powered nodes (gateways, frozen mapping networks) are
   // clean forever and cost nothing per advance().
@@ -144,7 +139,7 @@ void World::refresh_topology() {
     AGENTNET_COUNT_N(kTopoNodesDirty, dirty.size());
     AGENTNET_COUNT_N(kShardTilesDirty, shards_->last_tiles_dirty());
     TopologyBuilder::UpdateOptions opts;
-    opts.team = team();
+    opts.team = team_.get();
     opts.touched_rows = &touched_rows_;
     geo_changed =
         builder_.update_into(geo_graph_, dirty, positions_, ranges_, opts);
@@ -216,14 +211,11 @@ bool World::redraw_weather() {
 }
 
 void World::set_shard_threads(std::size_t threads) {
-  shard_threads_ = threads == 0 ? ThreadPool::default_threads() : threads;
-  if (team_ && team_->size() != shard_threads_) team_.reset();
-}
-
-ForkJoin* World::team() {
-  if (shard_threads_ <= 1) return nullptr;
-  if (!team_) team_ = std::make_unique<ForkJoin>(shard_threads_);
-  return team_.get();
+  if (threads == 0) threads = ThreadPool::default_threads();
+  if (threads <= 1)
+    team_.reset();
+  else if (!team_ || team_->size() != threads)
+    team_ = std::make_shared<ForkJoin>(threads);
 }
 
 std::size_t World::memory_bytes() const {

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/fork_join.hpp"
@@ -97,12 +98,17 @@ class World {
     return radio_.effective_range(node, batteries_.fraction(node));
   }
 
-  /// Team size for the dirty-row gather; 1 (the default, or
-  /// AGENTNET_TOPO_SHARD_THREADS) is the exact serial path and every
-  /// setting is bit-identical — threads only redistribute row gathering,
-  /// and only once the dirty rows exceed a fixed grain (0 resolves
-  /// AGENTNET_THREADS / hardware concurrency). Changing it drops the team;
-  /// the next advance() that needs one builds it.
+  /// The fork-join team the dirty-row gather fans over once the dirty
+  /// rows exceed a fixed grain; null (the default) is the exact serial
+  /// path. Every team is bit-identical — threads only redistribute row
+  /// gathering. A task passes its run's agent team (AgentParallel::team),
+  /// so upkeep and agent phases share one set of threads; the team runs
+  /// one job at a time, so the world must advance on the thread that
+  /// dispatches the team's other jobs.
+  void set_team(std::shared_ptr<ForkJoin> team) { team_ = std::move(team); }
+  /// Gives the world a team of its own of `threads` (0 resolves
+  /// AGENTNET_THREADS / hardware concurrency; 1 is serial). A team of the
+  /// same size is kept.
   void set_shard_threads(std::size_t threads);
 
   /// Approximate heap footprint of the world's live structures — node
@@ -160,9 +166,6 @@ class World {
   /// Re-filters u's weather row from geo_graph_, rewriting it when it
   /// differs (returns true then), and updates the drop counts.
   bool refilter_row(NodeId u);
-  /// The upkeep team (shard threads − 1 helpers), built on first use;
-  /// null at shard threads 1.
-  ForkJoin* team();
 
   Aabb bounds_;
   std::vector<Vec2> positions_;
@@ -184,10 +187,9 @@ class World {
   // Shard tiles are derived state: checkpoints never serialize them,
   // load_state rebuilds them. Null only on fixed() worlds.
   std::unique_ptr<WorldShards> shards_;
-  std::unique_ptr<ForkJoin> team_;
+  std::shared_ptr<ForkJoin> team_;  ///< Null: serial upkeep.
   std::vector<NodeId> touched_rows_;  ///< update_into() modified-row output.
   std::vector<std::uint32_t> flap_row_drops_;  ///< Weather drops per row.
-  std::size_t shard_threads_ = 1;
   double quantum_ = 0.0;
   std::uint64_t epoch_ = 0;
   std::uint64_t state_epoch_ = 0;

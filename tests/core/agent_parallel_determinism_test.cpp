@@ -18,7 +18,9 @@
 #include "core/routing_task.hpp"
 #include "experiments/traffic_experiments.hpp"
 #include "net/generators.hpp"
+#include "net/topology.hpp"
 #include "obs/obs.hpp"
+#include "sim/world.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace agentnet {
@@ -200,6 +202,60 @@ TEST(AgentParallelDeterminismTest, StigmergicRoutingStaysIdentical) {
     EXPECT_GT(obs.batches, 0u);  // arrive/exchange/measure still fan out
     expect_identical(parallel, serial);
     expect_identical(obs, serial_obs);
+  }
+}
+
+TEST(AgentParallelDeterminismTest, SharedTeamGathersUpkeepAboveTheGrain) {
+  // A live routing world of 1,200 nodes: its 600 movers are on battery, so
+  // every one of them is dirty every step, above the 512-row gather grain.
+  // The run's one team then fans the world upkeep as well as the agent
+  // phases, and the two kinds of job alternate on it every step.
+  RoutingScenarioParams params;
+  params.node_count = 1200;
+  params.gateway_count = 58;
+  params.bounds = {{0.0, 0.0}, {2190.0, 2190.0}};
+  params.trace_steps = 30;
+  const RoutingScenario scenario(params, 43);
+  {
+    obs::RunObs slot;
+    obs::ObsRunScope scope(slot);
+    World world = scenario.make_world();
+    for (std::size_t t = 0; t < params.trace_steps; ++t) {
+      const auto dirty = [&] {
+        return obs::snapshot(slot.counters)
+            .value(obs::Counter::kTopoNodesDirty);
+      };
+      const std::uint64_t before = dirty();
+      world.advance();
+      EXPECT_GT(dirty() - before, TopologyBuilder::kGatherGrain)
+          << "step " << t << " stays below the gather grain";
+    }
+  }
+  for (const bool traffic : {false, true}) {
+    SCOPED_TRACE(traffic ? "traffic on" : "traffic off");
+    const auto run_at = [&](std::size_t threads, Observed& obs_out) {
+      RoutingTaskConfig task;
+      task.population = 120;
+      task.agent.communicate = true;
+      task.steps = params.trace_steps;
+      task.measure_from = 15;
+      task.record_oracle = true;
+      task.traffic = traffic;
+      task.agent_parallel.threads = threads;
+      return observe(obs_out,
+                     [&] { return run_routing_task(scenario, task, Rng(47)); });
+    };
+    Observed serial_obs;
+    const auto serial = run_at(1, serial_obs);
+    EXPECT_EQ(serial_obs.batches, 0u);
+    for (const std::size_t threads : kThreadSweep) {
+      SCOPED_TRACE(threads);
+      Observed obs;
+      const auto parallel = run_at(threads, obs);
+      EXPECT_GT(obs.batches, 0u);
+      expect_identical(parallel, serial);
+      expect_identical(obs, serial_obs);
+    }
   }
 }
 

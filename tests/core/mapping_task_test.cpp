@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <vector>
+
 #include "net/generators.hpp"
+#include "obs/obs.hpp"
 
 namespace agentnet {
 namespace {
@@ -369,6 +374,60 @@ TEST(MappingTaskTest, RejectsZeroStigmergyCapacity) {
   auto cfg = config(MappingPolicy::kConscientious, StigmergyMode::kOff, 3);
   cfg.stigmergy_capacity = 0;
   EXPECT_THROW(run_mapping_task(world, cfg, Rng(1)), ConfigError);
+}
+
+TEST(MappingTaskTest, MergeEventsNameTheAgentThatMoved) {
+  // Losses compact the live agent vector, so an agent's index and its id
+  // part after the first one; a merge must still name the id that its
+  // move events carry, standing where that agent's last move put it.
+  const auto net = small_network();
+  auto cfg = config(MappingPolicy::kConscientious, StigmergyMode::kOff, 10);
+  cfg.max_steps = 400;
+  cfg.faults.agent_loss_probability = 0.03;
+  cfg.faults.watchdog_ttl = 20;
+  obs::RunObs slot;
+  slot.trace.enable();
+  {
+    obs::ObsRunScope scope(slot);
+    World world = World::frozen(net);
+    run_mapping_task(world, cfg, Rng(13));
+  }
+  const std::vector<obs::TraceEvent>& events = slot.trace.events();
+  std::set<std::int64_t> movers;
+  for (const obs::TraceEvent& e : events)
+    if (e.kind == obs::TraceEventKind::kMove) movers.insert(e.agent);
+  std::map<std::int64_t, std::int64_t> at;  // agent id → its latest node
+  std::size_t merges = 0;
+  std::size_t lost = 0;
+  for (const obs::TraceEvent& e : events) {
+    switch (e.kind) {
+      case obs::TraceEventKind::kLost:
+        ++lost;
+        break;
+      case obs::TraceEventKind::kMove:
+        at[e.agent] = e.b;
+        break;
+      case obs::TraceEventKind::kWatchdogRespawn:
+        at[e.agent] = e.a;
+        break;
+      case obs::TraceEventKind::kMerge: {
+        ++merges;
+        EXPECT_TRUE(movers.count(e.agent))
+            << "merge at step " << e.step << " names agent " << e.agent
+            << ", which never moves";
+        const auto known = at.find(e.agent);
+        if (known != at.end()) {
+          EXPECT_EQ(known->second, e.a)
+              << "merge at step " << e.step << " of agent " << e.agent;
+        }
+        break;
+      }
+      default:
+        break;
+    }
+  }
+  EXPECT_GT(lost, 0u) << "the run must lose agents";
+  EXPECT_GT(merges, 0u) << "the run must hold meetings";
 }
 
 TEST(MappingTaskTest, RejectsInvalidFaultPlan) {

@@ -8,7 +8,8 @@
 //   * World::advance() on the paper routing scenario stays within a pinned
 //     budget while its recorded trace still moves nodes, and allocates
 //     nothing once the trace has frozen;
-//   * a warm ForkJoin job — the upkeep team's fan-out — allocates nothing.
+//   * a warm ForkJoin job — the run team's fan-out — allocates nothing,
+//     and neither does a warm agent-engine batch dispatched over it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +19,7 @@
 #include <new>
 #include <vector>
 
+#include "common/agent_parallel.hpp"
 #include "common/fork_join.hpp"
 #include "core/routing_task.hpp"
 #include "net/generators.hpp"
@@ -88,7 +90,6 @@ TEST(AllocBudgetTest, WarmBuildIntoAllocatesNothing) {
 TEST(AllocBudgetTest, WorldAdvanceStaysWithinBudget) {
   const RoutingScenario scenario{RoutingScenarioParams{}, 2010};
   World world = scenario.make_world();
-  world.set_shard_threads(1);  // the serial upkeep path, whatever the env
   constexpr std::size_t kWarmSteps = 64;
   const std::size_t trace_steps = scenario.params().trace_steps;
   for (std::size_t i = 0; i < kWarmSteps; ++i) world.advance();
@@ -120,6 +121,20 @@ TEST(AllocBudgetTest, WarmTeamJobAllocatesNothing) {
   team.run(slot.size(), job);  // warm
   const std::size_t before = allocations();
   for (int i = 0; i < 64; ++i) team.run(slot.size(), job);
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(slot[999], 65u * 999);
+}
+
+TEST(AllocBudgetTest, WarmAgentBatchAllocatesNothing) {
+  AgentParallelConfig config;
+  config.threads = 4;
+  const AgentParallel par(config);
+  ASSERT_TRUE(par.active());
+  std::vector<std::uint64_t> slot(1000, 0);
+  const auto body = [&](std::size_t i) { slot[i] += i; };
+  par.for_each(slot.size(), body);  // warm
+  const std::size_t before = allocations();
+  for (int i = 0; i < 64; ++i) par.for_each(slot.size(), body);
   EXPECT_EQ(allocations() - before, 0u);
   EXPECT_EQ(slot[999], 65u * 999);
 }

@@ -80,9 +80,8 @@ void expect_same(const Probe& replay, const Probe& live,
 }
 
 TEST(WorldScriptTest, ReplayMatchesLiveAcrossQuantumAndShardThreads) {
-  for (const char* threads : {"1", "7"}) {
+  for (std::size_t threads : {1u, 7u}) {
     for (const char* quantum : {"0", "6.5"}) {
-      EnvGuard threads_env("AGENTNET_TOPO_SHARD_THREADS", threads);
       EnvGuard quantum_env("AGENTNET_TOPO_RANGE_QUANTUM", quantum);
       for (LinkPolicy policy :
            {LinkPolicy::kDirected, LinkPolicy::kSymmetricAnd,
@@ -90,12 +89,15 @@ TEST(WorldScriptTest, ReplayMatchesLiveAcrossQuantumAndShardThreads) {
         const RoutingScenario scenario =
             churn_scenario(policy, 31 + static_cast<std::uint64_t>(policy));
         World recorder = scenario.make_world();
+        recorder.set_shard_threads(threads);
         const WorldScript script = WorldScript::record(recorder, 50);
         ASSERT_EQ(script.steps(), 50u);
         Probe live(scenario.make_world());
         Probe replay(scenario.make_world(&script));
+        live.world.set_shard_threads(threads);
+        replay.world.set_shard_threads(threads);
         ASSERT_EQ(replay.world.script(), &script);
-        const std::string mode = std::string("threads=") + threads +
+        const std::string mode = "threads=" + std::to_string(threads) +
                                  " quantum=" + quantum + " policy=" +
                                  std::to_string(static_cast<int>(policy));
         std::size_t changed_steps = 0;
@@ -115,14 +117,16 @@ TEST(WorldScriptTest, ReplayMatchesLiveAcrossQuantumAndShardThreads) {
 }
 
 TEST(WorldScriptTest, CheckpointMidReplayResumesTheReplay) {
-  for (const char* threads : {"1", "7"}) {
-    EnvGuard threads_env("AGENTNET_TOPO_SHARD_THREADS", threads);
+  for (std::size_t threads : {1u, 7u}) {
     const RoutingScenario scenario =
         churn_scenario(LinkPolicy::kSymmetricAnd, 5);
     World recorder = scenario.make_world();
+    recorder.set_shard_threads(threads);
     const WorldScript script = WorldScript::record(recorder, 45);
     Probe live(scenario.make_world());
     Probe first(scenario.make_world(&script));
+    live.world.set_shard_threads(threads);
+    first.world.set_shard_threads(threads);
     for (int step = 0; step < 20; ++step) {
       live.advance();
       first.advance();
@@ -134,13 +138,14 @@ TEST(WorldScriptTest, CheckpointMidReplayResumesTheReplay) {
     ASSERT_EQ(w.bytes(), reference.bytes())
         << "a replaying world checkpoints the live world's bytes";
     Probe resumed(scenario.make_world(&script));
+    resumed.world.set_shard_threads(threads);
     snapshot::ByteReader r(w.bytes());
     resumed.world.load_state(r);
     for (int step = 20; step < 45; ++step) {
       live.advance();
       resumed.advance();
       expect_same(resumed, live,
-                  std::string("threads=") + threads + " step " +
+                  "threads=" + std::to_string(threads) + " step " +
                       std::to_string(step));
     }
   }

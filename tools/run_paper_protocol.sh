@@ -39,7 +39,7 @@
 # (rebuild-equivalence, sharded-world, world), map-knowledge, edge-index,
 # battery and snapshot suites, the shared movement-recording suites
 # (mobility, scenario I/O, routing task), the flow data-plane suite, the
-# work-claiming ParallelForTest cases and the upkeep team's ForkJoinTest
+# work-claiming ParallelForTest cases and the run team's ForkJoinTest
 # cases. Last, it builds the benchmark program and runs
 # `python3 benchmark/run.py --smoke` (all five workloads at toy sizes,
 # invariants only) with no inherited AGENTNET_* variables. A fast
@@ -147,7 +147,7 @@ if [ "${1:-}" = "--smoke" ]; then
   echo "##### intra-run agent engine byte-identity (TSan, agent threads 1/2)"
   # The tentpole contract (docs/PERFORMANCE.md "Intra-run agent
   # parallelism"): AGENTNET_AGENT_THREADS fans the per-step agent phases
-  # over the shared pool and must change wall-clock only. One traced +
+  # over the run's team and must change wall-clock only. One traced +
   # metered fault-injected run per agent-thread count, for mapping and for
   # routing; stdout tables, the JSONL event stream and the metrics stream
   # are byte-diffed, under TSan so a data race in the fan-out fails the
@@ -179,7 +179,7 @@ if [ "${1:-}" = "--smoke" ]; then
   echo "##### hot-path equivalence suite (TSan)"
   cmake --build build-tsan --target rebuild_equivalence_test \
     sharded_world_test world_script_test replay_equivalence_test \
-    alloc_budget_test -j"$(nproc)"
+    alloc_budget_test agent_parallel_determinism_test -j"$(nproc)"
   # The cold topology build sizes its worker waves from AGENTNET_THREADS
   # (docs/PERFORMANCE.md); the suite's multi-block fields pin {1, 2, 7}
   # themselves, and 7 covers every other build in it.
@@ -190,32 +190,40 @@ if [ "${1:-}" = "--smoke" ]; then
   # 7 threads.
   AGENTNET_THREADS=7 build-tsan/tests/world_script_test
   AGENTNET_THREADS=7 build-tsan/tests/replay_equivalence_test
-  # The upkeep team (common/fork_join.hpp) that World::advance fans its
-  # scan and row gather over: spin, park, wake, error order, teardown.
+  # The run's team (common/fork_join.hpp) that the agent engine and
+  # World::advance's row gather fan over: spin, park, wake, error order,
+  # teardown.
   # Repeated for more interleavings than the one run at the top.
   build-tsan/tests/parallel_determinism_test --gtest_filter='ForkJoinTest.*' \
     --gtest_repeat=3
-  # Exact allocation counts for warm build_into, World::advance and a warm
-  # team job (docs/PERFORMANCE.md, "Measuring performance").
+  # Exact allocation counts for warm build_into, World::advance, a warm
+  # team job and a warm agent batch (docs/PERFORMANCE.md, "Measuring
+  # performance").
   build-tsan/tests/alloc_budget_test
-  echo "##### topology upkeep thread-count diff (TSan, shard threads 1/7)"
-  # World::advance() fans the row gather over a team of
-  # AGENTNET_TOPO_SHARD_THREADS threads above a grain of dirty rows
-  # (docs/PERFORMANCE.md, "The upkeep team"). One traced routing run per
-  # shard thread count: stdout tables and the JSONL event stream must be
+  echo "##### topology upkeep thread-count diff (TSan, agent threads 1/7)"
+  # A live world's World::advance() fans the row gather, above a grain of
+  # dirty rows, over the run's one team of AGENTNET_AGENT_THREADS threads
+  # (docs/PERFORMANCE.md, "The run's team"). One traced routing run per
+  # thread count: stdout tables and the JSONL event stream must be
   # byte-identical. runs=1 keeps the world on the live upkeep path instead
-  # of a replayed script. A 50-node world builds the team but stays below
-  # the grain; the fanned-out path runs under TSan in sharded_world_test
-  # (CrowdFansOutAndMatchesSerialAcrossTeamRebuilds) above.
-  for st in 1 7; do
-    AGENTNET_THREADS=2 AGENTNET_TOPO_SHARD_THREADS="$st" \
-      AGENTNET_TRACE="$tmp/route_st${st}.jsonl" \
+  # of a replayed script. A 50-node world stays below the grain; the
+  # fanned-out path runs under TSan in sharded_world_test
+  # (CrowdFansOutAndMatchesSerialAcrossTeamRebuilds) above and in
+  # SharedTeamGathersUpkeepAboveTheGrain below.
+  for at in 1 7; do
+    AGENTNET_THREADS=2 AGENTNET_AGENT_THREADS="$at" \
+      AGENTNET_TRACE="$tmp/route_st${at}.jsonl" \
       build-tsan/examples/agentnet_cli scenario=routing nodes=50 gateways=4 \
-      population=10 runs=1 > "$tmp/route_st${st}.out"
+      population=10 runs=1 > "$tmp/route_st${at}.out"
   done
   diff "$tmp/route_st1.out" "$tmp/route_st7.out"
   diff "$tmp/route_st1.jsonl" "$tmp/route_st7.jsonl"
-  echo "topology upkeep at shard threads 1 and 7 is bit-identical"
+  echo "topology upkeep at agent threads 1 and 7 is bit-identical"
+  # A 1,200-node live routing run whose 600 movers keep every step above
+  # the grain: agent phases and upkeep gather alternate on one team, with
+  # traffic off and on, at agent threads {1, 2, 7}.
+  build-tsan/tests/agent_parallel_determinism_test \
+    --gtest_filter='AgentParallelDeterminismTest.SharedTeamGathersUpkeepAboveTheGrain'
   echo "##### checkpoint/restore byte-identity (TSan + snapshot_inspect)"
   # Crash-tolerance proof (docs/ROBUSTNESS.md "Checkpoint/restore"): run a
   # traced+metered fault-injected routing experiment uninterrupted, run it
