@@ -14,7 +14,6 @@
 #include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 #include "experiments/mapping_experiments.hpp"
 #include "experiments/paper.hpp"
 #include "experiments/replicate.hpp"
@@ -29,7 +28,7 @@ namespace agentnet::bench {
 /// byte-stable and diffable whether or not telemetry is compiled in.
 inline void write_obs_report(std::ostream& os) {
 #if AGENTNET_OBS_LEVEL >= 1
-  os << "# threads," << ThreadPool::default_threads() << "\n";
+  os << "# threads," << default_threads() << "\n";
   const obs::PhaseSnapshot phases = obs::snapshot(obs::current_obs().phases);
   for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
     const auto phase = static_cast<obs::Phase>(i);
@@ -65,7 +64,7 @@ inline void print_header(const std::string& figure,
             << "paper: " << paper_result << "\n"
             << "runs per setting: " << runs
             << " (set AGENTNET_RUNS=40 for the paper protocol)\n"
-            << "threads: " << ThreadPool::default_threads()
+            << "threads: " << default_threads()
             << " (AGENTNET_THREADS; results identical at any setting)\n\n";
 }
 

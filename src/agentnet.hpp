@@ -35,7 +35,6 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 #include "core/map_knowledge.hpp"
 #include "core/mapping_agent.hpp"
 #include "core/mapping_task.hpp"

@@ -5,7 +5,8 @@
 // service — over the run's one fork-join team (common/fork_join.hpp). The
 // same team does the run's world upkeep (World::set_team), so a run's
 // thread count is one set of threads. It is the intra-run counterpart of
-// the per-run engine (common/parallel_for.hpp) and obeys the same contract
+// the replication fan-out (parallel_for_claimed, common/parallel_for.hpp,
+// plain threads per call) and obeys the same contract
 // (docs/ARCHITECTURE.md, "Determinism & parallelism"):
 //
 //   * threads <= 1 (the default) runs the *exact* serial loop on the

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <thread>
 
 #include "common/error.hpp"
 
@@ -72,6 +73,13 @@ int bench_threads() {
   AGENTNET_REQUIRE(threads >= 0 && threads <= 1024,
                    "AGENTNET_THREADS out of range");
   return static_cast<int>(threads);
+}
+
+std::size_t default_threads() {
+  const int configured = bench_threads();
+  if (configured > 0) return static_cast<std::size_t>(configured);
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
 }  // namespace agentnet

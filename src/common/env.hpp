@@ -4,6 +4,7 @@
 // stays fast; AGENTNET_RUNS / AGENTNET_FULL select paper-fidelity sweeps.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -35,5 +36,9 @@ bool bench_full();
 /// means "one per hardware thread"; 1 selects the exact serial path.
 /// Results are bit-identical at every setting (see docs/ARCHITECTURE.md).
 int bench_threads();
+
+/// Worker count for a fan-out asked for 0 threads: AGENTNET_THREADS when
+/// set (>= 1), else hardware_concurrency (>= 1).
+std::size_t default_threads();
 
 }  // namespace agentnet

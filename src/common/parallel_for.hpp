@@ -1,6 +1,7 @@
-// Parallel index dispatch by work claiming (parallel_for_claimed) over a
-// transient ThreadPool. The per-step world upkeep uses the static-chunk
-// ForkJoin team instead (common/fork_join.hpp).
+// Parallel index dispatch by work claiming (parallel_for_claimed) over
+// threads started for the call and joined before it returns. The per-step
+// agent phases and world upkeep use the run's static-chunk ForkJoin team
+// instead (common/fork_join.hpp).
 //
 // The experiment harness's determinism contract (docs/ARCHITECTURE.md,
 // "Determinism & parallelism") only needs indices to be *executed* in any
@@ -13,27 +14,28 @@
 #include <atomic>
 #include <cstddef>
 #include <exception>
-#include <future>
 #include <mutex>
+#include <thread>
 #include <vector>
 
-#include "common/thread_pool.hpp"
+#include "common/env.hpp"
 
 namespace agentnet {
 
-/// Runs fn(i) for every i in [0, n) on a transient pool whose workers each
-/// claim the next unstarted index from a shared counter, so a few long
-/// indices (uneven replications) do not leave the other workers idle.
-/// `threads` 0 resolves AGENTNET_THREADS / hardware_concurrency; when one
-/// worker suffices this is the *exact* serial loop `for (i) fn(i)` — no
-/// pool, no threads — so `AGENTNET_THREADS=1` reproduces pre-pool
-/// behaviour. When several indices throw, the lowest index's exception is
-/// rethrown — the one the serial loop stops at. After a failure no new
-/// index is claimed: every lower index was claimed already, so that answer
-/// cannot change.
+/// Runs fn(i) for every i in [0, n) on worker threads that each claim the
+/// next unstarted index from a shared counter, so a few long indices
+/// (uneven replications) do not leave the other workers idle. `threads` 0
+/// resolves AGENTNET_THREADS / hardware_concurrency; when one worker
+/// suffices this is the *exact* serial loop `for (i) fn(i)` — no threads —
+/// so `AGENTNET_THREADS=1` reproduces the serial behaviour. When several
+/// indices throw, the lowest index's exception is rethrown — the one the
+/// serial loop stops at. After a failure no new index is claimed: every
+/// lower index was claimed already, so that answer cannot change. If a
+/// worker cannot be started, the started ones stop claiming, are joined,
+/// and the std::thread error propagates.
 template <typename Fn>
 void parallel_for_claimed(std::size_t n, Fn&& fn, std::size_t threads = 0) {
-  std::size_t want = threads == 0 ? ThreadPool::default_threads() : threads;
+  std::size_t want = threads == 0 ? default_threads() : threads;
   want = std::min(want, n);
   if (want <= 1) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
@@ -58,13 +60,16 @@ void parallel_for_claimed(std::size_t n, Fn&& fn, std::size_t threads = 0) {
       }
     }
   };
-  {
-    ThreadPool pool(want);
-    std::vector<std::future<void>> done;
-    done.reserve(want);
-    for (std::size_t w = 0; w < want; ++w) done.push_back(pool.submit(work));
-    for (auto& f : done) f.get();
+  std::vector<std::thread> workers;
+  workers.reserve(want);
+  try {
+    for (std::size_t w = 0; w < want; ++w) workers.emplace_back(work);
+  } catch (...) {
+    next.store(n, std::memory_order_relaxed);
+    for (std::thread& worker : workers) worker.join();
+    throw;
   }
+  for (std::thread& worker : workers) worker.join();
   if (error) std::rethrow_exception(error);
 }
 

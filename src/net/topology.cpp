@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/fork_join.hpp"
 #include "common/parallel_for.hpp"
@@ -94,7 +95,7 @@ void TopologyBuilder::build_into(Graph& graph,
   // warm rebuild stays allocation-free.
   const std::size_t blocks = (n + kBuildBlockNodes - 1) / kBuildBlockNodes;
   const std::size_t wave =
-      blocks > 1 ? std::min(blocks, ThreadPool::default_threads()) : 1;
+      blocks > 1 ? std::min(blocks, default_threads()) : 1;
   if (block_slots_.size() < wave) block_slots_.resize(wave);
   const std::size_t block_nodes = std::min(n, kBuildBlockNodes);
   for (std::size_t s = 0; s < wave; ++s) {

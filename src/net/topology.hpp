@@ -50,8 +50,8 @@ class TopologyBuilder {
   /// build()'s.
   ///
   /// Rows are gathered in blocks of kBuildBlockNodes nodes, in waves of
-  /// ThreadPool::default_threads() workers (AGENTNET_THREADS), each block
-  /// into its own slot; after each wave the slots are assigned serially in
+  /// default_threads() workers (AGENTNET_THREADS), each block into its own
+  /// slot; after each wave the slots are assigned serially in
   /// node order, so the layout (starts, caps, slack) is the serial one at
   /// every thread count. A world of one block gathers on the calling
   /// thread. An over-range node throws the lowest such node's ConfigError.

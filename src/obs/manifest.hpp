@@ -49,7 +49,8 @@ RunManifest make_manifest(std::uint64_t seed, int runs, int threads);
 std::string manifest_json(const RunManifest& manifest);
 
 /// Parses manifest_json() output back; nullopt (with `*error` filled when
-/// given) on malformed input or unknown keys. Round-trips exactly.
+/// given, as "byte N: <what>", N counted in the whole text) on malformed
+/// input or unknown keys. Round-trips exactly.
 std::optional<RunManifest> parse_manifest_json(const std::string& text,
                                                std::string* error = nullptr);
 

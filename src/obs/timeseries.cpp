@@ -1,16 +1,11 @@
 #include "obs/timeseries.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <charconv>
 #include <cmath>
-#include <fstream>
-#include <mutex>
-#include <set>
-#include <utility>
+#include <ostream>
 
-#include "common/atomic_file.hpp"
 #include "common/error.hpp"
+#include "obs/codec.hpp"
 
 namespace agentnet::obs {
 
@@ -27,22 +22,6 @@ constexpr const char* kGaugeNames[] = {
 };
 static_assert(std::size(kGaugeNames) == kGaugeCount,
               "every Gauge enumerator needs a name in kGaugeNames");
-
-/// std::to_chars shortest round-trip form: re-parsing yields the same
-/// double bit-for-bit, and the output is locale-independent.
-void append_double(std::string& out, double value) {
-  char buf[32];
-  const auto result = std::to_chars(buf, buf + sizeof buf, value);
-  AGENTNET_ASSERT(result.ec == std::errc());
-  out.append(buf, result.ptr);
-}
-
-void append_u64(std::string& out, const char* key, std::uint64_t value) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  out += std::to_string(value);
-}
 
 }  // namespace
 
@@ -172,204 +151,107 @@ void MetricsBuffer::load_state(snapshot::ByteReader& r) {
 }
 
 std::string serialize_metrics_line(std::int64_t run, const MetricsRow& row) {
-  std::string out = "{\"run\":";
-  out += std::to_string(run);
-  out += ",\"step\":";
-  out += std::to_string(row.step);
-  for (std::size_t i = 0; i < kGaugeCount; ++i) {
-    if (!row.has_gauge[i]) continue;
-    out += ",\"";
-    out += kGaugeNames[i];
-    out += "\":";
-    append_double(out, row.gauges[i]);
-  }
+  std::string out;
+  JsonWriter json(out);
+  json.open();
+  json.field("run", run);
+  json.field("step", row.step);
+  for (std::size_t i = 0; i < kGaugeCount; ++i)
+    if (row.has_gauge[i]) json.field(kGaugeNames[i], row.gauges[i]);
+  std::string key;
   for (std::size_t i = 0; i < kCounterCount; ++i) {
     if (row.deltas[i] == 0) continue;
-    out += ",\"d_";
-    out += counter_name(static_cast<Counter>(i));
-    out += "\":";
-    out += std::to_string(row.deltas[i]);
+    key.assign("d_").append(counter_name(static_cast<Counter>(i)));
+    json.field(key, row.deltas[i]);
   }
   if (row.has_latency) {
-    append_u64(out, "lat_n", row.lat_count);
-    append_u64(out, "lat_p50", row.lat_p50);
-    append_u64(out, "lat_p95", row.lat_p95);
-    append_u64(out, "lat_p99", row.lat_p99);
+    json.field("lat_n", row.lat_count);
+    json.field("lat_p50", row.lat_p50);
+    json.field("lat_p95", row.lat_p95);
+    json.field("lat_p99", row.lat_p99);
   }
-  out += "}";
+  json.close();
   return out;
 }
 
 std::string serialize_metrics_group(std::uint64_t runs, std::uint64_t every) {
-  std::string out = "{\"group\":\"metrics\",\"runs\":";
-  out += std::to_string(runs);
-  out += ",\"every\":";
-  out += std::to_string(every);
-  out += "}";
+  std::string out;
+  JsonWriter json(out);
+  json.open();
+  json.field("group", "metrics");
+  json.field("runs", runs);
+  json.field("every", every);
+  json.close();
   return out;
 }
 
-namespace {
-
-/// Tokenizes a flat {"key":value,...} object whose values are numbers
-/// (integer or double) or strings. The trace parser's sibling; this one
-/// admits the double syntax std::to_chars emits.
-bool tokenize_metrics_object(
-    const std::string& line,
-    std::vector<std::pair<std::string, std::string>>& pairs,
-    std::vector<bool>& is_string, std::string* error) {
-  const auto fail = [&](const std::string& message) {
-    if (error) *error = message;
-    return false;
-  };
-  std::size_t i = 0;
-  const auto skip_ws = [&] {
-    while (i < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[i])))
-      ++i;
-  };
-  skip_ws();
-  if (i >= line.size() || line[i] != '{') return fail("expected '{'");
-  ++i;
-  skip_ws();
-  if (i < line.size() && line[i] == '}') {
-    ++i;
-  } else {
-    while (true) {
-      skip_ws();
-      if (i >= line.size() || line[i] != '"')
-        return fail("expected '\"' starting a key");
-      const std::size_t key_start = ++i;
-      while (i < line.size() && line[i] != '"') ++i;
-      if (i >= line.size()) return fail("unterminated key");
-      std::string key = line.substr(key_start, i - key_start);
-      ++i;
-      skip_ws();
-      if (i >= line.size() || line[i] != ':') return fail("expected ':'");
-      ++i;
-      skip_ws();
-      std::string value;
-      bool quoted = false;
-      if (i < line.size() && line[i] == '"') {
-        quoted = true;
-        const std::size_t value_start = ++i;
-        while (i < line.size() && line[i] != '"') ++i;
-        if (i >= line.size()) return fail("unterminated string value");
-        value = line.substr(value_start, i - value_start);
-        ++i;
-      } else {
-        const std::size_t value_start = i;
-        while (i < line.size() &&
-               (std::isdigit(static_cast<unsigned char>(line[i])) ||
-                line[i] == '-' || line[i] == '+' || line[i] == '.' ||
-                line[i] == 'e' || line[i] == 'E'))
-          ++i;
-        if (i == value_start) return fail("expected number or string value");
-        value = line.substr(value_start, i - value_start);
-      }
-      pairs.emplace_back(std::move(key), std::move(value));
-      is_string.push_back(quoted);
-      skip_ws();
-      if (i < line.size() && line[i] == ',') {
-        ++i;
-        continue;
-      }
-      if (i < line.size() && line[i] == '}') {
-        ++i;
-        break;
-      }
-      return fail("expected ',' or '}'");
-    }
-  }
-  skip_ws();
-  if (i != line.size()) return fail("trailing characters after '}'");
-  return true;
-}
-
-bool parse_u64(const std::string& value, std::uint64_t& out) {
-  const char* begin = value.data();
-  const char* end = begin + value.size();
-  const auto result = std::from_chars(begin, end, out);
-  return result.ec == std::errc() && result.ptr == end;
-}
-
-bool parse_i64(const std::string& value, std::int64_t& out) {
-  const char* begin = value.data();
-  const char* end = begin + value.size();
-  const auto result = std::from_chars(begin, end, out);
-  return result.ec == std::errc() && result.ptr == end;
-}
-
-bool parse_double(const std::string& value, double& out) {
-  const char* begin = value.data();
-  const char* end = begin + value.size();
-  const auto result = std::from_chars(begin, end, out);
-  return result.ec == std::errc() && result.ptr == end;
-}
-
-}  // namespace
-
 std::optional<MetricsRecord> parse_metrics_line(const std::string& line,
                                                 std::string* error) {
-  std::vector<std::pair<std::string, std::string>> pairs;
-  std::vector<bool> is_string;
-  if (!tokenize_metrics_object(line, pairs, is_string, error))
-    return std::nullopt;
-  const auto fail = [&](const std::string& message) {
-    if (error) *error = message;
+  JsonReader reader(line, error);
+  std::vector<FlatField> pairs;
+  if (!read_flat_line(reader, pairs)) return std::nullopt;
+  const auto fail = [&](std::size_t at, const std::string& message) {
+    reader.fail_at(at, message);
     return std::nullopt;
   };
 
   MetricsRecord record;
-  for (const auto& [key, value] : pairs)
-    if (key == "group") {
-      if (value != "metrics")
-        return fail("unknown group kind: " + value);
+  for (const FlatField& field : pairs)
+    if (field.key == "group") {
+      if (field.value != "metrics")
+        return fail(field.value_at, "unknown group kind: " + field.value);
       record.is_group = true;
     }
 
   if (record.is_group) {
     bool have_runs = false, have_every = false;
-    for (const auto& [key, value] : pairs) {
+    for (const FlatField& field : pairs) {
+      const std::string& key = field.key;
       if (key == "group") continue;
       if (key == "runs") {
-        if (!parse_u64(value, record.runs))
-          return fail("runs is not an integer: " + value);
+        if (!from_token(field.value, record.runs))
+          return fail(field.value_at, "runs is not an integer: " + field.value);
         have_runs = true;
       } else if (key == "every") {
-        if (!parse_u64(value, record.every))
-          return fail("every is not an integer: " + value);
+        if (!from_token(field.value, record.every))
+          return fail(field.value_at,
+                      "every is not an integer: " + field.value);
         have_every = true;
       } else {
-        return fail("unknown group field \"" + key + "\"");
+        return fail(field.key_at, "unknown group field \"" + key + "\"");
       }
     }
     if (!have_runs || !have_every)
-      return fail("group header needs runs and every");
+      return fail(reader.pos(), "group header needs runs and every");
     return record;
   }
 
   bool have_run = false, have_step = false;
-  for (std::size_t p = 0; p < pairs.size(); ++p) {
-    const auto& [key, value] = pairs[p];
-    if (is_string[p]) return fail("unexpected string value for " + key);
+  for (const FlatField& field : pairs) {
+    const std::string& key = field.key;
+    const std::string& value = field.value;
+    const auto not_integer = [&] {
+      return fail(field.value_at,
+                  "field " + key + " is not an integer: " + value);
+    };
+    if (field.quoted)
+      return fail(field.value_at, "unexpected string value for " + key);
     if (key == "run") {
-      if (!parse_i64(value, record.run) || record.run < 0)
-        return fail("run is not a non-negative integer: " + value);
+      if (!from_token(value, record.run) || record.run < 0)
+        return fail(field.value_at,
+                    "run is not a non-negative integer: " + value);
       have_run = true;
       continue;
     }
     if (key == "step") {
-      if (!parse_u64(value, record.row.step))
-        return fail("step is not an integer: " + value);
+      if (!from_token(value, record.row.step)) return not_integer();
       have_step = true;
       continue;
     }
     if (key == "lat_n" || key == "lat_p50" || key == "lat_p95" ||
         key == "lat_p99") {
       std::uint64_t parsed = 0;
-      if (!parse_u64(value, parsed))
-        return fail("field " + key + " is not an integer: " + value);
+      if (!from_token(value, parsed)) return not_integer();
       record.row.has_latency = true;
       if (key == "lat_n")
         record.row.lat_count = parsed;
@@ -382,66 +264,45 @@ std::optional<MetricsRecord> parse_metrics_line(const std::string& line,
       continue;
     }
     if (key.starts_with("d_")) {
-      const std::string name = key.substr(2);
+      const std::string_view name = std::string_view(key).substr(2);
       bool matched = false;
       for (std::size_t i = 0; i < kCounterCount; ++i)
         if (name == counter_name(static_cast<Counter>(i))) {
-          if (!parse_u64(value, record.row.deltas[i]))
-            return fail("field " + key + " is not an integer: " + value);
+          if (!from_token(value, record.row.deltas[i])) return not_integer();
           matched = true;
           break;
         }
-      if (!matched) return fail("unknown counter delta \"" + key + "\"");
+      if (!matched)
+        return fail(field.key_at, "unknown counter delta \"" + key + "\"");
       continue;
     }
     bool matched = false;
     for (std::size_t i = 0; i < kGaugeCount; ++i)
       if (key == kGaugeNames[i]) {
-        if (!parse_double(value, record.row.gauges[i]))
-          return fail("gauge " + key + " is not a number: " + value);
+        if (!from_token(value, record.row.gauges[i]))
+          return fail(field.value_at,
+                      "gauge " + key + " is not a number: " + value);
         record.row.has_gauge[i] = true;
         matched = true;
         break;
       }
-    if (!matched) return fail("unknown field \"" + key + "\"");
+    if (!matched) return fail(field.key_at, "unknown field \"" + key + "\"");
   }
-  if (!have_run || !have_step) return fail("row needs run and step fields");
+  if (!have_run || !have_step)
+    return fail(reader.pos(), "row needs run and step fields");
   return record;
 }
 
 void write_metrics(const std::string& path,
                    std::span<const MetricsBuffer* const> buffers) {
-  // Same per-process semantics as write_trace: the first write to a path
-  // truncates; later experiments append further groups. Serialized so
-  // concurrent experiments cannot interleave.
-  static std::mutex mutex;
-  static std::set<std::string>* opened = new std::set<std::string>();
-  std::lock_guard<std::mutex> lock(mutex);
-  const bool first = opened->insert(path).second;
-
-  const auto emit = [&](std::ostream& os) {
+  append_group(path, "metrics", [&](std::ostream& os, bool) {
     const std::uint64_t every = buffers.empty() ? 1 : buffers[0]->every();
     os << serialize_metrics_group(buffers.size(), every) << "\n";
     for (std::size_t run = 0; run < buffers.size(); ++run)
       for (const MetricsRow& row : buffers[run]->rows())
         os << serialize_metrics_line(static_cast<std::int64_t>(run), row)
            << "\n";
-  };
-
-  if (first) {
-    // A crash mid-write must not leave a torn file at the target path.
-    AtomicFileWriter file(path);
-    emit(file.stream());
-    file.commit();
-  } else {
-    // Appends cannot rename-over (that would drop the earlier groups);
-    // they stay in place but still fail loudly on short writes.
-    std::ofstream os(path, std::ios::app);
-    AGENTNET_REQUIRE(os.is_open(), "cannot write metrics file " + path);
-    emit(os);
-    os.flush();
-    AGENTNET_REQUIRE(os.good(), "error while writing metrics file " + path);
-  }
+  });
 }
 
 }  // namespace agentnet::obs

@@ -155,13 +155,15 @@ struct MetricsRecord {
 };
 
 /// Strict parse of one metrics JSONL line; nullopt (with `*error` filled
-/// when given) on malformed input or unknown keys. Round-trips exactly.
+/// when given, as "byte N: <what>") on malformed input or unknown keys.
+/// Round-trips exactly.
 std::optional<MetricsRecord> parse_metrics_line(const std::string& line,
                                                 std::string* error = nullptr);
 
 /// Appends one experiment's buffers to `path` in run-index order (buffer i
-/// is run i), preceded by a group header. Same per-process semantics as
-/// write_trace: the first write truncates, later experiments append.
+/// is run i), preceded by a group header, through append_group like
+/// write_trace: the first write replaces the file, later experiments
+/// append.
 void write_metrics(const std::string& path,
                    std::span<const MetricsBuffer* const> buffers);
 

@@ -1,14 +1,10 @@
 #include "obs/trace.hpp"
 
 #include <cctype>
-#include <fstream>
 #include <iterator>
-#include <mutex>
-#include <set>
-#include <utility>
+#include <ostream>
 
-#include "common/atomic_file.hpp"
-#include "common/error.hpp"
+#include "obs/codec.hpp"
 
 namespace agentnet::obs {
 
@@ -85,13 +81,6 @@ const KindFields& fields_of(TraceEventKind kind) {
   return kKindFields[static_cast<std::size_t>(kind)];
 }
 
-void append_field(std::string& out, const char* name, std::int64_t value) {
-  out += ",\"";
-  out += name;
-  out += "\":";
-  out += std::to_string(value);
-}
-
 }  // namespace
 
 const char* trace_event_name(TraceEventKind kind) {
@@ -102,23 +91,18 @@ const char* trace_event_name(TraceEventKind kind) {
 }
 
 std::string serialize_trace_line(std::int64_t run, const TraceEvent& event) {
-  std::string out = "{";
-  if (run >= 0) {
-    out += "\"run\":";
-    out += std::to_string(run);
-    out += ",";
-  }
-  out += "\"ev\":\"";
-  out += trace_event_name(event.kind);
-  out += "\"";
+  std::string out;
+  JsonWriter json(out);
+  json.open();
+  if (run >= 0) json.field("run", run);
+  json.field("ev", trace_event_name(event.kind));
   if (event.kind != TraceEventKind::kRunGroup)
-    append_field(out, "step", static_cast<std::int64_t>(event.step));
+    json.field("step", static_cast<std::int64_t>(event.step));
   const KindFields& fields = fields_of(event.kind);
-  if (fields.agent && event.agent >= 0)
-    append_field(out, fields.agent, event.agent);
-  if (fields.a && event.a >= 0) append_field(out, fields.a, event.a);
-  if (fields.b && event.b >= 0) append_field(out, fields.b, event.b);
-  out += "}";
+  if (fields.agent && event.agent >= 0) json.field(fields.agent, event.agent);
+  if (fields.a && event.a >= 0) json.field(fields.a, event.a);
+  if (fields.b && event.b >= 0) json.field(fields.b, event.b);
+  json.close();
   return out;
 }
 
@@ -126,141 +110,70 @@ std::string serialize_chrome_line(std::int64_t run, const TraceEvent& event) {
   // Instant event on the (pid = run, tid = agent) track; ts is the
   // simulation step interpreted as microseconds — deterministic, not
   // wall-clock.
-  std::string out = "{\"name\":\"";
-  out += trace_event_name(event.kind);
-  out += "\",\"cat\":\"agentnet\",\"ph\":\"i\",\"s\":\"t\",\"ts\":";
-  out += std::to_string(event.step);
-  out += ",\"pid\":";
-  out += std::to_string(run >= 0 ? run : 0);
-  out += ",\"tid\":";
-  out += std::to_string(event.agent >= 0 ? event.agent : 0);
-  out += ",\"args\":{";
+  std::string out;
+  JsonWriter json(out);
+  json.open();
+  json.field("name", trace_event_name(event.kind));
+  json.field("cat", "agentnet");
+  json.field("ph", "i");
+  json.field("s", "t");
+  json.field("ts", event.step);
+  json.field("pid", run >= 0 ? run : 0);
+  json.field("tid", event.agent >= 0 ? event.agent : 0);
+  json.open("args");
   const KindFields& fields = fields_of(event.kind);
-  bool first = true;
-  const auto arg = [&](const char* name, std::int64_t value) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"";
-    out += name;
-    out += "\":";
-    out += std::to_string(value);
-  };
-  if (fields.a && event.a >= 0) arg(fields.a, event.a);
-  if (fields.b && event.b >= 0) arg(fields.b, event.b);
-  out += "}}";
+  if (fields.a && event.a >= 0) json.field(fields.a, event.a);
+  if (fields.b && event.b >= 0) json.field(fields.b, event.b);
+  json.close();
+  json.close();
   return out;
 }
 
-namespace {
-
-/// Tokenizes a flat {"key":value,...} object of integer / string values.
-bool parse_flat_object(
-    const std::string& line,
-    std::vector<std::pair<std::string, std::string>>& pairs,
-    std::string* error) {
-  const auto fail = [&](const std::string& message) {
-    if (error) *error = message;
-    return false;
-  };
-  std::size_t i = 0;
-  const auto skip_ws = [&] {
-    while (i < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[i])))
-      ++i;
-  };
-  skip_ws();
-  if (i >= line.size() || line[i] != '{') return fail("expected '{'");
-  ++i;
-  skip_ws();
-  if (i < line.size() && line[i] == '}') {
-    ++i;
-  } else {
-    while (true) {
-      skip_ws();
-      if (i >= line.size() || line[i] != '"')
-        return fail("expected '\"' starting a key");
-      const std::size_t key_start = ++i;
-      while (i < line.size() && line[i] != '"') ++i;
-      if (i >= line.size()) return fail("unterminated key");
-      std::string key = line.substr(key_start, i - key_start);
-      ++i;
-      skip_ws();
-      if (i >= line.size() || line[i] != ':') return fail("expected ':'");
-      ++i;
-      skip_ws();
-      std::string value;
-      if (i < line.size() && line[i] == '"') {
-        const std::size_t value_start = ++i;
-        while (i < line.size() && line[i] != '"') ++i;
-        if (i >= line.size()) return fail("unterminated string value");
-        value = line.substr(value_start, i - value_start);
-        ++i;
-      } else {
-        const std::size_t value_start = i;
-        if (i < line.size() && line[i] == '-') ++i;
-        while (i < line.size() &&
-               std::isdigit(static_cast<unsigned char>(line[i])))
-          ++i;
-        if (i == value_start) return fail("expected integer or string value");
-        value = line.substr(value_start, i - value_start);
-      }
-      pairs.emplace_back(std::move(key), std::move(value));
-      skip_ws();
-      if (i < line.size() && line[i] == ',') {
-        ++i;
-        continue;
-      }
-      if (i < line.size() && line[i] == '}') {
-        ++i;
-        break;
-      }
-      return fail("expected ',' or '}'");
-    }
-  }
-  skip_ws();
-  if (i != line.size()) return fail("trailing characters after '}'");
-  return true;
-}
-
-}  // namespace
-
 std::optional<TraceRecord> parse_trace_line(const std::string& line,
                                             std::string* error) {
-  std::vector<std::pair<std::string, std::string>> pairs;
-  if (!parse_flat_object(line, pairs, error)) return std::nullopt;
-  const auto fail = [&](const std::string& message) {
-    if (error) *error = message;
+  JsonReader reader(line, error);
+  std::vector<FlatField> pairs;
+  if (!read_flat_line(reader, pairs)) return std::nullopt;
+  const auto fail = [&](std::size_t at, const std::string& message) {
+    reader.fail_at(at, message);
     return std::nullopt;
   };
 
   TraceRecord record;
   bool have_kind = false;
-  for (const auto& [key, value] : pairs) {
-    if (key == "ev") {
+  for (const FlatField& field : pairs) {
+    if (field.key == "ev") {
       for (std::size_t k = 0;
            k < static_cast<std::size_t>(TraceEventKind::kCount); ++k) {
-        if (value == trace_event_name(static_cast<TraceEventKind>(k))) {
+        if (field.value == trace_event_name(static_cast<TraceEventKind>(k))) {
           record.event.kind = static_cast<TraceEventKind>(k);
           have_kind = true;
           break;
         }
       }
-      if (!have_kind) return fail("unknown event kind: " + value);
+      if (!have_kind)
+        return fail(field.value_at, "unknown event kind: " + field.value);
     }
   }
-  if (!have_kind) return fail("missing \"ev\" field");
+  if (!have_kind) return fail(reader.pos(), "missing \"ev\" field");
 
   const KindFields& fields = fields_of(record.event.kind);
-  for (const auto& [key, value] : pairs) {
+  for (const FlatField& field : pairs) {
+    const std::string& key = field.key;
     if (key == "ev") continue;
-    std::int64_t parsed = 0;
-    try {
-      std::size_t pos = 0;
-      parsed = std::stoll(value, &pos);
-      if (pos != value.size()) throw std::invalid_argument(value);
-    } catch (const std::exception&) {
-      return fail("field " + key + " is not an integer: " + value);
+    // A quoted integer reads as std::stoll reads it: leading space and a
+    // '+' are allowed there, as they always were.
+    std::string_view text = field.value;
+    if (field.quoted) {
+      while (!text.empty() && std::isspace(static_cast<unsigned char>(text[0])))
+        text.remove_prefix(1);
+      if (text.starts_with('+') && !text.substr(1).starts_with('-'))
+        text.remove_prefix(1);
     }
+    std::int64_t parsed = 0;
+    if (!from_token(text, parsed))
+      return fail(field.value_at,
+                  "field " + key + " is not an integer: " + field.value);
     if (key == "run")
       record.run = parsed;
     else if (key == "step" && record.event.kind != TraceEventKind::kRunGroup)
@@ -272,22 +185,15 @@ std::optional<TraceRecord> parse_trace_line(const std::string& line,
     else if (fields.b && key == fields.b)
       record.event.b = parsed;
     else
-      return fail("unknown field \"" + key + "\" for event " +
-                  trace_event_name(record.event.kind));
+      return fail(field.key_at, "unknown field \"" + key + "\" for event " +
+                                    trace_event_name(record.event.kind));
   }
   return record;
 }
 
 void write_trace(const std::string& path, TraceFormat format,
                  std::span<const TraceBuffer* const> buffers) {
-  // First write to a path in this process truncates; later writes append.
-  // Serialized so concurrent experiments cannot interleave run groups.
-  static std::mutex mutex;
-  static std::set<std::string>* opened = new std::set<std::string>();
-  std::lock_guard<std::mutex> lock(mutex);
-  const bool first = opened->insert(path).second;
-
-  const auto emit = [&](std::ostream& os) {
+  append_group(path, "trace", [&](std::ostream& os, bool first) {
     if (format == TraceFormat::kJsonl) {
       TraceEvent marker;
       marker.kind = TraceEventKind::kRunGroup;
@@ -306,22 +212,7 @@ void write_trace(const std::string& path, TraceFormat format,
           os << serialize_chrome_line(static_cast<std::int64_t>(run), event)
              << ",\n";
     }
-  };
-
-  if (first) {
-    // A crash mid-write must not leave a torn trace at the target path.
-    AtomicFileWriter file(path);
-    emit(file.stream());
-    file.commit();
-  } else {
-    // Appends cannot rename-over (that would drop the earlier groups);
-    // they stay in place but still fail loudly on short writes.
-    std::ofstream os(path, std::ios::app);
-    AGENTNET_REQUIRE(os.is_open(), "cannot write trace file " + path);
-    emit(os);
-    os.flush();
-    AGENTNET_REQUIRE(os.good(), "error while writing trace file " + path);
-  }
+  });
 }
 
 }  // namespace agentnet::obs

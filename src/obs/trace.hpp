@@ -94,15 +94,17 @@ struct TraceRecord {
 };
 
 /// Strict parse of one JSONL line; nullopt (with `*error` filled when
-/// given) on malformed input, unknown event kinds or unknown fields.
-/// Round-trips: serialize_trace_line(r.run, r.event) reproduces the line.
+/// given, as "byte N: <what>") on malformed input, unknown event kinds or
+/// unknown fields. Round-trips: serialize_trace_line(r.run, r.event)
+/// reproduces the line.
 std::optional<TraceRecord> parse_trace_line(const std::string& line,
                                             std::string* error = nullptr);
 
 /// Appends one experiment's buffers to `path` in run-index order (buffer i
-/// is run i), preceded by a kRunGroup marker in jsonl form. The first
-/// write to a path in this process truncates it; later writes append, so a
-/// bench binary running many experiments yields one file of run groups.
+/// is run i), preceded by a kRunGroup marker in jsonl form, through
+/// append_group (obs/codec.hpp): the first write to a path in this process
+/// replaces it; later writes append, so a bench binary running many
+/// experiments yields one file of run groups.
 void write_trace(const std::string& path, TraceFormat format,
                  std::span<const TraceBuffer* const> buffers);
 

@@ -5,7 +5,6 @@
 
 #include "common/env.hpp"
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "obs/obs.hpp"
 
 namespace agentnet {
@@ -211,7 +210,7 @@ bool World::redraw_weather() {
 }
 
 void World::set_shard_threads(std::size_t threads) {
-  if (threads == 0) threads = ThreadPool::default_threads();
+  if (threads == 0) threads = default_threads();
   if (threads <= 1)
     team_.reset();
   else if (!team_ || team_->size() != threads)

@@ -5,8 +5,9 @@
 //   metrics_report diff      <a.jsonl> <b.jsonl> [--tol=X]
 //
 // validate   — strict parse of every line (obs::parse_metrics_line); exits
-//              non-zero on the first malformed line or a file without a
-//              group header.
+//              non-zero on the first malformed line, reported as
+//              path:line:byte N: <what>, or on a file without a group
+//              header. The smoke's metrics gate.
 // summarize  — per-gauge statistics over the per-step mean across runs
 //              (samples, min, max, mean, AUC), the degradation/recovery
 //              curve of one gauge (--gauge, default connectivity): first
@@ -56,7 +57,7 @@ bool read_file(const char* path, ParsedFile& out) {
     std::string error;
     const auto record = agentnet::obs::parse_metrics_line(line, &error);
     if (!record) {
-      std::fprintf(stderr, "metrics_report: %s:%zu: %s\n", path, line_no,
+      std::fprintf(stderr, "metrics_report: %s:%zu:%s\n", path, line_no,
                    error.c_str());
       return false;
     }

@@ -22,8 +22,8 @@
 # one traced+metered fault-injected routing run with traffic on per thread
 # count (1 and 2), proves stdout (the merged traffic line included) and the
 # metrics stream byte-identical across the two, and pushes it
-# through trace_check --metrics and tools/metrics_report
-# (validate/summarize/diff; docs/OBSERVABILITY.md). The ant-colony and DV
+# through tools/metrics_report (validate — the metrics gate — then
+# summarize and diff; docs/OBSERVABILITY.md). The ant-colony and DV
 # scenarios get the same stdout/trace/metrics thread diff under
 # AGENTNET_FAULT_NODE_CRASH, with a --require=node_crash proof. An
 # agent-engine leg repeats that proof for AGENTNET_AGENT_THREADS (the intra-run fan-out,
@@ -39,8 +39,9 @@
 # (rebuild-equivalence, sharded-world, world), map-knowledge, edge-index,
 # battery and snapshot suites, the shared movement-recording suites
 # (mobility, scenario I/O, routing task), the flow data-plane suite, the
-# work-claiming ParallelForTest cases and the run team's ForkJoinTest
-# cases. Last, it builds the benchmark program and runs
+# telemetry codec's suites (obs, metrics time series: the trace, metrics
+# and manifest readers take outside input), the work-claiming
+# ParallelForTest cases and the run team's ForkJoinTest cases. Last, it builds the benchmark program and runs
 # `python3 benchmark/run.py --smoke` (all five workloads at toy sizes,
 # invariants only) with no inherited AGENTNET_* variables. A fast
 # data-race + memory-safety + schema check, not a bench sweep. Run inside
@@ -117,7 +118,6 @@ if [ "${1:-}" = "--smoke" ]; then
   diff "$tmp/route_m1.out" "$tmp/route_m2.out"
   diff "$tmp/route_m1.jsonl" "$tmp/route_m2.jsonl"
   echo "metrics streams at threads=1 and threads=2 are bit-identical"
-  build-tsan/tools/trace_check --metrics "$tmp/route_m1.jsonl"
   build-tsan/tools/metrics_report validate "$tmp/route_m1.jsonl"
   build-tsan/tools/metrics_report summarize "$tmp/route_m1.jsonl" \
     --gauge=connectivity --threshold=0.5
@@ -141,7 +141,7 @@ if [ "${1:-}" = "--smoke" ]; then
     diff "$tmp/${scenario}_t1.jsonl" "$tmp/${scenario}_t2.jsonl"
     build-tsan/tools/trace_check --require=node_crash \
       "$tmp/${scenario}_t1.trace.jsonl"
-    build-tsan/tools/trace_check --metrics "$tmp/${scenario}_t1.jsonl"
+    build-tsan/tools/metrics_report validate "$tmp/${scenario}_t1.jsonl"
   done
   echo "aco and dv runs at threads=1 and threads=2 are bit-identical"
   echo "##### intra-run agent engine byte-identity (TSan, agent threads 1/2)"
@@ -271,12 +271,13 @@ if [ "${1:-}" = "--smoke" ]; then
     echo "truncated snapshot was accepted" >&2; exit 1
   fi
   echo "checkpointed, resumed and uninterrupted runs are bit-identical"
-  echo "##### graph + upkeep + knowledge + snapshot + mobility suites (ASan + UBSan)"
+  echo "##### graph + upkeep + knowledge + snapshot + mobility + telemetry-codec suites (ASan + UBSan)"
   cmake -B build-asan -S . -DAGENTNET_SANITIZE=address,undefined
   asan_suites="graph_test topology_test rebuild_equivalence_test
     sharded_world_test world_test world_script_test map_knowledge_test
     edge_index_test snapshot_format_test snapshot_resume_test mobility_test
-    battery_test scenario_io_test routing_task_test flow_traffic_test"
+    battery_test scenario_io_test routing_task_test flow_traffic_test
+    obs_test metrics_timeseries_test"
   cmake --build build-asan --target $asan_suites parallel_determinism_test \
     -j"$(nproc)"
   for t in $asan_suites; do

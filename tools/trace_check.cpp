@@ -4,17 +4,13 @@
 // tools/run_paper_protocol.sh --smoke.
 //
 //   trace_check [--require=<event> ...] <trace.jsonl>...
-//   trace_check --metrics <metrics.jsonl>...
 //
 // Each --require=<event> names a trace event (snake_case, e.g. node_crash,
 // watchdog_respawn) that must appear at least once across ALL given files —
 // the smoke harness uses it to prove a chaos run actually injected faults
-// rather than silently taking the fault-free path.
-//
-// With --metrics the files are AGENTNET_METRICS time-series streams
-// instead: every line must parse through obs::parse_metrics_line and each
-// file must carry at least one group header. (tools/metrics_report offers
-// the analysis modes; this is the pure validation gate.)
+// rather than silently taking the fault-free path. A bad line is reported
+// as path:line:byte N: <what>. AGENTNET_METRICS streams are validated by
+// `metrics_report validate`.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -22,79 +18,31 @@
 #include <string>
 #include <vector>
 
-#include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
-
-namespace {
-
-int check_metrics(const std::vector<const char*>& files) {
-  bool ok = true;
-  for (const char* path : files) {
-    std::ifstream is(path);
-    if (!is.is_open()) {
-      std::fprintf(stderr, "trace_check: cannot open %s\n", path);
-      ok = false;
-      continue;
-    }
-    std::string line;
-    std::size_t line_no = 0, rows = 0, groups = 0;
-    bool file_ok = true;
-    while (std::getline(is, line)) {
-      ++line_no;
-      if (line.empty()) continue;
-      std::string error;
-      const auto record = agentnet::obs::parse_metrics_line(line, &error);
-      if (!record) {
-        std::fprintf(stderr, "trace_check: %s:%zu: %s\n", path, line_no,
-                     error.c_str());
-        file_ok = false;
-        break;
-      }
-      if (record->is_group)
-        ++groups;
-      else
-        ++rows;
-    }
-    if (file_ok && groups == 0) {
-      std::fprintf(stderr, "trace_check: %s: no metrics group header\n",
-                   path);
-      file_ok = false;
-    }
-    if (file_ok)
-      std::printf("trace_check: %s: %zu metric groups, %zu rows ok\n", path,
-                  groups, rows);
-    ok = ok && file_ok;
-  }
-  return ok ? 0 : 1;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::vector<std::string> required;
   std::vector<const char*> files;
-  bool metrics_mode = false;
   for (int arg = 1; arg < argc; ++arg) {
-    if (std::strcmp(argv[arg], "--metrics") == 0) {
-      metrics_mode = true;
-    } else if (std::strncmp(argv[arg], "--require=", 10) == 0) {
+    if (std::strncmp(argv[arg], "--require=", 10) == 0) {
       required.emplace_back(argv[arg] + 10);
       if (required.back().empty()) {
         std::fprintf(stderr, "trace_check: empty --require event name\n");
         return 2;
       }
+    } else if (std::strncmp(argv[arg], "--", 2) == 0) {
+      std::fprintf(stderr, "trace_check: unknown flag %s\n", argv[arg]);
+      return 2;
     } else {
       files.push_back(argv[arg]);
     }
   }
-  if (files.empty() || (metrics_mode && !required.empty())) {
+  if (files.empty()) {
     std::fprintf(stderr,
                  "usage: trace_check [--require=<event> ...] "
-                 "<trace.jsonl>...\n"
-                 "       trace_check --metrics <metrics.jsonl>...\n");
+                 "<trace.jsonl>...\n");
     return 2;
   }
-  if (metrics_mode) return check_metrics(files);
   bool ok = true;
   std::map<std::string, std::size_t> seen;
   for (const char* path : files) {
@@ -113,7 +61,7 @@ int main(int argc, char** argv) {
       std::string error;
       const auto record = agentnet::obs::parse_trace_line(line, &error);
       if (!record) {
-        std::fprintf(stderr, "trace_check: %s:%zu: %s\n", path, line_no,
+        std::fprintf(stderr, "trace_check: %s:%zu:%s\n", path, line_no,
                      error.c_str());
         file_ok = false;
         break;
