@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "common/env.hpp"
@@ -123,20 +124,15 @@ auto scenario_runs(const char* kind, const Task& task, int runs,
 /// if missing; an unwritable destination is an error, not a silent skip.
 inline void finish_table(const std::string& figure_id, const Table& table) {
   table.print(std::cout);
-  if (const auto dir = env_string("AGENTNET_CSV_DIR")) {
+  if (const auto dir = knob_string(Knob::kCsvDir)) {
     std::error_code ec;
     std::filesystem::create_directories(*dir, ec);
-    if (ec) {
-      std::cerr << "error: cannot create AGENTNET_CSV_DIR " << *dir << ": "
-                << ec.message() << "\n";
-      throw ConfigError("cannot create AGENTNET_CSV_DIR " + *dir);
-    }
+    if (ec)
+      throw ConfigError("cannot create AGENTNET_CSV_DIR " + *dir + ": " +
+                        ec.message());
     const std::string path = *dir + "/" + figure_id + ".csv";
     std::ofstream os(path);
-    if (!os.is_open()) {
-      std::cerr << "error: cannot write " << path << "\n";
-      throw ConfigError("cannot write " + path);
-    }
+    if (!os.is_open()) throw ConfigError("cannot write " + path);
     table.write_csv(os);
     // Footer: resolved thread count plus phase timings / counters
     // accumulated so far in this process, as CSV comment lines.
@@ -161,9 +157,25 @@ inline void print_series(const std::string& label,
   std::cout << "\n";
 }
 
+/// `finishing.mean()`, or NaN when no run finished: under a fault plan
+/// every run of a setting can be cut off at its step budget, and the
+/// tables and ratios then read nan for it.
+inline double finish_mean(const RunningStats& finishing) {
+  return finishing.empty() ? std::numeric_limits<double>::quiet_NaN()
+                           : finishing.mean();
+}
+inline double finish_mean(const MappingSummary& summary) {
+  return finish_mean(summary.finishing_time);
+}
+
 /// One-line summary of a mapping experiment.
 inline void print_finish(const std::string& label,
                          const MappingSummary& summary) {
+  if (summary.finishing_time.empty()) {
+    std::printf("%-42s finishing time: no run finished (%d/%d unfinished)\n",
+                label.c_str(), summary.unfinished, summary.runs);
+    return;
+  }
   std::printf("%-42s finishing time: mean %8.1f  (±%.1f, min %.0f, max %.0f",
               label.c_str(), summary.finishing_time.mean(),
               confidence_halfwidth(summary.finishing_time),

@@ -39,7 +39,7 @@ int main() {
       task.record_series = false;
       const auto summary =
           run_mapping_experiment(net, task, runs, paper::kRunSeedBase);
-      table.add_row({std::string(v.label), summary.finishing_time.mean(),
+      table.add_row({std::string(v.label), bench::finish_mean(summary),
                      confidence_halfwidth(summary.finishing_time)});
     }
     bench::finish_table("extB_pop" + std::to_string(pop), table);

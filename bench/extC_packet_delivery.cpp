@@ -44,9 +44,7 @@ int main() {
     TrafficTaskConfig task;
     task.steps = paper::kRoutingSteps;
     task.measure_from = paper::kRoutingMeasureFrom;
-    task.workload = FlowWorkloadConfig::from_env();
     task.workload.offered_load = s.offered_load;
-    task.queue = LinkQueueConfig::from_env();
     task.ants.reinforcement = s.reinforcement;
     task.balance_gateways = s.balance;
 

@@ -30,7 +30,7 @@ int main() {
       task.record_series = false;
       const auto summary =
           run_mapping_experiment(net, task, runs, paper::kRunSeedBase);
-      table.add_row({std::string(label), summary.finishing_time.mean(),
+      table.add_row({std::string(label), bench::finish_mean(summary),
                      confidence_halfwidth(summary.finishing_time)});
     };
 
@@ -49,7 +49,7 @@ int main() {
     const auto consc =
         run_mapping_experiment(net, ref, runs, paper::kRunSeedBase);
     table.add_row({std::string("conscientious reference"),
-                   consc.finishing_time.mean(),
+                   bench::finish_mean(consc),
                    confidence_halfwidth(consc.finishing_time)});
     bench::finish_table("extD_pop" + std::to_string(pop), table);
     std::cout << "\n";

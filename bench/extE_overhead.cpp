@@ -48,8 +48,9 @@ int main() {
         megabytes.add(mb);
         per_step.add(mb / static_cast<double>(result.finishing_time * 15));
       }
-      table.add_row({std::string(v.label), finish.mean(), megabytes.mean(),
-                     per_step.mean()});
+      table.add_row({std::string(v.label), bench::finish_mean(finish),
+                     bench::finish_mean(megabytes),
+                     bench::finish_mean(per_step)});
     }
     bench::finish_table("extE_mapping", table);
   }

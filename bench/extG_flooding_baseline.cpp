@@ -57,9 +57,13 @@ int main() {
       finish.add(static_cast<double>(result.finishing_time));
       mb.add(static_cast<double>(result.migration_bytes) / 1e6);
     }
-    table.add_row({std::string(row.label),
-                   static_cast<std::int64_t>(finish.mean() + 0.5), mb.mean(),
-                   std::string("no")});
+    if (finish.empty())  // no run finished: the step count reads nan
+      table.add_row({std::string(row.label), bench::finish_mean(finish),
+                     bench::finish_mean(mb), std::string("no")});
+    else
+      table.add_row({std::string(row.label),
+                     static_cast<std::int64_t>(finish.mean() + 0.5),
+                     mb.mean(), std::string("no")});
   }
 
   bench::finish_table("extG", table);

@@ -34,8 +34,8 @@ int main() {
     const auto far =
         run_mapping_experiment(net, task, runs, paper::kRunSeedBase);
     table.add_row({static_cast<std::int64_t>(pop),
-                   near.finishing_time.mean(), far.finishing_time.mean(),
-                   near.finishing_time.mean() / far.finishing_time.mean()});
+                   bench::finish_mean(near), bench::finish_mean(far),
+                   bench::finish_mean(near) / bench::finish_mean(far)});
   }
   bench::finish_table("extJ", table);
   std::cout << "\n(EXPERIMENTS.md discusses this against the paper's Fig 3 "

@@ -42,8 +42,8 @@ int main() {
           (variant == 0 ? plain : stig)
               .add(static_cast<double>(result.finishing_time));
     }
-    table.add_row({q, plain.mean(), stig.mean(),
-                   plain.mean() / stig.mean()});
+    table.add_row({q, bench::finish_mean(plain), bench::finish_mean(stig),
+                   bench::finish_mean(plain) / bench::finish_mean(stig)});
   }
   table.set_precision(2);
   bench::finish_table("extL", table);

@@ -45,8 +45,8 @@ int main() {
     table.add_row(
         {static_cast<std::int64_t>(net.graph.edge_count()),
          static_cast<double>(net.graph.edge_count()) / 300.0,
-         consc.finishing_time.mean(), random.finishing_time.mean(),
-         random.finishing_time.mean() / consc.finishing_time.mean()});
+         bench::finish_mean(consc), bench::finish_mean(random),
+         bench::finish_mean(random) / bench::finish_mean(consc)});
   }
   bench::finish_table("extN", table);
   std::cout << "\n(the paper reports 8000/3000 ≈ 2.7x; see DESIGN.md §2 for "

@@ -63,7 +63,7 @@ int main() {
       task.record_series = false;
       const auto summary =
           run_mapping_experiment(net, task, runs, paper::kRunSeedBase);
-      table.add_row({std::string(mix.label), summary.finishing_time.mean(),
+      table.add_row({std::string(mix.label), bench::finish_mean(summary),
                      confidence_halfwidth(summary.finishing_time)});
     }
     bench::finish_table(mode == StigmergyMode::kOff ? "extP_plain" : "extP_stig", table);

@@ -69,7 +69,7 @@ int main() {
   // AGENTNET_FULL=1 (construction alone takes a while at that size).
   Table scale({"nodes", "steps per sec", "bytes per node"});
   std::vector<std::size_t> sizes{10'000, 100'000};
-  if (env_bool("AGENTNET_FULL", false)) sizes.push_back(1'000'000);
+  if (bench_full()) sizes.push_back(1'000'000);
   for (const std::size_t nodes : sizes) {
     Rng rng(4242);
     const double side = 1000.0 * std::sqrt(static_cast<double>(nodes) / 250.0);

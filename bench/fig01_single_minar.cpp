@@ -27,8 +27,8 @@ int main() {
   bench::print_finish("random (Minar)", random_summary);
   bench::print_finish("conscientious (Minar)", consc_summary);
   std::printf("speedup conscientious vs random: %.2fx\n\n",
-              random_summary.finishing_time.mean() /
-                  consc_summary.finishing_time.mean());
+              bench::finish_mean(random_summary) /
+                  bench::finish_mean(consc_summary));
 
   std::cout << "knowledge over time, random agent:\n";
   bench::print_series("knowledge", random_summary.knowledge, 20);

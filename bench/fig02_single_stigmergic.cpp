@@ -48,9 +48,8 @@ int main() {
   std::printf(
       "\nstigmergy speedup: random %.2fx, conscientious %.2fx (paper: "
       "8000/6600=1.21x, 3000/2500=1.20x)\n\n",
-      summaries[0].finishing_time.mean() / summaries[1].finishing_time.mean(),
-      summaries[2].finishing_time.mean() /
-          summaries[3].finishing_time.mean());
+      bench::finish_mean(summaries[0]) / bench::finish_mean(summaries[1]),
+      bench::finish_mean(summaries[2]) / bench::finish_mean(summaries[3]));
 
   std::cout << "knowledge over time, stigmergic conscientious agent:\n";
   bench::print_series("knowledge", summaries[3].knowledge, 20);

@@ -26,6 +26,6 @@ int main() {
       run_mapping_experiment(net, no_comm, runs, paper::kRunSeedBase);
   bench::print_finish("15x conscientious, communication OFF", isolated);
   std::printf("cooperation speedup: %.2fx\n",
-              isolated.finishing_time.mean() / summary.finishing_time.mean());
+              bench::finish_mean(isolated) / bench::finish_mean(summary));
   return 0;
 }

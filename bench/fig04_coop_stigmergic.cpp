@@ -26,8 +26,7 @@ int main() {
   bench::print_finish("15x conscientious (stigmergic)", ours);
   std::printf(
       "\nstigmergic team is %.1f%% faster (paper: ~10%%)\n\n",
-      100.0 * (1.0 - ours.finishing_time.mean() /
-                         minar.finishing_time.mean()));
+      100.0 * (1.0 - bench::finish_mean(ours) / bench::finish_mean(minar)));
   std::cout << "knowledge over time, stigmergic team:\n";
   bench::print_series("knowledge", ours.knowledge, 30);
   return 0;

@@ -34,10 +34,10 @@ int main() {
     const auto super_c =
         run_mapping_experiment(net, task, runs, paper::kRunSeedBase);
     table.add_row({static_cast<std::int64_t>(pop),
-                   consc.finishing_time.mean(),
-                   super_c.finishing_time.mean(),
-                   super_c.finishing_time.mean() /
-                       consc.finishing_time.mean()});
+                   bench::finish_mean(consc),
+                   bench::finish_mean(super_c),
+                   bench::finish_mean(super_c) /
+                       bench::finish_mean(consc)});
   }
   bench::finish_table("fig06", table);
   std::cout << "\n(paper expects super/consc ≤ 1 throughout)\n";

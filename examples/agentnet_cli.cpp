@@ -8,15 +8,22 @@
 //   ./agentnet_cli scenario=routing policy=oldest visiting=true ...
 //                  population=100 history=10 traffic=true runs=5
 //
-//   # flow traffic over delay-reinforced ant routes (docs/TRAFFIC.md;
-//   # AGENTNET_TRAFFIC_* env knobs supply workload/queue defaults)
-//   ./agentnet_cli scenario=traffic mode=delay load=0.4 balance=true runs=5
+//   # flow traffic over delay-reinforced ant routes (docs/TRAFFIC.md); the
+//   # other workload and queue fields keep their FlowWorkloadConfig /
+//   # LinkQueueConfig defaults
+//   ./agentnet_cli scenario=traffic mode=delay load=0.4 balance=true ...
+//                  queue_capacity=16 runs=5
 //
 //   # artefact export
 //   ./agentnet_cli scenario=mapping export_net=net.txt export_dot=net.dot ...
 //                  csv=knowledge.csv
 //
 // All keys are validated; a typo fails loudly instead of being ignored.
+// Count keys (nodes, edges, gateways, population, history, runs,
+// max_steps, horizon, capacity, table, queue_capacity) are range-checked,
+// every number must be finite, and a bad value exits 2 naming the key. The
+// AGENTNET_* environment knobs are listed in docs/REPRODUCING.md §2; an
+// unknown AGENTNET_* name exits 2 too.
 #include <fstream>
 #include <iostream>
 
@@ -27,6 +34,24 @@
 using namespace agentnet;
 
 namespace {
+
+/// Upper bound of every count key: far past the largest runs here, and low
+/// enough that no product of counts overflows.
+constexpr std::int64_t kMaxCount = 1'000'000'000;
+
+/// A count key in [min, kMaxCount], so a negative value is an error naming
+/// the key instead of a wrapped size_t.
+std::size_t count_key(Options& opts, const std::string& key,
+                      std::size_t fallback, std::int64_t min) {
+  return static_cast<std::size_t>(opts.get_int(
+      key, static_cast<std::int64_t>(fallback), min, kMaxCount));
+}
+
+/// The runs key, in AGENTNET_RUNS's range.
+int runs_key(Options& opts, int fallback) {
+  const KnobSpec& runs = knob_spec(Knob::kRuns);
+  return static_cast<int>(opts.get_int("runs", fallback, runs.min, runs.max));
+}
 
 MappingPolicy parse_mapping_policy(const std::string& name) {
   if (name == "random") return MappingPolicy::kRandom;
@@ -50,31 +75,26 @@ StigmergyMode parse_stigmergy(const std::string& name) {
 
 int run_mapping(Options& opts) {
   TargetEdgeParams net_params;
-  net_params.geometry.node_count =
-      static_cast<std::size_t>(opts.get_int("nodes", 300));
-  net_params.target_edges = static_cast<std::size_t>(
-      opts.get_int("edges", static_cast<std::int64_t>(
-                                net_params.geometry.node_count * 14)));
+  net_params.geometry.node_count = count_key(opts, "nodes", 300, 2);
+  net_params.target_edges = count_key(
+      opts, "edges", net_params.geometry.node_count * 14, 1);
   net_params.tolerance = opts.get_double("edge_tolerance", 0.02);
   const auto seed =
       static_cast<std::uint64_t>(opts.get_int("seed", 2010));
 
   MappingTaskConfig task;
-  task.population = static_cast<int>(opts.get_int("population", 15));
+  task.population = static_cast<int>(count_key(opts, "population", 15, 1));
   task.agent.policy =
       parse_mapping_policy(opts.get_string("policy", "conscientious"));
   task.agent.stigmergy = parse_stigmergy(opts.get_string("stigmergy", "off"));
   task.agent.randomness = opts.get_double("randomness", 0.0);
   task.communication = opts.get_bool("communication", true);
-  task.stigmergy_horizon =
-      static_cast<std::size_t>(opts.get_int("horizon", 0));
-  task.stigmergy_capacity =
-      static_cast<std::size_t>(opts.get_int("capacity", 1));
+  task.stigmergy_horizon = count_key(opts, "horizon", 0, 0);
+  task.stigmergy_capacity = count_key(opts, "capacity", 1, 1);
   // Chaos runs may never finish (agents keep dying); a bounded step budget
   // makes degradation sweeps terminate. The default is the task's own.
-  task.max_steps = static_cast<std::size_t>(
-      opts.get_int("max_steps", static_cast<std::int64_t>(task.max_steps)));
-  const int runs = static_cast<int>(opts.get_int("runs", 10));
+  task.max_steps = count_key(opts, "max_steps", task.max_steps, 1);
+  const int runs = runs_key(opts, 10);
   const std::string export_net = opts.get_string("export_net", "");
   const std::string export_dot = opts.get_string("export_dot", "");
   const std::string csv = opts.get_string("csv", "");
@@ -144,10 +164,8 @@ GatewayPlacement parse_placement(const std::string& name) {
 
 int run_routing(Options& opts) {
   RoutingScenarioParams scenario_params;
-  scenario_params.node_count =
-      static_cast<std::size_t>(opts.get_int("nodes", 250));
-  scenario_params.gateway_count =
-      static_cast<std::size_t>(opts.get_int("gateways", 12));
+  scenario_params.node_count = count_key(opts, "nodes", 250, 2);
+  scenario_params.gateway_count = count_key(opts, "gateways", 12, 1);
   scenario_params.gateway_placement =
       parse_placement(opts.get_string("placement", "random"));
   const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 2010));
@@ -156,16 +174,15 @@ int run_routing(Options& opts) {
       opts.get_string("export_scenario", "");
 
   RoutingTaskConfig task;
-  task.population = static_cast<int>(opts.get_int("population", 100));
+  task.population = static_cast<int>(count_key(opts, "population", 100, 1));
   task.agent.policy =
       parse_routing_policy(opts.get_string("policy", "oldest"));
-  task.agent.history_size =
-      static_cast<std::size_t>(opts.get_int("history", 10));
+  task.agent.history_size = count_key(opts, "history", 10, 1);
   task.agent.communicate = opts.get_bool("visiting", false);
   task.agent.stigmergy = parse_stigmergy(opts.get_string("stigmergy", "off"));
   task.record_oracle = opts.get_bool("oracle", false);
   task.traffic = opts.get_bool("traffic", false);
-  const int runs = static_cast<int>(opts.get_int("runs", 5));
+  const int runs = runs_key(opts, 5);
   const std::string csv = opts.get_string("csv", "");
   opts.finish();
 
@@ -217,15 +234,13 @@ int run_routing(Options& opts) {
 
 int run_aco(Options& opts) {
   RoutingScenarioParams scenario_params;
-  scenario_params.node_count =
-      static_cast<std::size_t>(opts.get_int("nodes", 250));
-  scenario_params.gateway_count =
-      static_cast<std::size_t>(opts.get_int("gateways", 12));
+  scenario_params.node_count = count_key(opts, "nodes", 250, 2);
+  scenario_params.gateway_count = count_key(opts, "gateways", 12, 1);
   const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 2010));
   AntRoutingTaskConfig task;
   task.ants.launch_probability = opts.get_double("launch", 0.2);
   task.ants.evaporation = opts.get_double("evaporation", 0.02);
-  const int runs = static_cast<int>(opts.get_int("runs", 5));
+  const int runs = runs_key(opts, 5);
   opts.finish();
 
   const RoutingScenario scenario(scenario_params, seed);
@@ -249,17 +264,15 @@ int run_aco(Options& opts) {
 
 int run_traffic(Options& opts) {
   RoutingScenarioParams scenario_params;
-  scenario_params.node_count =
-      static_cast<std::size_t>(opts.get_int("nodes", 250));
-  scenario_params.gateway_count =
-      static_cast<std::size_t>(opts.get_int("gateways", 12));
+  scenario_params.node_count = count_key(opts, "nodes", 250, 2);
+  scenario_params.gateway_count = count_key(opts, "gateways", 12, 1);
   const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 2010));
 
   TrafficTaskConfig task;
-  task.workload = FlowWorkloadConfig::from_env();
   task.workload.offered_load =
       opts.get_double("load", task.workload.offered_load);
-  task.queue = LinkQueueConfig::from_env();
+  task.queue.queue_capacity =
+      count_key(opts, "queue_capacity", task.queue.queue_capacity, 1);
   const std::string mode = opts.get_string("mode", "delay");
   if (mode == "hop") {
     task.ants.reinforcement = AntReinforcement::kHopCount;
@@ -269,9 +282,7 @@ int run_traffic(Options& opts) {
     throw ConfigError("mode must be hop|delay, got " + mode);
   }
   task.balance_gateways = opts.get_bool("balance", false);
-  if (task.balance_gateways)
-    task.balancer = GatewayBalancerConfig::from_env();
-  const int runs = static_cast<int>(opts.get_int("runs", 5));
+  const int runs = runs_key(opts, 5);
   opts.finish();
 
   const RoutingScenario scenario(scenario_params, seed);
@@ -290,16 +301,13 @@ int run_traffic(Options& opts) {
 
 int run_dv(Options& opts) {
   RoutingScenarioParams scenario_params;
-  scenario_params.node_count =
-      static_cast<std::size_t>(opts.get_int("nodes", 250));
-  scenario_params.gateway_count =
-      static_cast<std::size_t>(opts.get_int("gateways", 12));
+  scenario_params.node_count = count_key(opts, "nodes", 250, 2);
+  scenario_params.gateway_count = count_key(opts, "gateways", 12, 1);
   const auto seed = static_cast<std::uint64_t>(opts.get_int("seed", 2010));
   DvRoutingTaskConfig task;
-  task.population = static_cast<int>(opts.get_int("population", 100));
-  task.agent.table_size =
-      static_cast<std::size_t>(opts.get_int("table", 40));
-  const int runs = static_cast<int>(opts.get_int("runs", 5));
+  task.population = static_cast<int>(count_key(opts, "population", 100, 1));
+  task.agent.table_size = count_key(opts, "table", 40, 2);
+  const int runs = runs_key(opts, 5);
   opts.finish();
 
   const RoutingScenario scenario(scenario_params, seed);

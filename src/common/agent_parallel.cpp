@@ -3,7 +3,6 @@
 #include <thread>
 
 #include "common/env.hpp"
-#include "common/error.hpp"
 
 namespace agentnet {
 
@@ -24,11 +23,10 @@ AgentParallel::AgentParallel(const AgentParallelConfig& config) {
 }
 
 AgentParallelConfig AgentParallelConfig::from_env() {
+  check_environment();
   AgentParallelConfig config;
-  const std::int64_t raw = env_int("AGENTNET_AGENT_THREADS", 1);
-  if (raw < 0)
-    throw ConfigError("AGENTNET_AGENT_THREADS must be >= 0");
-  config.threads = resolve_agent_threads(static_cast<std::size_t>(raw));
+  config.threads = resolve_agent_threads(
+      static_cast<std::size_t>(knob_int(Knob::kAgentThreads, 1)));
   return config;
 }
 

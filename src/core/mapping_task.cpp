@@ -243,8 +243,8 @@ MappingTaskResult run_mapping_task(World& world,
     result.agents_respawned = r.size();
   };
 
-  // Steps 0..max_steps; a budget of the largest size_t (max_steps=-1 on
-  // the CLI) must not wrap to an empty loop.
+  // Steps 0..max_steps; a budget of the largest size_t must not wrap to an
+  // empty loop.
   const std::size_t end =
       config.max_steps + (config.max_steps < kNoStepBudget ? 1 : 0);
   loop.run(world, end, save_run, load_run, [&](std::size_t t) {

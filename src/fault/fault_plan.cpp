@@ -1,10 +1,12 @@
 #include "fault/fault_plan.hpp"
 
 #include <algorithm>
-#include <stdexcept>
+#include <limits>
+#include <sstream>
 
 #include "common/env.hpp"
 #include "common/error.hpp"
+#include "common/options.hpp"
 
 namespace agentnet {
 
@@ -55,35 +57,24 @@ FaultPlan FaultPlan::scaled(double intensity) const {
 
 std::vector<Blackout> parse_blackouts(const std::string& spec) {
   std::vector<Blackout> zones;
-  std::size_t begin = 0;
-  while (begin <= spec.size()) {
-    std::size_t end = spec.find(';', begin);
-    if (end == std::string::npos) end = spec.size();
-    const std::string item = spec.substr(begin, end - begin);
-    begin = end + 1;
+  std::istringstream items(spec);
+  for (std::string item; std::getline(items, item, ';');) {
     if (item.empty()) continue;
+    AGENTNET_REQUIRE(std::count(item.begin(), item.end(), ':') == 4,
+                     "blackout spec needs x:y:radius:start:duration: " + item);
+    // x, y and radius are any finite numbers; start and duration are step
+    // counts, bounded so the size_t casts below are exact.
+    constexpr double kMaxSteps = 9007199254740992.0;  // 2^53
+    std::istringstream parts(item);
     double fields[5];
-    std::size_t pos = 0;
     for (int f = 0; f < 5; ++f) {
-      if (f > 0) {
-        AGENTNET_REQUIRE(pos < item.size() && item[pos] == ':',
-                         "blackout spec needs x:y:radius:start:duration: " +
-                             item);
-        ++pos;
-      }
-      std::size_t used = 0;
-      try {
-        fields[f] = std::stod(item.substr(pos), &used);
-      } catch (const std::exception&) {
-        throw ConfigError("bad number in blackout spec: " + item);
-      }
-      AGENTNET_REQUIRE(used > 0, "bad number in blackout spec: " + item);
-      pos += used;
+      std::string part;
+      std::getline(parts, part, ':');
+      fields[f] = parse_double(
+          "blackout spec " + item, part,
+          f < 3 ? std::numeric_limits<double>::lowest() : 0.0,
+          f < 3 ? std::numeric_limits<double>::max() : kMaxSteps);
     }
-    AGENTNET_REQUIRE(pos == item.size(),
-                     "trailing characters in blackout spec: " + item);
-    AGENTNET_REQUIRE(fields[3] >= 0.0 && fields[4] >= 0.0,
-                     "blackout start/duration must be non-negative: " + item);
     Blackout zone;
     zone.center = {fields[0], fields[1]};
     zone.radius = fields[2];
@@ -95,35 +86,35 @@ std::vector<Blackout> parse_blackouts(const std::string& spec) {
 }
 
 FaultPlan FaultPlan::from_env() {
+  check_environment();
   FaultPlan plan;
+  // Each knob's row bounds it, so the size_t casts never wrap.
+  const auto count = [](Knob knob, std::size_t fallback) {
+    return static_cast<std::size_t>(
+        knob_int(knob, static_cast<std::int64_t>(fallback)));
+  };
   plan.agent_loss_probability =
-      env_double("AGENTNET_FAULT_AGENT_LOSS", plan.agent_loss_probability);
+      knob_double(Knob::kFaultAgentLoss, plan.agent_loss_probability);
   plan.gateway_respawn_probability =
-      env_double("AGENTNET_FAULT_RESPAWN", plan.gateway_respawn_probability);
+      knob_double(Knob::kFaultRespawn, plan.gateway_respawn_probability);
   plan.node_crash_probability =
-      env_double("AGENTNET_FAULT_NODE_CRASH", plan.node_crash_probability);
-  plan.crash_persistence = static_cast<std::size_t>(
-      env_int("AGENTNET_FAULT_CRASH_PERSISTENCE",
-              static_cast<std::int64_t>(plan.crash_persistence)));
+      knob_double(Knob::kFaultNodeCrash, plan.node_crash_probability);
+  plan.crash_persistence =
+      count(Knob::kFaultCrashPersistence, plan.crash_persistence);
   plan.burst_drop_probability =
-      env_double("AGENTNET_FAULT_BURST_DROP", plan.burst_drop_probability);
-  plan.burst_persistence = static_cast<std::size_t>(
-      env_int("AGENTNET_FAULT_BURST_PERSISTENCE",
-              static_cast<std::int64_t>(plan.burst_persistence)));
-  plan.exchange_failure_probability = env_double(
-      "AGENTNET_FAULT_EXCHANGE", plan.exchange_failure_probability);
-  if (const auto spec = env_string("AGENTNET_FAULT_BLACKOUTS"))
+      knob_double(Knob::kFaultBurstDrop, plan.burst_drop_probability);
+  plan.burst_persistence =
+      count(Knob::kFaultBurstPersistence, plan.burst_persistence);
+  plan.exchange_failure_probability =
+      knob_double(Knob::kFaultExchange, plan.exchange_failure_probability);
+  if (const auto spec = knob_string(Knob::kFaultBlackouts))
     plan.blackouts = parse_blackouts(*spec);
-  plan.weather_seed = static_cast<std::uint64_t>(env_int(
-      "AGENTNET_FAULT_SEED", static_cast<std::int64_t>(plan.weather_seed)));
-  plan.watchdog_ttl = static_cast<std::size_t>(
-      env_int("AGENTNET_FAULT_WATCHDOG_TTL",
-              static_cast<std::int64_t>(plan.watchdog_ttl)));
-  plan.knowledge_ttl = static_cast<std::size_t>(
-      env_int("AGENTNET_FAULT_KNOWLEDGE_TTL",
-              static_cast<std::int64_t>(plan.knowledge_ttl)));
+  plan.weather_seed = static_cast<std::uint64_t>(knob_int(
+      Knob::kFaultSeed, static_cast<std::int64_t>(plan.weather_seed)));
+  plan.watchdog_ttl = count(Knob::kFaultWatchdogTtl, plan.watchdog_ttl);
+  plan.knowledge_ttl = count(Knob::kFaultKnowledgeTtl, plan.knowledge_ttl);
   plan.age_crashed_routes =
-      env_bool("AGENTNET_FAULT_ROUTE_AGING", plan.age_crashed_routes);
+      knob_bool(Knob::kFaultRouteAging, plan.age_crashed_routes);
   plan.validate();
   return plan;
 }

@@ -116,12 +116,9 @@ struct FaultPlan {
   /// zero point reproduces the fault-free baseline exactly.
   FaultPlan scaled(double intensity) const;
 
-  /// Reads AGENTNET_FAULT_* (see docs/ROBUSTNESS.md): _AGENT_LOSS,
-  /// _RESPAWN, _NODE_CRASH, _CRASH_PERSISTENCE, _BURST_DROP,
-  /// _BURST_PERSISTENCE, _EXCHANGE, _BLACKOUTS ("x:y:r:start:duration"
-  /// specs joined by ';'), _SEED, _WATCHDOG_TTL, _KNOWLEDGE_TTL,
-  /// _ROUTE_AGING. Unset variables keep the defaults above, so an empty
-  /// environment yields an inert plan.
+  /// Reads the AGENTNET_FAULT_* knobs (table in docs/ROBUSTNESS.md). Unset
+  /// variables keep the defaults above, so an empty environment yields an
+  /// inert plan.
   static FaultPlan from_env();
 
   friend bool operator==(const FaultPlan&, const FaultPlan&) = default;

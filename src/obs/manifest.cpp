@@ -1,8 +1,7 @@
 #include "obs/manifest.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
+#include <cstdlib>
 #include <type_traits>
 
 #include "common/atomic_file.hpp"
@@ -16,8 +15,6 @@
 #ifndef AGENTNET_BUILD_TYPE
 #define AGENTNET_BUILD_TYPE ""
 #endif
-
-extern char** environ;
 
 namespace agentnet::obs {
 
@@ -33,15 +30,12 @@ RunManifest make_manifest(std::uint64_t seed, int runs, int threads) {
   manifest.obs_level = AGENTNET_OBS_LEVEL;
   manifest.seed = seed;
   manifest.runs = runs;
-  manifest.threads = threads == 0 ? bench_threads() : threads;
-  for (char** entry = environ; entry != nullptr && *entry != nullptr;
-       ++entry) {
-    const std::string var(*entry);
-    if (var.rfind("AGENTNET_", 0) != 0) continue;
-    const std::size_t eq = var.find('=');
-    if (eq == std::string::npos) continue;
-    manifest.env.emplace_back(var.substr(0, eq), var.substr(eq + 1));
-  }
+  manifest.threads = threads == 0
+                         ? static_cast<int>(knob_int(Knob::kThreads, 0))
+                         : threads;
+  for (const KnobSpec& knob : kKnobs)
+    if (const char* value = std::getenv(knob.name.data()))
+      manifest.env.emplace_back(knob.name, value);
   std::sort(manifest.env.begin(), manifest.env.end());
   return manifest;
 }

@@ -34,15 +34,15 @@ struct RunManifest {
   std::uint64_t metrics_every = 1;
   std::string trace_path;       ///< Empty = no trace written.
   std::string metrics_path;     ///< Empty = no metrics written.
-  /// Snapshot of every AGENTNET_* environment variable, sorted by name.
+  /// Snapshot of every set AGENTNET_* knob (common/env.hpp), sorted by name.
   std::vector<std::pair<std::string, std::string>> env;
 
   friend bool operator==(const RunManifest&, const RunManifest&) = default;
 };
 
 /// Builds a manifest for the current process: library version, build type,
-/// obs level, the given experiment shape, and the sorted AGENTNET_* env
-/// snapshot. `threads` 0 is resolved through bench_threads().
+/// obs level, the given experiment shape, and the sorted AGENTNET_* knob
+/// snapshot. `threads` 0 records the AGENTNET_THREADS knob (0 when unset).
 RunManifest make_manifest(std::uint64_t seed, int runs, int threads);
 
 /// Deterministic pretty-printed JSON (stable key order, no timestamps).

@@ -10,11 +10,12 @@
 namespace agentnet::obs {
 
 ObsConfig ObsConfig::from_env() {
+  check_environment();
   ObsConfig config;
 #if AGENTNET_OBS_LEVEL >= 1
-  if (auto path = env_string("AGENTNET_TRACE"); path && !path->empty()) {
+  if (auto path = knob_string(Knob::kTrace)) {
     config.trace_path = std::move(*path);
-    if (auto format = env_string("AGENTNET_TRACE_FORMAT")) {
+    if (auto format = knob_string(Knob::kTraceFormat)) {
       if (*format == "jsonl")
         config.trace_format = TraceFormat::kJsonl;
       else if (*format == "chrome")
@@ -24,15 +25,12 @@ ObsConfig ObsConfig::from_env() {
                           *format);
     }
   }
-  if (auto path = env_string("AGENTNET_METRICS"); path && !path->empty()) {
+  if (auto path = knob_string(Knob::kMetrics)) {
     config.metrics_path = std::move(*path);
-    const std::int64_t every = env_int("AGENTNET_METRICS_EVERY", 1);
-    if (every < 1)
-      throw ConfigError("AGENTNET_METRICS_EVERY must be >= 1, got " +
-                        std::to_string(every));
-    config.metrics_every = static_cast<std::uint64_t>(every);
+    config.metrics_every =
+        static_cast<std::uint64_t>(knob_int(Knob::kMetricsEvery, 1));
   }
-  if (auto path = env_string("AGENTNET_MANIFEST"); path && !path->empty())
+  if (auto path = knob_string(Knob::kManifest))
     config.manifest_path = std::move(*path);
 #endif
   return config;

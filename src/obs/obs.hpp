@@ -40,11 +40,9 @@ struct ObsConfig {
   /// slot (usually the ambient one).
   RunObs* sink = nullptr;
 
-  /// Reads AGENTNET_TRACE (path), AGENTNET_TRACE_FORMAT
-  /// ("jsonl" | "chrome"), AGENTNET_METRICS (path),
-  /// AGENTNET_METRICS_EVERY (integer >= 1) and AGENTNET_MANIFEST (path).
-  /// At AGENTNET_OBS_LEVEL 0 everything stays off regardless of the
-  /// environment.
+  /// Reads the AGENTNET_TRACE, _TRACE_FORMAT, _METRICS, _METRICS_EVERY
+  /// and _MANIFEST knobs. At AGENTNET_OBS_LEVEL 0 everything stays off
+  /// regardless of the environment.
   static ObsConfig from_env();
 };
 

@@ -1,6 +1,5 @@
 #include "obs/trace.hpp"
 
-#include <cctype>
 #include <iterator>
 #include <ostream>
 
@@ -161,19 +160,13 @@ std::optional<TraceRecord> parse_trace_line(const std::string& line,
   for (const FlatField& field : pairs) {
     const std::string& key = field.key;
     if (key == "ev") continue;
-    // A quoted integer reads as std::stoll reads it: leading space and a
-    // '+' are allowed there, as they always were.
-    std::string_view text = field.value;
-    if (field.quoted) {
-      while (!text.empty() && std::isspace(static_cast<unsigned char>(text[0])))
-        text.remove_prefix(1);
-      if (text.starts_with('+') && !text.substr(1).starts_with('-'))
-        text.remove_prefix(1);
-    }
+    // The writer emits every other field as a bare non-negative integer
+    // (an absent id is left out), so nothing else is a trace line.
     std::int64_t parsed = 0;
-    if (!from_token(text, parsed))
-      return fail(field.value_at,
-                  "field " + key + " is not an integer: " + field.value);
+    if (field.quoted || !from_token(field.value, parsed) || parsed < 0)
+      return fail(field.value_at, "field " + key +
+                                      " is not a non-negative integer: " +
+                                      field.value);
     if (key == "run")
       record.run = parsed;
     else if (key == "step" && record.event.kind != TraceEventKind::kRunGroup)

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <utility>
 
-#include "common/env.hpp"
 #include "common/error.hpp"
 
 namespace agentnet {
@@ -12,16 +11,6 @@ void GatewayBalancerConfig::validate() const {
   AGENTNET_REQUIRE(smoothing > 0.0 && smoothing <= 1.0,
                    "balancer smoothing must be in (0,1]");
   AGENTNET_REQUIRE(strength >= 0.0, "balancer strength must be >= 0");
-}
-
-GatewayBalancerConfig GatewayBalancerConfig::from_env() {
-  GatewayBalancerConfig config;
-  config.smoothing = env_double("AGENTNET_TRAFFIC_BALANCE_SMOOTHING",
-                                config.smoothing);
-  config.strength = env_double("AGENTNET_TRAFFIC_BALANCE_STRENGTH",
-                               config.strength);
-  config.validate();
-  return config;
 }
 
 GatewayBalancer::GatewayBalancer(std::size_t node_count,

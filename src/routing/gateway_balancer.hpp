@@ -27,9 +27,6 @@ struct GatewayBalancerConfig {
   /// Bias exponent; 0 disables balancing (bias ≡ 1), 1 is proportional.
   double strength = 1.0;
 
-  /// Reads AGENTNET_TRAFFIC_BALANCE_SMOOTHING and
-  /// AGENTNET_TRAFFIC_BALANCE_STRENGTH over these defaults.
-  static GatewayBalancerConfig from_env();
   void validate() const;
 };
 

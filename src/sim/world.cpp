@@ -23,8 +23,7 @@ World::World(Aabb bounds, std::vector<Vec2> initial_positions,
   AGENTNET_REQUIRE(positions_.size() == batteries_.size(),
                    "positions / batteries size mismatch");
   AGENTNET_REQUIRE(mobility_ != nullptr, "world needs a mobility model");
-  quantum_ = env_double("AGENTNET_TOPO_RANGE_QUANTUM", 0.0);
-  AGENTNET_REQUIRE(quantum_ >= 0.0, "range quantum must be >= 0");
+  quantum_ = knob_double(Knob::kTopoRangeQuantum, 0.0);
   // Only nodes that can move or discharge can ever dirty the topology;
   // stationary mains-powered nodes (gateways, frozen mapping networks) are
   // clean forever and cost nothing per advance().

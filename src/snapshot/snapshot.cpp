@@ -296,13 +296,11 @@ ExperimentCheckpointer::ExperimentCheckpointer(ExperimentIdentity identity,
 
 std::unique_ptr<ExperimentCheckpointer> ExperimentCheckpointer::from_env(
     const ExperimentIdentity& identity) {
-  const std::string save_path = env_string("AGENTNET_CHECKPOINT").value_or("");
-  const std::string resume_path = env_string("AGENTNET_RESUME").value_or("");
+  check_environment();
+  const std::string save_path = knob_string(Knob::kCheckpoint).value_or("");
+  const std::string resume_path = knob_string(Knob::kResume).value_or("");
   if (save_path.empty() && resume_path.empty()) return nullptr;
-  const int every = env_int("AGENTNET_CHECKPOINT_EVERY", 50);
-  AGENTNET_REQUIRE(every >= 1,
-                   "AGENTNET_CHECKPOINT_EVERY must be >= 1, got " +
-                       std::to_string(every));
+  const std::int64_t every = knob_int(Knob::kCheckpointEvery, 50);
   return std::make_unique<ExperimentCheckpointer>(
       identity, save_path, static_cast<std::uint64_t>(every), resume_path);
 }

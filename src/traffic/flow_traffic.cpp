@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "obs/obs.hpp"
 
@@ -22,7 +21,8 @@ double FlowWorkloadConfig::session_rate() const {
 }
 
 void FlowWorkloadConfig::validate() const {
-  AGENTNET_REQUIRE(offered_load >= 0.0, "offered load must be >= 0");
+  AGENTNET_REQUIRE(std::isfinite(offered_load) && offered_load >= 0.0,
+                   "offered load must be finite and >= 0");
   AGENTNET_REQUIRE(elephant_fraction >= 0.0 && elephant_fraction <= 1.0,
                    "elephant fraction must be in [0,1]");
   AGENTNET_REQUIRE(mice_packets >= 1, "mice session size must be >= 1");
@@ -31,62 +31,16 @@ void FlowWorkloadConfig::validate() const {
   AGENTNET_REQUIRE(elephant_rate >= 1, "elephant rate must be >= 1");
   AGENTNET_REQUIRE(p2p_fraction >= 0.0 && p2p_fraction <= 1.0,
                    "p2p fraction must be in [0,1]");
-}
-
-FlowWorkloadConfig FlowWorkloadConfig::from_env() {
-  FlowWorkloadConfig config;
-  config.offered_load = env_double("AGENTNET_TRAFFIC_LOAD",
-                                   config.offered_load);
-  config.elephant_fraction = env_double("AGENTNET_TRAFFIC_ELEPHANT_FRACTION",
-                                        config.elephant_fraction);
-  config.mice_packets = static_cast<std::uint32_t>(
-      env_int("AGENTNET_TRAFFIC_MICE_PACKETS",
-              static_cast<std::int64_t>(config.mice_packets)));
-  config.elephant_packets = static_cast<std::uint32_t>(
-      env_int("AGENTNET_TRAFFIC_ELEPHANT_PACKETS",
-              static_cast<std::int64_t>(config.elephant_packets)));
-  config.elephant_rate = static_cast<std::uint32_t>(
-      env_int("AGENTNET_TRAFFIC_ELEPHANT_RATE",
-              static_cast<std::int64_t>(config.elephant_rate)));
-  if (const auto pattern = env_string("AGENTNET_TRAFFIC_PATTERN")) {
-    if (*pattern == "uplink") {
-      config.pattern = TrafficPattern::kUplink;
-    } else if (*pattern == "p2p") {
-      config.pattern = TrafficPattern::kPeerToPeer;
-    } else if (*pattern == "mixed") {
-      config.pattern = TrafficPattern::kMixed;
-    } else {
-      AGENTNET_REQUIRE(false, "AGENTNET_TRAFFIC_PATTERN must be "
-                              "uplink|p2p|mixed, got: " + *pattern);
-    }
-  }
-  config.p2p_fraction = env_double("AGENTNET_TRAFFIC_P2P_FRACTION",
-                                   config.p2p_fraction);
-  config.validate();
-  return config;
+  AGENTNET_REQUIRE(session_rate() <= kMaxSessionRate,
+                   "offered load too high: more than " +
+                       std::to_string(static_cast<int>(kMaxSessionRate)) +
+                       " sessions per node per step");
 }
 
 void LinkQueueConfig::validate() const {
   AGENTNET_REQUIRE(link_capacity >= 1, "link capacity must be >= 1");
   AGENTNET_REQUIRE(queue_capacity >= 1, "queue capacity must be >= 1");
   AGENTNET_REQUIRE(ttl >= 1, "ttl must be >= 1");
-}
-
-LinkQueueConfig LinkQueueConfig::from_env() {
-  LinkQueueConfig config;
-  config.link_capacity = static_cast<std::size_t>(
-      env_int("AGENTNET_TRAFFIC_LINK_CAPACITY",
-              static_cast<std::int64_t>(config.link_capacity)));
-  config.queue_capacity = static_cast<std::size_t>(
-      env_int("AGENTNET_TRAFFIC_QUEUE_CAPACITY",
-              static_cast<std::int64_t>(config.queue_capacity)));
-  config.ttl = static_cast<std::uint32_t>(env_int(
-      "AGENTNET_TRAFFIC_TTL", static_cast<std::int64_t>(config.ttl)));
-  config.route_patience = static_cast<std::size_t>(
-      env_int("AGENTNET_TRAFFIC_PATIENCE",
-              static_cast<std::int64_t>(config.route_patience)));
-  config.validate();
-  return config;
 }
 
 std::uint64_t FlowTrafficStats::latency_quantile(double q) const {

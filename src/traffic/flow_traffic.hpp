@@ -62,10 +62,11 @@ struct FlowWorkloadConfig {
   /// Poisson arrival rate (sessions / node / step) realizing offered_load.
   double session_rate() const;
 
-  /// Reads AGENTNET_TRAFFIC_LOAD, _ELEPHANT_FRACTION, _MICE_PACKETS,
-  /// _ELEPHANT_PACKETS, _ELEPHANT_RATE, _PATTERN (uplink|p2p|mixed) and
-  /// _P2P_FRACTION over these defaults (table in docs/TRAFFIC.md).
-  static FlowWorkloadConfig from_env();
+  /// The largest session_rate() validate() accepts. Far past any link's
+  /// service rate, and it keeps Rng::poisson's 16-per-chunk loop short.
+  static constexpr double kMaxSessionRate = 1024.0;
+  /// Rejects a non-finite or negative load, a session rate above
+  /// kMaxSessionRate and out-of-range mix fields.
   void validate() const;
 };
 
@@ -81,9 +82,6 @@ struct LinkQueueConfig {
   std::uint32_t ttl = 64;           ///< Hop budget per packet.
   std::size_t route_patience = 10;  ///< Steps a packet waits for a route.
 
-  /// Reads AGENTNET_TRAFFIC_LINK_CAPACITY, _QUEUE_CAPACITY, _TTL and
-  /// _PATIENCE over these defaults.
-  static LinkQueueConfig from_env();
   void validate() const;
 };
 

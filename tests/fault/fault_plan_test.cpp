@@ -130,6 +130,12 @@ TEST(FaultPlanTest, ParseBlackouts) {
   EXPECT_THROW(parse_blackouts("1:2:3:4"), ConfigError);
   EXPECT_THROW(parse_blackouts("a:b:c:d:e"), ConfigError);
   EXPECT_THROW(parse_blackouts("1:2:3:4:5:6"), ConfigError);
+  EXPECT_THROW(parse_blackouts("1:2:3:4:5:"), ConfigError);
+  EXPECT_THROW(parse_blackouts("1:2:3:-1:5"), ConfigError);
+  // Every field is finite, and a step count fits a size_t exactly.
+  EXPECT_THROW(parse_blackouts("inf:2:3:4:5"), ConfigError);
+  EXPECT_THROW(parse_blackouts("1:2:nan:4:5"), ConfigError);
+  EXPECT_THROW(parse_blackouts("1:2:3:4:1e300"), ConfigError);
 }
 
 TEST(FaultPlanTest, FromEnvReadsTheFullTable) {

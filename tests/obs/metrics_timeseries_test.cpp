@@ -191,9 +191,9 @@ TEST(MetricsLineTest, RejectsMalformedInput) {
 }
 
 TEST(ManifestTest, RoundTripsThroughJsonAndDisk) {
-  ::setenv("AGENTNET_MANIFEST_TEST_KNOB", "on", 1);
+  ::setenv("AGENTNET_FULL", "on", 1);
   obs::RunManifest manifest = obs::make_manifest(2010, 5, 3);
-  ::unsetenv("AGENTNET_MANIFEST_TEST_KNOB");
+  ::unsetenv("AGENTNET_FULL");
   EXPECT_EQ(manifest.obs_level, AGENTNET_OBS_LEVEL);
   EXPECT_EQ(manifest.seed, 2010u);
   EXPECT_EQ(manifest.runs, 5);
@@ -201,7 +201,7 @@ TEST(ManifestTest, RoundTripsThroughJsonAndDisk) {
   EXPECT_FALSE(manifest.library_version.empty());
   bool saw_knob = false;
   for (const auto& [name, value] : manifest.env)
-    if (name == "AGENTNET_MANIFEST_TEST_KNOB") saw_knob = value == "on";
+    if (name == "AGENTNET_FULL") saw_knob = value == "on";
   EXPECT_TRUE(saw_knob);
 
   manifest.metrics_every = 7;

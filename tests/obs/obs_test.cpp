@@ -293,12 +293,28 @@ TEST(ObsTraceTest, ParserRejectsMalformedLines) {
            "{\"ev\":\"move\",\"bogus\":1}",      // unknown field
            "{\"ev\":\"move\",\"step\":}",        // missing value
            "{\"ev\":\"move\",\"step\":3} tail",  // trailing garbage
+           "{\"ev\":\"move\",\"step\":\"3\"}",    // quoted integer
+           "{\"run\":-1,\"ev\":\"move\",\"step\":3}",  // negative id
+           "{\"ev\":\"move\",\"step\":3,\"agent\":-2}",  // negative id
        }) {
     SCOPED_TRACE(bad);
     std::string error;
     EXPECT_FALSE(obs::parse_trace_line(bad, &error).has_value());
     EXPECT_FALSE(error.empty());
   }
+}
+
+TEST(ObsTraceTest, ParserRejectsWhatTheWriterCannotEmitAtItsOffset) {
+  // The writer leaves an absent id out and never quotes an integer.
+  std::string error;
+  EXPECT_FALSE(obs::parse_trace_line("{\"ev\":\"move\",\"step\":\"3\"}",
+                                     &error)
+                   .has_value());
+  EXPECT_EQ(error, "byte 20: field step is not a non-negative integer: 3");
+  EXPECT_FALSE(obs::parse_trace_line("{\"run\":-1,\"ev\":\"move\",\"step\":3}",
+                                     &error)
+                   .has_value());
+  EXPECT_EQ(error, "byte 7: field run is not a non-negative integer: -1");
 }
 
 TEST(ObsConfigTest, FromEnvReadsTracePathAndFormat) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -77,6 +78,24 @@ TEST(FlowWorkloadConfigTest, RejectsBadConfig) {
   EXPECT_THROW(FlowTrafficSimulator(4, std::vector<bool>(3, false), {}, {},
                                     Rng(1)),
                ConfigError);
+}
+
+TEST(FlowWorkloadConfigTest, RejectsLoadsThePoissonDrawCannotFinish) {
+  // Rng::poisson draws in chunks of mean 16: at an infinite mean, or one
+  // past 2^57, `mean -= 16` stops changing it and the draw never returns.
+  const double session_packets = FlowWorkloadConfig{}.mean_session_packets();
+  for (const double load :
+       {std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(), 1e300,
+        (FlowWorkloadConfig::kMaxSessionRate + 1.0) * session_packets}) {
+    FlowWorkloadConfig cfg;
+    cfg.offered_load = load;
+    EXPECT_THROW(cfg.validate(), ConfigError) << load;
+  }
+  FlowWorkloadConfig heavy;
+  heavy.offered_load =
+      0.5 * FlowWorkloadConfig::kMaxSessionRate * session_packets;
+  EXPECT_NO_THROW(heavy.validate());
 }
 
 TEST(FlowWorkloadConfigTest, SessionRateRealizesOfferedLoad) {

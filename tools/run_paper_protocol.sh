@@ -18,7 +18,9 @@
 # its flows started and ended) plus one chaos-harness run of each under the
 # AGENTNET_FAULT_* environment (docs/ROBUSTNESS.md), and validates the
 # JSONL event streams with tools/trace_check — including --require proofs
-# that the chaos runs actually crashed nodes and lost agents. It also runs
+# that the chaos runs actually crashed nodes and lost agents; a misspelt
+# AGENTNET_FAULT_NODECRASH must make the CLI fail and name the registered
+# AGENTNET_FAULT_NODE_CRASH (the knob table, src/common/env.hpp). It also runs
 # one traced+metered fault-injected routing run with traffic on per thread
 # count (1 and 2), proves stdout (the merged traffic line included) and the
 # metrics stream byte-identical across the two, and pushes it
@@ -96,6 +98,15 @@ if [ "${1:-}" = "--smoke" ]; then
     population=10 runs=2
   build-tsan/tools/trace_check --require=node_crash --require=node_recover \
     --require=lost "$tmp/map_chaos.jsonl" "$tmp/route_chaos.jsonl"
+  echo "##### misspelt knob (AGENTNET_FAULT_NODECRASH) is rejected"
+  if AGENTNET_FAULT_NODECRASH=0.5 build-tsan/examples/agentnet_cli \
+    scenario=mapping runs=1 2> "$tmp/typo.err"; then
+    echo "misspelt AGENTNET_FAULT_NODECRASH was accepted" >&2; exit 1
+  fi
+  if ! grep -q 'AGENTNET_FAULT_NODE_CRASH' "$tmp/typo.err"; then
+    echo "the rejection does not name AGENTNET_FAULT_NODE_CRASH:" >&2
+    cat "$tmp/typo.err" >&2; exit 1
+  fi
   echo "##### time-series metrics (TSan + metrics_report + thread diff)"
   # One fault-injected routing run with traffic per thread count: stdout
   # (the merged traffic line included) and the metrics stream must be
